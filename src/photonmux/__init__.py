@@ -26,7 +26,6 @@ from .losses import (
     heralded_distribution,
     output_chain,
     output_distribution,
-    total_signal_transmission,
     with_dark_counts,
 )
 from .optimize import OptimizationResult, max_p1_with_snr_floor, optimize_mu
@@ -56,7 +55,6 @@ __all__ = [
     "heralded_distribution",
     "with_dark_counts",
     "apply_signal_loss",
-    "total_signal_transmission",
     "output_distribution",
     "output_chain",
     "OptimizationResult",

@@ -319,8 +319,7 @@ def run(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.subcommand == "montecarlo":
-        trials = int(ns.trials)
-        mc = McConfig(trials=trials, seed=ns.seed, shards=ns.shards)
+        mc = McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards)
         hist = simulate(cfg, mc, backend=ns.backend)
         lines = _config_echo_lines(cfg)
         lines += [

@@ -7,11 +7,14 @@ then shorten the effective interval: the first spurious click routes the
 output early, which mixes the heralded expression over interval lengths.
 Finally every photon in the routed window independently survives the signal
 branch with the end-to-end transmission, a binomial loss channel.
+
+One batched core, :func:`_herald_rows`, evaluates the herald and dark-count
+stages for a whole pump grid; the scalar entry points are batches of one and
+share the binomial loss matrix of :func:`photonmux.stats.binomial_matrix`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -20,10 +23,12 @@ import numpy as np
 from .config import SourceConfig
 from .stats import (
     DEFAULT_N_MAX,
+    TAIL_LIMIT,
     PhotonDistribution,
-    _lgamma_cache,
+    TruncationError,
+    binomial_matrix,
     ideal_distribution,
-    poisson_vector,
+    poisson_rows,
 )
 
 __all__ = [
@@ -31,7 +36,6 @@ __all__ = [
     "heralded_distribution",
     "with_dark_counts",
     "apply_signal_loss",
-    "total_signal_transmission",
     "output_distribution",
     "output_chain",
     "p1_snr_curve",
@@ -66,36 +70,61 @@ class LossChainTrace:
         return self.stages[-1][1]
 
 
-def total_signal_transmission(cfg: SourceConfig) -> float:
-    """End-to-end signal-branch transmission, e_s * e_sw**(m+1).
+def _herald_rows(
+    mu: np.ndarray,
+    e_h: float,
+    windows: int,
+    p_dark: float,
+    n_max: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Routed-window distribution before signal loss, one row per pump rate.
 
-    Every routed photon traverses m+1 switches regardless of which delays
-    were selected.
+    Returns (rows, tail).  A window triggers when one of its idlers is
+    detected (probability 1 - e^-a, a = mu e_h) or a dark count fires
+    (P_dark); its trigger rate is c = a - ln(1 - P_dark).  The first trigger
+    in the W-window interval routes that window, which holds a detected idler
+    with probability (1 - e^-a) / (1 - e^-c); with no trigger the bypass
+    window is routed.  Summing the first-trigger position over the interval,
+    the geometric sum of the first-dark-count mixture over interval lengths,
+    weights the clicked-window conditional by
+
+        w = alpha (1 - e^-a),   alpha = (1 - e^(-W c)) / (1 - e^-c),
+
+    and the no-click conditional by 1 - w.  The conditionals divide by their
+    closed-form normalizations 1 - e^-a and e^-a, which the truncated sums
+    reproduce to ~1e-16, so row n is P_n(mu) (alpha hit_n + beta miss_n) with
+    beta = (1 - w) e^a.  Rows whose tail mass reaches TAIL_LIMIT raise
+    TruncationError, naming the worst mu.
     """
-    return cfg.e_s_total
-
-
-def _herald_branches(mu: float, e_h: float, n_max: int) -> Tuple[np.ndarray, np.ndarray, float, float]:
-    """Clicked-window and no-click-window conditional distributions.
-
-    Returns (clicked, unclicked, tail_clicked, tail_unclicked).  The clicked
-    vector is the single-window photon distribution conditioned on at least
-    one idler detection in that window; the unclicked vector conditions on
-    none.  Denominators use the closed forms 1 - exp(-mu e_h) and
-    exp(-mu e_h), which the truncated sums reproduce to ~1e-16.
-    """
-    pois = poisson_vector(mu, n_max)
     n = np.arange(n_max + 1)
+    a = mu * e_h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = a - np.log1p(-p_dark)  # infinite when P_dark = 1
+        alpha = np.where(c > 0, np.expm1(-windows * c) / np.expm1(-c), windows)
+        # P(at least one of n idlers detected), accurate for tiny e_h too.
+        hit = -np.expm1(n * np.log1p(-e_h))
+    hit[0] = 0.0  # 0 * ln(0) is NaN at e_h = 1
     miss = (1.0 - e_h) ** n
-    clicked_num = pois * (1.0 - miss)
-    unclicked_num = pois * miss
-    clicked_den = -math.expm1(-mu * e_h)   # sum_j P_j(mu) (1 - (1-e_h)^j)
-    unclicked_den = math.exp(-mu * e_h)    # sum_j P_j(mu) (1-e_h)^j
-    clicked = clicked_num / clicked_den
-    unclicked = unclicked_num / unclicked_den
-    tail_clicked = max(0.0, 1.0 - float(clicked.sum()))
-    tail_unclicked = max(0.0, 1.0 - float(unclicked.sum()))
-    return clicked, unclicked, tail_clicked, tail_unclicked
+    beta = (1.0 + alpha * np.expm1(-a)) * np.exp(a)
+    rows = poisson_rows(mu, n_max) * (alpha[:, None] * hit + beta[:, None] * miss)
+    tail = np.maximum(0.0, 1.0 - rows.sum(axis=1))
+    if tail.max(initial=0.0) >= TAIL_LIMIT:
+        worst = int(np.argmax(tail))
+        raise TruncationError(
+            f"tail mass {tail[worst]:.3e} beyond n_max={n_max} exceeds {TAIL_LIMIT:.0e} "
+            f"at mu={float(mu[worst])!r}; increase n_max"
+        )
+    return rows, tail
+
+
+def _distribution(cfg: SourceConfig, windows: int, p_dark: float, n_max: int,
+                  transmission: float = 1.0, **meta) -> PhotonDistribution:
+    """One loss-chain evaluation at cfg.mu: a batch of one through the core."""
+    rows, tail = _herald_rows(np.array([cfg.mu]), cfg.e_h, windows, p_dark, n_max)
+    if cfg.e_h == 0.0:
+        meta["degenerate_no_herald"] = True
+    return PhotonDistribution(rows[0] @ binomial_matrix(n_max, transmission), n_max,
+                              float(tail[0]), meta)
 
 
 def heralded_distribution(
@@ -124,22 +153,7 @@ def heralded_distribution(
     windows = cfg.n_windows if n_windows is None else int(n_windows)
     if not 1 <= windows <= cfg.n_windows:
         raise ValueError(f"n_windows must lie in [1, {cfg.n_windows}], got {n_windows}")
-    mu = cfg.mu
-    if mu == 0.0:
-        probs = np.zeros(n_max + 1)
-        probs[0] = 1.0
-        return PhotonDistribution(probs, n_max)
-    if cfg.e_h == 0.0:
-        # No herald can ever fire: only the bypass branch exists, and with
-        # e_h = 0 its conditional is the bare Poisson distribution.
-        pois = poisson_vector(mu, n_max)
-        tail = max(0.0, 1.0 - float(pois.sum()))
-        return PhotonDistribution(pois, n_max, tail, {"degenerate_no_herald": True})
-    clicked, unclicked, tail_c, tail_u = _herald_branches(mu, cfg.e_h, n_max)
-    click_any = -math.expm1(-windows * mu * cfg.e_h)  # 1 - P_0(mu_T e_h)
-    probs = click_any * clicked + (1.0 - click_any) * unclicked
-    tail = click_any * tail_c + (1.0 - click_any) * tail_u
-    return PhotonDistribution(probs, n_max, tail)
+    return _distribution(cfg, windows, 0.0, n_max)
 
 
 def with_dark_counts(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:
@@ -149,47 +163,10 @@ def with_dark_counts(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDis
     ``(1-P_dark)**(l-1) * P_dark`` for window l) truncates the usable
     interval to l windows; with no dark count anywhere the full interval
     applies.  The result is the corresponding mixture of
-    :func:`heralded_distribution` over interval lengths.
+    :func:`heralded_distribution` over interval lengths, summed in closed
+    form at a cost independent of the interval length.
     """
-    p_dark = cfg.p_dark
-    if p_dark == 0.0:
-        return heralded_distribution(cfg, None, n_max)
-    mu = cfg.mu
-    windows = cfg.n_windows
-    if mu == 0.0 or cfg.e_h == 0.0:
-        # Every term of the mixture is the same degenerate distribution.
-        return heralded_distribution(cfg, None, n_max)
-    # All mixture terms share the same two conditional branches; only the
-    # clicked-branch weight depends on the interval length, so the mixture
-    # collapses to a single effective weight.
-    clicked, unclicked, tail_c, tail_u = _herald_branches(mu, cfg.e_h, n_max)
-    lengths = np.arange(1, windows + 1)
-    first_dark_at = (1.0 - p_dark) ** (lengths - 1) * p_dark
-    click_any = -np.expm1(-lengths * mu * cfg.e_h)
-    no_dark = (1.0 - p_dark) ** windows
-    weight = float(first_dark_at @ click_any) + no_dark * (-math.expm1(-windows * mu * cfg.e_h))
-    probs = weight * clicked + (1.0 - weight) * unclicked
-    tail = weight * tail_c + (1.0 - weight) * tail_u
-    return PhotonDistribution(probs, n_max, tail)
-
-
-def _thinning_matrix(n_max: int, transmission: float) -> np.ndarray:
-    """Binomial loss matrix T with T[k, n] = C(n, k) p^k (1-p)^(n-k)."""
-    if transmission == 1.0:
-        return np.eye(n_max + 1)
-    if transmission == 0.0:
-        out = np.zeros((n_max + 1, n_max + 1))
-        out[0, :] = 1.0
-        return out
-    n = np.arange(n_max + 1)
-    lg = _lgamma_cache(n_max + 1)
-    log_comb = lg[None, :] - lg[:, None] - lg[np.maximum(n[None, :] - n[:, None], 0)]
-    log_p = math.log(transmission)
-    log_q = math.log1p(-transmission)
-    log_t = log_comb + n[:, None] * log_p + (n[None, :] - n[:, None]) * log_q
-    t = np.exp(log_t)
-    t[n[:, None] > n[None, :]] = 0.0
-    return t
+    return _distribution(cfg, cfg.n_windows, cfg.p_dark, n_max)
 
 
 def apply_signal_loss(dist: PhotonDistribution, transmission: float) -> PhotonDistribution:
@@ -202,7 +179,7 @@ def apply_signal_loss(dist: PhotonDistribution, transmission: float) -> PhotonDi
     """
     if not (0.0 <= transmission <= 1.0):
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
-    probs = _thinning_matrix(dist.n_max, transmission) @ dist.probs
+    probs = dist.probs @ binomial_matrix(dist.n_max, transmission)
     # Photons lost from beyond the truncation bound would only move mass into
     # the retained bins, so carrying the tail through unchanged is an upper
     # bound on the residual error.
@@ -210,20 +187,22 @@ def apply_signal_loss(dist: PhotonDistribution, transmission: float) -> PhotonDi
 
 
 def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:
-    """End-to-end photon-number distribution with all device imperfections."""
-    dist = apply_signal_loss(with_dark_counts(cfg, n_max), total_signal_transmission(cfg))
-    return dist.with_meta(config=cfg)
+    """End-to-end photon-number distribution with all device imperfections.
+
+    Every routed photon crosses m+1 switches, so the signal branch transmits
+    ``cfg.e_s_total`` regardless of which delays were selected.
+    """
+    return _distribution(cfg, cfg.n_windows, cfg.p_dark, n_max, cfg.e_s_total, config=cfg)
 
 
 def output_chain(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> LossChainTrace:
     """End-to-end chain with every intermediate stage retained."""
-    ideal = ideal_distribution(cfg, n_max)
-    heralded = heralded_distribution(cfg, None, n_max)
-    dark = with_dark_counts(cfg, n_max)
-    final = apply_signal_loss(dark, total_signal_transmission(cfg)).with_meta(config=cfg)
-    return LossChainTrace(
-        (("ideal", ideal), ("heralded", heralded), ("dark", dark), ("final", final))
-    )
+    return LossChainTrace((
+        ("ideal", ideal_distribution(cfg, n_max)),
+        ("heralded", heralded_distribution(cfg, None, n_max)),
+        ("dark", with_dark_counts(cfg, n_max)),
+        ("final", output_distribution(cfg, n_max)),
+    ))
 
 
 def p1_snr_curve(
@@ -234,8 +213,9 @@ def p1_snr_curve(
     """Vectorized single-photon probability and SNR over a pump grid.
 
     Evaluates the full loss chain of :func:`output_distribution` for every
-    mu in ``mu_values`` at once; used by the optimizer grid stage and the
-    sweep generators.  Agrees with the scalar path to ~1e-14.
+    mu in ``mu_values`` at once; used by the optimizer and by ``validate``.
+    Raises :class:`TruncationError` like the scalar path when the tail mass
+    at any grid point reaches the limit.
 
     Returns
     -------
@@ -244,50 +224,11 @@ def p1_snr_curve(
         grid.  The SNR is +inf where the multi-photon weight vanishes.
     """
     mu = np.asarray(mu_values, dtype=float)
-    if np.any(mu < 0) or not np.all(np.isfinite(mu)):
+    if not ((mu >= 0) & (mu < np.inf)).all():
         raise ValueError("mu grid must be finite and >= 0")
-    n = np.arange(n_max + 1)
-    lg = _lgamma_cache(n_max + 1)
-    safe_mu = np.where(mu > 0, mu, 1.0)
-    pois = np.exp(n[None, :] * np.log(safe_mu)[:, None] - mu[:, None] - lg[None, :])
-    pois[mu == 0] = 0.0
-    pois[mu == 0, 0] = 1.0
-
-    e_h = cfg.e_h
-    windows = cfg.n_windows
-    if e_h > 0:
-        miss = (1.0 - e_h) ** n
-        clicked = pois * (1.0 - miss)[None, :]
-        unclicked = pois * miss[None, :]
-        with np.errstate(invalid="ignore"):
-            clicked /= (-np.expm1(-mu * e_h))[:, None]
-        clicked[mu == 0] = 0.0
-        unclicked /= np.exp(-mu * e_h)[:, None]
-        p_dark = cfg.p_dark
-        if p_dark == 0.0:
-            weight = -np.expm1(-windows * mu * e_h)
-        else:
-            # Geometric closed forms of the first-dark-count mixture.
-            q = 1.0 - p_dark
-            no_dark_somewhere = 1.0 - q**windows
-            ratio = q * np.exp(-mu * e_h)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                geo = np.where(
-                    np.abs(1.0 - ratio) > 1e-14,
-                    (1.0 - ratio**windows) / (1.0 - ratio),
-                    float(windows),
-                )
-            weight = no_dark_somewhere - p_dark * np.exp(-mu * e_h) * geo \
-                + q**windows * (-np.expm1(-windows * mu * e_h))
-        mixed = weight[:, None] * clicked + (1.0 - weight)[:, None] * unclicked
-    else:
-        mixed = pois
-
-    p = cfg.e_s_total
-    survive_none = (1.0 - p) ** n
-    survive_one = n * p * np.where(n > 0, (1.0 - p) ** np.maximum(n - 1, 0), 0.0)
-    p0 = mixed @ survive_none
-    p1 = mixed @ survive_one
+    rows, _ = _herald_rows(mu, cfg.e_h, cfg.n_windows, cfg.p_dark, n_max)
+    # Only the zero- and one-survivor columns of the loss matrix are needed.
+    p0, p1 = (rows @ binomial_matrix(n_max, cfg.e_s_total)[:, :2]).T
     p_multi = np.maximum(1.0 - p0 - p1, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(p_multi > 0, p1 / np.where(p_multi > 0, p_multi, 1.0), np.inf)

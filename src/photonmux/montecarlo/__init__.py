@@ -15,6 +15,7 @@ the identical Philox stream, so their histograms are bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import SourceConfig
-from ..stats import PhotonDistribution
+from ..stats import DEFAULT_N_MAX, PhotonDistribution
 from . import _numpy_backend
 from ._tables import PAIR_COUNT_CAP, build_tables, philox_at_trial, slots_per_trial
 
@@ -74,6 +75,11 @@ class McConfig:
     shards: int = 1
 
     def __post_init__(self) -> None:
+        trials = self.trials
+        if not (isinstance(trials, numbers.Integral)
+                or (isinstance(trials, numbers.Real) and float(trials).is_integer())):
+            raise ValueError(f"trials must be an integer, got {trials!r}")
+        object.__setattr__(self, "trials", int(trials))
         if not 1 <= self.trials:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.trials > MAX_TRIALS:
@@ -170,7 +176,7 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
                 counts += future.result()
 
     top = int(np.nonzero(counts)[0].max()) if counts.any() else 0
-    trimmed = counts[: max(top + 1, 31)]
+    trimmed = counts[: max(top + 1, DEFAULT_N_MAX + 1)]
     return McHistogram(trimmed, mc.trials, cfg, mc, chosen)
 
 

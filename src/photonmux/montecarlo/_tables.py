@@ -13,13 +13,12 @@ uniforms, then dark-count uniforms, then one survival uniform, then padding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import SourceConfig
-from ..stats import _lgamma_cache
+from ..stats import binomial_matrix, poisson_vector
 
 __all__ = ["SamplingTables", "build_tables", "slots_per_trial", "philox_at_trial"]
 
@@ -59,37 +58,19 @@ class SamplingTables:
 def build_tables(cfg: SourceConfig) -> SamplingTables:
     mu = cfg.mu
     cap = PAIR_COUNT_CAP
-    n = np.arange(cap + 1)
-    if mu == 0.0:
-        pmf = np.zeros(cap + 1)
-        pmf[0] = 1.0
-    else:
-        pmf = np.exp(n * math.log(mu) - mu - _lgamma_cache(cap + 1))
-    cum = np.cumsum(pmf)
+    cum = np.cumsum(poisson_vector(mu, cap))
     if 1.0 - float(cum[-2]) > 1e-12:
         raise ValueError(f"pump rate mu={mu} too large for the pair-count cap {cap}")
     pair_cdf = np.minimum(cum, 1.0)
     pair_cdf[-1] = 1.0
 
+    n = np.arange(cap + 1)
     herald_prob = 1.0 - (1.0 - cfg.e_h) ** n
 
-    p = cfg.e_s_total
-    k = np.arange(cap + 1)
-    if p == 0.0:
-        binom_pmf = np.zeros((cap + 1, cap + 1))
-        binom_pmf[:, 0] = 1.0
-    elif p == 1.0:
-        binom_pmf = np.eye(cap + 1)
-    else:
-        lg = _lgamma_cache(cap + 1)
-        log_comb = lg[:, None] - lg[None, :] - lg[np.maximum(n[:, None] - k[None, :], 0)]
-        log_pmf = log_comb + k[None, :] * math.log(p) + (n[:, None] - k[None, :]) * math.log1p(-p)
-        binom_pmf = np.exp(log_pmf)
-        binom_pmf[k[None, :] > n[:, None]] = 0.0
-    survival_cdf = np.minimum(np.cumsum(binom_pmf, axis=1), 1.0)
+    survival_cdf = np.minimum(np.cumsum(binomial_matrix(cap, cfg.e_s_total), axis=1), 1.0)
     # Rows are exact at and beyond their own n, so the inversion can never
     # yield more survivors than input photons.
-    survival_cdf[k[None, :] >= n[:, None]] = 1.0
+    survival_cdf[n[None, :] >= n[:, None]] = 1.0
 
     return SamplingTables(
         pair_cdf=np.ascontiguousarray(pair_cdf),

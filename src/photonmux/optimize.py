@@ -120,9 +120,9 @@ def optimize_mu(
     grid = np.geomspace(lo, hi, points)
 
     def p1_of(mu: float) -> float:
-        return output_distribution(cfg_template.replace(mu=mu), n_max).p(1)
+        return _p1_snr(cfg_template, mu, n_max)[0]
 
-    grid_p1, _ = p1_snr_curve(cfg_template.replace(mu=lo), grid, n_max)
+    grid_p1, _ = p1_snr_curve(cfg_template, grid, n_max)
     best_x = float(grid[int(np.argmax(grid_p1))])
     best_f = float(np.max(grid_p1))
     iterations = points
@@ -163,26 +163,33 @@ def optimize_mu(
     )
 
 
+def _p1_snr(cfg: SourceConfig, mu: float, n_max: int) -> Tuple[float, float]:
+    """P_1 and SNR of the loss chain at one pump rate (cfg.mu is ignored)."""
+    p1, ratio = p1_snr_curve(cfg, [mu], n_max)
+    return float(p1[0]), float(ratio[0])
+
+
 def _bisect_snr_boundary(
     cfg: SourceConfig,
-    lo: float,
-    hi: float,
+    feasible: float,
+    infeasible: float,
     target: float,
     n_max: int,
     tol: float = 1e-10,
 ) -> float:
-    """Largest mu in [lo, hi] with SNR >= target, given SNR(lo) >= target > SNR(hi)."""
-    def snr_of(mu: float) -> float:
-        return snr(output_distribution(cfg.replace(mu=mu), n_max))
+    """Feasibility boundary between two pump rates, on its feasible side.
 
-    a, b = lo, hi
-    while (b - a) > tol * max(1.0, b):
-        mid = 0.5 * (a + b)
-        if snr_of(mid) >= target:
-            a = mid
+    ``feasible`` has SNR >= target and ``infeasible`` has SNR < target; they
+    may come in either order.  Returns the feasible end of the final bracket.
+    """
+    ok, bad = feasible, infeasible
+    while abs(bad - ok) > tol * max(1.0, ok, bad):
+        mid = 0.5 * (ok + bad)
+        if _p1_snr(cfg, mid, n_max)[1] >= target:
+            ok = mid
         else:
-            b = mid
-    return a
+            bad = mid
+    return ok
 
 
 def max_p1_with_snr_floor(
@@ -211,7 +218,7 @@ def max_p1_with_snr_floor(
         raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")
     points = max(int(coarse_points), MIN_COARSE_POINTS)
     grid = np.geomspace(lo, hi, points)
-    _, grid_snr = p1_snr_curve(cfg_template.replace(mu=lo), grid, n_max)
+    _, grid_snr = p1_snr_curve(cfg_template, grid, n_max)
     feasible_mask = grid_snr >= snr_target
     iterations = points
 
@@ -235,8 +242,7 @@ def max_p1_with_snr_floor(
             a = float(grid[i])
             b = float(grid[j])
             if i > 0:
-                a = float(grid[i - 1])  # crossing may lie just below grid[i]
-                a = _bisect_snr_boundary_rising(cfg_template, a, float(grid[i]), snr_target, n_max)
+                a = _bisect_snr_boundary(cfg_template, a, float(grid[i - 1]), snr_target, n_max)
             if j + 1 < points:
                 b = _bisect_snr_boundary(cfg_template, b, float(grid[j + 1]), snr_target, n_max)
             intervals.append((a, b))
@@ -244,13 +250,10 @@ def max_p1_with_snr_floor(
         else:
             i += 1
 
-    def p1_of(mu: float) -> float:
-        return output_distribution(cfg_template.replace(mu=mu), n_max).p(1)
-
     best: Optional[OptimizationResult] = None
     for a, b in intervals:
         if b <= a:
-            x, fx = a, p1_of(a)
+            x, fx = a, _p1_snr(cfg_template, a, n_max)[0]
             sub = None
         else:
             sub = optimize_mu(cfg_template, (a, b), tol, coarse_points, n_max)
@@ -279,27 +282,3 @@ def max_p1_with_snr_floor(
             f"({best.snr_at_opt} < {snr_target})"
         )
     return best
-
-
-def _bisect_snr_boundary_rising(
-    cfg: SourceConfig,
-    lo: float,
-    hi: float,
-    target: float,
-    n_max: int,
-    tol: float = 1e-10,
-) -> float:
-    """Smallest mu in [lo, hi] with SNR >= target, given SNR(lo) < target <= SNR(hi)."""
-    def snr_of(mu: float) -> float:
-        return snr(output_distribution(cfg.replace(mu=mu), n_max))
-
-    if snr_of(lo) >= target:
-        return lo
-    a, b = lo, hi
-    while (b - a) > tol * max(1.0, b):
-        mid = 0.5 * (a + b)
-        if snr_of(mid) >= target:
-            b = mid
-        else:
-            a = mid
-    return b

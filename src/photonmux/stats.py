@@ -8,6 +8,7 @@ single-window Poisson statistics conditioned on at least one pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -24,6 +25,8 @@ __all__ = [
     "PhotonDistribution",
     "poisson_pmf",
     "poisson_vector",
+    "poisson_rows",
+    "binomial_matrix",
     "ideal_distribution",
     "mandel_q",
     "snr",
@@ -62,12 +65,46 @@ def poisson_vector(mu: float, n_max: int) -> np.ndarray:
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    return poisson_rows(np.array([float(mu)]), n_max)[0]
+
+
+def poisson_rows(mu: np.ndarray, n_max: int) -> np.ndarray:
+    """Poisson pmf for n = 0..n_max, one row per entry of ``mu``.
+
+    The caller guarantees finite ``mu >= 0``; a zero pump gives the vacuum row.
+    """
     n = np.arange(n_max + 1)
-    if mu == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    return np.exp(n * math.log(mu) - mu - _lgamma_cache(n_max + 1))
+    pumped = mu.all()
+    log_mu = np.log(mu if pumped else np.where(mu > 0, mu, 1.0))
+    rows = np.exp(n * log_mu[:, None] - mu[:, None] - _lgamma_cache(n_max + 1))
+    if not pumped:
+        rows[mu == 0, 1:] = 0.0  # log(1) stood in for log(0) there
+    return rows
+
+
+@functools.lru_cache(maxsize=32)
+def binomial_matrix(n_max: int, p: float) -> np.ndarray:
+    """Binomial loss matrix B[n, k] = C(n, k) p^k (1-p)^(n-k) for n, k = 0..n_max.
+
+    Row n is the distribution of survivors among n photons that each survive
+    independently with probability ``p``.  Cached per (n_max, p) and returned
+    read-only, because every loss-chain evaluation and every sampling table
+    needs one.
+    """
+    if p == 1.0:
+        out = np.eye(n_max + 1)
+    elif p == 0.0:
+        out = np.zeros((n_max + 1, n_max + 1))
+        out[:, 0] = 1.0
+    else:
+        n = np.arange(n_max + 1)[:, None]
+        k = n.T
+        lg = _lgamma_cache(n_max + 1)
+        log_comb = lg[n] - lg[k] - lg[np.maximum(n - k, 0)]
+        out = np.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
+        out[k > n] = 0.0
+    out.setflags(write=False)
+    return out
 
 
 _LGAMMA_TABLE = np.zeros(0)

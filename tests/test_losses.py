@@ -7,16 +7,16 @@ from scipy import stats as sps
 from photonmux import (
     PhotonDistribution,
     SourceConfig,
+    TruncationError,
     apply_signal_loss,
     heralded_distribution,
     ideal_distribution,
     output_chain,
     output_distribution,
-    total_signal_transmission,
     with_dark_counts,
 )
 from photonmux.losses import p1_snr_curve
-from photonmux.stats import poisson_vector
+from photonmux.stats import binomial_matrix, poisson_vector
 
 
 class TestHeraldedDistribution:
@@ -143,6 +143,12 @@ class TestSignalLoss:
         got = apply_signal_loss(dist, 0.2)
         assert abs(float(got.probs.sum()) + got.tail_mass - 1.0) < 1e-12
 
+    def test_loss_matrix_is_cached_read_only(self):
+        matrix = binomial_matrix(30, 0.41)
+        assert matrix is binomial_matrix(30, 0.41)
+        with pytest.raises(ValueError):
+            matrix[1, 0] = 0.5
+
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
     def test_rejects_bad_transmission(self, bad):
         dist = ideal_distribution(SourceConfig.lossless(m=0, mu=0.1))
@@ -152,22 +158,22 @@ class TestSignalLoss:
 
 class TestTotalSignalTransmission:
     def test_lossless(self):
-        assert total_signal_transmission(SourceConfig.lossless(m=7, mu=0.1)) == 1.0
+        assert SourceConfig.lossless(m=7, mu=0.1).e_s_total == 1.0
 
     def test_half_db_single_window(self):
         cfg = SourceConfig(m=0, mu=0.1, e_s=0.9, e_sw_db=0.5)
         # 0.9 * 10^-0.05, arbitrary-precision reference
-        assert total_signal_transmission(cfg) == pytest.approx(0.802125844320371, rel=1e-13)
+        assert cfg.e_s_total == pytest.approx(0.802125844320371, rel=1e-13)
 
     def test_one_db_four_stages(self):
         cfg = SourceConfig(m=4, mu=0.1, e_s=0.9, e_sw_db=1.0)
         # 0.9 * 10^-0.5
-        assert total_signal_transmission(cfg) == pytest.approx(0.284604989415154, rel=1e-13)
+        assert cfg.e_s_total == pytest.approx(0.284604989415154, rel=1e-13)
 
     def test_switch_count_is_stages_plus_one(self):
         for m in range(0, 8):
             cfg = SourceConfig(m=m, mu=0.1, e_s=0.7, e_sw_db=0.3)
-            assert total_signal_transmission(cfg) == pytest.approx(
+            assert cfg.e_s_total == pytest.approx(
                 0.7 * (10 ** -0.03) ** (m + 1), rel=1e-13
             )
 
@@ -247,8 +253,8 @@ class TestOutputDistribution:
 class TestVectorizedCurve:
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(444)
-        for r_dark in (0.0, 2e6):
-            cfg = SourceConfig(m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.7, r_dark=r_dark)
+        for m, r_dark in ((4, 0.0), (4, 2e6), (20, 2e6)):
+            cfg = SourceConfig(m=m, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.7, r_dark=r_dark)
             grid = rng.uniform(1e-4, 2.0, size=40)
             p1, ratio = p1_snr_curve(cfg, grid)
             for i, mu in enumerate(grid):
@@ -264,3 +270,11 @@ class TestVectorizedCurve:
         p1, ratio = p1_snr_curve(cfg, [0.0, 0.1])
         assert p1[0] == 0.0
         assert math.isinf(ratio[0])
+
+    def test_rejects_truncated_grid_point(self):
+        # At mu = 10 the tail beyond n_max = 30 is 8e-8, like the scalar path.
+        cfg = SourceConfig(m=2, mu=0.1, e_h=0.85)
+        with pytest.raises(TruncationError, match="at mu=10.0"):
+            p1_snr_curve(cfg, [0.1, 10.0, 1.0])
+        with pytest.raises(TruncationError):
+            output_distribution(cfg.replace(mu=10.0))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ class TestConfig:
     def test_rejects_overflow_scale_trials(self):
         with pytest.raises(ValueError):
             McConfig(trials=1 << 41)
+
+    def test_trials_must_be_integral(self):
+        assert McConfig(trials=1e6).trials == 1_000_000
+        assert isinstance(McConfig(trials=1e6).trials, int)
+        for bad in (2.5, math.nan, math.inf, "10"):
+            with pytest.raises(ValueError, match="trials"):
+                McConfig(trials=bad)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
