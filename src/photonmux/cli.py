@@ -227,8 +227,9 @@ def _gather_overrides(ns: argparse.Namespace) -> Dict[str, float]:
 def run(ns: argparse.Namespace) -> int:
     """Dispatch one parsed invocation; returns the process exit status."""
     if ns.subcommand == "validate":
+        mc = McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards)
         report = run_validation(
-            trials=int(ns.trials), seed=ns.seed, shards=ns.shards,
+            trials=mc.trials, seed=mc.seed, shards=mc.shards,
             backend=ns.backend, fast=ns.fast,
         )
         for line in report.lines():

@@ -45,6 +45,8 @@ __all__ = [
 
 MAX_TRIALS = 1 << 40
 _CHUNK_WORD_TARGET = 1 << 22
+# Deepest multiplexer whose trial still fits in one chunk of stream words.
+MAX_M = max(m for m in range(64) if slots_per_trial(1 << m) <= _CHUNK_WORD_TARGET)
 
 
 def available_backends() -> tuple:
@@ -148,8 +150,12 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
     (6) the surviving count is recorded.
 
     Deterministic for a fixed (cfg, trials, seed): shard count, chunking and
-    backend choice never alter the histogram.
+    backend choice never alter the histogram.  Raises ``ValueError`` when
+    m > MAX_M, where a single trial would outgrow a chunk.
     """
+    if cfg.m > MAX_M:
+        raise ValueError(f"m={cfg.m} exceeds the Monte Carlo limit m <= {MAX_M}, "
+                         "beyond which one trial's stream words outgrow a chunk")
     chosen = backend or default_backend()
     if chosen not in available_backends():
         raise ValueError(f"unknown or unavailable backend {chosen!r}")

@@ -50,7 +50,7 @@ class SamplingTables:
 
     pair_cdf: np.ndarray       # cumulative Poisson(mu), length cap+1
     herald_prob: np.ndarray    # P(>=1 idler click | n pairs), length cap+1
-    survival_cdf: np.ndarray   # (cap+1, cap+2) cumulative Binomial(n, e_s_total)
+    survival_cdf: np.ndarray   # (cap+1, cap+1) cumulative Binomial(n, e_s_total)
     p_dark: float
     n_windows: int
 

@@ -181,6 +181,15 @@ class TestOutputDir:
         assert (tmp_path / "sub" / "dist.csv").exists()
 
 
+def test_validate_rejects_fractional_trials(capsys):
+    assert main(["validate", "--fast", "--trials", "2.5"]) == 1
+    out, err = capsys.readouterr()
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "trials" in record["message"]
+    assert out == ""
+
+
 def test_validate_fast_smoke():
     proc = run_cli(["validate", "--fast", "--trials", "2e4", "--seed", "42"])
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from photonmux import (
     output_distribution,
     simulate,
 )
-from photonmux.montecarlo import available_backends
+from photonmux.montecarlo import _numpy_backend, available_backends
 from photonmux.montecarlo._tables import build_tables, philox_at_trial, slots_per_trial
 
 BACKENDS = available_backends()
@@ -84,7 +86,74 @@ class TestDeterminism:
         assert np.array_equal(a.counts, b.counts)
 
 
+# The numpy kernel as it was before the block scan: every test on every
+# window of every trial.  Kept unchanged as the reference.
+def full_width_run_chunk(uniforms, tables, counts):
+    """Simulate one chunk of trials from pre-drawn stream words.
+
+    ``uniforms`` has shape (trials, S) with the per-trial slot layout of
+    :mod:`._tables`; surviving photon counts are accumulated into ``counts``.
+    """
+    w = tables.n_windows
+    trials = uniforms.shape[0]
+    u_pairs = uniforms[:, 0:w]
+    u_herald = uniforms[:, w:2 * w]
+    u_dark = uniforms[:, 2 * w:3 * w]
+    u_survive = uniforms[:, 3 * w]
+
+    pairs = np.searchsorted(tables.pair_cdf, u_pairs.ravel(), side="right")
+    pairs = pairs.reshape(trials, w)
+    triggered = u_herald < tables.herald_prob[pairs]
+    if tables.p_dark > 0.0:
+        triggered |= u_dark < tables.p_dark
+
+    any_trigger = triggered.any(axis=1)
+    routed = np.where(any_trigger, triggered.argmax(axis=1), w - 1)
+    n_routed = pairs[np.arange(trials), routed]
+
+    survivors = (u_survive[:, None] >= tables.survival_cdf[n_routed]).sum(axis=1)
+    np.add.at(counts, survivors, 1)
+
+
+class TestNumpyKernel:
+    # m = 0 and 2 fit in the first scan block, m = 3 fills it exactly, and
+    # m = 4, 6 and 10 run across two to eight blocks.  mu = 0 or e_h = 0
+    # without dark counts sends every trial to the bypass window; e_h = 1 at
+    # mu = 2 triggers nearly every trial in the first block.
+    @pytest.mark.parametrize("r_dark", [0.0, 5e6])
+    @pytest.mark.parametrize("m", [0, 2, 3, 4, 6, 10])
+    def test_matches_full_width_reference(self, m, r_dark):
+        w = 2 ** m
+        slots = slots_per_trial(w)
+        trials = max(256, (1 << 15) // slots)
+        uniforms = philox_at_trial(m + 1, 5, w).random((trials, slots))
+        for mu, e_h in itertools.product((0.0, 0.05, 0.5, 2.0), (0.0, 0.85, 1.0)):
+            tables = build_tables(SourceConfig(m=m, mu=mu, e_h=e_h, e_s=0.9,
+                                               e_sw_db=0.5, r_dark=r_dark))
+            want = np.zeros(129, dtype=np.int64)
+            got = np.zeros(129, dtype=np.int64)
+            full_width_run_chunk(uniforms, tables, want)
+            _numpy_backend.run_chunk(uniforms, tables, got)
+            assert np.array_equal(got, want), (mu, e_h)
+
+    def test_chunk_memory_stays_small(self):
+        cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+        simulate(cfg, McConfig(trials=10, seed=1))
+        tracemalloc.start()
+        try:
+            simulate(cfg, McConfig(trials=1 << 20, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
 class TestEventRules:
+    @pytest.mark.parametrize("m", [21, 40])
+    def test_rejects_trials_wider_than_a_chunk(self, m):
+        with pytest.raises(ValueError, match=rf"m={m}.*m <= 20"):
+            simulate(SourceConfig(m=m, mu=0.1), McConfig(trials=1))
+
     def test_dark_pump_yields_only_vacuum(self):
         hist = simulate(SourceConfig.lossless(m=3, mu=0.0), McConfig(trials=10_000, seed=1))
         assert hist.counts[0] == 10_000
