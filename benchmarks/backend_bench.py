@@ -41,13 +41,16 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
+    try:
+        mc = McConfig(trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     backends = available_backends()
     print(f"available backends: {', '.join(backends)}")
     if "cython" not in backends:
         print("compiled kernel not built; timing the numpy backend only")
 
-    mc = McConfig(trials=int(args.trials), seed=args.seed)
     header = f"{'case':28s} {'backend':8s} {'time [s]':>9s} {'Mtrials/s':>10s} {'speedup':>8s}"
     print(header)
     print("-" * len(header))

@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=42)
     p_val.add_argument("--shards", type=int, default=1)
     p_val.add_argument("--backend", choices=("cython", "numpy"), default=None)
-    p_val.add_argument("--fast", action="store_true", help="small simulation for smoke testing")
 
     return parser
 
@@ -227,11 +226,8 @@ def _gather_overrides(ns: argparse.Namespace) -> Dict[str, float]:
 def run(ns: argparse.Namespace) -> int:
     """Dispatch one parsed invocation; returns the process exit status."""
     if ns.subcommand == "validate":
-        mc = McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards)
-        report = run_validation(
-            trials=mc.trials, seed=mc.seed, shards=mc.shards,
-            backend=ns.backend, fast=ns.fast,
-        )
+        report = run_validation(McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards),
+                                ns.backend)
         for line in report.lines():
             print(line)
         return 0 if report.passed else 1

@@ -17,18 +17,21 @@ from scipy.optimize import brentq, minimize_scalar
 from photonmux import (
     McConfig,
     SourceConfig,
-    clock_report,
-    compare,
     ideal_distribution,
     mandel_q,
     optimize_mu,
     output_distribution,
-    simulate,
     snr,
 )
 from photonmux.losses import p1_snr_curve
-from photonmux.stats import poisson_vector
 from photonmux.sweeps import figure3
+from photonmux.validate import (
+    AGREEMENT_CONFIGS,
+    check_agreement,
+    check_clock,
+    check_optimizer,
+    check_reductions,
+)
 
 HEADLINE = dict(e_h=0.85, e_s=0.9)
 
@@ -245,135 +248,34 @@ def test_criterion_4b_one_db_ordering(fig3_table):
     )
 
 
-def test_criterion_5_clock_arithmetic():
+def _run_checks(number: int, run, limit: float = math.inf) -> None:
+    """Time ``run()``, a sequence of shared ``photonmux.validate`` checks, and
+    report them as one criterion line."""
     t0 = time.perf_counter()
-    report = clock_report(SourceConfig(m=4, delta_t0_ns=2.0, mu=0.1))
+    checks = run()
     elapsed = time.perf_counter() - t0
-    ok = report.period_ns == 32.0 and report.frequency_hz == 31.25e6
-    line = _report(5, ok, f"m=4, 2 ns -> {report.period_ns} ns, "
-                          f"{report.frequency_hz / 1e6} MHz (exact), {elapsed:.3f} s")
-    assert ok, line
+    ok = all(c.passed for c in checks) and elapsed < limit
+    line = _report(number, ok, "; ".join(f"{c.name}: {c.detail}" for c in checks)
+                   + f"; {elapsed:.2f} s")
+    assert elapsed < limit, line
+    failed = [c.name for c in checks if not c.passed]
+    assert not failed, f"{line}\nfailed: {failed}"
+
+
+def test_criterion_5_clock_arithmetic():
+    _run_checks(5, lambda: [check_clock()])
 
 
 def test_criterion_6_reduction_invariants():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(60_601)
-    worst_lossless = 0.0
-    worst_single = 0.0
-    worst_norm = 0.0
-    for _ in range(100):
-        m = int(rng.integers(0, 10))
-        mu = float(rng.uniform(1e-4, 1.5))
-        cfg = SourceConfig.lossless(m=m, mu=mu)
-        chain = output_distribution(cfg)
-        exact = ideal_distribution(cfg)
-        worst_lossless = max(worst_lossless, float(np.abs(chain.probs - exact.probs).max()))
-
-        lossy = SourceConfig(
-            m=0, mu=mu,
-            e_h=float(rng.uniform(0.05, 1.0)),
-            e_s=float(rng.uniform(0.3, 1.0)),
-            e_sw_db=float(rng.uniform(0.0, 2.0)),
-            r_dark=float(rng.choice([0.0, 1e5, 5e6])),
-        )
-        out = output_distribution(lossy)
-        thinned = poisson_vector(lossy.mu * lossy.e_s_total, out.n_max)
-        worst_single = max(worst_single, float(np.abs(out.probs - thinned).max()))
-
-        wide = SourceConfig(
-            m=int(rng.integers(0, 13)), mu=float(rng.uniform(1e-6, 2.0)),
-            e_h=float(rng.uniform(0.0, 1.0)), e_s=float(rng.uniform(0.0, 1.0)),
-            e_sw_db=float(rng.uniform(0.0, 2.0)),
-            r_dark=float(rng.choice([0.0, 1e4, 5e6])),
-        )
-        dist = output_distribution(wide, n_max=40)
-        worst_norm = max(worst_norm, abs(float(dist.probs.sum()) + dist.tail_mass - 1.0))
-
-    worst_denominator = 0.0
-    n = np.arange(61)
-    for _ in range(200):
-        mu = float(rng.uniform(1e-4, 2.0))
-        e_h = float(rng.uniform(0.05, 1.0))
-        pois = poisson_vector(mu, 60)
-        miss = (1.0 - e_h) ** n
-        worst_denominator = max(
-            worst_denominator,
-            abs(float((pois * (1 - miss)).sum()) - (-math.expm1(-mu * e_h))),
-            abs(float((pois * miss).sum()) - math.exp(-mu * e_h)),
-        )
-    elapsed = time.perf_counter() - t0
-    checks = {
-        "lossless chain = exact form (1e-12)": worst_lossless < 1e-12,
-        "single-window chain = thinned Poisson (1e-12)": worst_single < 1e-12,
-        "truncated sums = closed forms (1e-10)": worst_denominator < 1e-10,
-        "normalization (1e-9)": worst_norm < 1e-9,
-        "runtime < 10 s": elapsed < 10.0,
-    }
-    line = _report(6, all(checks.values()),
-                   f"deviations: lossless {worst_lossless:.1e}, single-window {worst_single:.1e}, "
-                   f"closed forms {worst_denominator:.1e}, norm {worst_norm:.1e}, {elapsed:.2f} s")
-    assert all(checks.values()), f"{line}\nfailed: {[k for k, v in checks.items() if not v]}"
+    _run_checks(6, check_reductions, limit=10.0)
 
 
 def test_criterion_7_oracle_equivalence():
     """Analytic chain versus the event-level simulator at one million trials
     per configuration."""
-    t0 = time.perf_counter()
-    configs = [
-        SourceConfig(m=m, mu=mu, e_sw_db=il, **HEADLINE)
-        for m in (0, 2, 4)
-        for mu in (0.05, 0.1, 0.5)
-        for il in (0.5, 1.0)
-    ]
-    configs.append(SourceConfig(m=4, mu=0.1, e_sw_db=0.5, r_dark=5e6, **HEADLINE))
-    assert len(configs) >= 18
-    failures = []
-    worst_tv_ratio = 0.0
-    worst_z = 0.0
-    for cfg in configs:
-        hist = simulate(cfg, McConfig(trials=1_000_000, seed=42))
-        report = compare(output_distribution(cfg), hist)
-        worst_tv_ratio = max(worst_tv_ratio, report.tv_distance / report.tv_limit)
-        worst_z = max(worst_z, report.max_abs_z)
-        if not report.passed:
-            failures.append((cfg, report.lines()))
-    elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 120.0
-    line = _report(7, ok, f"{len(configs)} configs x 1e6 trials: worst TV ratio "
-                          f"{worst_tv_ratio:.3f}, worst |z| {worst_z:.2f}, {elapsed:.1f} s")
-    assert elapsed < 120.0
-    assert not failures, f"{line}\n{failures}"
+    assert len(AGREEMENT_CONFIGS) >= 18
+    _run_checks(7, lambda: [check_agreement(McConfig(trials=1_000_000, seed=42))], limit=120.0)
 
 
 def test_criterion_8_optimizer_soundness():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(88_088)
-    grid = np.linspace(1e-4, 2.0, 100_001)
-    worst_mu = 0.0
-    worst_p1 = 0.0
-    for _ in range(10):
-        cfg = SourceConfig(
-            m=int(rng.integers(0, 6)),
-            mu=1e-3,
-            e_h=float(rng.uniform(0.5, 1.0)),
-            e_s=float(rng.uniform(0.5, 1.0)),
-            e_sw_db=float(rng.uniform(0.1, 1.5)),
-        )
-        result = optimize_mu(cfg)
-        p1, _ = p1_snr_curve(cfg, grid)
-        best = int(np.argmax(p1))
-        worst_mu = max(worst_mu, abs(result.mu_opt - float(grid[best])))
-        worst_p1 = max(worst_p1, abs(result.p1_max - float(p1[best])))
-    mu_opts = [optimize_mu(SourceConfig.lossless(m=m, mu=1e-3)).mu_opt for m in range(0, 9)]
-    decreasing = all(a > b for a, b in zip(mu_opts, mu_opts[1:]))
-    elapsed = time.perf_counter() - t0
-    checks = {
-        "grid agreement in mu (1e-5)": worst_mu < 1e-5,
-        "grid agreement in P1 (1e-8)": worst_p1 < 1e-8,
-        "ideal mu_opt strictly decreasing over m=0..8": decreasing,
-        "runtime < 30 s": elapsed < 30.0,
-    }
-    line = _report(8, all(checks.values()),
-                   f"10 lossy configs vs 1e5-point grid: worst dmu {worst_mu:.2e}, "
-                   f"worst dP1 {worst_p1:.2e}; mu_opt decreasing: {decreasing}; {elapsed:.1f} s")
-    assert all(checks.values()), f"{line}\nfailed: {[k for k, v in checks.items() if not v]}"
+    _run_checks(8, check_optimizer, limit=30.0)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from photonmux import SourceConfig, ideal_distribution
+from photonmux import SourceConfig, ideal_distribution, validate
 from photonmux.cli import ConfigError, main, parse_config_text, parse_source_config
 
 MINIMAL = """
@@ -182,7 +182,7 @@ class TestOutputDir:
 
 
 def test_validate_rejects_fractional_trials(capsys):
-    assert main(["validate", "--fast", "--trials", "2.5"]) == 1
+    assert main(["validate", "--trials", "2.5"]) == 1
     out, err = capsys.readouterr()
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
@@ -191,6 +191,15 @@ def test_validate_rejects_fractional_trials(capsys):
 
 
 def test_validate_fast_smoke():
-    proc = run_cli(["validate", "--fast", "--trials", "2e4", "--seed", "42"])
+    proc = run_cli(["validate", "--trials", "2e4", "--seed", "42"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "validation: PASS" in proc.stdout
+
+
+def test_validate_failing_check_exits_nonzero(monkeypatch, capsys):
+    monkeypatch.setattr(validate, "check_clock",
+                        lambda: validate.Check("clock arithmetic", False, "forced failure"))
+    assert main(["validate", "--trials", "2e4"]) == 1
+    out, _ = capsys.readouterr()
+    assert "[FAIL] clock arithmetic: forced failure" in out
+    assert "validation: FAIL" in out

@@ -17,6 +17,12 @@ from photonmux import (
 )
 from photonmux.losses import p1_snr_curve
 from photonmux.stats import binomial_matrix, poisson_vector
+from photonmux.validate import (
+    DARK_MIXTURE_POINTS,
+    check_dark_count_mixture,
+    check_switch_loss_trend,
+    check_transmission_trend,
+)
 
 
 class TestHeraldedDistribution:
@@ -84,18 +90,10 @@ class TestDarkCounts:
         got = with_dark_counts(cfg)
         assert np.abs(got.probs - poisson_vector(0.1, got.n_max)).max() < 1e-12
 
-    @pytest.mark.parametrize("m,mu,p_dark", [(2, 0.1, 0.01), (4, 0.3, 0.05), (6, 0.05, 0.002)])
+    @pytest.mark.parametrize("m,mu,p_dark", DARK_MIXTURE_POINTS)
     def test_matches_literal_mixture(self, m, mu, p_dark):
-        r_dark = -math.log1p(-p_dark) / 2e-9
-        cfg = SourceConfig(m=m, mu=mu, e_h=0.85, r_dark=r_dark)
-        got = with_dark_counts(cfg)
-        w = cfg.n_windows
-        literal = np.zeros(got.n_max + 1)
-        for length in range(1, w + 1):
-            weight = (1 - cfg.p_dark) ** (length - 1) * cfg.p_dark
-            literal += weight * heralded_distribution(cfg, length).probs
-        literal += (1 - cfg.p_dark) ** w * heralded_distribution(cfg, w).probs
-        assert np.abs(got.probs - literal).max() < 1e-12
+        check = check_dark_count_mixture([(m, mu, p_dark)])
+        assert check.passed, check.detail
 
     def test_dark_counts_shift_weight_to_vacuum(self):
         base = SourceConfig(m=4, mu=0.1, e_h=0.85)
@@ -218,22 +216,13 @@ class TestOutputDistribution:
         assert np.array_equal(trace["ideal"].probs, ideal_distribution(cfg).probs)
 
     def test_p1_non_increasing_in_switch_loss(self):
-        for mu in (0.1, 0.2):
-            for m in (0, 2, 4):
-                p1 = [
-                    output_distribution(
-                        SourceConfig(m=m, mu=mu, e_h=0.85, e_s=0.9, e_sw_db=float(il))
-                    ).p(1)
-                    for il in np.linspace(0.0, 2.0, 21)
-                ]
-                assert all(a >= b - 1e-12 for a, b in zip(p1, p1[1:]))
+        check = check_switch_loss_trend()
+        assert check.passed, check.detail
 
     @pytest.mark.parametrize("field", ["e_s", "e_h"])
     def test_p1_non_decreasing_in_transmissions_below_optimum(self, field):
-        cfg = SourceConfig(m=4, mu=0.05, e_h=0.85, e_s=0.9, e_sw_db=0.5)
-        values = np.linspace(0.2, 1.0, 17)
-        p1 = [output_distribution(cfg.replace(**{field: float(v)})).p(1) for v in values]
-        assert all(b >= a - 1e-12 for a, b in zip(p1, p1[1:]))
+        check = check_transmission_trend([field])
+        assert check.passed, check.detail
 
     def test_normalization_across_parameter_plane(self):
         rng = np.random.default_rng(2718)

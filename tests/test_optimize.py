@@ -16,11 +16,6 @@ def test_ideal_single_window_peaks_at_unit_mu():
     assert result.mandel_q_at_opt == pytest.approx(0.0, abs=1e-10)
 
 
-def test_ideal_optimum_strictly_decreasing_in_stages():
-    mu_opts = [optimize_mu(SourceConfig.lossless(m=m, mu=1e-3)).mu_opt for m in range(0, 9)]
-    assert all(a > b for a, b in zip(mu_opts, mu_opts[1:]))
-
-
 def test_reported_p1_matches_reevaluation():
     cfg = SourceConfig(m=3, mu=1e-3, e_h=0.85, e_s=0.9, e_sw_db=0.5)
     result = optimize_mu(cfg)
