@@ -1,11 +1,10 @@
 """Vectorized pure-numpy fallback for the event-level simulator kernel.
 
 The scan runs over blocks of windows.  The first block holds the first 8
-windows (or all of them when a trial has fewer) and is read through slices
-of the chunk; each later block is twice as wide as the one before and is
-gathered only for the trials that have not triggered yet.  A trial leaves
-the scan at its first triggered window, and a trial that never triggers
-routes window W-1.
+windows (or all of them when a trial has fewer) and is read for every
+trial; each later block is twice as wide as the one before and is read only
+for the trials that have not triggered yet.  A trial leaves the scan at its
+first triggered window, and a trial that never triggers routes window W-1.
 
 This reads exactly the words that the compiled kernel reads: the pair,
 herald and dark words of every window up to and including the first
@@ -13,6 +12,11 @@ triggered one, then the survival word.  Words of later windows may be
 loaded with the rest of their block, but they never decide an outcome, so
 both backends give the same routed count and the same survivors for every
 trial, and hence bit-identical histograms.
+
+The scan takes its words from one of two sources, which hold the same
+words: a chunk of stream words pre-drawn in order (``run_chunk``), or
+Philox blocks computed by counter for just the slots the scan reads
+(``run_counter``).  ``counter_source_pays`` picks between them.
 
 Survivors are drawn per routed count ``n``: searching the survival word in
 row ``n`` of the survival CDF counts the ``k`` with ``u >= cdf[n, k]``,
@@ -23,29 +27,53 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._tables import SamplingTables
+from ._philox import philox_doubles
+from ._tables import SamplingTables, slots_per_trial
 
-__all__ = ["run_chunk"]
+__all__ = ["run_chunk", "run_counter", "counter_source_pays"]
 
 _FIRST_BLOCK = 8
+# A block computed by counter costs 150-250 ns against about 40 ns for one
+# drawn in sequence.  Measured on a 2-vCPU x86-64 host, the two sources
+# break even where the sequential draw makes 4-5 times the blocks the
+# counter source computes, and 6-7 times with two shard threads, from
+# which the counter source gains less.  It is used only above 7 times.
+_COUNTER_COST_MARGIN = 7
+# Trials per counter batch.  The first scan block's one Philox evaluation
+# then covers some 30k-50k blocks: enough to hide numpy's fixed cost of
+# about 0.3 ms per evaluation, and near the cache-sized batches where a
+# block costs least.
+_COUNTER_BATCH = 1 << 13
 
 
-def run_chunk(uniforms: np.ndarray, tables: SamplingTables, counts: np.ndarray) -> None:
-    """Simulate one chunk of trials from pre-drawn stream words.
+def _window_blocks(w: int):
+    """(lo, hi) window ranges of the scan: 8 windows, then twice the last width."""
+    lo, hi = 0, min(_FIRST_BLOCK, w)
+    while lo < w:
+        yield lo, hi
+        lo, hi = hi, min(hi + 2 * (hi - lo), w)
 
-    ``uniforms`` has shape (trials, S) with the per-trial slot layout of
-    :mod:`._tables`; surviving photon counts are accumulated into ``counts``.
+
+def _scan(read, trials: int, tables: SamplingTables, counts: np.ndarray) -> None:
+    """Block scan over ``trials`` trials whose words come from ``read``.
+
+    ``read(take, spans)`` returns an iterator over one array of stream words
+    per ``(start, stop)`` slot span, for the trials that ``take`` (a slice or
+    an index array) selects.  The scan takes the arrays one at a time, so a
+    source that builds each only when it is reached holds one at a time.
     """
     w = tables.n_windows
-    routed_n = np.empty(uniforms.shape[0], dtype=np.intp)
-    rows = np.arange(uniforms.shape[0])  # trials still scanning
-    lo, hi = 0, min(_FIRST_BLOCK, w)
-    while True:
+    dark = tables.p_dark > 0.0
+    routed_n = np.empty(trials, dtype=np.intp)
+    rows = np.arange(trials)  # trials still scanning
+    for lo, hi in _window_blocks(w):
         take = slice(None) if lo == 0 else rows
-        pairs = np.searchsorted(tables.pair_cdf, uniforms[take, lo:hi], side="right")
-        triggered = uniforms[take, w + lo:w + hi] < tables.herald_prob[pairs]
-        if tables.p_dark > 0.0:
-            triggered |= uniforms[take, 2 * w + lo:2 * w + hi] < tables.p_dark
+        spans = [(lo, hi), (w + lo, w + hi)] + ([(2 * w + lo, 2 * w + hi)] if dark else [])
+        words = read(take, spans)
+        pairs = np.searchsorted(tables.pair_cdf, next(words), side="right")
+        triggered = next(words) < tables.herald_prob[pairs]
+        if dark:
+            triggered |= next(words) < tables.p_dark
         hit = triggered.any(axis=1)
         first = triggered.argmax(axis=1)
         if hi == w:
@@ -57,9 +85,71 @@ def run_chunk(uniforms: np.ndarray, tables: SamplingTables, counts: np.ndarray) 
         rows = rows[~hit]
         if not rows.size:
             break
-        lo, hi = hi, min(hi + 2 * (hi - lo), w)
 
-    u_survive = uniforms[:, 3 * w]
+    u_survive = next(read(slice(None), [(3 * w, 3 * w + 1)]))[:, 0]
     for n in np.flatnonzero(np.bincount(routed_n)):
         survivors = np.searchsorted(tables.survival_cdf[n], u_survive[routed_n == n], side="right")
         counts += np.bincount(survivors, minlength=counts.size)
+
+
+def run_chunk(uniforms: np.ndarray, tables: SamplingTables, counts: np.ndarray) -> None:
+    """Simulate one chunk of trials from pre-drawn stream words.
+
+    ``uniforms`` has shape (trials, S) with the per-trial slot layout of
+    :mod:`._tables`; surviving photon counts are accumulated into ``counts``.
+    """
+    def read(take, spans):
+        return (uniforms[take, start:stop] for start, stop in spans)
+
+    _scan(read, uniforms.shape[0], tables, counts)
+
+
+def _counter_reader(seed: int, first_counter: np.ndarray):
+    """``read`` for ``_scan`` that computes the Philox blocks holding the spans.
+
+    ``first_counter[i]`` is the counter of trial i's first block; slot j of
+    a trial is lane j % 4 of the block j // 4 after it.
+    """
+    def read(take, spans):
+        first = [start // 4 for start, _ in spans]
+        ends = [(stop + 3) // 4 for _, stop in spans]
+        blocks = np.concatenate([np.arange(b, e, dtype=np.uint64) for b, e in zip(first, ends)])
+        counters = first_counter[take][:, None] + blocks
+        words = philox_doubles(seed, counters.ravel()).reshape(counters.shape[0], -1)
+        out, offset = [], 0
+        for (start, stop), b, e in zip(spans, first, ends):
+            out.append(words[:, offset + start - 4 * b:offset + stop - 4 * b])
+            offset += 4 * (e - b)
+        return iter(out)
+
+    return read
+
+
+def run_counter(seed: int, start: int, stop: int, tables: SamplingTables,
+                counts: np.ndarray) -> None:
+    """Simulate trials [start, stop), computing only the Philox blocks the scan reads.
+
+    Gives the counts that ``run_chunk`` gives on the same trials' pre-drawn
+    words.  Trials run in batches of ``_COUNTER_BATCH``.
+    """
+    blocks_per_trial = np.uint64(slots_per_trial(tables.n_windows) // 4)
+    for lo in range(start, stop, _COUNTER_BATCH):
+        trials = np.arange(lo, min(lo + _COUNTER_BATCH, stop), dtype=np.uint64)
+        # np.random.Philox computes block i of its stream at counter i + 1.
+        first_counter = trials * blocks_per_trial + np.uint64(1)
+        _scan(_counter_reader(seed, first_counter), trials.size, tables, counts)
+
+
+def counter_source_pays(tables: SamplingTables) -> bool:
+    """Whether computing blocks by counter beats drawing every trial's words.
+
+    Estimates the Philox blocks a trial's scan reads from the per-window
+    probability that a window stays silent, over the scan's block schedule,
+    and compares them with the S/4 blocks a sequential draw makes.
+    """
+    w = tables.n_windows
+    pair_pmf = np.diff(tables.pair_cdf, prepend=0.0)
+    silent = float(pair_pmf @ (1.0 - tables.herald_prob)) * (1.0 - tables.p_dark)
+    kinds = 3 if tables.p_dark > 0.0 else 2
+    blocks = 1.0 + sum(silent ** lo * kinds * (hi - lo) / 4 for lo, hi in _window_blocks(w))
+    return _COUNTER_COST_MARGIN * blocks < slots_per_trial(w) / 4

@@ -9,6 +9,11 @@ count, chunking or backend.
 
 Per-trial slot order: pair-count uniforms for windows 0..W-1, then herald
 uniforms, then dark-count uniforms, then one survival uniform, then padding.
+
+Word j of trial t is lane j % 4 of the Philox4x64-10 block with counter
+t*S/4 + j//4 + 1 (the upper three counter words zero) and key (seed, 0),
+and its double is (x >> 11) * 2**-53, as ``Generator.random`` maps it.
+This lets the numpy backend compute only the blocks it reads.
 """
 
 from __future__ import annotations

@@ -228,8 +228,10 @@ def check_agreement(mc: McConfig, backend: Optional[str] = None) -> Check:
     ``AGREEMENT_CONFIGS``, under ``compare``'s default limits."""
     worst_tv = worst_z = 0.0
     failing = []
+    vacuous = False
     for cfg in AGREEMENT_CONFIGS:
         report = compare(output_distribution(cfg), simulate(cfg, mc, backend))
+        vacuous |= report.tv_vacuous
         tv_ratio = report.tv_distance / report.tv_limit
         worst_tv = max(worst_tv, tv_ratio)
         worst_z = max(worst_z, report.max_abs_z)
@@ -237,6 +239,8 @@ def check_agreement(mc: McConfig, backend: Optional[str] = None) -> Check:
             failing.append(f"m={cfg.m} mu={cfg.mu} e_sw_db={cfg.e_sw_db} r_dark={cfg.r_dark:g} "
                            f"(TV ratio {tv_ratio:.3f}, |z| {report.max_abs_z:.2f})")
     detail = f"worst TV ratio {worst_tv:.3f}, worst |z| {worst_z:.2f}"
+    if vacuous:
+        detail += f"; TV gate cannot fail at {mc.trials} trials (limit >= 1)"
     if failing:
         detail += "; failing: " + "; ".join(failing)
     return Check(f"Monte Carlo agreement ({len(AGREEMENT_CONFIGS)} configs x {mc.trials} trials)",

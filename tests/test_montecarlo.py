@@ -13,12 +13,16 @@ from photonmux import (
     output_distribution,
     simulate,
 )
-from photonmux.montecarlo import _numpy_backend, available_backends
+from photonmux.montecarlo import MAX_M, MAX_TRIALS, _numpy_backend, available_backends
+from photonmux.montecarlo._philox import philox_doubles
 from photonmux.montecarlo._tables import build_tables, philox_at_trial, slots_per_trial
+from photonmux.validate import check_agreement
 
 BACKENDS = available_backends()
 LOSSY = SourceConfig(m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
 DARK = SourceConfig(m=3, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
+# Deep enough that the numpy backend computes Philox blocks by counter.
+DEEP = SourceConfig(m=8, mu=0.5, e_h=0.85, e_s=0.9, e_sw_db=1.0)
 
 
 class TestConfig:
@@ -57,6 +61,22 @@ class TestStreamLayout:
         tail = philox_at_trial(99, 2, w).random((4, slots))
         assert np.array_equal(whole[2:], tail)
 
+    # At trial 2**23 of m = 10 the block counters pass 2**32, where a
+    # 64-bit mulhi or a carry between 32-bit halves would go wrong.
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("trial", [0, 1 << 23])
+    def test_counter_philox_matches_stream(self, seed, trial):
+        w = 1024
+        blocks = slots_per_trial(w) // 4
+        want = philox_at_trial(seed, trial, w).random((2, 4 * blocks))
+        counters = np.arange(2 * blocks, dtype=np.uint64) + np.uint64(trial * blocks + 1)
+        got = philox_doubles(seed, counters).reshape(2, 4 * blocks)
+        assert np.array_equal(got, want)
+
+    def test_block_counters_fit_in_one_word(self):
+        # The counter path keeps the three upper counter words at zero.
+        assert MAX_TRIALS * slots_per_trial(2**MAX_M) // 4 + 1 < 2**64
+
 
 class TestDeterminism:
     def test_identical_runs_identical_histograms(self):
@@ -71,10 +91,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_shard_count_never_changes_results(self, backend):
-        base = simulate(LOSSY, McConfig(trials=30_001, seed=9, shards=1), backend)
-        for shards in (2, 8):
-            sharded = simulate(LOSSY, McConfig(trials=30_001, seed=9, shards=shards), backend)
-            assert np.array_equal(base.counts, sharded.counts)
+        for cfg in (LOSSY, DEEP):
+            base = simulate(cfg, McConfig(trials=30_001, seed=9, shards=1), backend)
+            for shards in (2, 8):
+                sharded = simulate(cfg, McConfig(trials=30_001, seed=9, shards=shards), backend)
+                assert np.array_equal(base.counts, sharded.counts), (cfg.m, shards)
 
     @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel unavailable")
     @pytest.mark.parametrize("cfg", [LOSSY, DARK, SourceConfig(m=0, mu=0.3),
@@ -136,6 +157,40 @@ class TestNumpyKernel:
             _numpy_backend.run_chunk(uniforms, tables, got)
             assert np.array_equal(got, want), (mu, e_h)
 
+    # mu = 0 or e_h = 0 without dark counts makes every trial scan all
+    # windows, the case where the counter source computes every block.
+    # m = 0 and 1 are the layouts whose spans start inside a Philox block.
+    # The trial range straddles block counter 2**32.
+    @pytest.mark.parametrize("r_dark", [0.0, 5e6])
+    @pytest.mark.parametrize("m", [0, 1, 4, 6, 8, 10])
+    def test_counter_source_matches_predrawn(self, m, r_dark):
+        w = 2 ** m
+        slots = slots_per_trial(w)
+        trials = max(64, (1 << 14) // slots)
+        start = (1 << 32) // (slots // 4) - trials // 2
+        uniforms = philox_at_trial(m + 3, start, w).random((trials, slots))
+        for mu, e_h in itertools.product((0.0, 0.05, 0.5, 2.0), (0.0, 0.85, 1.0)):
+            tables = build_tables(SourceConfig(m=m, mu=mu, e_h=e_h, e_s=0.9,
+                                               e_sw_db=0.5, r_dark=r_dark))
+            want = np.zeros(129, dtype=np.int64)
+            got = np.zeros(129, dtype=np.int64)
+            _numpy_backend.run_chunk(uniforms, tables, want)
+            _numpy_backend.run_counter(m + 3, start, start + trials, tables, got)
+            assert np.array_equal(got, want), (mu, e_h)
+
+    def test_counter_source_across_batches(self):
+        batch = _numpy_backend._COUNTER_BATCH
+        start, stop = batch - 5, 3 * batch + 7
+        cfg = SourceConfig(m=6, mu=0.5, e_h=0.85, e_s=0.9, e_sw_db=1.0)
+        tables = build_tables(cfg)
+        uniforms = philox_at_trial(17, start, cfg.n_windows).random(
+            (stop - start, slots_per_trial(cfg.n_windows)))
+        want = np.zeros(129, dtype=np.int64)
+        got = np.zeros(129, dtype=np.int64)
+        _numpy_backend.run_chunk(uniforms, tables, want)
+        _numpy_backend.run_counter(17, start, stop, tables, got)
+        assert np.array_equal(got, want)
+
     def test_chunk_memory_stays_small(self):
         cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
         simulate(cfg, McConfig(trials=10, seed=1))
@@ -188,6 +243,13 @@ class TestEventRules:
         report = compare(output_distribution(DARK), hist)
         assert report.passed, report.lines()
 
+    def test_deep_multiplexer_agrees_with_analytic_chain(self):
+        cfg = SourceConfig(m=10, mu=0.05, e_h=0.85, e_s=0.9, e_sw_db=1.0, r_dark=5e6)
+        assert _numpy_backend.counter_source_pays(build_tables(cfg))
+        hist = simulate(cfg, McConfig(trials=100_000, seed=25))
+        report = compare(output_distribution(cfg), hist)
+        assert report.passed, report.lines()
+
 
 class TestCompare:
     def test_detects_wrong_model(self):
@@ -208,6 +270,16 @@ class TestCompare:
         report = compare(output_distribution(LOSSY), hist)
         text = "\n".join(report.lines())
         assert "tv_distance" in text and "agreement" in text
+        assert not report.tv_vacuous and "cannot fail" not in text
+
+    def test_report_flags_vacuous_tv_gate(self):
+        # At n_max = 30 the TV limit 3 sqrt(30 / trials) is >= 1 below 270 trials.
+        hist = simulate(LOSSY, McConfig(trials=100, seed=42))
+        report = compare(output_distribution(LOSSY), hist)
+        assert report.tv_vacuous
+        assert any("tv gate cannot fail" in line for line in report.lines())
+        check = check_agreement(McConfig(trials=100, seed=42))
+        assert "TV gate cannot fail at 100 trials" in check.detail
 
 
 class TestTables:
