@@ -1,16 +1,19 @@
 """Imperfect-device chain: heralding loss, dark counts, signal-branch loss.
 
-The chain is built constructively.  First the heralding-branch transmission
-splits the output into a heralded part (at least one idler detected somewhere
-in the synchronization interval) and an unheralded bypass part.  Dark counts
-then shorten the effective interval: the first spurious click routes the
-output early, which mixes the heralded expression over interval lengths.
-Finally every photon in the routed window independently survives the signal
-branch with the end-to-end transmission, a binomial loss channel.
+The heralding-branch transmission splits the output into a heralded part (at
+least one idler detected somewhere in the synchronization interval) and an
+unheralded bypass part.  Dark counts shorten the effective interval: the
+first spurious click routes the output early, which mixes the heralded
+expression over interval lengths.  Every photon in the routed window then
+survives the signal branch independently with the end-to-end transmission,
+a binomial loss channel.
 
-One batched core, :func:`_herald_rows`, evaluates the herald and dark-count
-stages for a whole pump grid; the scalar entry points are batches of one and
-share the binomial loss matrix of :func:`photonmux.stats.binomial_matrix`.
+The chain has a closed form.  Before signal loss the routed window holds n
+photons with probability alpha Pois(n; mu) + (1 - alpha) Pois(n; mu (1 - e_h)),
+and binomial thinning maps Poisson(lambda) to Poisson(lambda t), so the output
+is the same mixture at means mu t and mu (1 - e_h) t.  One batched core,
+:func:`_output_rows`, evaluates it for arrays of pump rates and
+transmissions; the scalar entry points are batches of one.
 """
 
 from __future__ import annotations
@@ -70,61 +73,79 @@ class LossChainTrace:
         return self.stages[-1][1]
 
 
-def _herald_rows(
+def _output_rows(
     mu: np.ndarray,
+    transmission: np.ndarray | float,
     e_h: float,
     windows: int,
     p_dark: float,
     n_max: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Routed-window distribution before signal loss, one row per pump rate.
+    """Output distribution rows and their tail masses over a grid.
 
-    Returns (rows, tail).  A window triggers when one of its idlers is
-    detected (probability 1 - e^-a, a = mu e_h) or a dark count fires
-    (P_dark); its trigger rate is c = a - ln(1 - P_dark).  The first trigger
-    in the W-window interval routes that window, which holds a detected idler
-    with probability (1 - e^-a) / (1 - e^-c); with no trigger the bypass
-    window is routed.  Summing the first-trigger position over the interval,
-    the geometric sum of the first-dark-count mixture over interval lengths,
-    weights the clicked-window conditional by
+    ``mu`` (a 1-D array) and ``transmission`` broadcast together; each pair
+    gives one row.  A window triggers when one of its idlers is detected
+    (probability 1 - e^-a, a = mu e_h) or a dark count fires (P_dark); its
+    trigger rate is c = a - ln(1 - P_dark).  The first trigger in the
+    W-window interval routes that window, which holds a detected idler with
+    probability (1 - e^-a) / (1 - e^-c); with no trigger the bypass window is
+    routed.  Summing the first-trigger position over the interval, the
+    geometric sum of the first-dark-count mixture over interval lengths,
+    the routed window holds n photons with probability
 
-        w = alpha (1 - e^-a),   alpha = (1 - e^(-W c)) / (1 - e^-c),
+        alpha Pois(n; mu) + (1 - alpha) Pois(n; mu (1 - e_h)),
+        alpha = (1 - e^(-W c)) / (1 - e^-c).
 
-    and the no-click conditional by 1 - w.  The conditionals divide by their
-    closed-form normalizations 1 - e^-a and e^-a, which the truncated sums
-    reproduce to ~1e-16, so row n is P_n(mu) (alpha hit_n + beta miss_n) with
-    beta = (1 - w) e^a.  Rows whose tail mass reaches TAIL_LIMIT raise
+    Binomial thinning with transmission t scales each Poisson mean by t.
+    With x_k = mu e_h t + k ln(1 - e_h), Pois(k; mu (1 - e_h) t) is
+    Pois(k; mu t) e^(x_k), so
+
+        P_k = Pois(k; mu (1 - e_h) t) - alpha Pois(k; mu t) expm1(x_k)
+            = Pois(k; mu t) (1 - (alpha - 1) expm1(x_k)).
+
+    expm1 gives the difference of the two Poisson laws to full relative
+    precision; the equivalent signed weights alpha and 1 - alpha would lose
+    about alpha eps, and alpha reaches W.  The factored form needs one
+    Poisson row and is exactly Pois(mu t) when alpha = 1, as at W = 1.
+
+    Returns (probs, tail): P_k for k = 0..n_max, and the sum of the terms
+    k = n_max+1 .. 2 n_max+1, which wherever the guard passes leaves out
+    less than 1e-18.  Rows where 1 - sum(probs) reaches TAIL_LIMIT raise
     TruncationError, naming the worst mu.
     """
-    n = np.arange(n_max + 1)
-    a = mu * e_h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = a - np.log1p(-p_dark)  # infinite when P_dark = 1
+    lam = mu * transmission
+    width = 2 * n_max + 2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = mu * e_h - np.log1p(-p_dark)  # infinite when P_dark = 1
         alpha = np.where(c > 0, np.expm1(-windows * c) / np.expm1(-c), windows)
-        # P(at least one of n idlers detected), accurate for tiny e_h too.
-        hit = -np.expm1(n * np.log1p(-e_h))
-    hit[0] = 0.0  # 0 * ln(0) is NaN at e_h = 1
-    miss = (1.0 - e_h) ** n
-    beta = (1.0 + alpha * np.expm1(-a)) * np.exp(a)
-    rows = poisson_rows(mu, n_max) * (alpha[:, None] * hit + beta[:, None] * miss)
-    tail = np.maximum(0.0, 1.0 - rows.sum(axis=1))
-    if tail.max(initial=0.0) >= TAIL_LIMIT:
-        worst = int(np.argmax(tail))
+        shift = np.arange(width) * np.log1p(-e_h)
+        shift[0] = 0.0  # 0 * ln(0) is NaN at e_h = 1
+        pois = poisson_rows(lam, width - 1)
+        # In place, so a large grid holds two (rows, width) arrays at most.
+        # expm1 overflows only where mu t > 709; the guard rejects those rows.
+        terms = np.add.outer(lam * e_h, shift)
+        np.expm1(terms, out=terms)
+        terms *= (1.0 - alpha)[:, None]
+        terms += 1.0
+        terms *= pois
+    probs = terms[:, :n_max + 1]
+    lost = 1.0 - probs.sum(axis=1)
+    if not (lost < TAIL_LIMIT).all():  # a NaN row fails too
+        worst = int(np.argmax(lost))
         raise TruncationError(
-            f"tail mass {tail[worst]:.3e} beyond n_max={n_max} exceeds {TAIL_LIMIT:.0e} "
-            f"at mu={float(mu[worst])!r}; increase n_max"
+            f"tail mass {lost[worst]:.3e} beyond n_max={n_max} exceeds {TAIL_LIMIT:.0e} "
+            f"at mu={float(np.broadcast_to(mu, lam.shape)[worst])!r}; increase n_max"
         )
-    return rows, tail
+    return probs, terms[:, n_max + 1:].sum(axis=1)
 
 
 def _distribution(cfg: SourceConfig, windows: int, p_dark: float, n_max: int,
                   transmission: float = 1.0, **meta) -> PhotonDistribution:
     """One loss-chain evaluation at cfg.mu: a batch of one through the core."""
-    rows, tail = _herald_rows(np.array([cfg.mu]), cfg.e_h, windows, p_dark, n_max)
+    probs, tail = _output_rows(np.array([cfg.mu]), transmission, cfg.e_h, windows, p_dark, n_max)
     if cfg.e_h == 0.0:
         meta["degenerate_no_herald"] = True
-    return PhotonDistribution(rows[0] @ binomial_matrix(n_max, transmission), n_max,
-                              float(tail[0]), meta)
+    return PhotonDistribution(probs[0], n_max, float(tail[0]), meta)
 
 
 def heralded_distribution(
@@ -226,10 +247,9 @@ def p1_snr_curve(
     mu = np.asarray(mu_values, dtype=float)
     if not ((mu >= 0) & (mu < np.inf)).all():
         raise ValueError("mu grid must be finite and >= 0")
-    rows, _ = _herald_rows(mu, cfg.e_h, cfg.n_windows, cfg.p_dark, n_max)
-    # Only the zero- and one-survivor columns of the loss matrix are needed.
-    p0, p1 = (rows @ binomial_matrix(n_max, cfg.e_s_total)[:, :2]).T
-    p_multi = np.maximum(1.0 - p0 - p1, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(p_multi > 0, p1 / np.where(p_multi > 0, p_multi, 1.0), np.inf)
-    return p1, ratio
+    probs, tail = _output_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, n_max)
+    # P_>=2 summed as PhotonDistribution.p_ge(2) sums it, so snr() agrees.
+    p_multi = probs[:, 2:].sum(axis=1) + tail
+    ratio = np.divide(probs[:, 1], p_multi, out=np.full_like(p_multi, np.inf), where=p_multi > 0)
+    # A copy, so that holding P_1 does not hold the whole (rows, width) array.
+    return probs[:, 1].copy(), ratio

@@ -88,8 +88,9 @@ def binomial_matrix(n_max: int, p: float) -> np.ndarray:
 
     Row n is the distribution of survivors among n photons that each survive
     independently with probability ``p``.  Cached per (n_max, p) and returned
-    read-only, because every loss-chain evaluation and every sampling table
-    needs one.
+    read-only, because the Monte Carlo sampling tables of one configuration
+    are rebuilt by every ``simulate`` call; the analytic chain thins in
+    closed form and needs no matrix.
     """
     if p == 1.0:
         out = np.eye(n_max + 1)
@@ -161,8 +162,6 @@ class PhotonDistribution:
         """Probability of k or more photons, tail mass included."""
         if k <= 0:
             return 1.0
-        if k > self.n_max:
-            return self.tail_mass
         return float(self.probs[k:].sum()) + self.tail_mass
 
     def mean(self) -> float:
@@ -235,11 +234,12 @@ def mandel_q(dist: PhotonDistribution) -> float:
 def snr(dist: PhotonDistribution) -> float:
     """Single-photon to multi-photon probability ratio, P_1 / P_>=2.
 
-    The multi-photon term includes the truncation tail.  A distribution with
-    no multi-photon component at all yields positive infinity.
+    P_>=2 is ``dist.p_ge(2)``, the k >= 2 weights plus the truncation tail,
+    summed directly: 1 - P_0 - P_1 would cancel at low pump rates.  A
+    distribution with no multi-photon component at all yields positive
+    infinity.
     """
-    p_multi = 1.0 - dist.p(0) - dist.p(1)
-    # 1 - p0 - p1 already includes tail_mass since probs sum to 1 - tail.
+    p_multi = dist.p_ge(2)
     if p_multi <= 0.0:
         return math.inf
     return dist.p(1) / p_multi

@@ -20,9 +20,9 @@ import numpy as np
 
 from ._version import __version__
 from .config import SourceConfig
-from .losses import output_distribution
+from .losses import _output_rows, output_distribution
 from .optimize import DEFAULT_MU_RANGE, max_p1_with_snr_floor, optimize_mu
-from .stats import DEFAULT_N_MAX, mandel_q, snr
+from .stats import DEFAULT_N_MAX, PhotonDistribution, mandel_q, snr
 
 __all__ = [
     "SweepRecord",
@@ -75,21 +75,32 @@ class SweepRecord:
         return tuple(getattr(self, name) for name in self.FIELDS)
 
 
+# SweepRecord fields that echo the SourceConfig attribute of the same name.
+_CONFIG_ECHO = ("m", "delta_t0_ns", "mu", "e_h", "e_s", "e_sw_db", "r_dark", "mu_total", "e_s_total")
+
+
 def record_for(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX, mu_opt: Optional[float] = None,
                snr_target: Optional[float] = None) -> SweepRecord:
     """Evaluate the full loss chain at one configuration."""
-    dist = output_distribution(cfg, n_max)
+    return _record(cfg, output_distribution(cfg, n_max), mu_opt, snr_target)
+
+
+def _curve(template: SourceConfig, axis: str, values: Iterable[float], n_max: int) -> list:
+    """Records along ``axis`` (``mu`` or ``e_sw_db``) from one call into the
+    loss-chain core; each row becomes a record as :func:`record_for` makes one."""
+    cfgs = [template.replace(**{axis: float(value)}) for value in values]
+    probs, tail = _output_rows(np.array([cfg.mu for cfg in cfgs]),
+                               np.array([cfg.e_s_total for cfg in cfgs]),
+                               template.e_h, template.n_windows, template.p_dark, n_max)
+    return [_record(cfg, PhotonDistribution(row, n_max, float(rest)))
+            for cfg, row, rest in zip(cfgs, probs, tail)]
+
+
+def _record(cfg: SourceConfig, dist: PhotonDistribution, mu_opt: Optional[float] = None,
+            snr_target: Optional[float] = None) -> SweepRecord:
     mean = dist.mean()
     return SweepRecord(
-        m=cfg.m,
-        delta_t0_ns=cfg.delta_t0_ns,
-        mu=cfg.mu,
-        e_h=cfg.e_h,
-        e_s=cfg.e_s,
-        e_sw_db=cfg.e_sw_db,
-        r_dark=cfg.r_dark,
-        mu_total=cfg.mu_total,
-        e_s_total=cfg.e_s_total,
+        **{name: getattr(cfg, name) for name in _CONFIG_ECHO},
         clock_freq_hz=cfg.clock_hz,
         p0=dist.p(0),
         p1=dist.p(1),
@@ -205,9 +216,8 @@ def figure3(
     records = []
     for il in il_db_values:
         for m in m_values:
-            for mu in grid:
-                cfg = SourceConfig(m=m, mu=float(mu), e_h=e_h, e_s=e_s, e_sw_db=float(il))
-                records.append(record_for(cfg, n_max))
+            template = SourceConfig(m=m, mu=0.0, e_h=e_h, e_s=e_s, e_sw_db=float(il))
+            records += _curve(template, "mu", grid, n_max)
     meta = {"config_hash": _input_hash(
         fig="fig3", m_values=m_values, mu_grid=[float(v) for v in grid],
         il_db_values=list(il_db_values), e_h=e_h, e_s=e_s, n_max=n_max)}
@@ -228,9 +238,8 @@ def figure4(
     records = []
     for mu in mu_values:
         for m in m_values:
-            for il in grid:
-                cfg = SourceConfig(m=m, mu=float(mu), e_h=e_h, e_s=e_s, e_sw_db=float(il))
-                records.append(record_for(cfg, n_max))
+            template = SourceConfig(m=m, mu=float(mu), e_h=e_h, e_s=e_s)
+            records += _curve(template, "e_sw_db", grid, n_max)
     meta = {"config_hash": _input_hash(
         fig="fig4", mu_values=list(mu_values), il_grid=[float(v) for v in grid],
         m_values=m_values, e_h=e_h, e_s=e_s, n_max=n_max)}
@@ -287,10 +296,7 @@ def sweep_axis(
     """Custom one-axis sweep of ``mu`` or ``e_sw_db`` around a base config."""
     if axis not in ("mu", "e_sw_db"):
         raise ValueError(f"axis must be 'mu' or 'e_sw_db', got {axis!r}")
-    records = []
-    for value in values:
-        cfg = base.replace(**{axis: float(value)})
-        records.append(record_for(cfg, n_max))
+    records = _curve(base, axis, values, n_max)
     meta = {"config_hash": _input_hash(
         fig="custom", axis=axis, values=[float(v) for v in values],
         base=base.as_dict(), n_max=n_max)}

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import photonmux
 from photonmux import SourceConfig, ideal_distribution, validate
 from photonmux.cli import ConfigError, main, parse_config_text, parse_source_config
 
@@ -22,8 +23,14 @@ r_dark = 0
 """
 
 
+# The directory holding the imported package, so the CLI subprocess imports
+# the same code when the package is found only through pytest's pythonpath.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(photonmux.__file__))
+
+
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "photonmux.cli", *args],

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.optimize import brentq
 
 from photonmux import (
     PhotonDistribution,
@@ -13,16 +15,53 @@ from photonmux import (
     ideal_distribution,
     output_chain,
     output_distribution,
+    snr,
     with_dark_counts,
 )
 from photonmux.losses import p1_snr_curve
-from photonmux.stats import binomial_matrix, poisson_vector
+from photonmux.stats import TAIL_LIMIT, binomial_matrix, poisson_rows, poisson_vector
 from photonmux.validate import (
     DARK_MIXTURE_POINTS,
     check_dark_count_mixture,
     check_switch_loss_trend,
     check_transmission_trend,
 )
+
+
+def _herald_rows(mu, e_h, windows, p_dark, n_max):
+    """The truncated-sum chain before signal loss, kept as an independent
+    reference for the closed form: Poisson rows times the herald weights."""
+    n = np.arange(n_max + 1)
+    a = mu * e_h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = a - np.log1p(-p_dark)  # infinite when P_dark = 1
+        alpha = np.where(c > 0, np.expm1(-windows * c) / np.expm1(-c), windows)
+        # P(at least one of n idlers detected), accurate for tiny e_h too.
+        hit = -np.expm1(n * np.log1p(-e_h))
+    hit[0] = 0.0  # 0 * ln(0) is NaN at e_h = 1
+    miss = (1.0 - e_h) ** n
+    beta = (1.0 + alpha * np.expm1(-a)) * np.exp(a)
+    rows = poisson_rows(mu, n_max) * (alpha[:, None] * hit + beta[:, None] * miss)
+    tail = np.maximum(0.0, 1.0 - rows.sum(axis=1))
+    if tail.max(initial=0.0) >= TAIL_LIMIT:
+        worst = int(np.argmax(tail))
+        raise TruncationError(
+            f"tail mass {tail[worst]:.3e} beyond n_max={n_max} exceeds {TAIL_LIMIT:.0e} "
+            f"at mu={float(mu[worst])!r}; increase n_max"
+        )
+    return rows, tail
+
+
+def _truncated_sum_chain(cfg, n_max=30):
+    """Reference output pmf: the pre-loss rows through the binomial loss matrix."""
+    rows, _ = _herald_rows(np.array([cfg.mu]), cfg.e_h, cfg.n_windows, cfg.p_dark, n_max)
+    return rows[0] @ binomial_matrix(n_max, cfg.e_s_total)
+
+
+def _config_with_p_dark(m, mu, e_h, transmission, p_dark):
+    """e_s carries the whole signal transmission: no switch loss."""
+    r_dark = -math.log1p(-p_dark) / 2e-9
+    return SourceConfig(m=m, mu=mu, e_h=e_h, e_s=transmission, r_dark=r_dark)
 
 
 class TestHeraldedDistribution:
@@ -224,6 +263,25 @@ class TestOutputDistribution:
         check = check_transmission_trend([field])
         assert check.passed, check.detail
 
+    def test_closed_form_matches_truncated_sum_chain(self):
+        for point in itertools.product((0, 1, 4, 10, 20, 30), (0.0, 1e-6, 0.85, 1.0),
+                                       (0.0, 1e-3, 1.0 - 1e-9), (0.0, 0.5, 1.0),
+                                       (0.0, 1e-4, 0.1, 2.0)):
+            m, e_h, p_dark, transmission, mu = point
+            cfg = _config_with_p_dark(m, mu, e_h, transmission, p_dark)
+            err = np.abs(output_distribution(cfg).probs - _truncated_sum_chain(cfg)).max()
+            assert err < 1e-13, f"(m, e_h, P_dark, t, mu) = {point}: {err:.3e}"
+
+    @pytest.mark.parametrize("mu", [1e-4, 1e-3, 1e-2])
+    def test_single_window_output_is_poisson_with_exact_snr(self, mu):
+        cfg = SourceConfig(m=0, mu=mu, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+        lam = mu * cfg.e_s_total
+        dist = output_distribution(cfg)
+        assert np.array_equal(dist.probs, poisson_vector(lam, dist.n_max))
+        # Poisson SNR = lam e^-lam / (1 - e^-lam - lam e^-lam) = 1 / sum_{j>=1} lam^j / (j+1)!
+        series = sum(lam ** j / math.factorial(j + 1) for j in range(12, 0, -1))
+        assert snr(dist) == pytest.approx(1.0 / series, rel=1e-13)
+
     def test_normalization_across_parameter_plane(self):
         rng = np.random.default_rng(2718)
         for _ in range(100):
@@ -249,10 +307,7 @@ class TestVectorizedCurve:
             for i, mu in enumerate(grid):
                 dist = output_distribution(cfg.replace(mu=float(mu)))
                 assert p1[i] == pytest.approx(dist.p(1), rel=1e-12)
-                want = dist.p(1) / (1.0 - dist.p(0) - dist.p(1))
-                # 1 - p0 - p1 cancels almost completely at tiny pump rates, so
-                # the two summation orders can differ by eps / p_multi.
-                assert ratio[i] == pytest.approx(want, rel=1e-8)
+                assert ratio[i] == pytest.approx(snr(dist), rel=1e-12)
 
     def test_handles_zero_pump(self):
         cfg = SourceConfig(m=2, mu=0.1, e_h=0.85)
@@ -267,3 +322,36 @@ class TestVectorizedCurve:
             p1_snr_curve(cfg, [0.1, 10.0, 1.0])
         with pytest.raises(TruncationError):
             output_distribution(cfg.replace(mu=10.0))
+
+
+class TestTruncationGuard:
+    def test_single_window_tail_is_poisson_sf(self):
+        cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, e_s=0.5)
+        for mu in (0.5, 2.0, 8.0, 16.0):
+            dist = output_distribution(cfg.replace(mu=mu))
+            want = sps.poisson.sf(dist.n_max, mu * cfg.e_s_total)
+            assert dist.tail_mass == pytest.approx(want, rel=1e-10)
+
+    def test_guard_measures_the_output_tail(self):
+        # Behind a transmission of 0.5 the output is Poisson(mu / 2): the
+        # guard sits where its own tail beyond n_max = 30 reaches 1e-9, near
+        # mu = 16.4, although the pre-loss tail there is far larger.
+        cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, e_s=0.5)
+
+        def mu_at(sf):
+            return brentq(lambda mu: sps.poisson.sf(30, mu * cfg.e_s_total) - sf,
+                          1.0, 40.0, xtol=1e-14, rtol=1e-15)
+
+        below = output_distribution(cfg.replace(mu=mu_at(0.999 * TAIL_LIMIT)))
+        assert below.tail_mass < TAIL_LIMIT
+        with pytest.raises(TruncationError, match="at mu="):
+            output_distribution(cfg.replace(mu=mu_at(1.001 * TAIL_LIMIT)))
+
+    @pytest.mark.parametrize("mu,e_h", [(50.0, 1.0), (800.0, 0.9999), (1e5, 0.5)])
+    def test_huge_pump_is_rejected(self, mu, e_h):
+        # Past mu t ~ 709 the closed form overflows to NaN; the guard must
+        # still reject the row rather than pass it on.
+        with pytest.raises(TruncationError):
+            output_distribution(SourceConfig(m=3, mu=mu, e_h=e_h))
+        with pytest.raises(TruncationError):
+            p1_snr_curve(SourceConfig(m=3, mu=0.1, e_h=e_h), [0.1, mu])

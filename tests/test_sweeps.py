@@ -99,6 +99,32 @@ class TestFigure5:
         assert all(a >= b - 1e-9 for a, b in zip(p1, p1[1:]))
 
 
+def _assert_rows_match_record_for(table):
+    """Every record of a batched curve against a per-point record_for call."""
+    got = np.array([record.row() for record in table.records], dtype=float)
+    want = np.array([record_for(SourceConfig(
+        m=r.m, delta_t0_ns=r.delta_t0_ns, mu=r.mu, e_h=r.e_h, e_s=r.e_s,
+        e_sw_db=r.e_sw_db, r_dark=r.r_dark)).row() for r in table.records], dtype=float)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+class TestBatchedCurves:
+    def test_figure3_matches_record_for(self):
+        table = figure3(m_values=[0, 3], mu_grid=[0.0, 1e-3, 0.1, 1.5], il_db_values=[0.5, 1.0])
+        assert math.isnan(table.records[0].mandel_q)
+        _assert_rows_match_record_for(table)
+
+    def test_figure4_matches_record_for(self):
+        table = figure4(mu_values=[0.0, 0.2], il_grid=[0.0, 0.7, 2.0], m_values=[0, 3])
+        _assert_rows_match_record_for(table)
+
+    @pytest.mark.parametrize("axis,values", [("mu", [0.0, 1e-3, 0.3]),
+                                             ("e_sw_db", [0.0, 1.0, 2.0])])
+    def test_sweep_axis_matches_record_for(self, axis, values):
+        base = SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
+        _assert_rows_match_record_for(sweep_axis(base, axis, values))
+
+
 class TestSweepTable:
     def test_records_match_direct_calls_bitwise(self):
         base = SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
