@@ -127,6 +127,15 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
                         help="delimiter-separated text or self-describing JSON")
 
 
+def _add_simulation_flags(parser: argparse.ArgumentParser, seed: int) -> None:
+    parser.add_argument("--trials", type=float, default=1e6)
+    parser.add_argument("--seed", type=int, default=seed)
+    parser.add_argument("--shards", type=int, default=None,
+                        help="most worker threads to run on (default every available CPU); "
+                             "never changes the histogram")
+    parser.add_argument("--backend", choices=("cython", "numpy"), default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="photonmux",
@@ -167,18 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("montecarlo", help="event-level simulation histogram")
     _add_source_flags(p_mc)
     _add_output_flags(p_mc)
-    p_mc.add_argument("--trials", type=float, default=1e6)
-    p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--shards", type=int, default=1)
-    p_mc.add_argument("--backend", choices=("cython", "numpy"), default=None)
+    _add_simulation_flags(p_mc, seed=0)
     p_mc.add_argument("--compare", action="store_true",
                       help="append agreement report against the analytic distribution")
 
     p_val = sub.add_parser("validate", help="run the invariant and MC agreement suite")
-    p_val.add_argument("--trials", type=float, default=1e6)
-    p_val.add_argument("--seed", type=int, default=42)
-    p_val.add_argument("--shards", type=int, default=1)
-    p_val.add_argument("--backend", choices=("cython", "numpy"), default=None)
+    _add_simulation_flags(p_val, seed=42)
 
     return parser
 

@@ -36,8 +36,9 @@ _FIRST_BLOCK = 8
 # A block computed by counter costs 150-250 ns against about 40 ns for one
 # drawn in sequence.  Measured on a 2-vCPU x86-64 host, the two sources
 # break even where the sequential draw makes 4-5 times the blocks the
-# counter source computes, and 6-7 times with two shard threads, from
-# which the counter source gains less.  It is used only above 7 times.
+# counter source computes on one thread, and 6-7 times on two worker
+# threads, the default there, from which the counter source gains less.
+# It is used only above 7 times.
 _COUNTER_COST_MARGIN = 7
 # Trials per counter batch.  The first scan block's one Philox evaluation
 # then covers some 30k-50k blocks: enough to hide numpy's fixed cost of

@@ -4,7 +4,7 @@ Both simulator backends consume the same Philox stream, keyed by the seed
 alone.  Trial t owns the words [t*S, (t+1)*S) of that stream, where S is the
 per-trial slot count (3 per window plus one survival slot) rounded up to a
 multiple of 4 so that any trial boundary is also a Philox block boundary.
-Histograms therefore depend only on (config, trials, seed), never on shard
+Histograms therefore depend only on (config, trials, seed), never on worker
 count, chunking or backend.
 
 Per-trial slot order: pair-count uniforms for windows 0..W-1, then herald

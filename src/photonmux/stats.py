@@ -102,8 +102,10 @@ def binomial_matrix(n_max: int, p: float) -> np.ndarray:
         k = n.T
         lg = _lgamma_cache(n_max + 1)
         log_comb = lg[n] - lg[k] - lg[np.maximum(n - k, 0)]
-        out = np.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
-        out[k > n] = 0.0
+        log_b = log_comb + k * math.log(p) + (n - k) * math.log1p(-p)
+        # k > n gets (n - k) log1p(-p) > 0, which overflows exp as p nears 1.
+        log_b[k > n] = -np.inf
+        out = np.exp(log_b)
     out.setflags(write=False)
     return out
 

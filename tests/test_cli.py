@@ -136,6 +136,18 @@ class TestMonteCarlo:
         assert main([*args, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_default_workers_give_the_one_worker_rows(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["montecarlo", "--m", "3", "--mu", "0.1", "--e_h", "0.85", "--r_dark", "5e6",
+                "--trials", "3e5", "--seed", "7"]
+        assert main([*args, "-o", str(a)]) == 0
+        assert main([*args, "--shards", "1", "-o", str(b)]) == 0
+        assert "# shards = None" in a.read_text()
+        assert "# shards = 1" in b.read_text()
+        rows_a = a.read_text().split("k,count,frequency\n")[1]
+        rows_b = b.read_text().split("k,count,frequency\n")[1]
+        assert rows_a == rows_b
+
 
 class TestOptimize:
     def test_structured_result(self, tmp_path):

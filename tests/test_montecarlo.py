@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from photonmux import (
     SourceConfig,
     compare,
     ideal_distribution,
+    montecarlo,
     output_distribution,
     simulate,
 )
@@ -40,6 +43,13 @@ class TestConfig:
         for bad in (2.5, math.nan, math.inf, "10"):
             with pytest.raises(ValueError, match="trials"):
                 McConfig(trials=bad)
+
+    def test_shards_is_none_or_a_positive_integer(self):
+        assert McConfig(trials=10).shards is None
+        assert McConfig(trials=10, shards=np.int64(3)).shards == 3
+        for bad in (2.5, "2", 0):
+            with pytest.raises(ValueError, match="shards"):
+                McConfig(trials=10, shards=bad)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
@@ -78,6 +88,25 @@ class TestStreamLayout:
         assert MAX_TRIALS * slots_per_trial(2**MAX_M) // 4 + 1 < 2**64
 
 
+def counted(fn, calls: list):
+    """``fn`` that appends the calling thread's id to ``calls`` on every call."""
+    def wrapper(*args):
+        calls.append(threading.get_ident())
+        return fn(*args)
+    return wrapper
+
+
+def finish_within(seconds: float, fn, *args):
+    """``fn(*args)`` run on a daemon thread that must return within ``seconds``."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args)), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result within {seconds} s"
+    assert out, "the call raised"
+    return out[0]
+
+
 class TestDeterminism:
     def test_identical_runs_identical_histograms(self):
         a = simulate(LOSSY, McConfig(trials=50_000, seed=5))
@@ -93,9 +122,32 @@ class TestDeterminism:
     def test_shard_count_never_changes_results(self, backend):
         for cfg in (LOSSY, DEEP):
             base = simulate(cfg, McConfig(trials=30_001, seed=9, shards=1), backend)
-            for shards in (2, 8):
+            for shards in (2, 8, None):
                 sharded = simulate(cfg, McConfig(trials=30_001, seed=9, shards=shards), backend)
                 assert np.array_equal(base.counts, sharded.counts), (cfg.m, shards)
+
+    def test_many_small_tasks_on_more_workers_than_cores(self, monkeypatch):
+        # Dozens of chunks on 8 threads that switch every microsecond: a chunk
+        # lost, run twice or summed in a race would change the histogram.
+        trials, seed = 30_001, 9
+        want = {cfg: simulate(cfg, McConfig(trials, seed, shards=1), "numpy").counts
+                for cfg in (LOSSY, DARK, DEEP)}
+        monkeypatch.setattr(montecarlo, "_CHUNK_WORD_TARGET", 1 << 16)
+        monkeypatch.setattr(_numpy_backend, "_COUNTER_BATCH", 512)
+        tasks = []
+        for name in ("run_chunk", "run_counter"):
+            monkeypatch.setattr(_numpy_backend, name,
+                                counted(getattr(_numpy_backend, name), tasks))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cfg, counts in want.items():
+                tasks.clear()
+                hist = finish_within(60, simulate, cfg, McConfig(trials, seed, shards=8), "numpy")
+                assert len(tasks) >= 32 and len(set(tasks)) > 1, cfg
+                assert np.array_equal(hist.counts, counts), cfg
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel unavailable")
     @pytest.mark.parametrize("cfg", [LOSSY, DARK, SourceConfig(m=0, mu=0.3),
@@ -201,6 +253,21 @@ class TestNumpyKernel:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+    def test_task_queue_stays_short(self, monkeypatch):
+        # One trial per task: 3000 tasks queued at once would hold some 6 MB
+        # of futures.
+        monkeypatch.setattr(montecarlo, "_TASK_WORD_TARGET", 4)
+        cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+        want = simulate(cfg, McConfig(trials=3000, seed=1, shards=1)).counts
+        tracemalloc.start()
+        try:
+            got = simulate(cfg, McConfig(trials=3000, seed=1, shards=2)).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestEventRules:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from photonmux import (
     poisson_pmf,
     snr,
 )
-from photonmux.stats import poisson_vector
+from photonmux.montecarlo import build_tables
+from photonmux.stats import binomial_matrix, poisson_vector
 
 
 class TestPoissonPmf:
@@ -45,6 +47,29 @@ class TestPoissonPmf:
     def test_vector_matches_scalar(self):
         vec = poisson_vector(0.37, 20)
         assert np.allclose(vec, [poisson_pmf(0.37, k) for k in range(21)], rtol=1e-14)
+
+
+class TestBinomialMatrix:
+    # Within about 1e-13 of p = 1 the zeroed k > n entries used to overflow
+    # exp first.  The cache is bypassed so that every call computes.
+    @pytest.mark.parametrize("n_max", [30, 128])
+    @pytest.mark.parametrize("p", [1 - 1e-13, 1 - 1e-15])
+    def test_no_overflow_near_one(self, n_max, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = binomial_matrix.__wrapped__(n_max, p)
+        assert np.isfinite(matrix).all()
+        assert not np.triu(matrix, 1).any()
+        assert np.allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert matrix[n_max, n_max] == pytest.approx(p**n_max, rel=1e-12)
+
+    def test_sampling_tables_near_unit_transmission(self):
+        cfg = SourceConfig(m=2, mu=0.1, e_s=1 - 1e-14)
+        binomial_matrix.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = build_tables(cfg)
+        assert np.isfinite(tables.survival_cdf).all()
 
 
 class TestPhotonDistribution:
