@@ -24,7 +24,7 @@ import numpy as np
 from ._version import __version__
 from .config import SourceConfig
 from .losses import output_distribution
-from .montecarlo import McConfig, compare, simulate
+from .montecarlo import BACKENDS, McConfig, backend_choice, compare, simulate
 from .optimize import max_p1_with_snr_floor, optimize_mu
 from .stats import DEFAULT_N_MAX
 from .sweeps import (
@@ -133,7 +133,9 @@ def _add_simulation_flags(parser: argparse.ArgumentParser, seed: int) -> None:
     parser.add_argument("--shards", type=int, default=None,
                         help="most worker threads to run on (default every available CPU); "
                              "never changes the histogram")
-    parser.add_argument("--backend", choices=("cython", "numpy"), default=None)
+    parser.add_argument("--backend", choices=BACKENDS, default=None,
+                        help="simulator backend (default the C kernel, numpy where it "
+                             "cannot be built); never changes the histogram")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,8 +231,10 @@ def _gather_overrides(ns: argparse.Namespace) -> Dict[str, float]:
 def run(ns: argparse.Namespace) -> int:
     """Dispatch one parsed invocation; returns the process exit status."""
     if ns.subcommand == "validate":
-        report = run_validation(McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards),
-                                ns.backend)
+        mc = McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards)
+        backend, reason = backend_choice(ns.backend)
+        print(f"photonmux validate: backend {backend} ({reason})", file=sys.stderr)
+        report = run_validation(mc, backend)
         for line in report.lines():
             print(line)
         return 0 if report.passed else 1

@@ -6,17 +6,19 @@ triggered window (or the final window as bypass) to the output and thins the
 routed photons through the signal branch.  The histogram over surviving
 counts is the brute-force oracle for every analytic distribution.
 
-Two interchangeable kernels exist: a compiled Cython extension, probed at
-import, and a vectorized numpy fallback used when the extension is missing
-(the PHOTONMUX_BACKEND environment variable forces either).  Both consume
-the identical Philox stream, so their histograms are bit-identical.
+Two interchangeable kernels exist.  The C kernel (``_ckernel.c``) is built
+with the system C compiler on the first simulation and cached; it computes
+each Philox block a trial reads from its counter.  The vectorized numpy
+backend is the fallback when the kernel cannot be built, and the reference
+it is checked against (the PHOTONMUX_BACKEND environment variable forces
+either).  Both read the identical Philox stream, so their histograms are
+bit-identical.
 
-The compiled kernel reads stream words pre-drawn in order, a chunk of
-trials at a time.  The numpy backend does the same unless the sampling
-tables predict that its scan reads only a small share of each trial's
-words, as in deep multiplexers with a bright pump; it then computes just
-the Philox blocks that hold the words it reads, by counter.  Both sources
-yield the same words, so the choice never changes a histogram.
+The numpy backend scans a chunk of stream words pre-drawn in order, unless
+the sampling tables predict that its scan reads only a small share of each
+trial's words, as in deep multiplexers with a bright pump; it then computes
+just the Philox blocks that hold the words it reads, by counter.  Both
+sources yield the same words, so the choice never changes a histogram.
 
 Every trial owns a fixed span of the stream, so the trials split into
 independent chunks whose integer counts add in any order.  ``simulate``
@@ -39,13 +41,8 @@ import numpy as np
 
 from ..config import SourceConfig
 from ..stats import DEFAULT_N_MAX, PhotonDistribution
-from . import _numpy_backend
+from . import _ckernel, _numpy_backend
 from ._tables import PAIR_COUNT_CAP, build_tables, philox_at_trial, slots_per_trial
-
-try:
-    from . import _kernel
-except ImportError:  # pure-Python install
-    _kernel = None
 
 __all__ = [
     "McConfig",
@@ -53,9 +50,13 @@ __all__ = [
     "CompareReport",
     "simulate",
     "compare",
+    "BACKENDS",
     "available_backends",
+    "backend_choice",
     "default_backend",
 ]
+
+BACKENDS = ("c", "numpy")
 
 MAX_TRIALS = 1 << 40
 # Stream words of all chunks in flight, summed over the worker threads.
@@ -70,17 +71,38 @@ MAX_M = max(m for m in range(64) if slots_per_trial(1 << m) <= _CHUNK_WORD_TARGE
 
 
 def available_backends() -> tuple:
-    return ("cython", "numpy") if _kernel is not None else ("numpy",)
+    """The backends that can run here, building the C kernel on the first call."""
+    return BACKENDS if _ckernel.load()[0] else ("numpy",)
+
+
+def backend_choice(backend: Optional[str] = None) -> tuple:
+    """(name, reason): the backend ``simulate`` runs for ``backend``, and why.
+
+    ``None`` picks the backend PHOTONMUX_BACKEND names, else the C kernel,
+    else numpy when the kernel cannot be built.  Raises ``RuntimeError``
+    when the C kernel is asked for but cannot be built, with the build error
+    as the reason.
+    """
+    origin = f"backend {backend!r} requested"
+    if backend is None:
+        forced = os.environ.get("PHOTONMUX_BACKEND", "").lower()
+        if forced in BACKENDS:
+            backend, origin = forced, f"PHOTONMUX_BACKEND={forced}"
+    if backend not in (None, *BACKENDS):
+        raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
+    if backend == "numpy":
+        return "numpy", origin
+    run, detail = _ckernel.load()
+    if run is None:
+        if backend is None:
+            return "numpy", f"fallback, the C kernel is unavailable: {detail}"
+        raise RuntimeError(f"{origin}, but the C kernel is unavailable: {detail}")
+    return "c", f"C kernel {detail}" if backend is None else f"{origin}; C kernel {detail}"
 
 
 def default_backend() -> str:
-    """Backend selected at import time, honoring PHOTONMUX_BACKEND."""
-    forced = os.environ.get("PHOTONMUX_BACKEND", "auto").lower()
-    if forced in ("cython", "numpy"):
-        if forced == "cython" and _kernel is None:
-            raise RuntimeError("PHOTONMUX_BACKEND=cython but the compiled kernel is missing")
-        return forced
-    return "cython" if _kernel is not None else "numpy"
+    """Backend that ``simulate`` runs when none is given, honoring PHOTONMUX_BACKEND."""
+    return backend_choice()[0]
 
 
 @dataclass(frozen=True)
@@ -154,17 +176,19 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate_range(tables, seed: int, backend: str, counter: bool, start: int,
-                    stop: int) -> np.ndarray:
-    """Counts of trials [start, stop), one task of the pool."""
+def _simulate_range(tables, seed: int, run_counter, start: int, stop: int) -> np.ndarray:
+    """Counts of trials [start, stop), one task of the pool.
+
+    ``run_counter`` computes the trials' words by counter; ``None`` scans
+    words pre-drawn in order with the numpy backend.
+    """
     counts = np.zeros(PAIR_COUNT_CAP + 1, dtype=np.int64)
-    if counter:
-        _numpy_backend.run_counter(seed, start, stop, tables, counts)
+    if run_counter is not None:
+        run_counter(seed, start, stop, tables, counts)
         return counts
     w = tables.n_windows
     uniforms = philox_at_trial(seed, start, w).random((stop - start, slots_per_trial(w)))
-    runner = _kernel.run_chunk if backend == "cython" else _numpy_backend.run_chunk
-    runner(uniforms, tables, counts)
+    _numpy_backend.run_chunk(uniforms, tables, counts)
     return counts
 
 
@@ -182,8 +206,10 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
     The trials are split into chunks that run as tasks on one pool of up to
     ``mc.shards`` threads, every available CPU when ``None``.  A chunk holds
     at most ``_TASK_WORD_TARGET`` stream words and the running chunks
-    together at most ``_CHUNK_WORD_TARGET``; on the counter source a task
-    is one batch of ``_numpy_backend._COUNTER_BATCH`` trials.
+    together at most ``_CHUNK_WORD_TARGET``, counting every word of a trial
+    even where the C kernel computes only those it reads; on the numpy
+    counter source a task is one batch of ``_numpy_backend._COUNTER_BATCH``
+    trials.
 
     Deterministic for a fixed (cfg, trials, seed): worker count, chunking and
     backend choice never alter the histogram.  Raises ``ValueError`` when
@@ -192,17 +218,15 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
     if cfg.m > MAX_M:
         raise ValueError(f"m={cfg.m} exceeds the Monte Carlo limit m <= {MAX_M}, "
                          "beyond which one trial's stream words outgrow a chunk")
-    chosen = backend or default_backend()
-    if chosen not in available_backends():
-        raise ValueError(f"unknown or unavailable backend {chosen!r}")
+    chosen = backend_choice(backend)[0]
     tables = build_tables(cfg)
     slots = slots_per_trial(tables.n_windows)
     # Running chunks of one trial each must still fit in the word target,
     # which leaves m = MAX_M one worker.
     workers = min(mc.shards or _available_cpus(), _CHUNK_WORD_TARGET // slots)
-    counter = chosen == "numpy" and _numpy_backend.counter_source_pays(tables)
-    if counter:
-        chunk = _numpy_backend._COUNTER_BATCH
+    run_counter = _ckernel.load()[0] if chosen == "c" else None
+    if run_counter is None and _numpy_backend.counter_source_pays(tables):
+        run_counter, chunk = _numpy_backend.run_counter, _numpy_backend._COUNTER_BATCH
     else:
         words = min(_TASK_WORD_TARGET, _CHUNK_WORD_TARGET // workers)
         chunk = max(1, min(words // slots, -(-mc.trials // workers)))
@@ -215,8 +239,8 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
     pending = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for lo in starts:
-            pending.append(pool.submit(_simulate_range, tables, mc.seed, chosen, counter,
-                                       lo, min(lo + chunk, mc.trials)))
+            pending.append(pool.submit(_simulate_range, tables, mc.seed, run_counter, lo,
+                                       min(lo + chunk, mc.trials)))
             if len(pending) > 2 * workers:
                 counts += pending.popleft().result()
         for future in pending:

@@ -1,0 +1,121 @@
+"""Build, cache and load the C kernel ``_ckernel.c`` on first use.
+
+The library is compiled with the interpreter's C compiler (sysconfig's
+``CC``, else ``cc``) at ``-O2``, and never with ``-ffast-math``, which
+would change the comparisons that decide each outcome.  It is cached under
+a name keyed by the sha256 of the source and the platform tag, in
+``CACHE_DIR`` or, where that is not writable, in the user cache
+(``$XDG_CACHE_HOME/photonmux`` or ``~/.cache/photonmux``).  Each build
+writes a temporary file and renames it into place, so a reader never sees
+a partial library.  ctypes releases the interpreter lock for the call, so
+the kernel runs in parallel on the worker threads of ``simulate``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import tempfile
+import threading
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_ckernel.c")
+CACHE_DIR = SOURCE.parent / "__pycache__"
+
+_lock = threading.Lock()
+# What ``load`` returns, set once under the lock.
+_loaded = None
+
+
+class BuildError(Exception):
+    """The kernel could not be built: the compiler's first error line, or no
+    writable cache directory."""
+
+
+def _user_cache() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "photonmux"
+
+
+def compile_library(output: Path) -> None:
+    """Compile ``SOURCE`` into the shared library ``output``."""
+    # Imported on first build, so that importing photonmux does not pay for them.
+    import shlex
+    import subprocess
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    proc = subprocess.run([*cc, "-O2", "-shared", "-fPIC", "-o", str(output), str(SOURCE)],
+                          capture_output=True, text=True)
+    if proc.returncode:
+        lines = [line for line in proc.stderr.splitlines() if line.strip()]
+        errors = [line for line in lines if "error" in line]
+        raise BuildError((errors or lines or [f"{cc[0]} exited with status {proc.returncode}"])[0])
+
+
+def _library() -> Path:
+    """Path of the built library, compiling it into the first writable cache."""
+    import sysconfig
+
+    digest = hashlib.sha256(SOURCE.read_bytes()).hexdigest()[:16]
+    name = f"_ckernel-{digest}-{sysconfig.get_platform()}.so"
+    for directory in (CACHE_DIR, _user_cache()):
+        path = directory / name
+        if path.exists():
+            return path
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckernel-", suffix=".so")
+        except OSError:
+            continue  # not writable: try the next cache
+        os.close(fd)
+        try:
+            compile_library(Path(tmp))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return path
+    raise BuildError(f"no writable cache directory for the C kernel ({CACHE_DIR}, {_user_cache()})")
+
+
+def _bind(path: Path):
+    """``run_counter`` of the library at ``path``, with its argument types declared."""
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    fn = ctypes.CDLL(str(path)).run_counter
+    fn.restype = None
+    fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,
+                   ctypes.c_double, doubles, doubles, doubles, ctypes.c_int64,
+                   np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")]
+
+    def run_counter(seed: int, start: int, stop: int, tables, counts: np.ndarray) -> None:
+        """Add the surviving counts of trials [start, stop) to ``counts``."""
+        side = tables.pair_cdf.size
+        if not (tables.herald_prob.size == counts.size == side
+                and tables.survival_cdf.shape == (side, side)):
+            raise ValueError("sampling tables and counts must share one pair-count cap")
+        fn(seed, start, stop, tables.n_windows, tables.p_dark, tables.pair_cdf,
+           tables.herald_prob, tables.survival_cdf, side, counts)
+
+    return run_counter
+
+
+def load():
+    """(run_counter, detail), building the kernel on the first call.
+
+    ``run_counter`` is None when the kernel cannot be built or loaded, and
+    ``detail`` is then the reason; else it says where the library was
+    loaded from.  A failed build raises nothing.
+    """
+    global _loaded
+    with _lock:
+        if _loaded is None:
+            try:
+                path = _library()
+                _loaded = (_bind(path), f"loaded from {path}")
+            except (BuildError, OSError) as exc:
+                _loaded = (None, str(exc))
+        return _loaded

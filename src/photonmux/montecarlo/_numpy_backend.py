@@ -6,12 +6,13 @@ trial; each later block is twice as wide as the one before and is read only
 for the trials that have not triggered yet.  A trial leaves the scan at its
 first triggered window, and a trial that never triggers routes window W-1.
 
-This reads exactly the words that the compiled kernel reads: the pair,
-herald and dark words of every window up to and including the first
-triggered one, then the survival word.  Words of later windows may be
-loaded with the rest of their block, but they never decide an outcome, so
-both backends give the same routed count and the same survivors for every
-trial, and hence bit-identical histograms.
+The outcome of a trial is decided by the pair, herald and dark words of
+every window up to and including the first triggered one, then the
+survival word.  The C kernel reads just these words, one window at a time,
+and skips a window's dark word once its herald word has triggered.  This
+scan also loads words of later windows with the rest of their block, but
+they never decide an outcome, so both backends give the same routed count
+and the same survivors for every trial, and hence bit-identical histograms.
 
 The scan takes its words from one of two sources, which hold the same
 words: a chunk of stream words pre-drawn in order (``run_chunk``), or
@@ -33,12 +34,14 @@ from ._tables import SamplingTables, slots_per_trial
 __all__ = ["run_chunk", "run_counter", "counter_source_pays"]
 
 _FIRST_BLOCK = 8
-# A block computed by counter costs 150-250 ns against about 40 ns for one
-# drawn in sequence.  Measured on a 2-vCPU x86-64 host, the two sources
-# break even where the sequential draw makes 4-5 times the blocks the
-# counter source computes on one thread, and 6-7 times on two worker
-# threads, the default there, from which the counter source gains less.
-# It is used only above 7 times.
+# Applies only where the numpy backend runs, as the fallback when the C
+# kernel cannot be built or when it is asked for.  A block computed by
+# counter in numpy costs 150-250 ns against about 40 ns for one drawn in
+# sequence.  Measured on a 2-vCPU x86-64 host, the two sources break even
+# where the sequential draw makes 4-5 times the blocks the counter source
+# computes on one thread, and 6-7 times on two worker threads, the default
+# there, from which the counter source gains less.  It is used only above
+# 7 times.
 _COUNTER_COST_MARGIN = 7
 # Trials per counter batch.  The first scan block's one Philox evaluation
 # then covers some 30k-50k blocks: enough to hide numpy's fixed cost of

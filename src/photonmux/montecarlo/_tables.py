@@ -13,7 +13,8 @@ uniforms, then dark-count uniforms, then one survival uniform, then padding.
 Word j of trial t is lane j % 4 of the Philox4x64-10 block with counter
 t*S/4 + j//4 + 1 (the upper three counter words zero) and key (seed, 0),
 and its double is (x >> 11) * 2**-53, as ``Generator.random`` maps it.
-This lets the numpy backend compute only the blocks it reads.
+This lets the C kernel, and the numpy backend on deep multiplexers,
+compute only the blocks they read.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def philox_at_trial(seed: int, trial_index: int, n_windows: int) -> np.random.Ge
 
 @dataclass(frozen=True)
 class SamplingTables:
-    """Inverse-CDF tables shared by the compiled and the numpy backend."""
+    """Inverse-CDF tables shared by the C kernel and the numpy backend."""
 
     pair_cdf: np.ndarray       # cumulative Poisson(mu), length cap+1
     herald_prob: np.ndarray    # P(>=1 idler click | n pairs), length cap+1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import photonmux
-from photonmux import SourceConfig, ideal_distribution, validate
+from photonmux import SourceConfig, ideal_distribution, montecarlo, validate
 from photonmux.cli import ConfigError, main, parse_config_text, parse_source_config
 
 MINIMAL = """
@@ -209,10 +209,19 @@ def test_validate_rejects_fractional_trials(capsys):
     assert out == ""
 
 
-def test_validate_fast_smoke():
-    proc = run_cli(["validate", "--trials", "2e4", "--seed", "42"])
+def test_validate_fast_smoke(monkeypatch):
+    # The backend that ran, and why, goes to stderr; stdout does not depend on it.
+    monkeypatch.delenv("PHOTONMUX_BACKEND", raising=False)
+    backend, reason = montecarlo.backend_choice()
+    args = ["validate", "--trials", "2e4", "--seed", "42"]
+    proc = run_cli(args, env_extra={"PHOTONMUX_BACKEND": ""})
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "validation: PASS" in proc.stdout
+    assert proc.stderr.splitlines() == [f"photonmux validate: backend {backend} ({reason})"]
+    forced = run_cli(args, env_extra={"PHOTONMUX_BACKEND": "numpy"})
+    assert forced.stderr.splitlines() == [
+        "photonmux validate: backend numpy (PHOTONMUX_BACKEND=numpy)"]
+    assert forced.stdout == proc.stdout
 
 
 def test_validate_failing_check_exits_nonzero(monkeypatch, capsys):

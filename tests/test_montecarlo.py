@@ -16,7 +16,7 @@ from photonmux import (
     output_distribution,
     simulate,
 )
-from photonmux.montecarlo import MAX_M, MAX_TRIALS, _numpy_backend, available_backends
+from photonmux.montecarlo import MAX_M, MAX_TRIALS, _ckernel, _numpy_backend, available_backends
 from photonmux.montecarlo._philox import philox_doubles
 from photonmux.montecarlo._tables import build_tables, philox_at_trial, slots_per_trial
 from photonmux.validate import check_agreement
@@ -26,6 +26,10 @@ LOSSY = SourceConfig(m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
 DARK = SourceConfig(m=3, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
 # Deep enough that the numpy backend computes Philox blocks by counter.
 DEEP = SourceConfig(m=8, mu=0.5, e_h=0.85, e_s=0.9, e_sw_db=1.0)
+DEEP_DARK = SourceConfig(m=10, mu=0.05, e_h=0.85, e_s=0.9, e_sw_db=1.0, r_dark=5e6)
+# Skips a test only where no C compiler can build the kernel, with the
+# build error as the reason.
+needs_c = pytest.mark.skipif("c" not in BACKENDS, reason=_ckernel.load()[1])
 
 
 class TestConfig:
@@ -135,26 +139,26 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo, "_CHUNK_WORD_TARGET", 1 << 16)
         monkeypatch.setattr(_numpy_backend, "_COUNTER_BATCH", 512)
         tasks = []
-        for name in ("run_chunk", "run_counter"):
-            monkeypatch.setattr(_numpy_backend, name,
-                                counted(getattr(_numpy_backend, name), tasks))
+        monkeypatch.setattr(montecarlo, "_simulate_range",
+                            counted(montecarlo._simulate_range, tasks))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for cfg, counts in want.items():
+            for backend, (cfg, counts) in itertools.product(BACKENDS, want.items()):
                 tasks.clear()
-                hist = finish_within(60, simulate, cfg, McConfig(trials, seed, shards=8), "numpy")
-                assert len(tasks) >= 32 and len(set(tasks)) > 1, cfg
-                assert np.array_equal(hist.counts, counts), cfg
+                hist = finish_within(60, simulate, cfg, McConfig(trials, seed, shards=8), backend)
+                assert len(tasks) >= 32 and len(set(tasks)) > 1, (backend, cfg)
+                assert np.array_equal(hist.counts, counts), (backend, cfg)
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel unavailable")
+    # DEEP and DEEP_DARK run the numpy backend on its counter source.
+    @needs_c
     @pytest.mark.parametrize("cfg", [LOSSY, DARK, SourceConfig(m=0, mu=0.3),
-                                     SourceConfig.lossless(m=2, mu=0.05)])
+                                     SourceConfig.lossless(m=2, mu=0.05), DEEP, DEEP_DARK])
     def test_backends_bit_identical(self, cfg):
         mc = McConfig(trials=40_000, seed=123)
-        a = simulate(cfg, mc, backend="cython")
+        a = simulate(cfg, mc, backend="c")
         b = simulate(cfg, mc, backend="numpy")
         assert np.array_equal(a.counts, b.counts)
 
@@ -212,7 +216,8 @@ class TestNumpyKernel:
     # mu = 0 or e_h = 0 without dark counts makes every trial scan all
     # windows, the case where the counter source computes every block.
     # m = 0 and 1 are the layouts whose spans start inside a Philox block.
-    # The trial range straddles block counter 2**32.
+    # The trial range straddles block counter 2**32.  The C kernel, where
+    # it builds, computes its blocks by counter too.
     @pytest.mark.parametrize("r_dark", [0.0, 5e6])
     @pytest.mark.parametrize("m", [0, 1, 4, 6, 8, 10])
     def test_counter_source_matches_predrawn(self, m, r_dark):
@@ -221,14 +226,16 @@ class TestNumpyKernel:
         trials = max(64, (1 << 14) // slots)
         start = (1 << 32) // (slots // 4) - trials // 2
         uniforms = philox_at_trial(m + 3, start, w).random((trials, slots))
+        runners = [_numpy_backend.run_counter, _ckernel.load()[0]]
         for mu, e_h in itertools.product((0.0, 0.05, 0.5, 2.0), (0.0, 0.85, 1.0)):
             tables = build_tables(SourceConfig(m=m, mu=mu, e_h=e_h, e_s=0.9,
                                                e_sw_db=0.5, r_dark=r_dark))
             want = np.zeros(129, dtype=np.int64)
-            got = np.zeros(129, dtype=np.int64)
             _numpy_backend.run_chunk(uniforms, tables, want)
-            _numpy_backend.run_counter(m + 3, start, start + trials, tables, got)
-            assert np.array_equal(got, want), (mu, e_h)
+            for run_counter in filter(None, runners):
+                got = np.zeros(129, dtype=np.int64)
+                run_counter(m + 3, start, start + trials, tables, got)
+                assert np.array_equal(got, want), (run_counter, mu, e_h)
 
     def test_counter_source_across_batches(self):
         batch = _numpy_backend._COUNTER_BATCH
@@ -268,6 +275,73 @@ class TestNumpyKernel:
             tracemalloc.stop()
         assert np.array_equal(got, want)
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def fresh_kernel(monkeypatch, cache_dir, builds: list):
+    """Point the loader at an empty ``cache_dir``, forget the loaded kernel and
+    count the compiler runs in ``builds``."""
+    monkeypatch.delenv("PHOTONMUX_BACKEND", raising=False)
+    monkeypatch.setattr(_ckernel, "CACHE_DIR", cache_dir)
+    monkeypatch.setattr(_ckernel, "_loaded", None)
+    monkeypatch.setattr(_ckernel, "compile_library", counted(_ckernel.compile_library, builds))
+
+
+@needs_c
+class TestCKernelBuild:
+    def test_first_simulate_builds_then_the_cache_serves(self, tmp_path, monkeypatch):
+        builds = []
+        fresh_kernel(monkeypatch, tmp_path, builds)
+        want = simulate(LOSSY, McConfig(trials=5_000, seed=3), "numpy").counts
+        first = simulate(LOSSY, McConfig(trials=5_000, seed=3))
+        assert first.backend == "c" and len(builds) == 1
+        monkeypatch.setattr(_ckernel, "_loaded", None)  # a fresh process
+        again = simulate(LOSSY, McConfig(trials=5_000, seed=3))
+        assert again.backend == "c" and len(builds) == 1
+        assert np.array_equal(first.counts, want) and np.array_equal(again.counts, want)
+        assert [p.name for p in tmp_path.iterdir()] == [_ckernel._library().name]
+
+    def test_concurrent_cold_start_builds_one_library(self, tmp_path, monkeypatch):
+        builds = []
+        fresh_kernel(monkeypatch, tmp_path, builds)
+        mc = McConfig(trials=5_000, seed=4)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(simulate(DARK, mc)))
+                   for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 and {hist.backend for hist in results} == {"c"}
+        assert all(np.array_equal(hist.counts, results[0].counts) for hist in results)
+        assert len(builds) == 1 and len(list(tmp_path.iterdir())) == 1
+
+    def test_unwritable_cache_falls_back_to_the_user_cache(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")  # no directory can be made below a file, even as root
+        builds = []
+        fresh_kernel(monkeypatch, blocker / "cache", builds)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert simulate(LOSSY, McConfig(trials=1_000, seed=5)).backend == "c"
+        assert len(builds) == 1
+        assert len(list((tmp_path / "xdg" / "photonmux").glob("_ckernel-*.so"))) == 1
+
+    def test_failed_build_falls_back_to_numpy_with_the_compiler_error(self, tmp_path,
+                                                                      monkeypatch):
+        source = tmp_path / "broken.c"
+        source.write_text("int run_counter(void) { return undeclared; }\n")
+        monkeypatch.setattr(_ckernel, "SOURCE", source)
+        fresh_kernel(monkeypatch, tmp_path / "cache", [])
+        run, detail = _ckernel.load()
+        assert run is None and "undeclared" in detail and "\n" not in detail
+        assert montecarlo.backend_choice() == (
+            "numpy", f"fallback, the C kernel is unavailable: {detail}")
+        assert available_backends() == ("numpy",)
+        assert simulate(LOSSY, McConfig(trials=1_000, seed=5)).backend == "numpy"
+        monkeypatch.setenv("PHOTONMUX_BACKEND", "c")
+        with pytest.raises(RuntimeError, match="undeclared"):
+            simulate(LOSSY, McConfig(trials=1_000, seed=5))
+        assert not list((tmp_path / "cache").iterdir())
 
 
 class TestEventRules:
