@@ -3,12 +3,13 @@
 The library is compiled with the interpreter's C compiler (sysconfig's
 ``CC``, else ``cc``) at ``-O2``, and never with ``-ffast-math``, which
 would change the comparisons that decide each outcome.  It is cached under
-a name keyed by the sha256 of the source and the platform tag, in
-``CACHE_DIR`` or, where that is not writable, in the user cache
-(``$XDG_CACHE_HOME/photonmux`` or ``~/.cache/photonmux``).  Each build
-writes a temporary file and renames it into place, so a reader never sees
-a partial library.  ctypes releases the interpreter lock for the call, so
-the kernel runs in parallel on the worker threads of ``simulate``.
+a name keyed by the sha256 of the source and of the compile command (the
+compiler and ``CFLAGS``) and by the platform tag, in ``CACHE_DIR`` or,
+where that is not writable, in the user cache (``$XDG_CACHE_HOME/photonmux``
+or ``~/.cache/photonmux``).  Each build writes a temporary file and renames
+it into place, so a reader never sees a partial library.  ctypes releases
+the interpreter lock for the call, so the kernel runs in parallel on the
+worker threads of ``simulate``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_ckernel.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
+CFLAGS = ("-O2", "-shared", "-fPIC")
 
 _lock = threading.Lock()
 # What ``load`` returns, set once under the lock.
@@ -40,28 +42,36 @@ def _user_cache() -> Path:
     return Path(base) / "photonmux"
 
 
-def compile_library(output: Path) -> None:
-    """Compile ``SOURCE`` into the shared library ``output``."""
-    # Imported on first build, so that importing photonmux does not pay for them.
+def compiler() -> list:
+    """The compiler and its flags, without the source and output paths."""
+    # Imported on first use, so that importing photonmux does not pay for them.
     import shlex
-    import subprocess
     import sysconfig
 
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    proc = subprocess.run([*cc, "-O2", "-shared", "-fPIC", "-o", str(output), str(SOURCE)],
+    return [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *CFLAGS]
+
+
+def compile_library(output: Path) -> None:
+    """Compile ``SOURCE`` into the shared library ``output``."""
+    import subprocess
+
+    command = compiler()
+    proc = subprocess.run([*command, "-o", str(output), str(SOURCE)],
                           capture_output=True, text=True)
     if proc.returncode:
         lines = [line for line in proc.stderr.splitlines() if line.strip()]
         errors = [line for line in lines if "error" in line]
-        raise BuildError((errors or lines or [f"{cc[0]} exited with status {proc.returncode}"])[0])
+        status = f"{command[0]} exited with status {proc.returncode}"
+        raise BuildError((errors or lines or [status])[0])
 
 
 def _library() -> Path:
     """Path of the built library, compiling it into the first writable cache."""
     import sysconfig
 
-    digest = hashlib.sha256(SOURCE.read_bytes()).hexdigest()[:16]
-    name = f"_ckernel-{digest}-{sysconfig.get_platform()}.so"
+    key = hashlib.sha256(SOURCE.read_bytes())
+    key.update("\0".join(compiler()).encode())
+    name = f"_ckernel-{key.hexdigest()[:16]}-{sysconfig.get_platform()}.so"
     for directory in (CACHE_DIR, _user_cache()):
         path = directory / name
         if path.exists():

@@ -5,13 +5,15 @@ of the pump rate, but unimodality is never assumed blindly: a coarse
 logarithmic grid locates every local maximum and golden-section search
 refines each candidate bracket.  The SNR constraint is handled through the
 feasible set on the same grid, with bisection at every feasibility crossing.
+Both searches send the candidate points of their next few steps to the loss
+chain in one call and then take those steps as a one-step loop would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +24,11 @@ from .stats import DEFAULT_N_MAX, mandel_q, snr
 __all__ = ["OptimizationResult", "optimize_mu", "max_p1_with_snr_floor"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Search steps per loss-chain call: golden-section and bisection searches
+# send every point their next _LOOKAHEAD steps could test at once, 15 for a
+# bisection.  Of 3 to 6, 4 ran figure2() plus figure5() fastest: a deeper
+# tree saves chain calls but costs more Python per step.
+_LOOKAHEAD = 4
 DEFAULT_MU_RANGE = (1e-4, 2.0)
 MIN_COARSE_POINTS = 64
 
@@ -49,30 +56,72 @@ class OptimizationResult:
     constraint_active: bool = False
 
 
+def _lookahead(state, done, points, test, follow, evaluate):
+    """Run the one-step search
+
+        while not done(state):
+            state = follow(state, test(*[f(x) for x in points(state)]))
+
+    with _LOOKAHEAD steps per call of ``evaluate``, which maps a list of
+    points to an array of their values f(x).  ``follow(state, outcome)`` is
+    the successor of ``state`` on a true or false test.  Each call expands
+    the next _LOOKAHEAD levels of the tree of states and evaluates, at once,
+    every point those states read that no earlier call did; the walk down
+    the tree then tests one state per level as the one-step loop does.  It
+    reaches the same states wherever ``evaluate`` gives a point the same
+    value in any batch.  The tree is expanded whole, past states that are
+    done: testing every state cost more than the points it would save.
+    Returns (final state, steps taken).
+    """
+    values = {}
+    steps = 0
+    while not done(state):
+        level, ahead = [state], []
+        for depth in range(_LOOKAHEAD):
+            if depth:
+                level = [child for node in level
+                         for child in (follow(node, True), follow(node, False))]
+            for node in level:
+                ahead += points(node)
+        batch = [x for x in dict.fromkeys(ahead) if x not in values]
+        values.update(zip(batch, evaluate(batch).tolist()))
+        for _ in range(_LOOKAHEAD):
+            if done(state):
+                break
+            state = follow(state, test(*[values[x] for x in points(state)]))
+            steps += 1
+    return state, steps
+
+
 def _golden_max(
-    f: Callable[[float], float],
+    f: Callable[[Sequence[float]], np.ndarray],
     lo: float,
     hi: float,
     tol: float,
 ) -> Tuple[float, float, int]:
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
+    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals).
+
+    ``f`` maps a list of points to an array of values.  A state is the
+    bracket (a, b) with its inner points (c, d), and the side of the larger
+    of f(c) and f(d) is kept.  ``evals`` counts the two first inner points,
+    one per step and the final midpoint.
+    """
+    def follow(state, keep_left):
+        a, b, c, d = state
+        if keep_left:
+            return a, d, d - _GOLDEN * (d - a), c
+        return c, b, d, c + _GOLDEN * (b - c)
+
+    (a, b, _, _), steps = _lookahead(
+        (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)),
+        done=lambda state: not (state[1] - state[0]) > tol,
+        points=lambda state: state[2:],
+        test=lambda fc, fd: fc >= fd,
+        follow=follow,
+        evaluate=f,
+    )
     x = 0.5 * (a + b)
-    return x, f(x), evals + 1
+    return x, float(f([x])[0]), steps + 3
 
 
 def _local_maxima(values: np.ndarray) -> list:
@@ -119,8 +168,8 @@ def optimize_mu(
     points = max(int(coarse_points), MIN_COARSE_POINTS)
     grid = np.geomspace(lo, hi, points)
 
-    def p1_of(mu: float) -> float:
-        return _p1_snr(cfg_template, mu, n_max)[0]
+    def p1_of(mu: Sequence[float]) -> np.ndarray:
+        return p1_snr_curve(cfg_template, mu, n_max)[0]
 
     grid_p1, _ = p1_snr_curve(cfg_template, grid, n_max)
     best_x = float(grid[int(np.argmax(grid_p1))])
@@ -182,13 +231,21 @@ def _bisect_snr_boundary(
     ``feasible`` has SNR >= target and ``infeasible`` has SNR < target; they
     may come in either order.  Returns the feasible end of the final bracket.
     """
-    ok, bad = feasible, infeasible
-    while abs(bad - ok) > tol * max(1.0, ok, bad):
-        mid = 0.5 * (ok + bad)
-        if _p1_snr(cfg, mid, n_max)[1] >= target:
-            ok = mid
-        else:
-            bad = mid
+    def mid(state):
+        return 0.5 * (state[0] + state[1])
+
+    def done(state):
+        ok, bad = state
+        return not abs(bad - ok) > tol * max(1.0, ok, bad)
+
+    (ok, _), _ = _lookahead(
+        (feasible, infeasible),
+        done=done,
+        points=lambda state: (mid(state),),
+        test=lambda snr_mid: snr_mid >= target,
+        follow=lambda state, ok_mid: (mid(state), state[1]) if ok_mid else (state[0], mid(state)),
+        evaluate=lambda mu: p1_snr_curve(cfg, mu, n_max)[1],
+    )
     return ok
 
 

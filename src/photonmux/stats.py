@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
     "poisson_rows",
     "binomial_matrix",
     "ideal_distribution",
+    "check_rows",
+    "moments",
     "mandel_q",
     "snr",
 ]
@@ -140,20 +142,9 @@ class PhotonDistribution:
         probs = np.array(self.probs, dtype=float)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or probs.size != self.n_max + 1:
+        if probs.ndim != 1:
             raise ValueError(f"probs must have length n_max+1 = {self.n_max + 1}, got {probs.size}")
-        if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if not (self.tail_mass >= -1e-15):
-            raise ValueError(f"tail_mass must be >= 0, got {self.tail_mass}")
-        if self.tail_mass >= TAIL_LIMIT:
-            raise TruncationError(
-                f"tail mass {self.tail_mass:.3e} beyond n_max={self.n_max} exceeds "
-                f"{TAIL_LIMIT:.0e}; increase n_max"
-            )
-        total = float(probs.sum()) + self.tail_mass
-        if abs(total - 1.0) > _NORM_TOL:
-            raise ValueError(f"distribution does not normalize: sum={total!r}")
+        check_rows(probs[None], np.array([self.tail_mass], dtype=float), self.n_max)
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     def p(self, n: int) -> float:
@@ -167,19 +158,57 @@ class PhotonDistribution:
         return float(self.probs[k:].sum()) + self.tail_mass
 
     def mean(self) -> float:
-        n = np.arange(self.n_max + 1)
-        return float(n @ self.probs)
+        return moments(self.probs)[0]
 
     def variance(self) -> float:
-        n = np.arange(self.n_max + 1)
-        m1 = float(n @ self.probs)
-        m2 = float((n * n) @ self.probs)
-        return m2 - m1 * m1
+        return moments(self.probs)[1]
 
     def with_meta(self, **entries) -> "PhotonDistribution":
         merged = dict(self.meta)
         merged.update(entries)
         return PhotonDistribution(self.probs, self.n_max, self.tail_mass, merged)
+
+
+def check_rows(probs: np.ndarray, tail: np.ndarray, n_max: int) -> None:
+    """The checks of :class:`PhotonDistribution` on each row of ``probs``.
+
+    ``probs`` has one distribution over n = 0..n_max per row and ``tail``
+    their tail masses.  Every entry must lie in [0, 1] within 1e-12, every
+    tail mass in [0, TAIL_LIMIT) within 1e-15, and each row with its tail
+    must sum to 1 within _NORM_TOL.  The first failing row raises what
+    ``PhotonDistribution(row, n_max, tail)`` raises for it.
+    """
+    if probs.ndim != 2 or probs.shape[1] != n_max + 1:
+        raise ValueError(f"probs must have length n_max+1 = {n_max + 1}, got {probs.shape[-1]}")
+    total = probs.sum(axis=1) + tail
+    outside = ((probs < -1e-12) | (probs > 1.0 + 1e-12)).any(axis=1)
+    faults = outside | ~(tail >= -1e-15)
+    faults |= tail >= TAIL_LIMIT
+    faults |= np.abs(total - 1.0) > _NORM_TOL
+    if not faults.any():
+        return
+    row = int(np.argmax(faults))
+    if outside[row]:
+        raise ValueError("probabilities must lie in [0, 1]")
+    if not tail[row] >= -1e-15:
+        raise ValueError(f"tail_mass must be >= 0, got {float(tail[row])}")
+    if tail[row] >= TAIL_LIMIT:
+        raise TruncationError(
+            f"tail mass {tail[row]:.3e} beyond n_max={n_max} exceeds "
+            f"{TAIL_LIMIT:.0e}; increase n_max"
+        )
+    raise ValueError(f"distribution does not normalize: sum={float(total[row])!r}")
+
+
+def moments(probs: np.ndarray) -> Tuple[float, float]:
+    """Mean and variance of the photon number under the pmf ``probs`` (n = 0..len-1).
+
+    The one evaluation behind ``PhotonDistribution.mean``, ``variance`` and
+    :func:`mandel_q`: the mean is computed once and reused for the variance.
+    """
+    n = np.arange(probs.size)
+    mean = float(n @ probs)
+    return mean, float((n * n) @ probs) - mean * mean
 
 
 def _vacuum(n_max: int, **meta) -> PhotonDistribution:
@@ -227,10 +256,14 @@ def mandel_q(dist: PhotonDistribution) -> float:
     Zero for Poissonian light, -1 for a photon-number state; negative values
     indicate sub-poissonian statistics.
     """
-    mean = dist.mean()
+    mean, variance = moments(dist.probs)
     if mean <= 0.0:
         raise ValueError("Mandel Q is undefined for the vacuum state (<n> = 0)")
-    return (dist.variance() - mean) / mean
+    return _mandel_q(mean, variance)
+
+
+def _mandel_q(mean: float, variance: float) -> float:
+    return (variance - mean) / mean
 
 
 def snr(dist: PhotonDistribution) -> float:

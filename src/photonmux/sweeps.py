@@ -22,7 +22,7 @@ from ._version import __version__
 from .config import SourceConfig
 from .losses import _output_rows, output_distribution
 from .optimize import DEFAULT_MU_RANGE, max_p1_with_snr_floor, optimize_mu
-from .stats import DEFAULT_N_MAX, PhotonDistribution, mandel_q, snr
+from .stats import DEFAULT_N_MAX, _mandel_q, check_rows, moments
 
 __all__ = [
     "SweepRecord",
@@ -82,34 +82,50 @@ _CONFIG_ECHO = ("m", "delta_t0_ns", "mu", "e_h", "e_s", "e_sw_db", "r_dark", "mu
 def record_for(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX, mu_opt: Optional[float] = None,
                snr_target: Optional[float] = None) -> SweepRecord:
     """Evaluate the full loss chain at one configuration."""
-    return _record(cfg, output_distribution(cfg, n_max), mu_opt, snr_target)
+    dist = output_distribution(cfg, n_max)
+    return _records([cfg], dist.probs[None], np.array([dist.tail_mass]), mu_opt, snr_target)[0]
 
 
 def _curve(template: SourceConfig, axis: str, values: Iterable[float], n_max: int) -> list:
     """Records along ``axis`` (``mu`` or ``e_sw_db``) from one call into the
-    loss-chain core; each row becomes a record as :func:`record_for` makes one."""
+    loss-chain core; the rows pass the checks a PhotonDistribution applies,
+    and each becomes a record as :func:`record_for` makes one."""
     cfgs = [template.replace(**{axis: float(value)}) for value in values]
     probs, tail = _output_rows(np.array([cfg.mu for cfg in cfgs]),
                                np.array([cfg.e_s_total for cfg in cfgs]),
                                template.e_h, template.n_windows, template.p_dark, n_max)
-    return [_record(cfg, PhotonDistribution(row, n_max, float(rest)))
-            for cfg, row, rest in zip(cfgs, probs, tail)]
+    check_rows(probs, tail, n_max)
+    return _records(cfgs, probs, tail)
 
 
-def _record(cfg: SourceConfig, dist: PhotonDistribution, mu_opt: Optional[float] = None,
-            snr_target: Optional[float] = None) -> SweepRecord:
-    mean = dist.mean()
-    return SweepRecord(
-        **{name: getattr(cfg, name) for name in _CONFIG_ECHO},
-        clock_freq_hz=cfg.clock_hz,
-        p0=dist.p(0),
-        p1=dist.p(1),
-        p_ge2=dist.p_ge(2),
-        snr=snr(dist),
-        mandel_q=mandel_q(dist) if mean > 0 else math.nan,
-        mu_opt=mu_opt,
-        snr_target=snr_target,
-    )
+def _records(cfgs: Sequence[SourceConfig], probs: np.ndarray, tail: np.ndarray,
+             mu_opt: Optional[float] = None, snr_target: Optional[float] = None) -> list:
+    """One record per configuration from its output row and tail mass.
+
+    P_>=2 is summed as ``PhotonDistribution.p_ge(2)`` sums it, the SNR is
+    :func:`snr`'s ratio, and the moments are those of :func:`mandel_q`, so
+    each value equals what those functions return for the row.
+    """
+    p_multi = probs[:, 2:].sum(axis=1) + tail
+    ratio = np.divide(probs[:, 1], p_multi, out=np.full_like(p_multi, np.inf),
+                      where=~(p_multi <= 0.0))
+    records = []
+    for cfg, row, p0, p1, p_ge2, row_snr in zip(cfgs, probs, probs[:, 0].tolist(),
+                                                probs[:, 1].tolist(), p_multi.tolist(),
+                                                ratio.tolist()):
+        mean, variance = moments(row)
+        records.append(SweepRecord(
+            **{name: getattr(cfg, name) for name in _CONFIG_ECHO},
+            clock_freq_hz=cfg.clock_hz,
+            p0=p0,
+            p1=p1,
+            p_ge2=p_ge2,
+            snr=row_snr,
+            mandel_q=_mandel_q(mean, variance) if mean > 0 else math.nan,
+            mu_opt=mu_opt,
+            snr_target=snr_target,
+        ))
+    return records
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,19 @@ class TestCKernelBuild:
         assert np.array_equal(first.counts, want) and np.array_equal(again.counts, want)
         assert [p.name for p in tmp_path.iterdir()] == [_ckernel._library().name]
 
+    def test_changed_flags_name_and_build_another_library(self, tmp_path, monkeypatch):
+        builds = []
+        fresh_kernel(monkeypatch, tmp_path, builds)
+        assert simulate(LOSSY, McConfig(trials=1_000, seed=6)).backend == "c"
+        first = _ckernel._library()
+        monkeypatch.setattr(_ckernel, "CFLAGS", (*_ckernel.CFLAGS, "-DPHOTONMUX_CACHE_KEY"))
+        monkeypatch.setattr(_ckernel, "_loaded", None)
+        assert _ckernel._library().name != first.name
+        assert simulate(LOSSY, McConfig(trials=1_000, seed=6)).backend == "c"
+        assert len(builds) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [first.name, _ckernel._library().name])
+
     def test_concurrent_cold_start_builds_one_library(self, tmp_path, monkeypatch):
         builds = []
         fresh_kernel(monkeypatch, tmp_path, builds)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from photonmux import SourceConfig, max_p1_with_snr_floor, optimize_mu, output_distribution
+from photonmux import SourceConfig, max_p1_with_snr_floor, optimize, optimize_mu, output_distribution
 from photonmux.losses import p1_snr_curve
 
 
@@ -89,3 +89,114 @@ class TestConstrained:
 
     def test_result_echoes_target(self):
         assert max_p1_with_snr_floor(self.CFG, 25.0).snr_target == 25.0
+
+
+# -- the batched tree search against the one-step loops ----------------------
+
+
+def _one_step_golden(f, lo, hi, tol):
+    """Golden-section search with one evaluation per step; f maps a list of
+    points to their values, as for optimize._golden_max."""
+    def value(x):
+        return float(f([x])[0])
+
+    a, b = lo, hi
+    c = b - optimize._GOLDEN * (b - a)
+    d = a + optimize._GOLDEN * (b - a)
+    fc, fd = value(c), value(d)
+    evals = 2
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - optimize._GOLDEN * (b - a)
+            fc = value(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + optimize._GOLDEN * (b - a)
+            fd = value(d)
+        evals += 1
+    x = 0.5 * (a + b)
+    return x, value(x), evals + 1
+
+
+def _one_step_bisection(cfg, feasible, infeasible, target, n_max, tol=1e-10):
+    """SNR-boundary bisection with one loss-chain call per step."""
+    ok, bad = feasible, infeasible
+    while abs(bad - ok) > tol * max(1.0, ok, bad):
+        mid = 0.5 * (ok + bad)
+        if float(p1_snr_curve(cfg, [mid], n_max)[1][0]) >= target:
+            ok = mid
+        else:
+            bad = mid
+    return ok
+
+
+def _random_configs(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield SourceConfig(m=int(rng.integers(0, 6)), mu=0.1, e_h=0.85, e_s=0.9,
+                           e_sw_db=float(rng.choice([0.5, 1.0])),
+                           r_dark=float(rng.choice([0.0, 5e6])))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_curve_entries_equal_one_point_calls(seed):
+    # The tree search relies on it: a point's P1 and SNR do not depend on
+    # the batch it is evaluated in.
+    rng = np.random.default_rng(100 + seed)
+    for cfg in _random_configs(seed, 8):
+        mu = rng.uniform(1e-4, 2.0, int(rng.integers(2, 80)))
+        p1, ratio = p1_snr_curve(cfg, mu)
+        for i, x in enumerate(mu):
+            one_p1, one_ratio = p1_snr_curve(cfg, [x])
+            assert one_p1[0].tobytes() == p1[i].tobytes()
+            assert one_ratio[0].tobytes() == ratio[i].tobytes()
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_bisection_equals_one_step_loop(seed):
+    grid = np.geomspace(1e-4, 2.0, 96)
+    for cfg in _random_configs(seed, 6):
+        _, ratio = p1_snr_curve(cfg, grid)
+        for target in (5.0, 50.0, float(ratio[40])):
+            crossing = np.flatnonzero(ratio < target)
+            if crossing.size == 0 or crossing[0] == 0:
+                continue
+            i = int(crossing[0])
+            ok, bad = float(grid[i - 1]), float(grid[i])
+            for tol in (1e-10, 1e-4):
+                want = _one_step_bisection(cfg, ok, bad, target, 30, tol)
+                assert optimize._bisect_snr_boundary(cfg, ok, bad, target, 30, tol) == want
+                # The ends in the other order: every test passes and the
+                # bracket closes on the upper end.
+                want = _one_step_bisection(cfg, bad, ok, 1.0 / target, 30, tol)
+                assert optimize._bisect_snr_boundary(cfg, bad, ok, 1.0 / target, 30, tol) == want
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_golden_section_equals_one_step_loop(seed):
+    for cfg in _random_configs(seed, 6):
+        def p1(mu):
+            return p1_snr_curve(cfg, mu)[0]
+
+        for lo, hi, tol in ((0.05, 0.9, 1e-6), (0.3, 0.31, 1e-9), (1e-4, 2.0, 1e-3),
+                            (0.2, 0.2 + 1e-7, 1e-6)):
+            assert optimize._golden_max(p1, lo, hi, tol) == _one_step_golden(p1, lo, hi, tol)
+
+
+def _fig2_and_fig5_results():
+    results = [optimize_mu(SourceConfig.lossless(m=m, mu=1e-4)) for m in range(11)]
+    for il in (0.5, 1.0):
+        for m in range(6):
+            cfg = SourceConfig(m=m, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=il)
+            results += [max_p1_with_snr_floor(cfg, target)
+                        for target in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0)]
+    return [repr(result) for result in results]
+
+
+def test_fig2_and_fig5_results_equal_one_step_searches(monkeypatch):
+    # Every field, iterations included, as the one-step searches give it.
+    batched = _fig2_and_fig5_results()
+    monkeypatch.setattr(optimize, "_golden_max", _one_step_golden)
+    monkeypatch.setattr(optimize, "_bisect_snr_boundary", _one_step_bisection)
+    assert batched == _fig2_and_fig5_results()

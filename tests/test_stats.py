@@ -15,7 +15,7 @@ from photonmux import (
     snr,
 )
 from photonmux.montecarlo import build_tables
-from photonmux.stats import binomial_matrix, poisson_vector
+from photonmux.stats import binomial_matrix, check_rows, moments, poisson_vector
 
 
 class TestPoissonPmf:
@@ -95,6 +95,14 @@ class TestPhotonDistribution:
         assert dist.p_ge(2) == pytest.approx(0.2)
         assert dist.p(5) == 0.0
 
+    def test_moments_share_one_evaluation(self):
+        dist = ideal_distribution(SourceConfig.lossless(m=3, mu=0.4))
+        n = np.arange(dist.n_max + 1)
+        mean = float(n @ dist.probs)
+        variance = float((n * n) @ dist.probs) - mean * mean
+        assert moments(dist.probs) == (dist.mean(), dist.variance()) == (mean, variance)
+        assert mandel_q(dist) == (variance - mean) / mean
+
     def test_meta_is_read_only(self):
         dist = PhotonDistribution(np.array([1.0, 0.0]), 1, meta={"a": 1})
         with pytest.raises(TypeError):
@@ -173,3 +181,50 @@ class TestSnr:
     def test_no_multiphoton_gives_infinity(self):
         probs = np.array([0.4, 0.6])
         assert snr(PhotonDistribution(probs, 1)) == math.inf
+
+
+def _raised(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestCheckRows:
+    """check_rows raises, for the first failing row, what PhotonDistribution raises."""
+
+    N_MAX = 8
+    GOOD = poisson_vector(0.1, N_MAX)
+    GOOD_TAIL = 1.0 - float(GOOD.sum())
+
+    def faulty(self):
+        outside = self.GOOD.copy()
+        outside[3] = -2e-12
+        return [
+            (outside, self.GOOD_TAIL),
+            (self.GOOD, -2e-15),
+            (self.GOOD * (1.0 - 2e-9), 2e-9),
+            (self.GOOD * 0.9, self.GOOD_TAIL),
+        ]
+
+    def test_good_rows_pass(self):
+        check_rows(np.tile(self.GOOD, (4, 1)), np.full(4, self.GOOD_TAIL), self.N_MAX)
+
+    def test_each_fault_raises_as_photon_distribution(self):
+        for row, tail in self.faulty():
+            want = _raised(lambda: PhotonDistribution(row, self.N_MAX, tail))
+            probs = np.tile(self.GOOD, (4, 1))
+            probs[2] = row
+            tails = np.full(4, self.GOOD_TAIL)
+            tails[2] = tail
+            assert _raised(lambda: check_rows(probs, tails, self.N_MAX)) == want
+
+    def test_first_failing_row_decides(self):
+        faults = self.faulty()
+        probs = np.array([self.GOOD, faults[3][0], faults[0][0]])
+        tails = np.array([self.GOOD_TAIL, faults[3][1], faults[0][1]])
+        want = _raised(lambda: PhotonDistribution(faults[3][0], self.N_MAX, faults[3][1]))
+        assert _raised(lambda: check_rows(probs, tails, self.N_MAX)) == want
+
+    def test_rejects_wrong_row_length(self):
+        with pytest.raises(ValueError, match="n_max\\+1 = 9"):
+            check_rows(np.tile(self.GOOD[:-1], (2, 1)), np.zeros(2), self.N_MAX)

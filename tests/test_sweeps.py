@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from photonmux import SourceConfig, clock_report, figure2, output_distribution
+from photonmux import SourceConfig, clock_report, figure2, output_distribution, sweeps
 from photonmux.optimize import optimize_mu
-from photonmux.stats import poisson_vector
+from photonmux.stats import PhotonDistribution, mandel_q, poisson_vector, snr
 from photonmux.sweeps import (
     SweepRecord,
     SweepTable,
@@ -99,13 +99,25 @@ class TestFigure5:
         assert all(a >= b - 1e-9 for a, b in zip(p1, p1[1:]))
 
 
+def _reference_row(cfg):
+    """A record's row as PhotonDistribution and stats compute it at one point."""
+    dist = output_distribution(cfg)
+    return (cfg.m, cfg.delta_t0_ns, cfg.mu, cfg.e_h, cfg.e_s, cfg.e_sw_db, cfg.r_dark,
+            cfg.mu_total, cfg.e_s_total, cfg.clock_hz, dist.p(0), dist.p(1), dist.p_ge(2),
+            snr(dist), mandel_q(dist) if dist.mean() > 0 else math.nan, None, None)
+
+
 def _assert_rows_match_record_for(table):
-    """Every record of a batched curve against a per-point record_for call."""
+    """Every record of a batched curve against a per-point record_for call,
+    and bit for bit against the figures of merit of its PhotonDistribution."""
     got = np.array([record.row() for record in table.records], dtype=float)
-    want = np.array([record_for(SourceConfig(
-        m=r.m, delta_t0_ns=r.delta_t0_ns, mu=r.mu, e_h=r.e_h, e_s=r.e_s,
-        e_sw_db=r.e_sw_db, r_dark=r.r_dark)).row() for r in table.records], dtype=float)
+    cfgs = [SourceConfig(m=r.m, delta_t0_ns=r.delta_t0_ns, mu=r.mu, e_h=r.e_h, e_s=r.e_s,
+                         e_sw_db=r.e_sw_db, r_dark=r.r_dark) for r in table.records]
+    want = np.array([record_for(cfg).row() for cfg in cfgs], dtype=float)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # repr tells every float apart and reads NaN as equal to NaN.
+    assert [repr(record.row()) for record in table.records] == [
+        repr(_reference_row(cfg)) for cfg in cfgs]
 
 
 class TestBatchedCurves:
@@ -123,6 +135,39 @@ class TestBatchedCurves:
     def test_sweep_axis_matches_record_for(self, axis, values):
         base = SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
         _assert_rows_match_record_for(sweep_axis(base, axis, values))
+
+
+class TestCurveRowChecks:
+    """Curve rows pass the checks a PhotonDistribution applies, row by row."""
+
+    BASE = SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+
+    @pytest.mark.parametrize("fault", ["outside", "negative_tail", "tail", "normalization"])
+    def test_faulty_row_raises_as_photon_distribution(self, monkeypatch, fault):
+        core = sweeps._output_rows
+
+        def faulty(*args):
+            probs, tail = core(*args)
+            probs, tail = probs.copy(), tail.copy()
+            if fault == "outside":
+                probs[1, 5] = -2e-12
+            elif fault == "negative_tail":
+                tail[1] = -2e-15
+            elif fault == "tail":
+                tail[1] = 2e-9
+            else:
+                probs[1] *= 0.9
+            want.append((probs[1].copy(), float(tail[1])))
+            return probs, tail
+
+        want = []
+        monkeypatch.setattr(sweeps, "_output_rows", faulty)
+        with pytest.raises(ValueError) as got:
+            sweep_axis(self.BASE, "mu", [0.05, 0.1, 0.2])
+        row, tail = want[0]
+        with pytest.raises(ValueError) as expected:
+            PhotonDistribution(row, 30, tail)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
 
 
 class TestSweepTable:
