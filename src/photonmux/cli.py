@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -100,17 +99,6 @@ def parse_source_config(path: Optional[str], overrides: Dict[str, float]) -> Sou
         return SourceConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: subcommand, source parameters and output sink."""
-
-    subcommand: str
-    source: Optional[SourceConfig]
-    output_path: Optional[str]
-    output_format: str
-    options: argparse.Namespace
 
 
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-__all__ = ["SourceConfig", "CONFIG_FIELDS"]
+__all__ = ["SourceConfig"]
 
 # Relative tolerance for the cross-check between mu and herald_rate_r.
 _MU_RATE_RTOL = 1e-12
@@ -142,6 +142,3 @@ class SourceConfig:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-CONFIG_FIELDS = tuple(f.name for f in fields(SourceConfig))

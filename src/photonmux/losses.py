@@ -32,6 +32,7 @@ from .stats import (
     binomial_matrix,
     ideal_distribution,
     poisson_rows,
+    snr_rows,
 )
 
 __all__ = [
@@ -113,6 +114,8 @@ def _output_rows(
     less than 1e-18.  Rows where 1 - sum(probs) reaches TAIL_LIMIT raise
     TruncationError, naming the worst mu.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     lam = mu * transmission
     width = 2 * n_max + 2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -248,8 +251,6 @@ def p1_snr_curve(
     if not ((mu >= 0) & (mu < np.inf)).all():
         raise ValueError("mu grid must be finite and >= 0")
     probs, tail = _output_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, n_max)
-    # P_>=2 summed as PhotonDistribution.p_ge(2) sums it, so snr() agrees.
-    p_multi = probs[:, 2:].sum(axis=1) + tail
-    ratio = np.divide(probs[:, 1], p_multi, out=np.full_like(p_multi, np.inf), where=p_multi > 0)
+    _, ratio = snr_rows(probs, tail)
     # A copy, so that holding P_1 does not hold the whole (rows, width) array.
     return probs[:, 1].copy(), ratio

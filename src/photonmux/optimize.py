@@ -12,14 +12,14 @@ chain in one call and then take those steps as a one-step loop would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import SourceConfig
 from .losses import output_distribution, p1_snr_curve
-from .stats import DEFAULT_N_MAX, mandel_q, snr
+from .stats import DEFAULT_N_MAX, PhotonDistribution, mandel_q, snr
 
 __all__ = ["OptimizationResult", "optimize_mu", "max_p1_with_snr_floor"]
 
@@ -42,6 +42,8 @@ class OptimizationResult:
     target cannot be met anywhere in the range; the remaining fields are NaN
     in that case.  ``constraint_active`` marks a constrained optimum pinned
     to the SNR boundary rather than the unconstrained peak.
+    ``distribution`` is the loss chain's output at ``mu_opt``, from which the
+    figures of merit were taken; None when infeasible.
     """
 
     mu_opt: float
@@ -54,6 +56,26 @@ class OptimizationResult:
     feasible: bool = True
     snr_target: Optional[float] = None
     constraint_active: bool = False
+    distribution: Optional[PhotonDistribution] = field(default=None, compare=False, repr=False)
+
+
+def _result_at(cfg: SourceConfig, mu: float, n_max: int, **outcome) -> OptimizationResult:
+    """The result at pump rate ``mu`` (cfg.mu is ignored), from one
+    loss-chain evaluation that the result keeps as its distribution."""
+    dist = output_distribution(cfg.replace(mu=mu), n_max)
+    return OptimizationResult(mu_opt=mu, p1_max=dist.p(1), snr_at_opt=snr(dist),
+                              mandel_q_at_opt=mandel_q(dist), distribution=dist, **outcome)
+
+
+def _coarse_grid(mu_range: Tuple[float, float], coarse_points: int, tol: float) -> np.ndarray:
+    """Logarithmic grid of at least MIN_COARSE_POINTS pump rates over
+    ``mu_range``, after the checks of the inputs both searches share."""
+    lo, hi = mu_range
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError(f"mu_range must satisfy 0 < lo < hi < inf, got {mu_range}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    return np.geomspace(lo, hi, max(int(coarse_points), MIN_COARSE_POINTS))
 
 
 def _lookahead(state, done, points, test, follow, evaluate):
@@ -156,17 +178,12 @@ def optimize_mu(
     cfg_template:
         Source configuration whose ``mu`` field is ignored and swept.
     mu_range:
-        Search interval (lo, hi], 0 < lo < hi.
+        Search interval (lo, hi], 0 < lo < hi < inf.
     tol:
         Absolute convergence tolerance in mu (> 0).
     """
-    lo, hi = mu_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    points = max(int(coarse_points), MIN_COARSE_POINTS)
-    grid = np.geomspace(lo, hi, points)
+    grid = _coarse_grid(mu_range, coarse_points, tol)
+    points = len(grid)
 
     def p1_of(mu: Sequence[float]) -> np.ndarray:
         return p1_snr_curve(cfg_template, mu, n_max)[0]
@@ -200,22 +217,8 @@ def optimize_mu(
     if best_f > p1_max:
         mu_opt, p1_max = best_x, best_f
 
-    at_opt = output_distribution(cfg_template.replace(mu=mu_opt), n_max)
-    return OptimizationResult(
-        mu_opt=mu_opt,
-        p1_max=at_opt.p(1),
-        snr_at_opt=snr(at_opt),
-        mandel_q_at_opt=mandel_q(at_opt),
-        iterations=iterations,
-        converged=converged,
-        boundary=boundary,
-    )
-
-
-def _p1_snr(cfg: SourceConfig, mu: float, n_max: int) -> Tuple[float, float]:
-    """P_1 and SNR of the loss chain at one pump rate (cfg.mu is ignored)."""
-    p1, ratio = p1_snr_curve(cfg, [mu], n_max)
-    return float(p1[0]), float(ratio[0])
+    return _result_at(cfg_template, mu_opt, n_max, iterations=iterations,
+                      converged=converged, boundary=boundary)
 
 
 def _bisect_snr_boundary(
@@ -259,22 +262,20 @@ def max_p1_with_snr_floor(
 ) -> OptimizationResult:
     """Maximize P_1 over mu subject to SNR(mu) >= snr_target.
 
-    SNR decreases with pump rate throughout the modeled regimes; this is
-    checked on the coarse grid at every call rather than assumed.  Feasible
-    sub-intervals are delimited by bisection at each grid crossing and the
-    unconstrained optimizer runs on each one.  An unreachable target yields
-    an explicit infeasibility result instead of an exception.
+    SNR decreases with pump rate throughout the modeled regimes, but the
+    search does not rely on it: every run of feasible points on the coarse
+    grid is delimited by bisection at its grid crossings, and the
+    unconstrained optimizer runs on each such sub-interval.  A NaN target is
+    rejected; an unreachable one, +inf included, yields an explicit
+    infeasibility result instead of an exception.
     """
+    if math.isnan(snr_target):
+        raise ValueError("snr_target must not be NaN")
     if snr_target <= 0:
         result = optimize_mu(cfg_template, mu_range, tol, coarse_points, n_max)
-        return OptimizationResult(
-            **{**result.__dict__, "snr_target": snr_target, "constraint_active": False}
-        )
-    lo, hi = mu_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")
-    points = max(int(coarse_points), MIN_COARSE_POINTS)
-    grid = np.geomspace(lo, hi, points)
+        return replace(result, snr_target=snr_target)
+    grid = _coarse_grid(mu_range, coarse_points, tol)
+    points = len(grid)
     _, grid_snr = p1_snr_curve(cfg_template, grid, n_max)
     feasible_mask = grid_snr >= snr_target
     iterations = points
@@ -310,24 +311,19 @@ def max_p1_with_snr_floor(
     best: Optional[OptimizationResult] = None
     for a, b in intervals:
         if b <= a:
-            x, fx = a, _p1_snr(cfg_template, a, n_max)[0]
-            sub = None
+            sub = _result_at(cfg_template, a, n_max, iterations=iterations, converged=True)
         else:
             sub = optimize_mu(cfg_template, (a, b), tol, coarse_points, n_max)
-            x, fx = sub.mu_opt, sub.p1_max
             iterations += sub.iterations
-        if best is None or fx > best.p1_max:
-            at_opt = output_distribution(cfg_template.replace(mu=x), n_max)
-            hit_boundary = sub is not None and sub.boundary == "upper" and b < hi
-            best = OptimizationResult(
-                mu_opt=x,
-                p1_max=at_opt.p(1),
-                snr_at_opt=snr(at_opt),
-                mandel_q_at_opt=mandel_q(at_opt),
+        if best is None or sub.p1_max > best.p1_max:
+            # A peak on the upper end of a sub-interval inside the range is
+            # the SNR boundary, not the edge of the search.
+            hit_boundary = sub.boundary == "upper" and b < mu_range[1]
+            best = replace(
+                sub,
                 iterations=iterations,
-                converged=True if hit_boundary else (sub.converged if sub else True),
-                boundary=None if hit_boundary else (sub.boundary if sub else None),
-                feasible=True,
+                converged=hit_boundary or sub.converged,
+                boundary=None if hit_boundary else sub.boundary,
                 snr_target=snr_target,
                 constraint_active=hit_boundary,
             )

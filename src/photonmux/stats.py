@@ -32,6 +32,7 @@ __all__ = [
     "moments",
     "mandel_q",
     "snr",
+    "snr_rows",
 ]
 
 DEFAULT_N_MAX = 30
@@ -267,14 +268,20 @@ def _mandel_q(mean: float, variance: float) -> float:
 
 
 def snr(dist: PhotonDistribution) -> float:
-    """Single-photon to multi-photon probability ratio, P_1 / P_>=2.
+    """Single-photon to multi-photon probability ratio, P_1 / P_>=2, as
+    :func:`snr_rows` gives it for the one row of ``dist``."""
+    return float(snr_rows(dist.probs[None], np.array([dist.tail_mass]))[1][0])
 
-    P_>=2 is ``dist.p_ge(2)``, the k >= 2 weights plus the truncation tail,
-    summed directly: 1 - P_0 - P_1 would cancel at low pump rates.  A
-    distribution with no multi-photon component at all yields positive
-    infinity.
+
+def snr_rows(probs: np.ndarray, tail: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """P_>=2 and the SNR P_1 / P_>=2 of each row of ``probs`` with its tail mass.
+
+    P_>=2 is the k >= 2 weights plus the truncation tail, summed directly:
+    1 - P_0 - P_1 would cancel at low pump rates.  A row with no
+    multi-photon component at all has SNR +inf.
     """
-    p_multi = dist.p_ge(2)
-    if p_multi <= 0.0:
-        return math.inf
-    return dist.p(1) / p_multi
+    p_multi = probs[:, 2:].sum(axis=1) + tail
+    # probs[:, 1:2].sum is P_1 itself, and 0 for rows truncated at n = 0.
+    ratio = np.divide(probs[:, 1:2].sum(axis=1), p_multi, out=np.full_like(p_multi, np.inf),
+                      where=~(p_multi <= 0.0))
+    return p_multi, ratio

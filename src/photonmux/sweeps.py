@@ -22,7 +22,7 @@ from ._version import __version__
 from .config import SourceConfig
 from .losses import _output_rows, output_distribution
 from .optimize import DEFAULT_MU_RANGE, max_p1_with_snr_floor, optimize_mu
-from .stats import DEFAULT_N_MAX, _mandel_q, check_rows, moments
+from .stats import DEFAULT_N_MAX, PhotonDistribution, _mandel_q, check_rows, moments, snr_rows
 
 __all__ = [
     "SweepRecord",
@@ -79,11 +79,17 @@ class SweepRecord:
 _CONFIG_ECHO = ("m", "delta_t0_ns", "mu", "e_h", "e_s", "e_sw_db", "r_dark", "mu_total", "e_s_total")
 
 
-def record_for(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX, mu_opt: Optional[float] = None,
-               snr_target: Optional[float] = None) -> SweepRecord:
+def record_for(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> SweepRecord:
     """Evaluate the full loss chain at one configuration."""
-    dist = output_distribution(cfg, n_max)
-    return _records([cfg], dist.probs[None], np.array([dist.tail_mass]), mu_opt, snr_target)[0]
+    return _record_of(output_distribution(cfg, n_max))
+
+
+def _record_of(dist: PhotonDistribution, mu_opt: Optional[float] = None,
+               snr_target: Optional[float] = None) -> SweepRecord:
+    """The record of one output distribution of the loss chain, whose
+    ``meta["config"]`` is the configuration it echoes."""
+    return _records([dist.meta["config"]], dist.probs[None], np.array([dist.tail_mass]),
+                    mu_opt, snr_target)[0]
 
 
 def _curve(template: SourceConfig, axis: str, values: Iterable[float], n_max: int) -> list:
@@ -102,13 +108,11 @@ def _records(cfgs: Sequence[SourceConfig], probs: np.ndarray, tail: np.ndarray,
              mu_opt: Optional[float] = None, snr_target: Optional[float] = None) -> list:
     """One record per configuration from its output row and tail mass.
 
-    P_>=2 is summed as ``PhotonDistribution.p_ge(2)`` sums it, the SNR is
-    :func:`snr`'s ratio, and the moments are those of :func:`mandel_q`, so
-    each value equals what those functions return for the row.
+    P_>=2 and the SNR come from :func:`snr_rows` and the moments from
+    :func:`moments`, so each value equals what :func:`snr` and
+    :func:`mandel_q` return for the row.
     """
-    p_multi = probs[:, 2:].sum(axis=1) + tail
-    ratio = np.divide(probs[:, 1], p_multi, out=np.full_like(p_multi, np.inf),
-                      where=~(p_multi <= 0.0))
+    p_multi, ratio = snr_rows(probs, tail)
     records = []
     for cfg, row, p0, p1, p_ge2, row_snr in zip(cfgs, probs, probs[:, 0].tolist(),
                                                 probs[:, 1].tolist(), p_multi.tolist(),
@@ -212,8 +216,7 @@ def figure2(
     for m in m_values:
         cfg = SourceConfig.lossless(m=m, mu=mu_range[0])
         result = optimize_mu(cfg, mu_range=mu_range, n_max=n_max)
-        at_opt = cfg.replace(mu=result.mu_opt)
-        records.append(record_for(at_opt, n_max, mu_opt=result.mu_opt))
+        records.append(_record_of(result.distribution, mu_opt=result.mu_opt))
     meta = {"config_hash": _input_hash(fig="fig2", m_values=m_values, n_max=n_max)}
     return SweepTable("fig2", tuple(records), meta)
 
@@ -284,9 +287,8 @@ def figure5(
             for target in snr_targets:
                 result = max_p1_with_snr_floor(template, float(target), mu_range, n_max=n_max)
                 if result.feasible:
-                    cfg = template.replace(mu=result.mu_opt)
-                    records.append(record_for(cfg, n_max, mu_opt=result.mu_opt,
-                                              snr_target=float(target)))
+                    records.append(_record_of(result.distribution, result.mu_opt,
+                                              result.snr_target))
                 else:
                     records.append(SweepRecord(
                         m=m, delta_t0_ns=template.delta_t0_ns, mu=math.nan,

@@ -186,6 +186,13 @@ class TestErrors:
         assert "mu" in record["message"]
         assert proc.stdout == ""
 
+    def test_negative_n_max_error_record(self, capsys):
+        assert main(["dist", "--mu", "0.1", "--n-max", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(err.strip().splitlines()[-1]) == {
+            "error": "ValueError", "message": "n_max must be >= 0, got -1", "subcommand": "dist"}
+        assert out == ""
+
     def test_success_has_no_error_record(self, tmp_path):
         proc = run_cli(["dist", "--mu", "0.1", "-o", str(tmp_path / "d.csv")])
         assert proc.returncode == 0

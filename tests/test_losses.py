@@ -324,6 +324,17 @@ class TestVectorizedCurve:
             output_distribution(cfg.replace(mu=10.0))
 
 
+@pytest.mark.parametrize("call", [
+    output_distribution,
+    heralded_distribution,
+    with_dark_counts,
+    lambda cfg, n_max: p1_snr_curve(cfg, [0.1], n_max),
+], ids=["output_distribution", "heralded_distribution", "with_dark_counts", "p1_snr_curve"])
+def test_negative_n_max_rejected(call):
+    with pytest.raises(ValueError, match=r"n_max must be >= 0, got -1"):
+        call(SourceConfig(m=2, mu=0.1, e_h=0.85), n_max=-1)
+
+
 class TestTruncationGuard:
     def test_single_window_tail_is_poisson_sf(self):
         cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, e_s=0.5)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from photonmux import SourceConfig, max_p1_with_snr_floor, optimize, optimize_mu, output_distribution
 from photonmux.losses import p1_snr_curve
+from photonmux.stats import snr
 
 
 def test_ideal_single_window_peaks_at_unit_mu():
@@ -58,6 +60,43 @@ def test_boundary_maximum_flagged():
     assert result.mu_opt == pytest.approx(0.8, rel=1e-12)
 
 
+_INPUT_CFG = SourceConfig(m=2, mu=1e-3, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: optimize_mu(_INPUT_CFG, tol=math.nan), "tol"),
+    (lambda: optimize_mu(_INPUT_CFG, tol=0.0), "tol"),
+    (lambda: max_p1_with_snr_floor(_INPUT_CFG, 50.0, tol=-1.0), "tol"),
+    (lambda: max_p1_with_snr_floor(_INPUT_CFG, 1e9, tol=math.nan), "tol"),
+    (lambda: max_p1_with_snr_floor(_INPUT_CFG, math.nan), "snr_target"),
+    (lambda: optimize_mu(_INPUT_CFG, mu_range=(1e-4, math.inf)), "mu_range"),
+    (lambda: max_p1_with_snr_floor(_INPUT_CFG, 50.0, mu_range=(1e-4, math.inf)), "mu_range"),
+    (lambda: optimize_mu(_INPUT_CFG, mu_range=(math.nan, 2.0)), "mu_range"),
+    (lambda: max_p1_with_snr_floor(_INPUT_CFG, 5.0, mu_range=(0.5, 0.5)), "mu_range"),
+], ids=["nan-tol", "zero-tol", "negative-tol-constrained", "nan-tol-infeasible",
+        "nan-target", "infinite-range", "infinite-range-constrained", "nan-range",
+        "empty-range-constrained"])
+def test_rejects_invalid_search_inputs(call, match):
+    # Rejected up front, before any loss-chain call can warn or fail.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_result_keeps_the_distribution_at_its_optimum():
+    cfg = SourceConfig(m=3, mu=1e-3, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
+    results = [optimize_mu(cfg), max_p1_with_snr_floor(cfg, 0.0),
+               max_p1_with_snr_floor(cfg, 50.0)]
+    assert results[2].constraint_active
+    for result in results:
+        want = output_distribution(cfg.replace(mu=result.mu_opt))
+        got = result.distribution
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert got.tail_mass == want.tail_mass and got.meta["config"] == want.meta["config"]
+        assert (result.p1_max, result.snr_at_opt) == (want.p(1), snr(want))
+
+
 class TestConstrained:
     CFG = SourceConfig(m=4, mu=1e-3, e_h=0.85, e_s=0.9, e_sw_db=0.5)
 
@@ -86,6 +125,9 @@ class TestConstrained:
         assert not result.feasible
         assert not result.converged
         assert math.isnan(result.mu_opt) and math.isnan(result.p1_max)
+        assert result.distribution is None
+        # An infinite floor is a legal target that no pump rate meets.
+        assert not max_p1_with_snr_floor(self.CFG, math.inf).feasible
 
     def test_result_echoes_target(self):
         assert max_p1_with_snr_floor(self.CFG, 25.0).snr_target == 25.0

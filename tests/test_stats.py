@@ -181,6 +181,7 @@ class TestSnr:
     def test_no_multiphoton_gives_infinity(self):
         probs = np.array([0.4, 0.6])
         assert snr(PhotonDistribution(probs, 1)) == math.inf
+        assert snr(PhotonDistribution(np.array([1.0]), 0)) == math.inf
 
 
 def _raised(fn):

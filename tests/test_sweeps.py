@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from photonmux import SourceConfig, clock_report, figure2, output_distribution, sweeps
+from photonmux import SourceConfig, clock_report, figure2, optimize, output_distribution, sweeps
 from photonmux.optimize import optimize_mu
 from photonmux.stats import PhotonDistribution, mandel_q, poisson_vector, snr
 from photonmux.sweeps import (
@@ -97,6 +97,22 @@ class TestFigure5:
         table = figure5(snr_targets=[5.0, 20.0, 100.0], m_values=[2], il_db_values=[1.0])
         p1 = [r.p1 for r in table.records]
         assert all(a >= b - 1e-9 for a, b in zip(p1, p1[1:]))
+
+    def test_each_optimum_is_evaluated_once(self, monkeypatch):
+        # One loss-chain output per optimum, which the record is built from.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return output_distribution(*args, **kwargs)
+
+        for module in (optimize, sweeps):
+            monkeypatch.setattr(module, "output_distribution", counted)
+        figure2()
+        assert len(calls) == 11
+        calls.clear()
+        figure5()
+        assert len(calls) == 72
 
 
 def _reference_row(cfg):
