@@ -10,6 +10,7 @@ the heralding detector dark-count rate ``r_dark``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -17,6 +18,8 @@ __all__ = ["SourceConfig"]
 
 # Relative tolerance for the cross-check between mu and herald_rate_r.
 _MU_RATE_RTOL = 1e-12
+# Largest m: the loss chain takes the 2**m windows as a float.
+_MAX_M = sys.float_info.max_exp - 1
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,14 @@ class SourceConfig:
     r_dark: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.m) != self.m or self.m < 0:
-            raise ValueError(f"m must be an integer >= 0, got {self.m}")
+        m = self.m
+        try:
+            valid = not isinstance(m, bool) and int(m) == m and 0 <= m <= _MAX_M
+        except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+            valid = False
+        if not valid:
+            raise ValueError(f"m must be an integer >= 0 with 2**m a finite float "
+                             f"(m <= {_MAX_M}), got {m!r}")
         object.__setattr__(self, "m", int(self.m))
         if not (self.delta_t0_ns > 0 and math.isfinite(self.delta_t0_ns)):
             raise ValueError(f"delta_t0_ns must be finite and > 0, got {self.delta_t0_ns}")

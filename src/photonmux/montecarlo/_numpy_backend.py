@@ -9,10 +9,12 @@ first triggered window, and a trial that never triggers routes window W-1.
 The outcome of a trial is decided by the pair, herald and dark words of
 every window up to and including the first triggered one, then the
 survival word.  The C kernel reads just these words, one window at a time,
-and skips a window's dark word once its herald word has triggered.  This
-scan also loads words of later windows with the rest of their block, but
-they never decide an outcome, so both backends give the same routed count
-and the same survivors for every trial, and hence bit-identical histograms.
+and skips a window's dark word once its herald word has triggered; the
+Philox blocks it computes for them, a group of four windows per block, hold
+the words of the group's later windows too.  This scan also loads words of
+later windows with the rest of their block, but they never decide an
+outcome, so both backends give the same routed count and the same survivors
+for every trial, and hence bit-identical histograms.
 
 The scan takes its words from one of two sources, which hold the same
 words: a chunk of stream words pre-drawn in order (``run_chunk``), or

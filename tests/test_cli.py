@@ -193,6 +193,14 @@ class TestErrors:
             "error": "ValueError", "message": "n_max must be >= 0, got -1", "subcommand": "dist"}
         assert out == ""
 
+    def test_m_beyond_float_range_error_record(self, capsys):
+        assert main(["dist", "--m", "100000", "--mu", "0.1"]) == 1
+        out, err = capsys.readouterr()
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError" and record["subcommand"] == "dist"
+        assert record["message"].startswith("m must be an integer >= 0")
+        assert out == ""
+
     def test_success_has_no_error_record(self, tmp_path):
         proc = run_cli(["dist", "--mu", "0.1", "-o", str(tmp_path / "d.csv")])
         assert proc.returncode == 0

@@ -63,6 +63,18 @@ def test_field_validation(field, value):
         SourceConfig(**kwargs)
 
 
+# The loss chain takes the 2**m windows as a float, and 2**1024 overflows one.
+@pytest.mark.parametrize("m", [math.inf, math.nan, True, False, 1024, 100_000, "3", None])
+def test_m_must_be_an_integer_whose_window_count_fits_a_float(m):
+    with pytest.raises(ValueError, match=r"^m must be an integer >= 0"):
+        SourceConfig(m=m, mu=0.1)
+
+
+def test_largest_m_is_accepted():
+    assert SourceConfig(m=1023, mu=0.1).m == 1023
+    assert SourceConfig(m=2.0, mu=0.1).m == 2
+
+
 def test_replace_mu_drops_stale_rate():
     cfg = SourceConfig(m=0, delta_t0_ns=2.0, herald_rate_r=50e6)
     newer = cfg.replace(mu=0.3)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -215,11 +216,13 @@ class TestNumpyKernel:
 
     # mu = 0 or e_h = 0 without dark counts makes every trial scan all
     # windows, the case where the counter source computes every block.
-    # m = 0 and 1 are the layouts whose spans start inside a Philox block.
-    # The trial range straddles block counter 2**32.  The C kernel, where
-    # it builds, computes its blocks by counter too.
+    # m = 0 and 1 are the layouts whose spans start inside a Philox block,
+    # m = 2 the one where each word kind is exactly one block, and m = 3
+    # and 5 have two and eight groups of four windows.  The trial range
+    # straddles block counter 2**32.  The C kernel, where it builds,
+    # computes its blocks by counter too.
     @pytest.mark.parametrize("r_dark", [0.0, 5e6])
-    @pytest.mark.parametrize("m", [0, 1, 4, 6, 8, 10])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6, 8, 10])
     def test_counter_source_matches_predrawn(self, m, r_dark):
         w = 2 ** m
         slots = slots_per_trial(w)
@@ -236,6 +239,26 @@ class TestNumpyKernel:
                 got = np.zeros(129, dtype=np.int64)
                 run_counter(m + 3, start, start + trials, tables, got)
                 assert np.array_equal(got, want), (run_counter, mu, e_h)
+
+    # The last trials the stream holds, under the largest seed: their block
+    # counters lie between 2**40 and 2**50, and the key schedule that blocks
+    # computed together share wraps at its first step.
+    @needs_c
+    @pytest.mark.parametrize("r_dark", [0.0, 5e6])
+    @pytest.mark.parametrize("m", [0, 1, 2, 10])
+    def test_c_kernel_matches_predrawn_at_the_top_of_the_stream(self, m, r_dark):
+        seed, w = 2**64 - 1, 2 ** m
+        start = MAX_TRIALS - 64
+        uniforms = philox_at_trial(seed, start, w).random((64, slots_per_trial(w)))
+        run_counter = _ckernel.load()[0]
+        for mu, e_h in itertools.product((0.0, 0.5, 2.0), (0.0, 0.85)):
+            tables = build_tables(SourceConfig(m=m, mu=mu, e_h=e_h, e_s=0.9,
+                                               e_sw_db=0.5, r_dark=r_dark))
+            want = np.zeros(129, dtype=np.int64)
+            got = np.zeros(129, dtype=np.int64)
+            _numpy_backend.run_chunk(uniforms, tables, want)
+            run_counter(seed, start, MAX_TRIALS, tables, got)
+            assert np.array_equal(got, want), (mu, e_h)
 
     def test_counter_source_across_batches(self):
         batch = _numpy_backend._COUNTER_BATCH
@@ -338,6 +361,12 @@ class TestCKernelBuild:
         assert simulate(LOSSY, McConfig(trials=1_000, seed=5)).backend == "c"
         assert len(builds) == 1
         assert len(list((tmp_path / "xdg" / "photonmux").glob("_ckernel-*.so"))) == 1
+
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        command = [*_ckernel.compiler(), "-Wall", "-Wextra", "-Werror",
+                   "-o", str(tmp_path / "kernel.so"), str(_ckernel.SOURCE)]
+        proc = subprocess.run(command, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_failed_build_falls_back_to_numpy_with_the_compiler_error(self, tmp_path,
                                                                       monkeypatch):
