@@ -13,7 +13,9 @@ photons with probability alpha Pois(n; mu) + (1 - alpha) Pois(n; mu (1 - e_h)),
 and binomial thinning maps Poisson(lambda) to Poisson(lambda t), so the output
 is the same mixture at means mu t and mu (1 - e_h) t.  One batched core,
 :func:`_output_rows`, evaluates it for arrays of pump rates and
-transmissions; the scalar entry points are batches of one.
+transmissions, with the other parameters per row or shared; the scalar
+entry points are batches of one, and :func:`_p1_snr_rows` runs any number
+of rows through it in fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -77,22 +79,23 @@ class LossChainTrace:
 def _output_rows(
     mu: np.ndarray,
     transmission: np.ndarray | float,
-    e_h: float,
-    windows: int,
-    p_dark: float,
+    e_h: np.ndarray | float,
+    windows: np.ndarray | int,
+    p_dark: np.ndarray | float,
     n_max: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Output distribution rows and their tail masses over a grid.
 
-    ``mu`` (a 1-D array) and ``transmission`` broadcast together; each pair
-    gives one row.  A window triggers when one of its idlers is detected
-    (probability 1 - e^-a, a = mu e_h) or a dark count fires (P_dark); its
-    trigger rate is c = a - ln(1 - P_dark).  The first trigger in the
-    W-window interval routes that window, which holds a detected idler with
-    probability (1 - e^-a) / (1 - e^-c); with no trigger the bypass window is
-    routed.  Summing the first-trigger position over the interval, the
-    geometric sum of the first-dark-count mixture over interval lengths,
-    the routed window holds n photons with probability
+    ``mu`` (a 1-D array) and the other parameters broadcast together; each
+    entry of ``mu`` gives one row, and every other parameter is either one
+    value for all rows or one value per row.  A window triggers when one of
+    its idlers is detected (probability 1 - e^-a, a = mu e_h) or a dark count
+    fires (P_dark); its trigger rate is c = a - ln(1 - P_dark).  The first
+    trigger in the W-window interval routes that window, which holds a
+    detected idler with probability (1 - e^-a) / (1 - e^-c); with no trigger
+    the bypass window is routed.  Summing the first-trigger position over the
+    interval, the geometric sum of the first-dark-count mixture over interval
+    lengths, the routed window holds n photons with probability
 
         alpha Pois(n; mu) + (1 - alpha) Pois(n; mu (1 - e_h)),
         alpha = (1 - e^(-W c)) / (1 - e^-c).
@@ -114,6 +117,14 @@ def _output_rows(
     less than 1e-18.  Rows where 1 - sum(probs) reaches TAIL_LIMIT raise
     TruncationError, naming the worst mu.
     """
+    probs, tail, lost = _chain_rows(mu, transmission, e_h, windows, p_dark, n_max)
+    _check_truncation(mu, lost, n_max)
+    return probs, tail
+
+
+def _chain_rows(mu, transmission, e_h, windows, p_dark, n_max):
+    """The rows of :func:`_output_rows` with their lost mass 1 - sum(probs),
+    before the truncation guard."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     lam = mu * transmission
@@ -121,25 +132,60 @@ def _output_rows(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c = mu * e_h - np.log1p(-p_dark)  # infinite when P_dark = 1
         alpha = np.where(c > 0, np.expm1(-windows * c) / np.expm1(-c), windows)
-        shift = np.arange(width) * np.log1p(-e_h)
-        shift[0] = 0.0  # 0 * ln(0) is NaN at e_h = 1
+        shift = np.arange(width) * np.log1p(-e_h)[..., None]  # one row per e_h
+        shift[..., 0] = 0.0  # 0 * ln(0) is NaN at e_h = 1
         pois = poisson_rows(lam, width - 1)
         # In place, so a large grid holds two (rows, width) arrays at most.
         # expm1 overflows only where mu t > 709; the guard rejects those rows.
-        terms = np.add.outer(lam * e_h, shift)
+        terms = (lam * e_h)[:, None] + shift
         np.expm1(terms, out=terms)
         terms *= (1.0 - alpha)[:, None]
         terms += 1.0
         terms *= pois
     probs = terms[:, :n_max + 1]
-    lost = 1.0 - probs.sum(axis=1)
+    return probs, terms[:, n_max + 1:].sum(axis=1), 1.0 - probs.sum(axis=1)
+
+
+def _check_truncation(mu: np.ndarray, lost: np.ndarray, n_max: int) -> None:
+    """Raise TruncationError unless every row lost less than TAIL_LIMIT,
+    naming the mu of the row np.argmax picks: the first worst row, or the
+    first NaN row."""
     if not (lost < TAIL_LIMIT).all():  # a NaN row fails too
         worst = int(np.argmax(lost))
         raise TruncationError(
             f"tail mass {lost[worst]:.3e} beyond n_max={n_max} exceeds {TAIL_LIMIT:.0e} "
-            f"at mu={float(np.broadcast_to(mu, lam.shape)[worst])!r}; increase n_max"
+            f"at mu={float(np.broadcast_to(mu, lost.shape)[worst])!r}; increase n_max"
         )
-    return probs, terms[:, n_max + 1:].sum(axis=1)
+
+
+# Rows per core call in _p1_snr_rows, so that a block's (rows, 2 n_max + 2)
+# arrays stay in cache.  Of 128 to 4096 rows, 256 ran figure2() plus
+# figure5() fastest; a 100,001-point p1_snr_curve took 88 ms at 256 rows,
+# 82-94 ms at 512 to 4096 and 120 ms at 128 (2-vCPU x86-64 host).
+_BLOCK_ROWS = 256
+
+
+def _p1_snr_rows(mu, transmission, e_h, windows, p_dark, n_max):
+    """P_1 and the SNR of the output row of each pump rate in ``mu``.
+
+    The parameters broadcast per row as for :func:`_output_rows`.  The rows
+    go through the core _BLOCK_ROWS at a time, so memory stays bounded
+    whatever the number of rows; TruncationError still names the worst mu
+    over the whole input.
+    """
+    rows = mu.size
+    params = (transmission, e_h, windows, p_dark)
+    p1, ratio, lost = np.empty(rows), np.empty(rows), np.empty(rows)
+    # An empty input still passes the core's argument checks once.
+    for start in range(0, max(rows, 1), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        probs, tail, lost[block] = _chain_rows(
+            mu[block], *[p[block] if np.ndim(p) else p for p in params], n_max)
+        if (lost[block] < TAIL_LIMIT).all():  # a failing block raises below
+            p1[block] = probs[:, 1]
+            ratio[block] = snr_rows(probs, tail)[1]
+    _check_truncation(mu, lost, n_max)
+    return p1, ratio
 
 
 def _distribution(cfg: SourceConfig, windows: int, p_dark: float, n_max: int,
@@ -237,9 +283,9 @@ def p1_snr_curve(
     """Vectorized single-photon probability and SNR over a pump grid.
 
     Evaluates the full loss chain of :func:`output_distribution` for every
-    mu in ``mu_values`` at once; used by the optimizer and by ``validate``.
+    mu in ``mu_values``, in blocks of rows as the optimizer's rounds do.
     Raises :class:`TruncationError` like the scalar path when the tail mass
-    at any grid point reaches the limit.
+    at any grid point reaches the limit, naming the worst one.
 
     Returns
     -------
@@ -250,7 +296,4 @@ def p1_snr_curve(
     mu = np.asarray(mu_values, dtype=float)
     if not ((mu >= 0) & (mu < np.inf)).all():
         raise ValueError("mu grid must be finite and >= 0")
-    probs, tail = _output_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, n_max)
-    _, ratio = snr_rows(probs, tail)
-    # A copy, so that holding P_1 does not hold the whole (rows, width) array.
-    return probs[:, 1].copy(), ratio
+    return _p1_snr_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, n_max)

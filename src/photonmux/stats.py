@@ -31,6 +31,7 @@ __all__ = [
     "check_rows",
     "moments",
     "mandel_q",
+    "mandel_q_or_nan",
     "snr",
     "snr_rows",
 ]
@@ -261,6 +262,14 @@ def mandel_q(dist: PhotonDistribution) -> float:
     if mean <= 0.0:
         raise ValueError("Mandel Q is undefined for the vacuum state (<n> = 0)")
     return _mandel_q(mean, variance)
+
+
+def mandel_q_or_nan(probs: np.ndarray) -> float:
+    """Mandel Q of the pmf ``probs`` as tables and optimizer results report
+    it: what :func:`mandel_q` gives, or NaN for the vacuum state, where
+    mandel_q raises."""
+    mean, variance = moments(probs)
+    return _mandel_q(mean, variance) if mean > 0 else math.nan
 
 
 def _mandel_q(mean: float, variance: float) -> float:

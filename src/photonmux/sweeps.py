@@ -21,8 +21,16 @@ import numpy as np
 from ._version import __version__
 from .config import SourceConfig
 from .losses import _output_rows, output_distribution
-from .optimize import DEFAULT_MU_RANGE, max_p1_with_snr_floor, optimize_mu
-from .stats import DEFAULT_N_MAX, PhotonDistribution, _mandel_q, check_rows, moments, snr_rows
+# optimize_mu and max_p1_with_snr_floor stay module attributes: perfbench's
+# traced pass wraps them by name.
+from .optimize import (  # noqa: F401
+    DEFAULT_MU_RANGE,
+    max_p1_with_snr_floor,
+    max_p1_with_snr_floor_batch,
+    optimize_mu,
+    optimize_mu_batch,
+)
+from .stats import DEFAULT_N_MAX, PhotonDistribution, check_rows, mandel_q_or_nan, snr_rows
 
 __all__ = [
     "SweepRecord",
@@ -108,16 +116,15 @@ def _records(cfgs: Sequence[SourceConfig], probs: np.ndarray, tail: np.ndarray,
              mu_opt: Optional[float] = None, snr_target: Optional[float] = None) -> list:
     """One record per configuration from its output row and tail mass.
 
-    P_>=2 and the SNR come from :func:`snr_rows` and the moments from
-    :func:`moments`, so each value equals what :func:`snr` and
-    :func:`mandel_q` return for the row.
+    P_>=2 and the SNR come from :func:`snr_rows` and Q from
+    :func:`mandel_q_or_nan`, so each value equals what :func:`snr` and
+    :func:`mandel_q` return for the row, and Q is NaN for the vacuum.
     """
     p_multi, ratio = snr_rows(probs, tail)
     records = []
     for cfg, row, p0, p1, p_ge2, row_snr in zip(cfgs, probs, probs[:, 0].tolist(),
                                                 probs[:, 1].tolist(), p_multi.tolist(),
                                                 ratio.tolist()):
-        mean, variance = moments(row)
         records.append(SweepRecord(
             **{name: getattr(cfg, name) for name in _CONFIG_ECHO},
             clock_freq_hz=cfg.clock_hz,
@@ -125,7 +132,7 @@ def _records(cfgs: Sequence[SourceConfig], probs: np.ndarray, tail: np.ndarray,
             p1=p1,
             p_ge2=p_ge2,
             snr=row_snr,
-            mandel_q=_mandel_q(mean, variance) if mean > 0 else math.nan,
+            mandel_q=mandel_q_or_nan(row),
             mu_opt=mu_opt,
             snr_target=snr_target,
         ))
@@ -209,14 +216,13 @@ def figure2(
     """Lossless emission probabilities and Mandel Q at the per-m optimum.
 
     For each stage count the pump rate is tuned to maximize the single-photon
-    probability; the record carries P0, P1, P>=2 and Q at that optimum.
+    probability, all stage counts' searches in lockstep; the record carries
+    P0, P1, P>=2 and Q at that optimum.
     """
     m_values = list(m_values)
-    records = []
-    for m in m_values:
-        cfg = SourceConfig.lossless(m=m, mu=mu_range[0])
-        result = optimize_mu(cfg, mu_range=mu_range, n_max=n_max)
-        records.append(_record_of(result.distribution, mu_opt=result.mu_opt))
+    results = optimize_mu_batch([SourceConfig.lossless(m=m, mu=mu_range[0]) for m in m_values],
+                                mu_range=mu_range, n_max=n_max)
+    records = [_record_of(result.distribution, mu_opt=result.mu_opt) for result in results]
     meta = {"config_hash": _input_hash(fig="fig2", m_values=m_values, n_max=n_max)}
     return SweepTable("fig2", tuple(records), meta)
 
@@ -276,29 +282,29 @@ def figure5(
 ) -> SweepTable:
     """Maximum single-photon probability under an SNR floor.
 
+    The searches of every (IL, stages, target) case run in lockstep.
     Infeasible (target, stages, IL) combinations produce records with NaN
     outputs and the mu field set to NaN.
     """
     m_values = list(m_values)
+    templates = [SourceConfig(m=m, mu=mu_range[0], e_h=e_h, e_s=e_s, e_sw_db=float(il))
+                 for il in il_db_values for m in m_values]
+    cases = [(template, float(target)) for template in templates for target in snr_targets]
+    results = max_p1_with_snr_floor_batch(cases, mu_range, n_max=n_max)
     records = []
-    for il in il_db_values:
-        for m in m_values:
-            template = SourceConfig(m=m, mu=mu_range[0], e_h=e_h, e_s=e_s, e_sw_db=float(il))
-            for target in snr_targets:
-                result = max_p1_with_snr_floor(template, float(target), mu_range, n_max=n_max)
-                if result.feasible:
-                    records.append(_record_of(result.distribution, result.mu_opt,
-                                              result.snr_target))
-                else:
-                    records.append(SweepRecord(
-                        m=m, delta_t0_ns=template.delta_t0_ns, mu=math.nan,
-                        e_h=e_h, e_s=e_s, e_sw_db=float(il), r_dark=0.0,
-                        mu_total=math.nan, e_s_total=template.e_s_total,
-                        clock_freq_hz=template.clock_hz,
-                        p0=math.nan, p1=math.nan, p_ge2=math.nan,
-                        snr=math.nan, mandel_q=math.nan,
-                        mu_opt=math.nan, snr_target=float(target),
-                    ))
+    for (template, target), result in zip(cases, results):
+        if result.feasible:
+            records.append(_record_of(result.distribution, result.mu_opt, result.snr_target))
+        else:
+            records.append(SweepRecord(
+                m=template.m, delta_t0_ns=template.delta_t0_ns, mu=math.nan,
+                e_h=e_h, e_s=e_s, e_sw_db=template.e_sw_db, r_dark=0.0,
+                mu_total=math.nan, e_s_total=template.e_s_total,
+                clock_freq_hz=template.clock_hz,
+                p0=math.nan, p1=math.nan, p_ge2=math.nan,
+                snr=math.nan, mandel_q=math.nan,
+                mu_opt=math.nan, snr_target=target,
+            ))
     meta = {"config_hash": _input_hash(
         fig="fig5", snr_targets=list(snr_targets), m_values=m_values,
         il_db_values=list(il_db_values), e_h=e_h, e_s=e_s, n_max=n_max)}

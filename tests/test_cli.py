@@ -167,6 +167,14 @@ class TestOptimize:
         doc = json.loads(out.read_text())
         assert doc["result"]["snr_at_opt"] >= 50 - 1e-6
 
+    def test_vacuum_optimum(self, tmp_path):
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--m", "2", "--mu", "0.1", "--e_s", "0",
+                     "--format", "structured", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert math.isnan(doc["result"]["mandel_q_at_opt"])
+        assert doc["result"]["p1_max"] == 0.0
+
 
 class TestSweep:
     def test_custom_axis(self, tmp_path):

@@ -18,6 +18,7 @@ from photonmux import (
     snr,
     with_dark_counts,
 )
+from photonmux import losses, sweeps
 from photonmux.losses import p1_snr_curve
 from photonmux.stats import TAIL_LIMIT, binomial_matrix, poisson_rows, poisson_vector
 from photonmux.validate import (
@@ -366,3 +367,30 @@ class TestTruncationGuard:
             output_distribution(SourceConfig(m=3, mu=mu, e_h=e_h))
         with pytest.raises(TruncationError):
             p1_snr_curve(SourceConfig(m=3, mu=0.1, e_h=e_h), [0.1, mu])
+
+    @pytest.mark.parametrize("spikes,named", [
+        # Two rows lose all their mass: the first of them is named.
+        ({100: 12.0, 300: 20.0, 600: 200.0, 900: 300.0}, "200.0"),
+        # A NaN row is named before any finite one, wherever it lies.
+        ({100: 12.0, 300: 200.0, 800: 1e5, 950: 1e5 + 1.0}, "100000.0"),
+    ], ids=["first-maximum", "first-nan"])
+    def test_blocked_rows_name_the_worst_mu_of_the_whole_grid(self, spikes, named):
+        # The truncating rows lie in different blocks of the blocked core;
+        # the error names the mu that one unblocked core call names.
+        cfg = SourceConfig(m=3, mu=0.1, e_h=0.5)
+        mu = np.random.default_rng(5).uniform(0.01, 2.0, 1000)
+        for i, value in spikes.items():
+            mu[i] = value
+        assert len({i // losses._BLOCK_ROWS for i in spikes}) >= 3
+        with pytest.raises(TruncationError) as unblocked:
+            losses._output_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, 30)
+        with pytest.raises(TruncationError) as blocked:
+            p1_snr_curve(cfg, mu)
+        assert str(blocked.value) == str(unblocked.value)
+        assert f"at mu={named};" in str(blocked.value)
+
+    def test_figure_searches_raise_on_truncation(self):
+        with pytest.raises(TruncationError):
+            sweeps.figure2(m_values=[0, 1], n_max=3)
+        with pytest.raises(TruncationError):
+            sweeps.figure5(snr_targets=[5.0], m_values=[1, 2], il_db_values=[0.5], n_max=3)

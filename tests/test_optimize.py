@@ -4,7 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from photonmux import SourceConfig, max_p1_with_snr_floor, optimize, optimize_mu, output_distribution
+from photonmux import (
+    SourceConfig,
+    losses,
+    max_p1_with_snr_floor,
+    optimize,
+    optimize_mu,
+    output_distribution,
+    sweeps,
+)
 from photonmux.losses import p1_snr_curve
 from photonmux.stats import snr
 
@@ -133,40 +141,61 @@ class TestConstrained:
         assert max_p1_with_snr_floor(self.CFG, 25.0).snr_target == 25.0
 
 
-# -- the batched tree search against the one-step loops ----------------------
+
+def test_vacuum_optimum_reports_nan_mandel_q():
+    # No photon survives a zero signal transmission, so every pump rate
+    # gives the vacuum, where Q is undefined: reported NaN, as in tables.
+    cfg = SourceConfig(m=2, mu=0.1, e_s=0.0)
+    for result in (optimize_mu(cfg), max_p1_with_snr_floor(cfg, 5.0)):
+        assert result.feasible and result.p1_max == 0.0
+        assert math.isnan(result.mandel_q_at_opt)
+        assert result.snr_at_opt == math.inf
 
 
-def _one_step_golden(f, lo, hi, tol):
-    """Golden-section search with one evaluation per step; f maps a list of
-    points to their values, as for optimize._golden_max."""
-    def value(x):
-        return float(f([x])[0])
+# -- the lockstep tree searches against the one-step loops -------------------
 
+
+def _run_alone(cfg, search, n_max=30):
+    """Run one search (see optimize._drive), each batch it yields evaluated
+    by its own p1_snr_curve call."""
+    values = None
+    try:
+        while True:
+            values = p1_snr_curve(cfg, search.send(values), n_max)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _one_step_golden(lo, hi, tol):
+    """Golden-section search with one evaluation per step, as a search with
+    the protocol of optimize._golden_max."""
     a, b = lo, hi
     c = b - optimize._GOLDEN * (b - a)
     d = a + optimize._GOLDEN * (b - a)
-    fc, fd = value(c), value(d)
+    fc = float((yield [c])[0][0])
+    fd = float((yield [d])[0][0])
     evals = 2
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - optimize._GOLDEN * (b - a)
-            fc = value(c)
+            fc = float((yield [c])[0][0])
         else:
             a, c, fc = c, d, fd
             d = a + optimize._GOLDEN * (b - a)
-            fd = value(d)
+            fd = float((yield [d])[0][0])
         evals += 1
     x = 0.5 * (a + b)
-    return x, value(x), evals + 1
+    return x, float((yield [x])[0][0]), evals + 1
 
 
-def _one_step_bisection(cfg, feasible, infeasible, target, n_max, tol=1e-10):
-    """SNR-boundary bisection with one loss-chain call per step."""
+def _one_step_bisection(feasible, infeasible, target, tol=1e-10):
+    """SNR-boundary bisection with one loss-chain evaluation per step, as a
+    search with the protocol of optimize._bisect_snr_boundary."""
     ok, bad = feasible, infeasible
     while abs(bad - ok) > tol * max(1.0, ok, bad):
         mid = 0.5 * (ok + bad)
-        if float(p1_snr_curve(cfg, [mid], n_max)[1][0]) >= target:
+        if float((yield [mid])[1][0]) >= target:
             ok = mid
         else:
             bad = mid
@@ -181,10 +210,20 @@ def _random_configs(seed, count):
                            r_dark=float(rng.choice([0.0, 5e6])))
 
 
+def _echo(points):
+    """A search that yields its points once and returns their values."""
+    return (yield points)
+
+
+def _same_bits(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_curve_entries_equal_one_point_calls(seed):
-    # The tree search relies on it: a point's P1 and SNR do not depend on
-    # the batch it is evaluated in.
+    # The tree searches and the lockstep rounds rely on it: a point's P1 and
+    # SNR do not depend on the batch, the block or the other configs it is
+    # evaluated with.
     rng = np.random.default_rng(100 + seed)
     for cfg in _random_configs(seed, 8):
         mu = rng.uniform(1e-4, 2.0, int(rng.integers(2, 80)))
@@ -194,10 +233,46 @@ def test_curve_entries_equal_one_point_calls(seed):
             assert one_p1[0].tobytes() == p1[i].tobytes()
             assert one_ratio[0].tobytes() == ratio[i].tobytes()
 
+    # Grids longer than a block, with zero pumps, which take poisson_rows'
+    # other branch, in some blocks and not in others.
+    block = losses._BLOCK_ROWS
+    for cfg in _random_configs(seed, 2):
+        mu = rng.uniform(1e-4, 2.0, int(rng.integers(2 * block + 1, 3 * block)))
+        mu[rng.choice(block, 3, replace=False)] = 0.0
+        p1, ratio = p1_snr_curve(cfg, mu)
+        for i in rng.choice(mu.size, 40, replace=False).tolist() + [0, block - 1, block]:
+            one_p1, one_ratio = p1_snr_curve(cfg, [mu[i]])
+            assert one_p1[0].tobytes() == p1[i].tobytes()
+            assert one_ratio[0].tobytes() == ratio[i].tobytes()
+
+    # One lockstep round over configs that mix m 0..5, e_h, switch loss and
+    # dark counts, more rows than several blocks hold in all.
+    cases = []
+    for _ in range(12):
+        cfg = SourceConfig(m=int(rng.integers(0, 6)), mu=0.1,
+                           e_h=float(rng.choice([0.0, 0.5, 0.85, 1.0])), e_s=0.9,
+                           e_sw_db=float(rng.choice([0.0, 0.5, 1.0, 3.0])),
+                           r_dark=float(rng.choice([0.0, 5e6])))
+        mu = rng.uniform(1e-4, 2.0, int(rng.integers(1, 120)))
+        mu[rng.random(mu.size) < 0.1] = 0.0
+        cases.append((cfg, mu))
+    assert sum(mu.size for _, mu in cases) > 2 * block
+    rounds = optimize._drive([(cfg, _echo(mu)) for cfg, mu in cases], 30)
+    for (cfg, mu), (p1, ratio) in zip(cases, rounds):
+        curve_p1, curve_ratio = p1_snr_curve(cfg, mu)
+        assert p1.tobytes() == curve_p1.tobytes() and ratio.tobytes() == curve_ratio.tobytes()
+        for i in rng.choice(mu.size, min(mu.size, 5), replace=False):
+            one_p1, one_ratio = p1_snr_curve(cfg, [mu[i]])
+            assert one_p1[0].tobytes() == p1[i].tobytes()
+            assert one_ratio[0].tobytes() == ratio[i].tobytes()
+            dist = output_distribution(cfg.replace(mu=float(mu[i])))
+            assert _same_bits(p1[i], dist.p(1)) and _same_bits(ratio[i], snr(dist))
+
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_bisection_equals_one_step_loop(seed):
     grid = np.geomspace(1e-4, 2.0, 96)
+    cases, want = [], []
     for cfg in _random_configs(seed, 6):
         _, ratio = p1_snr_curve(cfg, grid)
         for target in (5.0, 50.0, float(ratio[40])):
@@ -207,38 +282,69 @@ def test_bisection_equals_one_step_loop(seed):
             i = int(crossing[0])
             ok, bad = float(grid[i - 1]), float(grid[i])
             for tol in (1e-10, 1e-4):
-                want = _one_step_bisection(cfg, ok, bad, target, 30, tol)
-                assert optimize._bisect_snr_boundary(cfg, ok, bad, target, 30, tol) == want
-                # The ends in the other order: every test passes and the
+                # The ends in the other order too: every test passes and the
                 # bracket closes on the upper end.
-                want = _one_step_bisection(cfg, bad, ok, 1.0 / target, 30, tol)
-                assert optimize._bisect_snr_boundary(cfg, bad, ok, 1.0 / target, 30, tol) == want
+                for args in ((ok, bad, target, tol), (bad, ok, 1.0 / target, tol)):
+                    expected = _run_alone(cfg, _one_step_bisection(*args))
+                    search = optimize._bisect_snr_boundary(*args)
+                    assert optimize._drive([(cfg, search)], 30) == [expected]
+                    cases.append((cfg, optimize._bisect_snr_boundary(*args)))
+                    want.append(expected)
+    # All of them in lockstep, too.
+    assert optimize._drive(cases, 30) == want
 
 
 @pytest.mark.parametrize("seed", [6, 7])
 def test_golden_section_equals_one_step_loop(seed):
+    cases, want = [], []
     for cfg in _random_configs(seed, 6):
-        def p1(mu):
-            return p1_snr_curve(cfg, mu)[0]
-
         for lo, hi, tol in ((0.05, 0.9, 1e-6), (0.3, 0.31, 1e-9), (1e-4, 2.0, 1e-3),
                             (0.2, 0.2 + 1e-7, 1e-6)):
-            assert optimize._golden_max(p1, lo, hi, tol) == _one_step_golden(p1, lo, hi, tol)
+            expected = _run_alone(cfg, _one_step_golden(lo, hi, tol))
+            assert optimize._drive([(cfg, optimize._golden_max(lo, hi, tol))], 30) == [expected]
+            cases.append((cfg, optimize._golden_max(lo, hi, tol)))
+            want.append(expected)
+    assert optimize._drive(cases, 30) == want
 
 
-def _fig2_and_fig5_results():
-    results = [optimize_mu(SourceConfig.lossless(m=m, mu=1e-4)) for m in range(11)]
-    for il in (0.5, 1.0):
-        for m in range(6):
-            cfg = SourceConfig(m=m, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=il)
-            results += [max_p1_with_snr_floor(cfg, target)
-                        for target in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0)]
-    return [repr(result) for result in results]
+def _fig2_and_fig5_cases():
+    fig2 = [SourceConfig.lossless(m=m, mu=1e-4) for m in range(11)]
+    fig5 = [(SourceConfig(m=m, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=il), target)
+            for il in (0.5, 1.0) for m in range(6)
+            for target in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0)]
+    return fig2, fig5
 
 
 def test_fig2_and_fig5_results_equal_one_step_searches(monkeypatch):
-    # Every field, iterations included, as the one-step searches give it.
-    batched = _fig2_and_fig5_results()
+    # Every field, iterations included, as the one-step searches give it
+    # run one at a time; here all 83 searches of both figures share rounds.
+    fig2, fig5 = _fig2_and_fig5_cases()
+    range_args = (optimize.DEFAULT_MU_RANGE, 1e-6, 96, 30)
+    lockstep = optimize._drive(
+        [(cfg, optimize._mu_search(cfg, *range_args)) for cfg in fig2]
+        + [(cfg, optimize._snr_floor_search(cfg, target, *range_args)) for cfg, target in fig5],
+        30)
     monkeypatch.setattr(optimize, "_golden_max", _one_step_golden)
     monkeypatch.setattr(optimize, "_bisect_snr_boundary", _one_step_bisection)
-    assert batched == _fig2_and_fig5_results()
+    one_step = ([optimize_mu(cfg) for cfg in fig2]
+                + [max_p1_with_snr_floor(cfg, target) for cfg, target in fig5])
+    assert [repr(result) for result in lockstep] == [repr(result) for result in one_step]
+
+
+def test_figure_searches_share_core_rounds(monkeypatch):
+    # One blocked core call per round for all of a figure's searches: the
+    # 11 of figure2() and the 72 of figure5() made 86 and 681 loss-chain
+    # calls one search after another.
+    rows = []
+    core = optimize._p1_snr_rows
+
+    def counted(mu, *args):
+        rows.append(mu.size)
+        return core(mu, *args)
+
+    monkeypatch.setattr(optimize, "_p1_snr_rows", counted)
+    sweeps.figure2()
+    assert len(rows) == 15
+    rows.clear()
+    sweeps.figure5()
+    assert len(rows) == 31

@@ -270,3 +270,10 @@ def test_record_for_nan_mandel_q_at_zero_pump():
     record = record_for(SourceConfig(m=2, mu=0.0, e_h=0.85))
     assert math.isnan(record.mandel_q)
     assert record.p0 == 1.0
+
+
+def test_figure5_vacuum_optimum_has_nan_mandel_q():
+    # At 3000 dB per switch the signal transmission underflows to 0.
+    (record,) = figure5(snr_targets=[5.0], m_values=[1], il_db_values=[3000.0]).records
+    assert record.e_s_total == 0.0 and record.p0 == 1.0 and record.p1 == 0.0
+    assert math.isnan(record.mandel_q)
