@@ -14,12 +14,19 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-__all__ = ["SourceConfig"]
+__all__ = ["SourceConfig", "signal_transmission"]
 
 # Relative tolerance for the cross-check between mu and herald_rate_r.
 _MU_RATE_RTOL = 1e-12
 # Largest m: the loss chain takes the 2**m windows as a float.
 _MAX_M = sys.float_info.max_exp - 1
+
+
+def signal_transmission(e_s: float, e_sw_db: float, m: int) -> float:
+    """End-to-end signal transmission: e_s times m+1 passages through
+    switches of insertion loss ``e_sw_db`` dB, as :attr:`SourceConfig.e_s_total`
+    gives it."""
+    return e_s * (10.0 ** (-e_sw_db / 10.0)) ** (m + 1)
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ class SourceConfig:
     @property
     def e_s_total(self) -> float:
         """End-to-end signal transmission: e_s times m+1 switch passages."""
-        return self.e_s * self.e_sw ** (self.m + 1)
+        return signal_transmission(self.e_s, self.e_sw_db, self.m)
 
     @property
     def p_dark(self) -> float:

@@ -21,6 +21,7 @@ the search run alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -94,7 +95,16 @@ def _coarse_grid(mu_range: Tuple[float, float], coarse_points: int, tol: float) 
         raise ValueError(f"mu_range must satisfy 0 < lo < hi < inf, got {mu_range}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    return np.geomspace(lo, hi, max(int(coarse_points), MIN_COARSE_POINTS))
+    return _geomspace(lo, hi, max(int(coarse_points), MIN_COARSE_POINTS))
+
+
+@functools.lru_cache(maxsize=256)
+def _geomspace(lo: float, hi: float, points: int) -> np.ndarray:
+    """np.geomspace(lo, hi, points), computed once per arguments and
+    read-only, so the searches that share a range share one grid."""
+    grid = np.geomspace(lo, hi, points)
+    grid.setflags(write=False)
+    return grid
 
 
 def _lookahead(state, done, points, test, follow, pick):
@@ -164,15 +174,11 @@ def _golden_max(lo: float, hi: float, tol: float):
 
 
 def _local_maxima(values: np.ndarray) -> list:
-    """Indices of strict-or-plateau local maxima of a sampled curve."""
-    idx = []
-    n = len(values)
-    for i in range(n):
-        left = values[i - 1] if i > 0 else -math.inf
-        right = values[i + 1] if i < n - 1 else -math.inf
-        if values[i] >= left and values[i] >= right:
-            idx.append(i)
-    return idx
+    """Indices of strict-or-plateau local maxima of a sampled curve: the
+    points at least as high as each neighbour, an end counting as -inf."""
+    padded = np.concatenate(([-math.inf], values, [-math.inf]))
+    inner = padded[1:-1]
+    return np.flatnonzero((inner >= padded[:-2]) & (inner >= padded[2:])).tolist()
 
 
 def _mu_search(cfg: SourceConfig, mu_range: Tuple[float, float], tol: float,
@@ -394,11 +400,19 @@ def _drive(searches: Sequence[Tuple[SourceConfig, Generator]], n_max: int) -> li
     search to the loss-chain core as one batch of rows, with each row's
     config parameters beside its pump rate, and hands each search its slice.
     A search thus takes the steps it would take alone: a row's values do not
-    depend on the rows around it.
+    depend on the rows around it.  Searches of one config that yield the
+    same points object, as those sharing a cached coarse grid do, share its
+    rows: ``figure5()``'s 72 searches first yield 6912 rows, of which 1152
+    go to the core, since the 6 SNR targets of each template share its
+    96-point grid.  Kept in order of first appearance, the rows that go are
+    those the batch would otherwise send, so TruncationError names the same
+    pump rate.
     """
     results = [None] * len(searches)
     params = np.array([(cfg.e_s_total, cfg.e_h, float(cfg.n_windows), cfg.p_dark)
                        for cfg, _ in searches]).reshape(-1, 4).T
+    configs = {}  # the searches' distinct parameter columns, told apart by their bits
+    config_of = [configs.setdefault(column.tobytes(), len(configs)) for column in params.T]
     live = []
 
     def advance(index, search, values):
@@ -411,13 +425,17 @@ def _drive(searches: Sequence[Tuple[SourceConfig, Generator]], n_max: int) -> li
         advance(index, search, None)
     while live:
         batch, live = live, []
-        counts = [len(points) for _, _, points in batch]
-        mu = np.fromiter(itertools.chain.from_iterable(points for _, _, points in batch),
+        shared = {}  # (config, points object) -> the first search yielding them
+        for index, _, points in batch:
+            shared.setdefault((config_of[index], id(points)), (index, points))
+        counts = [len(points) for _, points in shared.values()]
+        mu = np.fromiter(itertools.chain.from_iterable(points for _, points in shared.values()),
                          float, sum(counts))
-        per_row = np.repeat(params[:, [index for index, _, _ in batch]], counts, axis=1)
+        per_row = np.repeat(params[:, [index for index, _ in shared.values()]], counts, axis=1)
         p1, ratio = _p1_snr_rows(mu, *per_row, n_max)
-        end = 0
-        for (index, search, _), count in zip(batch, counts):
-            start, end = end, end + count
+        starts = dict(zip(shared, itertools.accumulate(counts, initial=0)))
+        for index, search, points in batch:
+            start = starts[config_of[index], id(points)]
+            end = start + len(points)
             advance(index, search, (p1[start:end], ratio[start:end]))
     return results

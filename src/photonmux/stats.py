@@ -208,9 +208,21 @@ def moments(probs: np.ndarray) -> Tuple[float, float]:
     The one evaluation behind ``PhotonDistribution.mean``, ``variance`` and
     :func:`mandel_q`: the mean is computed once and reused for the variance.
     """
-    n = np.arange(probs.size)
-    mean = float(n @ probs)
-    return mean, float((n * n) @ probs) - mean * mean
+    n, n_squared = _photon_numbers(probs.size)
+    mean = float(probs.dot(n))
+    return mean, float(probs.dot(n_squared)) - mean * mean
+
+
+@functools.lru_cache(maxsize=32)
+def _photon_numbers(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """n and n*n for n = 0..size-1 as read-only float vectors.  Floats hold
+    these integers exactly, so a pmf's dot products with them equal those
+    with the integer vectors, which numpy casts to float for the product."""
+    n = np.arange(size, dtype=float)
+    n_squared = n * n
+    n.setflags(write=False)
+    n_squared.setflags(write=False)
+    return n, n_squared
 
 
 def _vacuum(n_max: int, **meta) -> PhotonDistribution:

@@ -14,7 +14,7 @@ from photonmux import (
     sweeps,
 )
 from photonmux.losses import p1_snr_curve
-from photonmux.stats import snr
+from photonmux.stats import TruncationError, snr
 
 
 def test_ideal_single_window_peaks_at_unit_mu():
@@ -348,3 +348,94 @@ def test_figure_searches_share_core_rounds(monkeypatch):
     rows.clear()
     sweeps.figure5()
     assert len(rows) == 31
+
+
+
+def _fresh_grids(monkeypatch):
+    """Give every search a coarse grid of its own, equal to the shared one."""
+    shared = optimize._coarse_grid
+    monkeypatch.setattr(optimize, "_coarse_grid", lambda *args: shared(*args).copy())
+
+
+def test_shared_rows_are_evaluated_once(monkeypatch):
+    # The 6 SNR targets of each figure5 template share its coarse grid, and
+    # figure2's searches run twice over, so the first round's 9024 rows hold
+    # 2208 distinct ones.  Every result equals that of searches that share
+    # no rows.
+    fig2, fig5 = _fig2_and_fig5_cases()
+    range_args = (optimize.DEFAULT_MU_RANGE, 1e-6, 96, 30)
+
+    def searches():
+        return ([(cfg, optimize._mu_search(cfg, *range_args)) for cfg in fig2 + fig2]
+                + [(cfg, optimize._snr_floor_search(cfg, target, *range_args))
+                   for cfg, target in fig5])
+
+    rows = []
+    core = optimize._p1_snr_rows
+
+    def counted(mu, *args):
+        rows.append(mu.size)
+        return core(mu, *args)
+
+    monkeypatch.setattr(optimize, "_p1_snr_rows", counted)
+    shared = optimize._drive(searches(), 30)
+    assert rows[0] == 2208
+    rows.clear()
+    _fresh_grids(monkeypatch)
+    unshared = optimize._drive(searches(), 30)
+    assert rows[0] == 9024
+    assert [repr(result) for result in shared] == [repr(result) for result in unshared]
+
+
+def test_rows_are_shared_only_by_one_config_and_points_object(monkeypatch):
+    rows = []
+    core = optimize._p1_snr_rows
+
+    def counted(mu, *args):
+        rows.append(mu.size)
+        return core(mu, *args)
+
+    monkeypatch.setattr(optimize, "_p1_snr_rows", counted)
+    grid = np.geomspace(1e-3, 1.5, 300)
+    grid.setflags(write=False)
+    cfg = SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+    same = SourceConfig(m=2, mu=0.3, e_h=0.85, e_s=0.9, e_sw_db=0.5)  # mu is ignored
+    other = cfg.replace(r_dark=5e6)
+    cases = [(cfg, grid), (same, grid), (other, grid), (cfg, grid.copy()), (cfg, grid[:10])]
+    results = optimize._drive([(c, _echo(points)) for c, points in cases], 30)
+    assert rows == [300 + 300 + 300 + 10]  # cfg and same share the first grid
+    for (c, points), (p1, ratio) in zip(cases, results):
+        want_p1, want_ratio = p1_snr_curve(c, points)
+        assert p1.tobytes() == want_p1.tobytes() and ratio.tobytes() == want_ratio.tobytes()
+
+
+def test_shared_rows_name_the_unshared_worst_mu(monkeypatch):
+    _, fig5 = _fig2_and_fig5_cases()
+    with pytest.raises(TruncationError) as shared:
+        optimize.max_p1_with_snr_floor_batch(fig5, n_max=3)
+    _fresh_grids(monkeypatch)
+    with pytest.raises(TruncationError) as unshared:
+        optimize.max_p1_with_snr_floor_batch(fig5, n_max=3)
+    assert str(shared.value) == str(unshared.value)
+
+
+def test_coarse_grid_is_computed_once_and_read_only():
+    grid = optimize._coarse_grid((1e-4, 2.0), 96, 1e-6)
+    assert optimize._coarse_grid((1e-4, 2.0), 96, 1e-3) is grid
+    assert not grid.flags.writeable
+    assert grid.tobytes() == np.geomspace(1e-4, 2.0, 96).tobytes()
+    assert optimize._coarse_grid((1e-4, 2.0), 10, 1e-6) is optimize._coarse_grid(
+        (1e-4, 2.0), optimize.MIN_COARSE_POINTS, 1e-6)
+
+
+def test_local_maxima_are_the_points_at_least_as_high_as_each_neighbour():
+    rng = np.random.default_rng(4)
+    for size in [0, 1, 2, 3, 5, 8, 96] * 40:
+        values = rng.integers(0, 4, size).astype(float)  # plateaus
+        values[rng.random(size) < 0.1] = np.nan
+        values[rng.random(size) < 0.1] = -np.inf
+        padded = [-math.inf, *values, -math.inf]
+        want = [i for i in range(size)
+                if padded[i + 1] >= padded[i] and padded[i + 1] >= padded[i + 2]]
+        got = optimize._local_maxima(values)
+        assert got == want and all(type(i) is int for i in got)

@@ -102,6 +102,15 @@ class TestPhotonDistribution:
         variance = float((n * n) @ dist.probs) - mean * mean
         assert moments(dist.probs) == (dist.mean(), dist.variance()) == (mean, variance)
         assert mandel_q(dist) == (variance - mean) / mean
+        # Bit for bit the products with the integer vectors, at any length
+        # and for rows of a larger array.
+        rng = np.random.default_rng(8)
+        for size in (1, 2, 3, 31, 62, 200):
+            block = rng.dirichlet(np.ones(2 * size), 20)[:, :size]
+            for probs in (*block, rng.random(size) * 1e-7):
+                n = np.arange(size)
+                mean = float(n @ probs)
+                assert moments(probs) == (mean, float((n * n) @ probs) - mean * mean)
 
     def test_meta_is_read_only(self):
         dist = PhotonDistribution(np.array([1.0, 0.0]), 1, meta={"a": 1})

@@ -1,12 +1,21 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from photonmux import SourceConfig, clock_report, figure2, optimize, output_distribution, sweeps
+from photonmux import (
+    SourceConfig,
+    clock_report,
+    figure2,
+    losses,
+    optimize,
+    output_distribution,
+    sweeps,
+)
 from photonmux.optimize import optimize_mu
-from photonmux.stats import PhotonDistribution, mandel_q, poisson_vector, snr
+from photonmux.stats import PhotonDistribution, TruncationError, mandel_q, poisson_vector, snr
 from photonmux.sweeps import (
     SweepRecord,
     SweepTable,
@@ -84,6 +93,16 @@ class TestFigure4:
 
 
 class TestFigure5:
+    def test_infeasible_case_echoes_its_template_with_nan_outputs(self):
+        table = figure5(snr_targets=[5.0, 1e9], m_values=[2], il_db_values=[0.5])
+        template = SourceConfig(m=2, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+        nan = math.nan
+        assert repr(table.records[1].row()) == repr((
+            2, 2.0, nan, 0.85, 0.9, 0.5, 0.0, nan, template.e_s_total, template.clock_hz,
+            nan, nan, nan, nan, nan, nan, 1e9))
+        assert table.to_csv() == _rowwise_csv(table)
+        assert table.to_json() == _rowwise_json(table)
+
     def test_vanishing_target_recovers_unconstrained_peak(self):
         table = figure5(snr_targets=[1e-9, 50.0], m_values=[4], il_db_values=[0.5])
         relaxed = [r for r in table.records if r.snr_target == 1e-9][0]
@@ -158,32 +177,175 @@ class TestCurveRowChecks:
 
     BASE = SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
 
-    @pytest.mark.parametrize("fault", ["outside", "negative_tail", "tail", "normalization"])
-    def test_faulty_row_raises_as_photon_distribution(self, monkeypatch, fault):
-        core = sweeps._output_rows
+    @staticmethod
+    def _inject(monkeypatch, faults):
+        """Patch the core of the sweeps so that the row of each pump rate in
+        ``faults`` gets that fault; returns the faulty rows with their tail
+        masses, by pump rate, as they leave the core."""
+        core = sweeps._chain_rows
+        faulty_rows = {}
 
-        def faulty(*args):
-            probs, tail = core(*args)
+        def faulty(mu, *args):
+            probs, tail, lost = core(mu, *args)
             probs, tail = probs.copy(), tail.copy()
-            if fault == "outside":
-                probs[1, 5] = -2e-12
-            elif fault == "negative_tail":
-                tail[1] = -2e-15
-            elif fault == "tail":
-                tail[1] = 2e-9
-            else:
-                probs[1] *= 0.9
-            want.append((probs[1].copy(), float(tail[1])))
-            return probs, tail
+            for i in np.flatnonzero(np.isin(mu, list(faults))):
+                fault, size = faults[float(mu[i])]
+                if fault == "outside":
+                    probs[i, 5] = -2e-12 * size
+                elif fault == "negative_tail":
+                    tail[i] = -2e-15 * size
+                elif fault == "tail":
+                    tail[i] = 2e-9 * size
+                else:
+                    probs[i] *= 0.9 / size
+                faulty_rows[float(mu[i])] = (probs[i].copy(), float(tail[i]))
+            return probs, tail, lost
 
-        want = []
-        monkeypatch.setattr(sweeps, "_output_rows", faulty)
-        with pytest.raises(ValueError) as got:
-            sweep_axis(self.BASE, "mu", [0.05, 0.1, 0.2])
-        row, tail = want[0]
+        monkeypatch.setattr(sweeps, "_chain_rows", faulty)
+        return faulty_rows
+
+    @staticmethod
+    def _assert_raises_as_photon_distribution(got, row, tail):
         with pytest.raises(ValueError) as expected:
             PhotonDistribution(row, 30, tail)
         assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+    @pytest.mark.parametrize("fault", ["outside", "negative_tail", "tail", "normalization"])
+    def test_faulty_row_raises_as_photon_distribution(self, monkeypatch, fault):
+        faulty_rows = self._inject(monkeypatch, {0.1: (fault, 1.0)})
+        with pytest.raises(ValueError) as got:
+            sweep_axis(self.BASE, "mu", [0.05, 0.1, 0.2])
+        self._assert_raises_as_photon_distribution(got, *faulty_rows[0.1])
+
+    @pytest.mark.parametrize("fault", ["outside", "negative_tail", "tail", "normalization"])
+    def test_first_faulty_row_of_a_late_block_raises(self, monkeypatch, fault):
+        # Faulty rows in the third and fourth blocks of the blocked core: the
+        # first one raises, as in one unblocked check of all rows.
+        mu = np.linspace(0.01, 0.5, 1000)
+        first, second = float(mu[600]), float(mu[900])
+        assert {600 // sweeps._BLOCK_ROWS, 900 // sweeps._BLOCK_ROWS} == {2, 3}
+        faulty_rows = self._inject(monkeypatch, {first: (fault, 1.0), second: (fault, 2.0)})
+        with pytest.raises(ValueError) as got:
+            sweep_axis(self.BASE, "mu", mu)
+        self._assert_raises_as_photon_distribution(got, *faulty_rows[first])
+
+    def test_truncation_in_a_late_block_precedes_an_earlier_faulty_row(self, monkeypatch):
+        # Truncating rows in the third and fourth blocks, a faulty row in the
+        # first: the error is the truncation that one unblocked core call
+        # raises, naming the worst mu of all rows.
+        mu = np.random.default_rng(3).uniform(0.01, 2.0, 1000)
+        mu[[700, 900]] = 40.0, 45.0
+        self._inject(monkeypatch, {float(mu[10]): ("normalization", 1.0)})
+        cfg = self.BASE
+        with pytest.raises(TruncationError) as unblocked:
+            losses._output_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, 30)
+        with pytest.raises(TruncationError) as blocked:
+            sweep_axis(cfg, "mu", mu)
+        assert str(blocked.value) == str(unblocked.value)
+        assert "at mu=45.0;" in str(blocked.value)
+
+    @pytest.mark.parametrize("axis,values", [
+        ("mu", [0.1, -0.5, math.nan]),
+        ("mu", [0.1, math.inf]),
+        ("e_sw_db", [0.0, math.nan, -1.0]),
+        ("e_sw_db", [1.0, -math.inf]),
+        ("mu", [0.1, None]),
+        ("e_sw_db", [0.5, "x"]),
+    ])
+    def test_bad_axis_value_raises_as_source_config(self, axis, values):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            for value in values:
+                self.BASE.replace(**{axis: float(value)})
+        with pytest.raises((TypeError, ValueError)) as got:
+            sweep_axis(self.BASE, axis, values)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+def _rowwise_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _rowwise_csv(table):
+    """The table's CSV as formatted one record at a time."""
+    lines = [f"# figure_id = {table.figure_id}"]
+    lines += [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
+    lines.append(",".join(SweepRecord.FIELDS))
+    lines += [",".join(_rowwise_cell(v) for v in record.row()) for record in table.records]
+    return "\n".join(lines) + "\n"
+
+
+def _rowwise_json(table):
+    """The table's JSON document as encoded one record at a time."""
+    doc = {
+        "format": "photonmux-table",
+        "figure_id": table.figure_id,
+        "metadata": table.metadata,
+        "columns": list(SweepRecord.FIELDS),
+        "records": [list(record.row()) for record in table.records],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=True) + "\n"
+
+
+_DEFAULT_TABLES = {
+    "fig2": figure2,
+    "fig3": figure3,
+    "fig4": figure4,
+    "fig5": figure5,
+    "sweep_mu": lambda: sweep_axis(
+        SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6), "mu",
+        np.concatenate(([0.0], np.geomspace(1e-4, 2.0, 2 * sweeps._FORMAT_ROWS)))),
+    "sweep_e_sw_db": lambda: sweep_axis(
+        SourceConfig(m=3, herald_rate_r=5e7, e_h=0.7, e_s=0.8), "e_sw_db",
+        np.concatenate((np.linspace(0.0, 5.0, 300), [3000.0]))),
+}
+
+
+class TestColumnarSerialization:
+    """Tables are formatted column by column; the text is what formatting
+    one record at a time gives."""
+
+    @pytest.mark.parametrize("name", sorted(_DEFAULT_TABLES))
+    def test_equals_rowwise_formatting(self, name):
+        table = _DEFAULT_TABLES[name]()
+        assert table.to_csv() == _rowwise_csv(table)
+        assert table.to_json() == _rowwise_json(table)
+
+    def test_mixed_and_awkward_values_equal_rowwise_formatting(self):
+        # Equal values of different types or signs, NaNs, infinities, numpy
+        # floats, and entries whose text holds a comma.
+        base = record_for(SourceConfig(m=1, mu=0.1, e_h=0.85))
+        records = [
+            base,
+            replace(base, delta_t0_ns=2, mu=-0.0, e_h=np.float64(0.85), p0=math.nan, snr=math.inf),
+            replace(base, delta_t0_ns=2.0, mu=0.0, e_h=1, p0=math.nan, snr=-math.inf,
+                    mu_opt=0.25, snr_target="5,0"),
+            replace(base, m=True, e_h=1.0, mu_opt=(1, 2), snr_target=None),
+        ]
+        table = SweepTable("custom", records)
+        assert table.to_csv() == _rowwise_csv(table)
+        assert table.to_json() == _rowwise_json(table)
+
+    def test_json_round_trip_keeps_types(self):
+        base = SourceConfig(m=2, mu=0.1, e_h=0.85, delta_t0_ns=4)
+        table = sweep_axis(base, "e_sw_db", [0.0, 0.5, 1.0])
+        back = SweepTable.from_json(table.to_json())
+        assert back.columns == table.columns
+        for got, want in zip(back.records, table.records):
+            assert [type(v) for v in got.row()] == [type(v) for v in want.row()]
+        assert {type(v) for v in back.columns[SweepRecord.FIELDS.index("m")]} == {int}
+        assert {type(v) for v in back.columns[SweepRecord.FIELDS.index("delta_t0_ns")]} == {int}
+        assert back.columns[SweepRecord.FIELDS.index("mu_opt")] == (None, None, None)
+        assert back.to_csv() == table.to_csv()
+        assert back.to_json() == table.to_json()
+
+    def test_records_are_the_columns_transposed(self):
+        table = figure4(mu_values=[0.1], il_grid=[0.0, 1.0], m_values=[0, 3])
+        assert tuple(zip(*(record.row() for record in table.records))) == table.columns
+        assert SweepTable("fig4", table.records).columns == table.columns
 
 
 class TestSweepTable:
