@@ -22,7 +22,6 @@ from .stats import (
 )
 from .losses import (
     LossChainTrace,
-    apply_signal_loss,
     heralded_distribution,
     output_chain,
     output_distribution,
@@ -54,7 +53,6 @@ __all__ = [
     "LossChainTrace",
     "heralded_distribution",
     "with_dark_counts",
-    "apply_signal_loss",
     "output_distribution",
     "output_chain",
     "OptimizationResult",

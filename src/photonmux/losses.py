@@ -31,7 +31,6 @@ from .stats import (
     TAIL_LIMIT,
     PhotonDistribution,
     TruncationError,
-    binomial_matrix,
     ideal_distribution,
     poisson_rows,
     snr_rows,
@@ -41,7 +40,6 @@ __all__ = [
     "LossChainTrace",
     "heralded_distribution",
     "with_dark_counts",
-    "apply_signal_loss",
     "output_distribution",
     "output_chain",
     "p1_snr_curve",
@@ -192,9 +190,15 @@ def _distribution(cfg: SourceConfig, windows: int, p_dark: float, n_max: int,
                   transmission: float = 1.0, **meta) -> PhotonDistribution:
     """One loss-chain evaluation at cfg.mu: a batch of one through the core."""
     probs, tail = _output_rows(np.array([cfg.mu]), transmission, cfg.e_h, windows, p_dark, n_max)
+    return _row_distribution(cfg, probs[0], tail[0], n_max, **meta)
+
+
+def _row_distribution(cfg: SourceConfig, probs: np.ndarray, tail: float, n_max: int,
+                      **meta) -> PhotonDistribution:
+    """The distribution of one core row of cfg's chain, with ``meta``."""
     if cfg.e_h == 0.0:
         meta["degenerate_no_herald"] = True
-    return PhotonDistribution(probs[0], n_max, float(tail[0]), meta)
+    return PhotonDistribution(probs, n_max, float(tail), meta)
 
 
 def heralded_distribution(
@@ -237,23 +241,6 @@ def with_dark_counts(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDis
     form at a cost independent of the interval length.
     """
     return _distribution(cfg, cfg.n_windows, cfg.p_dark, n_max)
-
-
-def apply_signal_loss(dist: PhotonDistribution, transmission: float) -> PhotonDistribution:
-    """Send a photon-number distribution through a binomial loss channel.
-
-    Each of the n photons survives independently with probability
-    ``transmission``, so the k-photon output weight marginalizes the binomial
-    factor over all input numbers n >= k.  This is the only reading of the
-    binomial loss factor that preserves normalization.
-    """
-    if not (0.0 <= transmission <= 1.0):
-        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
-    probs = dist.probs @ binomial_matrix(dist.n_max, transmission)
-    # Photons lost from beyond the truncation bound would only move mass into
-    # the retained bins, so carrying the tail through unchanged is an upper
-    # bound on the residual error.
-    return PhotonDistribution(probs, dist.n_max, dist.tail_mass, dist.meta)
 
 
 def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:

@@ -6,17 +6,23 @@ logarithmic grid locates every local maximum and golden-section search
 refines each candidate bracket.  The SNR constraint is handled through the
 feasible set on the same grid, with bisection at every feasibility crossing.
 
-Each search is a generator that yields the pump rates it needs next and
-receives their P_1 and SNR (:func:`_drive`).  Golden-section and bisection
-steps yield the candidate points of their next few steps at once and then
-take those steps as a one-step loop would.  The batch entry points
-:func:`optimize_mu_batch` and :func:`max_p1_with_snr_floor_batch`, which
-``figure2``, ``figure5`` and ``validate`` use, run many searches in lockstep:
-each round evaluates the points of every live search in one blocked call of
-the loss-chain core.  ``figure2()`` takes 15 rounds for its 11 searches and
-``figure5()`` 31 for its 72, where one search after another made 86 and 681
-loss-chain calls.  Every result, ``iterations`` included, equals that of
-the search run alone.
+The batch entry points :func:`optimize_mu_batch` and
+:func:`max_p1_with_snr_floor_batch`, which ``figure2``, ``figure5`` and
+``validate`` use, run all their searches together in phases (:func:`_search`):
+the coarse grids, then every SNR-boundary bisection, then the grids of the
+feasible sub-intervals, then every golden section, then the optima.  A
+phase holds the brackets of all its jobs in numpy arrays, with the index of
+the search each job serves, and each round takes one step of every live job:
+a few elementwise operations and one blocked call of the loss-chain core.
+The last round evaluates each golden section's final midpoint together with
+every other candidate optimum in one call of the core that keeps whole
+output rows, and each result's distribution is its optimum's row.
+``figure2()`` takes 29 rounds for its 11 searches and ``figure5()`` 59 for
+its 72, about 4 and 17 ms on a 2-vCPU x86-64 host.  Every result,
+``iterations`` included, equals that of the search run alone with one
+loss-chain evaluation per step: numpy's elementwise float64 arithmetic
+rounds as Python's does, one operation at a time, and a point's values do
+not depend on the rows it is evaluated with.
 """
 
 from __future__ import annotations
@@ -24,15 +30,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Generator, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import SourceConfig
-# p1_snr_curve stays a module attribute: perfbench's traced pass wraps it by name.
-from .losses import _p1_snr_rows, output_distribution, p1_snr_curve  # noqa: F401
-from .stats import DEFAULT_N_MAX, PhotonDistribution, mandel_q_or_nan, snr
+# output_distribution and p1_snr_curve stay module attributes: perfbench's
+# traced pass and its chain-call probe wrap them by name.
+from .losses import (  # noqa: F401
+    _output_rows,
+    _p1_snr_rows,
+    _row_distribution,
+    output_distribution,
+    p1_snr_curve,
+)
+from .stats import DEFAULT_N_MAX, PhotonDistribution, mandel_q_or_nan, snr_rows
 
 __all__ = [
     "OptimizationResult",
@@ -43,11 +56,8 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Search steps per round: golden-section and bisection searches yield every
-# point their next _LOOKAHEAD steps could test at once, 3 for a bisection.
-# Of 1 to 4, 2 ran figure2() plus figure5() fastest in lockstep: a deeper
-# tree saves rounds but costs more Python and more rows per step.
-_LOOKAHEAD = 2
+# An SNR-boundary bisection stops at this bracket width relative to max(1, mu).
+_BISECT_TOL = 1e-10
 DEFAULT_MU_RANGE = (1e-4, 2.0)
 MIN_COARSE_POINTS = 64
 
@@ -78,15 +88,6 @@ class OptimizationResult:
     distribution: Optional[PhotonDistribution] = field(default=None, compare=False, repr=False)
 
 
-def _result_at(cfg: SourceConfig, mu: float, n_max: int, **outcome) -> OptimizationResult:
-    """The result at pump rate ``mu`` (cfg.mu is ignored), from one
-    loss-chain evaluation that the result keeps as its distribution."""
-    dist = output_distribution(cfg.replace(mu=mu), n_max)
-    return OptimizationResult(mu_opt=mu, p1_max=dist.p(1), snr_at_opt=snr(dist),
-                              mandel_q_at_opt=mandel_q_or_nan(dist.probs), distribution=dist,
-                              **outcome)
-
-
 def _coarse_grid(mu_range: Tuple[float, float], coarse_points: int, tol: float) -> np.ndarray:
     """Logarithmic grid of at least MIN_COARSE_POINTS pump rates over
     ``mu_range``, after the checks of the inputs both searches share."""
@@ -95,6 +96,12 @@ def _coarse_grid(mu_range: Tuple[float, float], coarse_points: int, tol: float) 
         raise ValueError(f"mu_range must satisfy 0 < lo < hi < inf, got {mu_range}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    try:
+        whole = not isinstance(coarse_points, bool) and int(coarse_points) == coarse_points
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+        whole = False
+    if not whole:
+        raise ValueError(f"coarse_points must be an integer, got {coarse_points!r}")
     return _geomspace(lo, hi, max(int(coarse_points), MIN_COARSE_POINTS))
 
 
@@ -107,116 +114,231 @@ def _geomspace(lo: float, hi: float, points: int) -> np.ndarray:
     return grid
 
 
-def _lookahead(state, done, points, test, follow, pick):
-    """Run the one-step search
+def _interior_maxima(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(row, index) of the strict-or-plateau local maxima inside each row of
+    ``values``, in row-major order: the points other than the two ends that
+    are at least as high as both neighbours."""
+    inner = values[:, 1:-1]
+    rows, index = np.nonzero((inner >= values[:, :-2]) & (inner >= values[:, 2:]))
+    return rows, index + 1
 
-        while not done(state):
-            state = follow(state, test(*[f(x) for x in points(state)]))
 
-    as a search (see :func:`_drive`) that takes _LOOKAHEAD steps per
-    lockstep round.  f is entry ``pick`` of what the search receives: 0 for
-    P_1, 1 for the SNR.  ``follow(state, outcome)`` is the successor of
-    ``state`` on a true or false test.  Each round expands the next
-    _LOOKAHEAD levels of the tree of states and yields, as one batch, every
-    point those states read that no earlier round did; the walk down the
-    tree then tests one state per level as the one-step loop does.  It
-    reaches the same states because the loss chain gives a point the same
-    values in any batch.  The tree is expanded whole, past states that are
-    done: testing every state cost more than the points it would save.
-    Returns (final state, steps taken).
+def _parameters(configs: Sequence[SourceConfig]) -> np.ndarray:
+    """The loss-chain parameters of each config as a column: the signal
+    transmission, e_h, the window count and P_dark."""
+    return np.array([(cfg.e_s_total, cfg.e_h, float(cfg.n_windows), cfg.p_dark)
+                     for cfg in configs]).T
+
+
+def _on_grids(params: np.ndarray, owners: Sequence[int], grids: Sequence[np.ndarray],
+              n_max: int) -> list:
+    """(P_1, SNR) over ``grids[i]`` with the parameters of ``owners[i]``, as
+    views into the rows of one round.  Grids of equal parameters that are one
+    object, as the cached coarse grids are, share their rows; kept in order of
+    first appearance, the rows sent are those the unshared round would send,
+    so TruncationError names the same pump rate."""
+    keys = [(params[:, owner].tobytes(), id(grid)) for owner, grid in zip(owners, grids)]
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    sent = list(first.values())
+    counts = [grids[i].size for i in sent]
+    p1, ratio = _p1_snr_rows(np.concatenate([grids[i] for i in sent]),
+                             *params[:, np.repeat([owners[i] for i in sent], counts)], n_max)
+    start = dict(zip(first, itertools.accumulate(counts, initial=0)))
+    return [(p1[start[key]:start[key] + grid.size], ratio[start[key]:start[key] + grid.size])
+            for key, grid in zip(keys, grids)]
+
+
+def _bisect(params: np.ndarray, owner: np.ndarray, feasible: np.ndarray,
+            infeasible: np.ndarray, target: np.ndarray, n_max: int,
+            tol: float = _BISECT_TOL) -> np.ndarray:
+    """The feasibility boundaries between ``feasible[i]`` (SNR >= target[i])
+    and ``infeasible[i]`` (SNR < target[i]), in either order, each on its
+    feasible side: the feasible ends of the final brackets.  A pair of equal
+    ends is a boundary already.  The live brackets are kept packed, and a
+    bracket leaves them when it closes."""
+    found = feasible.copy()
+    live, ok, bad, row = np.arange(found.size), feasible, infeasible, params[:, owner]
+    while True:
+        open_ = np.abs(bad - ok) > tol * np.maximum(np.maximum(1.0, ok), bad)
+        if not open_.all():
+            found[live] = ok
+            live, ok, bad, target, row = (live[open_], ok[open_], bad[open_], target[open_],
+                                          row[:, open_])
+        if not live.size:
+            return found
+        mid = 0.5 * (ok + bad)
+        passed = _p1_snr_rows(mid, *row, n_max)[1] >= target
+        ok, bad = np.where(passed, mid, ok), np.where(passed, bad, mid)
+
+
+def _golden(params: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            tol: float, n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximizations of P_1 on [lo[i], hi[i]], each bracket
+    (a, b) with inner points c < d keeping the side of the larger of P_1(c)
+    and P_1(d) until b - a <= tol.  Returns the final midpoints, not yet
+    evaluated, and the steps each search took.  The live searches are kept
+    packed, and a search leaves them when its bracket closes."""
+    mids, steps = np.empty(lo.size), np.zeros(lo.size, dtype=int)
+    live, a, b, row = np.arange(lo.size), lo, hi, params[:, owner]
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = np.split(_p1_snr_rows(np.concatenate((c, d)), *np.tile(row, 2), n_max)[0], 2)
+    step = 0
+    while True:
+        open_ = b - a > tol
+        if not open_.all():
+            closed = live[~open_]
+            mids[closed], steps[closed] = 0.5 * (a[~open_] + b[~open_]), step
+            live, a, b, c, d, fc, fd, row = (x[..., open_] for x in (live, a, b, c, d, fc, fd, row))
+        if not live.size:
+            return mids, steps
+        left = fc >= fd
+        new = np.where(left, d - _GOLDEN * (d - a), c + _GOLDEN * (b - c))
+        f_new = _p1_snr_rows(new, *row, n_max)[0]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+        step += 1
+
+
+def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tuple[float, float],
+            tol: float, coarse_points: int, n_max: int) -> list:
+    """The results of the (template, snr_target) cases, all searched
+    together: :func:`max_p1_with_snr_floor` for each target, and
+    :func:`optimize_mu` for a target of None.
+
+    The phases run in order, each in rounds of one step for every live job
+    (see the module docstring).  A peak is a maximization over a grid: the
+    coarse grid of an unconstrained case or the grid of a feasible
+    sub-interval; each interior local maximum of its grid gives it one golden
+    section.  The final round evaluates, for every peak, its best grid point
+    and its golden sections' midpoints, and the lone point of every
+    sub-interval that bisection closed to a point.
     """
-    values = {}
-    steps = 0
-    while not done(state):
-        level, ahead = [state], []
-        for depth in range(_LOOKAHEAD):
-            if depth:
-                level = [child for node in level
-                         for child in (follow(node, True), follow(node, False))]
-            for node in level:
-                ahead += points(node)
-        batch = [x for x in dict.fromkeys(ahead) if x not in values]
-        outcome = yield batch
-        values.update(zip(batch, outcome[pick].tolist()))
-        for _ in range(_LOOKAHEAD):
-            if done(state):
-                break
-            state = follow(state, test(*[values[x] for x in points(state)]))
-            steps += 1
-    return state, steps
+    grids = []
+    for _, target in cases:
+        if target is not None and math.isnan(target):
+            raise ValueError("snr_target must not be NaN")
+        grids.append(_coarse_grid(mu_range, coarse_points, tol))
+    if not cases:
+        return []
+    params = _parameters([cfg for cfg, _ in cases])
+    coarse = _on_grids(params, range(len(cases)), grids, n_max)
 
+    # Every grid of one call has the same number of points, so the grids of
+    # a phase and their values stack into arrays with one row per search.
+    points = grids[0].size
+    targets = [target for _, target in cases]
+    free = [case for case, target in enumerate(targets) if target is None or target <= 0]
+    floored = [case for case, target in enumerate(targets) if target is not None and target > 0]
 
-def _golden_max(lo: float, hi: float, tol: float):
-    """Golden-section maximization of P_1 on [lo, hi], as a search (see
-    :func:`_drive`); returns (x, P_1(x), evals).
+    # Each run of feasible grid points of a constrained case gives one
+    # bisection job per end, with the grid neighbour beyond that end as its
+    # infeasible side, or the end itself at the edge of the grid.
+    intervals = {case: [] for case in floored}  # [(a, b, peak index or None)]
+    sub_cases, sub_grids, lone = [], [], []
+    if floored:
+        grid = np.array([grids[case] for case in floored])
+        target = np.array([targets[case] for case in floored])
+        feasible = np.array([coarse[case][1] for case in floored]) >= target[:, None]
+        run, edge = np.nonzero(np.diff(feasible, axis=1, prepend=False, append=False))
+        run, start, stop = np.repeat(run[::2], 2), edge[::2], edge[1::2]
+        inside = np.stack((start, stop - 1), axis=1).ravel()
+        beyond = np.stack((np.maximum(start - 1, 0), np.minimum(stop, points - 1)), axis=1).ravel()
+        owner = np.array(floored)[run]
+        bounds = _bisect(params, owner, grid[run, inside], grid[run, beyond], target[run], n_max)
+        # A feasible sub-interval [a, b] is a peak over its own grid, or,
+        # where bisection closed it to a point, that lone point.
+        for case, a, b in zip(owner[::2].tolist(), bounds[::2].tolist(), bounds[1::2].tolist()):
+            if b <= a:
+                intervals[case].append((a, b, None))
+                lone.append((case, a))
+                continue
+            intervals[case].append((a, b, len(free) + len(sub_grids)))
+            sub_cases.append(case)
+            sub_grids.append(_coarse_grid((a, b), coarse_points, tol))
+    sub_p1 = [p1 for p1, _ in _on_grids(params, sub_cases, sub_grids, n_max)] if sub_grids else []
 
-    A state is the bracket (a, b) with its inner points (c, d), and the side
-    of the larger of P_1(c) and P_1(d) is kept.  ``evals`` counts the two
-    first inner points, one per step and the final midpoint.
-    """
-    def follow(state, keep_left):
-        a, b, c, d = state
-        if keep_left:
-            return a, d, d - _GOLDEN * (d - a), c
-        return c, b, d, c + _GOLDEN * (b - c)
+    # The peaks: each unconstrained case's coarse grid, then the sub-interval
+    # grids.  One golden section per interior local maximum of a peak's grid.
+    peak_case = free + sub_cases
+    peak_grid = np.array([grids[case] for case in free] + sub_grids).reshape(-1, points)
+    peak_p1 = np.array([coarse[case][0] for case in free] + sub_p1).reshape(-1, points)
+    job_peak, i = _interior_maxima(peak_p1)
+    job_case = np.array(peak_case, dtype=int)[job_peak]
+    mids, steps = (_golden(params, job_case, peak_grid[job_peak, i - 1], peak_grid[job_peak, i + 1],
+                           tol, n_max) if job_peak.size else (np.empty(0), np.empty(0, dtype=int)))
 
-    (a, b, _, _), steps = yield from _lookahead(
-        (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)),
-        done=lambda state: not (state[1] - state[0]) > tol,
-        points=lambda state: state[2:],
-        test=lambda fc, fd: fc >= fd,
-        follow=follow,
-        pick=0,
-    )
-    x = 0.5 * (a + b)
-    p1, _ = yield [x]
-    return x, float(p1[0]), steps + 3
+    # The final round: row k is peak k's best grid point, then come the
+    # golden midpoints and the lone points.
+    peaks = len(peak_case)
+    top = peak_p1.argmax(axis=1)
+    mu = np.concatenate((peak_grid[np.arange(peaks), top], mids, [a for _, a in lone]))
+    owner = peak_case + job_case.tolist() + [case for case, _ in lone]
+    probs, tail = _output_rows(mu, *params[:, owner], n_max)
+    p1_at, snr_at = probs[:, 1], snr_rows(probs, tail)[1]
 
+    # The optimum of a peak starts at its best grid point, so it is never
+    # below it, and moves to a golden midpoint only where that is higher.
+    optimum = np.arange(peaks)
+    for job, peak in enumerate(job_peak.tolist()):
+        if p1_at[peaks + job] > p1_at[optimum[peak]]:
+            optimum[peak] = peaks + job
+    used = np.full(peaks, points)
+    np.add.at(used, job_peak, steps + 3)
+    # A best grid point on an end of the grid that no midpoint beats is a
+    # maximum on the edge of the range.
+    at_edge = ((top == 0) | (top == points - 1)) & (optimum == np.arange(peaks))
+    outcomes = [(row, evaluations, not edge, ("lower" if first == 0 else "upper") if edge else None)
+                for row, evaluations, edge, first
+                in zip(optimum.tolist(), used.tolist(), at_edge.tolist(), top.tolist())]
 
-def _local_maxima(values: np.ndarray) -> list:
-    """Indices of strict-or-plateau local maxima of a sampled curve: the
-    points at least as high as each neighbour, an end counting as -inf."""
-    padded = np.concatenate(([-math.inf], values, [-math.inf]))
-    inner = padded[1:-1]
-    return np.flatnonzero((inner >= padded[:-2]) & (inner >= padded[2:])).tolist()
+    def result(case, row, **outcome):
+        cfg = cases[case][0].replace(mu=float(mu[row]))
+        dist = _row_distribution(cfg, probs[row], tail[row], n_max, config=cfg)
+        return OptimizationResult(mu_opt=float(mu[row]), p1_max=dist.p(1),
+                                  snr_at_opt=float(snr_at[row]),
+                                  mandel_q_at_opt=mandel_q_or_nan(dist.probs),
+                                  distribution=dist, snr_target=cases[case][1], **outcome)
 
-
-def _mu_search(cfg: SourceConfig, mu_range: Tuple[float, float], tol: float,
-               coarse_points: int, n_max: int):
-    """The search of :func:`optimize_mu` (see :func:`_drive`)."""
-    grid = _coarse_grid(mu_range, coarse_points, tol)
-    points = len(grid)
-    grid_p1, _ = yield grid
-    best_x = float(grid[int(np.argmax(grid_p1))])
-    best_f = float(np.max(grid_p1))
-    iterations = points
-
-    candidates = _local_maxima(grid_p1)
-    interior_best: Tuple[float, float] = (best_x, best_f)
-    for i in candidates:
-        if i == 0 or i == points - 1:
+    results, lone_rows = [], iter(range(peaks + mids.size, mu.size))
+    unconstrained = iter(outcomes)  # their peaks come first, in case order
+    for case, target in enumerate(targets):
+        if case not in intervals:
+            row, iterations, converged, boundary = next(unconstrained)
+            results.append(result(case, row, iterations=iterations, converged=converged,
+                                  boundary=boundary))
             continue
-        a, b = float(grid[i - 1]), float(grid[i + 1])
-        x, fx, used = yield from _golden_max(a, b, tol)
-        iterations += used
-        if fx > interior_best[1]:
-            interior_best = (x, fx)
-    mu_opt, p1_max = interior_best
-
-    boundary = None
-    converged = True
-    edge = int(np.argmax(grid_p1))
-    if (edge == 0 or edge == points - 1) and best_f >= p1_max:
-        boundary = "lower" if edge == 0 else "upper"
-        converged = False
-        mu_opt, p1_max = best_x, best_f
-
-    # Guarantee: never below the coarse-grid maximum.
-    if best_f > p1_max:
-        mu_opt, p1_max = best_x, best_f
-
-    return _result_at(cfg, mu_opt, n_max, iterations=iterations,
-                      converged=converged, boundary=boundary)
+        if not intervals[case]:
+            nan = math.nan
+            results.append(OptimizationResult(
+                mu_opt=nan, p1_max=nan, snr_at_opt=nan, mandel_q_at_opt=nan, iterations=points,
+                converged=False, feasible=False, snr_target=target))
+            continue
+        iterations, chosen = points, None
+        for a, b, peak in intervals[case]:
+            if peak is None:
+                row, converged, boundary = next(lone_rows), True, None
+            else:
+                row, evaluations, converged, boundary = outcomes[peak]
+                iterations += evaluations
+            if chosen is None or p1_at[row] > p1_at[chosen[0]]:
+                # A peak on the upper end of a sub-interval inside the range
+                # is the SNR boundary, not the edge of the search.
+                hit = boundary == "upper" and b < mu_range[1]
+                chosen = (row, iterations, hit or converged, None if hit else boundary, hit)
+        row, iterations, converged, boundary, hit = chosen
+        # The constrained optimum must actually satisfy the floor.
+        if snr_at[row] < target - 1e-6:
+            raise RuntimeError(
+                f"internal error: constrained optimum violates SNR floor "
+                f"({float(snr_at[row])} < {target})"
+            )
+        results.append(result(case, row, iterations=iterations, converged=converged,
+                              boundary=boundary, constraint_active=hit))
+    return results
 
 
 def optimize_mu(
@@ -242,6 +364,8 @@ def optimize_mu(
         Search interval (lo, hi], 0 < lo < hi < inf.
     tol:
         Absolute convergence tolerance in mu (> 0).
+    coarse_points:
+        Points of the coarse scan, an integer; fewer than 64 count as 64.
     """
     return optimize_mu_batch([cfg_template], mu_range, tol, coarse_points, n_max)[0]
 
@@ -253,106 +377,9 @@ def optimize_mu_batch(
     coarse_points: int = 96,
     n_max: int = DEFAULT_N_MAX,
 ) -> list:
-    """:func:`optimize_mu` for each template, with the searches run in
-    lockstep; each result equals that of its own optimize_mu call."""
-    return _drive([(cfg, _mu_search(cfg, mu_range, tol, coarse_points, n_max))
-                   for cfg in cfg_templates], n_max)
-
-
-def _bisect_snr_boundary(feasible: float, infeasible: float, target: float, tol: float = 1e-10):
-    """Feasibility boundary between two pump rates, on its feasible side, as
-    a search (see :func:`_drive`).
-
-    ``feasible`` has SNR >= target and ``infeasible`` has SNR < target; they
-    may come in either order.  Returns the feasible end of the final bracket.
-    """
-    def mid(state):
-        return 0.5 * (state[0] + state[1])
-
-    def done(state):
-        ok, bad = state
-        return not abs(bad - ok) > tol * max(1.0, ok, bad)
-
-    (ok, _), _ = yield from _lookahead(
-        (feasible, infeasible),
-        done=done,
-        points=lambda state: (mid(state),),
-        test=lambda snr_mid: snr_mid >= target,
-        follow=lambda state, ok_mid: (mid(state), state[1]) if ok_mid else (state[0], mid(state)),
-        pick=1,
-    )
-    return ok
-
-
-def _snr_floor_search(cfg: SourceConfig, snr_target: float, mu_range: Tuple[float, float],
-                      tol: float, coarse_points: int, n_max: int):
-    """The search of :func:`max_p1_with_snr_floor` (see :func:`_drive`)."""
-    if math.isnan(snr_target):
-        raise ValueError("snr_target must not be NaN")
-    if snr_target <= 0:
-        result = yield from _mu_search(cfg, mu_range, tol, coarse_points, n_max)
-        return replace(result, snr_target=snr_target)
-    grid = _coarse_grid(mu_range, coarse_points, tol)
-    points = len(grid)
-    _, grid_snr = yield grid
-    feasible_mask = grid_snr >= snr_target
-    iterations = points
-
-    if not feasible_mask.any():
-        nan = math.nan
-        return OptimizationResult(
-            mu_opt=nan, p1_max=nan, snr_at_opt=nan, mandel_q_at_opt=nan,
-            iterations=iterations, converged=False, feasible=False,
-            snr_target=snr_target,
-        )
-
-    # Feasible sub-intervals [start, end] in grid coordinates, boundaries
-    # refined by bisection where the mask flips.
-    intervals = []
-    i = 0
-    while i < points:
-        if feasible_mask[i]:
-            j = i
-            while j + 1 < points and feasible_mask[j + 1]:
-                j += 1
-            a = float(grid[i])
-            b = float(grid[j])
-            if i > 0:
-                a = yield from _bisect_snr_boundary(a, float(grid[i - 1]), snr_target)
-            if j + 1 < points:
-                b = yield from _bisect_snr_boundary(b, float(grid[j + 1]), snr_target)
-            intervals.append((a, b))
-            i = j + 1
-        else:
-            i += 1
-
-    best: Optional[OptimizationResult] = None
-    for a, b in intervals:
-        if b <= a:
-            sub = _result_at(cfg, a, n_max, iterations=iterations, converged=True)
-        else:
-            sub = yield from _mu_search(cfg, (a, b), tol, coarse_points, n_max)
-            iterations += sub.iterations
-        if best is None or sub.p1_max > best.p1_max:
-            # A peak on the upper end of a sub-interval inside the range is
-            # the SNR boundary, not the edge of the search.
-            hit_boundary = sub.boundary == "upper" and b < mu_range[1]
-            best = replace(
-                sub,
-                iterations=iterations,
-                converged=hit_boundary or sub.converged,
-                boundary=None if hit_boundary else sub.boundary,
-                snr_target=snr_target,
-                constraint_active=hit_boundary,
-            )
-    assert best is not None
-    # The constrained optimum must actually satisfy the floor.
-    if best.snr_at_opt < snr_target - 1e-6:
-        raise RuntimeError(
-            f"internal error: constrained optimum violates SNR floor "
-            f"({best.snr_at_opt} < {snr_target})"
-        )
-    return best
+    """:func:`optimize_mu` for each template, with the searches run
+    together; each result equals that of its own optimize_mu call."""
+    return _search([(cfg, None) for cfg in cfg_templates], mu_range, tol, coarse_points, n_max)
 
 
 def max_p1_with_snr_floor(
@@ -370,7 +397,8 @@ def max_p1_with_snr_floor(
     grid is delimited by bisection at its grid crossings, and the
     unconstrained optimizer runs on each such sub-interval.  A NaN target is
     rejected; an unreachable one, +inf included, yields an explicit
-    infeasibility result instead of an exception.
+    infeasibility result instead of an exception.  A target <= 0 gives the
+    unconstrained result with ``snr_target`` set.
     """
     return max_p1_with_snr_floor_batch([(cfg_template, snr_target)], mu_range, tol,
                                        coarse_points, n_max)[0]
@@ -384,58 +412,6 @@ def max_p1_with_snr_floor_batch(
     n_max: int = DEFAULT_N_MAX,
 ) -> list:
     """:func:`max_p1_with_snr_floor` for each (template, target) case, with
-    the searches run in lockstep; each result equals that of its own
+    the searches run together; each result equals that of its own
     max_p1_with_snr_floor call."""
-    return _drive([(cfg, _snr_floor_search(cfg, target, mu_range, tol, coarse_points, n_max))
-                   for cfg, target in cases], n_max)
-
-
-def _drive(searches: Sequence[Tuple[SourceConfig, Generator]], n_max: int) -> list:
-    """Run (config, search) pairs in lockstep; returns their results in order.
-
-    A search is a generator.  It yields a list of pump rates, receives the
-    (P_1, SNR) arrays of the loss chain of its config at those rates,
-    truncated at ``n_max``, and returns its result; a sub-search joins it
-    through ``yield from``.  Each round sends the points of every live
-    search to the loss-chain core as one batch of rows, with each row's
-    config parameters beside its pump rate, and hands each search its slice.
-    A search thus takes the steps it would take alone: a row's values do not
-    depend on the rows around it.  Searches of one config that yield the
-    same points object, as those sharing a cached coarse grid do, share its
-    rows: ``figure5()``'s 72 searches first yield 6912 rows, of which 1152
-    go to the core, since the 6 SNR targets of each template share its
-    96-point grid.  Kept in order of first appearance, the rows that go are
-    those the batch would otherwise send, so TruncationError names the same
-    pump rate.
-    """
-    results = [None] * len(searches)
-    params = np.array([(cfg.e_s_total, cfg.e_h, float(cfg.n_windows), cfg.p_dark)
-                       for cfg, _ in searches]).reshape(-1, 4).T
-    configs = {}  # the searches' distinct parameter columns, told apart by their bits
-    config_of = [configs.setdefault(column.tobytes(), len(configs)) for column in params.T]
-    live = []
-
-    def advance(index, search, values):
-        try:
-            live.append((index, search, search.send(values)))
-        except StopIteration as stop:
-            results[index] = stop.value
-
-    for index, (_, search) in enumerate(searches):
-        advance(index, search, None)
-    while live:
-        batch, live = live, []
-        shared = {}  # (config, points object) -> the first search yielding them
-        for index, _, points in batch:
-            shared.setdefault((config_of[index], id(points)), (index, points))
-        counts = [len(points) for _, points in shared.values()]
-        mu = np.fromiter(itertools.chain.from_iterable(points for _, points in shared.values()),
-                         float, sum(counts))
-        per_row = np.repeat(params[:, [index for index, _ in shared.values()]], counts, axis=1)
-        p1, ratio = _p1_snr_rows(mu, *per_row, n_max)
-        starts = dict(zip(shared, itertools.accumulate(counts, initial=0)))
-        for index, search, points in batch:
-            start = starts[config_of[index], id(points)]
-            end = start + len(points)
-            advance(index, search, (p1[start:end], ratio[start:end]))
-    return results
+    return _search(list(cases), mu_range, tol, coarse_points, n_max)

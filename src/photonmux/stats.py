@@ -48,19 +48,14 @@ class TruncationError(ValueError):
 
 
 def poisson_pmf(mu: float, n: int) -> float:
-    """Poisson probability of n events at mean mu.
-
-    Evaluated in log space (log-gamma for the factorial) so that large n and
-    large mu do not overflow.
-    """
+    """Poisson probability of n events at mean mu: entry n of the one row
+    :func:`poisson_rows` gives for mu, evaluated in log space.  Like
+    :func:`poisson_vector`, it computes the n + 1 entries up to n."""
     if not (mu >= 0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
     if int(n) != n or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
-    n = int(n)
-    if mu == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+    return float(poisson_rows(np.array([float(mu)]), int(n))[0, -1])
 
 
 def poisson_vector(mu: float, n_max: int) -> np.ndarray:

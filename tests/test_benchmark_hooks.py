@@ -4,12 +4,17 @@ The traced run wraps the ones ``perfbench/layers.py`` lists in ``PATCHES``
 as (module, attribute, span name), and every benchmark file reads others,
 such as ``sweeps.DEFAULT_MU_GRID``.  The files are parsed, not imported, so
 these tests need nothing from the benchmark but its source, and a renamed
-attribute fails here rather than in the benchmark's own self-test.
+attribute fails here rather than in the benchmark's own self-test.  The last
+test imports the benchmark's gate and checks the default figures with it.
 """
 
 import ast
 import importlib
+import json
+import sys
 from pathlib import Path
+
+from photonmux import sweeps
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
@@ -89,3 +94,19 @@ def test_every_attribute_the_benchmark_reads_exists():
     assert not missing, f"perfbench uses photonmux names that do not exist: {sorted(missing)}"
     assert {"sweeps.DEFAULT_MU_GRID", "montecarlo._CHUNK_WORD_TARGET",
             "stats.DEFAULT_N_MAX", "photonmux.SourceConfig"} <= read
+
+
+def test_default_figures_pass_the_benchmark_gate(monkeypatch):
+    # The benchmark's own gate on the default figure tables, against its
+    # recorded digests: a figure that drifts beyond the gate's tolerance
+    # fails here, before a benchmark run.  The benchmark's files are only
+    # read.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing lands in perfbench/
+    workloads = importlib.import_module("workloads")
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())
+    gate = workloads.Gate(recorded["full"]["figures"], strict=False)
+    for name in ("fig2", "fig3", "fig4", "fig5"):
+        table = getattr(sweeps, "figure" + name[3:])()
+        ok, detail = gate.check_table(name, table.to_csv())
+        assert ok, f"{name}: {detail}"

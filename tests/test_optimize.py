@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from photonmux import (
     sweeps,
 )
 from photonmux.losses import p1_snr_curve
-from photonmux.stats import TruncationError, snr
+from photonmux.stats import TruncationError, mandel_q_or_nan, snr
 
 
 def test_ideal_single_window_peaks_at_unit_mu():
@@ -66,6 +67,12 @@ def test_boundary_maximum_flagged():
     assert not result.converged
     assert result.boundary == "upper"
     assert result.mu_opt == pytest.approx(0.8, rel=1e-12)
+    # A floor met over the whole range leaves the edge of the range, not the
+    # SNR boundary, as the reason.
+    floored = max_p1_with_snr_floor(SourceConfig.lossless(m=0, mu=1e-3), 1e-3,
+                                    mu_range=(0.1, 0.8))
+    assert (floored.mu_opt, floored.boundary, floored.converged) == (0.8, "upper", False)
+    assert not floored.constraint_active
 
 
 _INPUT_CFG = SourceConfig(m=2, mu=1e-3, e_h=0.85, e_s=0.9, e_sw_db=0.5)
@@ -81,9 +88,14 @@ _INPUT_CFG = SourceConfig(m=2, mu=1e-3, e_h=0.85, e_s=0.9, e_sw_db=0.5)
     (lambda: max_p1_with_snr_floor(_INPUT_CFG, 50.0, mu_range=(1e-4, math.inf)), "mu_range"),
     (lambda: optimize_mu(_INPUT_CFG, mu_range=(math.nan, 2.0)), "mu_range"),
     (lambda: max_p1_with_snr_floor(_INPUT_CFG, 5.0, mu_range=(0.5, 0.5)), "mu_range"),
+    (lambda: optimize_mu(_INPUT_CFG, coarse_points=96.5), "coarse_points"),
+    (lambda: max_p1_with_snr_floor(_INPUT_CFG, 20.0, coarse_points=10.25), "coarse_points"),
+    (lambda: optimize_mu(_INPUT_CFG, coarse_points=True), "coarse_points"),
+    (lambda: optimize_mu(_INPUT_CFG, coarse_points=math.nan), "coarse_points"),
 ], ids=["nan-tol", "zero-tol", "negative-tol-constrained", "nan-tol-infeasible",
         "nan-target", "infinite-range", "infinite-range-constrained", "nan-range",
-        "empty-range-constrained"])
+        "empty-range-constrained", "fractional-points", "fractional-points-constrained",
+        "bool-points", "nan-points"])
 def test_rejects_invalid_search_inputs(call, match):
     # Rejected up front, before any loss-chain call can warn or fail.
     with warnings.catch_warnings():
@@ -152,54 +164,107 @@ def test_vacuum_optimum_reports_nan_mandel_q():
         assert result.snr_at_opt == math.inf
 
 
-# -- the lockstep tree searches against the one-step loops -------------------
+# -- the phased searches against one-point-at-a-time references -------------
 
 
-def _run_alone(cfg, search, n_max=30):
-    """Run one search (see optimize._drive), each batch it yields evaluated
-    by its own p1_snr_curve call."""
-    values = None
-    try:
-        while True:
-            values = p1_snr_curve(cfg, search.send(values), n_max)
-    except StopIteration as stop:
-        return stop.value
+def _at(cfg, mu, n_max=30):
+    """P1 and the SNR at one pump rate, from a p1_snr_curve call of its own."""
+    p1, ratio = p1_snr_curve(cfg, [mu], n_max)
+    return float(p1[0]), float(ratio[0])
 
 
-def _one_step_golden(lo, hi, tol):
-    """Golden-section search with one evaluation per step, as a search with
-    the protocol of optimize._golden_max."""
+def _ref_golden(cfg, lo, hi, tol, n_max=30):
+    """Golden-section search with one evaluation per step: (x, P1(x), evaluations)."""
     a, b = lo, hi
     c = b - optimize._GOLDEN * (b - a)
     d = a + optimize._GOLDEN * (b - a)
-    fc = float((yield [c])[0][0])
-    fd = float((yield [d])[0][0])
+    fc, fd = _at(cfg, c, n_max)[0], _at(cfg, d, n_max)[0]
     evals = 2
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - optimize._GOLDEN * (b - a)
-            fc = float((yield [c])[0][0])
+            fc = _at(cfg, c, n_max)[0]
         else:
             a, c, fc = c, d, fd
             d = a + optimize._GOLDEN * (b - a)
-            fd = float((yield [d])[0][0])
+            fd = _at(cfg, d, n_max)[0]
         evals += 1
     x = 0.5 * (a + b)
-    return x, float((yield [x])[0][0]), evals + 1
+    return x, _at(cfg, x, n_max)[0], evals + 1
 
 
-def _one_step_bisection(feasible, infeasible, target, tol=1e-10):
-    """SNR-boundary bisection with one loss-chain evaluation per step, as a
-    search with the protocol of optimize._bisect_snr_boundary."""
+def _ref_bisection(cfg, feasible, infeasible, target, tol=1e-10, n_max=30):
+    """SNR-boundary bisection with one evaluation per step."""
     ok, bad = feasible, infeasible
     while abs(bad - ok) > tol * max(1.0, ok, bad):
         mid = 0.5 * (ok + bad)
-        if float((yield [mid])[1][0]) >= target:
+        if _at(cfg, mid, n_max)[1] >= target:
             ok = mid
         else:
             bad = mid
     return ok
+
+
+def _ref_result(cfg, mu, n_max, **outcome):
+    dist = output_distribution(cfg.replace(mu=mu), n_max)
+    return optimize.OptimizationResult(
+        mu_opt=mu, p1_max=dist.p(1), snr_at_opt=snr(dist),
+        mandel_q_at_opt=mandel_q_or_nan(dist.probs), distribution=dist, **outcome)
+
+
+def _ref_optimize_mu(cfg, mu_range=optimize.DEFAULT_MU_RANGE, tol=1e-6, n_max=30):
+    """optimize_mu as one search, one point at a time."""
+    grid = np.geomspace(*mu_range, 96)
+    grid_p1, _ = p1_snr_curve(cfg, grid, n_max)
+    best = int(np.argmax(grid_p1))
+    mu_opt, p1_max, iterations = float(grid[best]), float(grid_p1[best]), grid.size
+    for i in range(1, grid.size - 1):
+        if grid_p1[i] >= grid_p1[i - 1] and grid_p1[i] >= grid_p1[i + 1]:
+            x, fx, evals = _ref_golden(cfg, float(grid[i - 1]), float(grid[i + 1]), tol, n_max)
+            iterations += evals
+            if fx > p1_max:
+                mu_opt, p1_max = x, fx
+    boundary = None
+    if best in (0, grid.size - 1) and grid_p1[best] >= p1_max:
+        boundary = "lower" if best == 0 else "upper"
+        mu_opt = float(grid[best])
+    return _ref_result(cfg, mu_opt, n_max, iterations=iterations, converged=boundary is None,
+                       boundary=boundary)
+
+
+def _ref_max_p1_with_snr_floor(cfg, target, mu_range=optimize.DEFAULT_MU_RANGE, n_max=30):
+    """max_p1_with_snr_floor as one search, one point at a time."""
+    if target <= 0:
+        return replace(_ref_optimize_mu(cfg, mu_range, n_max=n_max), snr_target=target)
+    grid = np.geomspace(*mu_range, 96).tolist()
+    feasible = (p1_snr_curve(cfg, grid, n_max)[1] >= target).tolist() + [False]
+    iterations, best, i = len(grid), None, 0
+    while i < len(grid):
+        if not feasible[i]:
+            i += 1
+            continue
+        j = feasible.index(False, i) - 1
+        a = _ref_bisection(cfg, grid[i], grid[i - 1], target, n_max=n_max) if i else grid[i]
+        b = grid[j] if j == len(grid) - 1 else _ref_bisection(cfg, grid[j], grid[j + 1], target,
+                                                              n_max=n_max)
+        if b <= a:
+            sub = _ref_result(cfg, a, n_max, iterations=iterations, converged=True)
+        else:
+            sub = _ref_optimize_mu(cfg, (a, b), n_max=n_max)
+            iterations += sub.iterations
+        if best is None or sub.p1_max > best.p1_max:
+            hit = sub.boundary == "upper" and b < mu_range[1]
+            best = replace(sub, iterations=iterations, converged=hit or sub.converged,
+                           boundary=None if hit else sub.boundary, snr_target=target,
+                           constraint_active=hit)
+        i = j + 1
+    if best is None:
+        nan = math.nan
+        return optimize.OptimizationResult(
+            mu_opt=nan, p1_max=nan, snr_at_opt=nan, mandel_q_at_opt=nan, iterations=iterations,
+            converged=False, feasible=False, snr_target=target)
+    return best
 
 
 def _random_configs(seed, count):
@@ -210,20 +275,33 @@ def _random_configs(seed, count):
                            r_dark=float(rng.choice([0.0, 5e6])))
 
 
-def _echo(points):
-    """A search that yields its points once and returns their values."""
-    return (yield points)
+def _on_grids(cfgs, grids):
+    """One round over each grid with its config's parameters."""
+    return optimize._on_grids(optimize._parameters(cfgs), range(len(cfgs)), grids, 30)
 
 
 def _same_bits(got, want):
     return np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def _counted_rows(monkeypatch, *names):
+    """Record (core name, rows) of each call that optimize makes to the named cores."""
+    calls = []
+    for name in names:
+        core = getattr(optimize, name)
+
+        def counted(mu, *args, _core=core, _name=name):
+            calls.append((_name, mu.size))
+            return _core(mu, *args)
+
+        monkeypatch.setattr(optimize, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_curve_entries_equal_one_point_calls(seed):
-    # The tree searches and the lockstep rounds rely on it: a point's P1 and
-    # SNR do not depend on the batch, the block or the other configs it is
-    # evaluated with.
+    # The phased rounds rely on it: a point's P1 and SNR do not depend on the
+    # batch, the block or the other configs it is evaluated with.
     rng = np.random.default_rng(100 + seed)
     for cfg in _random_configs(seed, 8):
         mu = rng.uniform(1e-4, 2.0, int(rng.integers(2, 80)))
@@ -245,8 +323,8 @@ def test_curve_entries_equal_one_point_calls(seed):
             assert one_p1[0].tobytes() == p1[i].tobytes()
             assert one_ratio[0].tobytes() == ratio[i].tobytes()
 
-    # One lockstep round over configs that mix m 0..5, e_h, switch loss and
-    # dark counts, more rows than several blocks hold in all.
+    # One round over configs that mix m 0..5, e_h, switch loss and dark
+    # counts, more rows than several blocks hold in all.
     cases = []
     for _ in range(12):
         cfg = SourceConfig(m=int(rng.integers(0, 6)), mu=0.1,
@@ -257,7 +335,7 @@ def test_curve_entries_equal_one_point_calls(seed):
         mu[rng.random(mu.size) < 0.1] = 0.0
         cases.append((cfg, mu))
     assert sum(mu.size for _, mu in cases) > 2 * block
-    rounds = optimize._drive([(cfg, _echo(mu)) for cfg, mu in cases], 30)
+    rounds = _on_grids(*zip(*cases))
     for (cfg, mu), (p1, ratio) in zip(cases, rounds):
         curve_p1, curve_ratio = p1_snr_curve(cfg, mu)
         assert p1.tobytes() == curve_p1.tobytes() and ratio.tobytes() == curve_ratio.tobytes()
@@ -269,10 +347,18 @@ def test_curve_entries_equal_one_point_calls(seed):
             assert _same_bits(p1[i], dist.p(1)) and _same_bits(ratio[i], snr(dist))
 
 
+def _bisect(cfgs, ends, tol):
+    """optimize._bisect over (feasible, infeasible, target) ends, each with
+    the parameters of its config."""
+    feasible, infeasible, target = map(np.array, zip(*ends))
+    return optimize._bisect(optimize._parameters(cfgs), np.arange(len(cfgs)), feasible,
+                            infeasible, target, 30, tol).tolist()
+
+
 @pytest.mark.parametrize("seed", [4, 5])
 def test_bisection_equals_one_step_loop(seed):
     grid = np.geomspace(1e-4, 2.0, 96)
-    cases, want = [], []
+    groups = {1e-10: [], 1e-4: []}
     for cfg in _random_configs(seed, 6):
         _, ratio = p1_snr_curve(cfg, grid)
         for target in (5.0, 50.0, float(ratio[40])):
@@ -281,30 +367,40 @@ def test_bisection_equals_one_step_loop(seed):
                 continue
             i = int(crossing[0])
             ok, bad = float(grid[i - 1]), float(grid[i])
-            for tol in (1e-10, 1e-4):
+            for tol, group in groups.items():
                 # The ends in the other order too: every test passes and the
-                # bracket closes on the upper end.
-                for args in ((ok, bad, target, tol), (bad, ok, 1.0 / target, tol)):
-                    expected = _run_alone(cfg, _one_step_bisection(*args))
-                    search = optimize._bisect_snr_boundary(*args)
-                    assert optimize._drive([(cfg, search)], 30) == [expected]
-                    cases.append((cfg, optimize._bisect_snr_boundary(*args)))
-                    want.append(expected)
-    # All of them in lockstep, too.
-    assert optimize._drive(cases, 30) == want
+                # bracket closes on the upper end.  Equal ends stay put.
+                for ends in ((ok, bad, target), (bad, ok, 1.0 / target), (ok, ok, target)):
+                    want = _ref_bisection(cfg, *ends, tol)
+                    assert _bisect([cfg], [ends], tol) == [want]
+                    group.append((cfg, ends, want))
+    # All of them together, too.
+    for tol, group in groups.items():
+        cfgs, ends, want = zip(*group)
+        assert _bisect(cfgs, ends, tol) == list(want)
+
+
+def _golden(cfgs, brackets, tol):
+    """(x, P1(x), evaluations) of optimize._golden on each (lo, hi) bracket
+    with the parameters of its config."""
+    lo, hi = map(np.array, zip(*brackets))
+    mids, steps = optimize._golden(optimize._parameters(cfgs), np.arange(len(cfgs)), lo, hi,
+                                   tol, 30)
+    return [(x, _at(cfg, x)[0], int(used) + 3) for cfg, x, used in zip(cfgs, mids.tolist(), steps)]
 
 
 @pytest.mark.parametrize("seed", [6, 7])
 def test_golden_section_equals_one_step_loop(seed):
-    cases, want = [], []
+    groups = {}
     for cfg in _random_configs(seed, 6):
         for lo, hi, tol in ((0.05, 0.9, 1e-6), (0.3, 0.31, 1e-9), (1e-4, 2.0, 1e-3),
                             (0.2, 0.2 + 1e-7, 1e-6)):
-            expected = _run_alone(cfg, _one_step_golden(lo, hi, tol))
-            assert optimize._drive([(cfg, optimize._golden_max(lo, hi, tol))], 30) == [expected]
-            cases.append((cfg, optimize._golden_max(lo, hi, tol)))
-            want.append(expected)
-    assert optimize._drive(cases, 30) == want
+            want = _ref_golden(cfg, lo, hi, tol)
+            assert _golden([cfg], [(lo, hi)], tol) == [want]
+            groups.setdefault(tol, []).append((cfg, (lo, hi), want))
+    for tol, group in groups.items():
+        cfgs, brackets, want = zip(*group)
+        assert _golden(cfgs, brackets, tol) == list(want)
 
 
 def _fig2_and_fig5_cases():
@@ -315,40 +411,63 @@ def _fig2_and_fig5_cases():
     return fig2, fig5
 
 
-def test_fig2_and_fig5_results_equal_one_step_searches(monkeypatch):
-    # Every field, iterations included, as the one-step searches give it
-    # run one at a time; here all 83 searches of both figures share rounds.
+_RANGE_ARGS = (optimize.DEFAULT_MU_RANGE, 1e-6, 96, 30)
+
+
+def test_fig2_and_fig5_results_equal_one_step_searches():
+    # Every field, iterations included, and every distribution as the
+    # one-point-at-a-time searches give them run one at a time; here all 83
+    # searches of both figures run together.
     fig2, fig5 = _fig2_and_fig5_cases()
-    range_args = (optimize.DEFAULT_MU_RANGE, 1e-6, 96, 30)
-    lockstep = optimize._drive(
-        [(cfg, optimize._mu_search(cfg, *range_args)) for cfg in fig2]
-        + [(cfg, optimize._snr_floor_search(cfg, target, *range_args)) for cfg, target in fig5],
-        30)
-    monkeypatch.setattr(optimize, "_golden_max", _one_step_golden)
-    monkeypatch.setattr(optimize, "_bisect_snr_boundary", _one_step_bisection)
-    one_step = ([optimize_mu(cfg) for cfg in fig2]
-                + [max_p1_with_snr_floor(cfg, target) for cfg, target in fig5])
-    assert [repr(result) for result in lockstep] == [repr(result) for result in one_step]
+    together = optimize._search([(cfg, None) for cfg in fig2] + fig5, *_RANGE_ARGS)
+    alone = ([_ref_optimize_mu(cfg) for cfg in fig2]
+             + [_ref_max_p1_with_snr_floor(cfg, target) for cfg, target in fig5])
+    assert [repr(result) for result in together] == [repr(result) for result in alone]
+    for got, want in zip(together, alone):
+        if want.distribution is not None:
+            assert got.distribution.probs.tobytes() == want.distribution.probs.tobytes()
+            assert got.distribution.tail_mass == want.distribution.tail_mass
+            assert got.distribution.meta == want.distribution.meta
+
+
+def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
+    # The chain's SNR falls with the pump rate, so its feasible sets start at
+    # the low end of the range.  Evaluated at mu (1.5 + sin(3 ln mu)), both
+    # P1 and the SNR oscillate over the range: six or seven local maxima per
+    # coarse grid, and at target 8 a second feasible run that starts and ends
+    # inside the range, each end bisected.
+    def warped(core):
+        return lambda mu, *args: core(mu * (1.5 + np.sin(3.0 * np.log(mu))), *args)
+
+    for name in ("_p1_snr_rows", "_output_rows"):
+        core = warped(getattr(losses, name))
+        for module in (losses, optimize):
+            monkeypatch.setattr(module, name, core)
+    cfgs = list(_random_configs(8, 3))
+    cases = [(cfg, None) for cfg in cfgs] + [(cfg, target) for cfg in cfgs
+                                             for target in (0.0, 3.0, 8.0, 30.0)]
+    together = optimize._search(cases, *_RANGE_ARGS)
+    alone = [_ref_optimize_mu(cfg) if target is None else _ref_max_p1_with_snr_floor(cfg, target)
+             for cfg, target in cases]
+    assert [repr(result) for result in together] == [repr(result) for result in alone]
+    for got, want in zip(together, alone):
+        assert got.distribution.probs.tobytes() == want.distribution.probs.tobytes()
+    assert any(result.constraint_active for result in together)
+    assert any(result.boundary == "lower" for result in together)
 
 
 def test_figure_searches_share_core_rounds(monkeypatch):
-    # One blocked core call per round for all of a figure's searches: the
-    # 11 of figure2() and the 72 of figure5() made 86 and 681 loss-chain
-    # calls one search after another.
-    rows = []
-    core = optimize._p1_snr_rows
-
-    def counted(mu, *args):
-        rows.append(mu.size)
-        return core(mu, *args)
-
-    monkeypatch.setattr(optimize, "_p1_snr_rows", counted)
+    # One blocked core call per round for all of a figure's searches.  The
+    # last round keeps whole output rows, and each result's distribution is
+    # its optimum's row there: no optimum is evaluated a second time.
+    calls = _counted_rows(monkeypatch, "_p1_snr_rows", "_output_rows")
+    monkeypatch.setattr(optimize, "output_distribution", None)
     sweeps.figure2()
-    assert len(rows) == 15
-    rows.clear()
+    assert [name for name, _ in calls] == ["_p1_snr_rows"] * 28 + ["_output_rows"]
+    assert calls[-1][1] == 22  # 11 best grid points and 11 golden midpoints
+    calls.clear()
     sweeps.figure5()
-    assert len(rows) == 31
-
+    assert [name for name, _ in calls] == ["_p1_snr_rows"] * 58 + ["_output_rows"]
 
 
 def _fresh_grids(monkeypatch):
@@ -363,47 +482,27 @@ def test_shared_rows_are_evaluated_once(monkeypatch):
     # 2208 distinct ones.  Every result equals that of searches that share
     # no rows.
     fig2, fig5 = _fig2_and_fig5_cases()
-    range_args = (optimize.DEFAULT_MU_RANGE, 1e-6, 96, 30)
-
-    def searches():
-        return ([(cfg, optimize._mu_search(cfg, *range_args)) for cfg in fig2 + fig2]
-                + [(cfg, optimize._snr_floor_search(cfg, target, *range_args))
-                   for cfg, target in fig5])
-
-    rows = []
-    core = optimize._p1_snr_rows
-
-    def counted(mu, *args):
-        rows.append(mu.size)
-        return core(mu, *args)
-
-    monkeypatch.setattr(optimize, "_p1_snr_rows", counted)
-    shared = optimize._drive(searches(), 30)
-    assert rows[0] == 2208
-    rows.clear()
+    cases = [(cfg, None) for cfg in fig2 + fig2] + fig5
+    calls = _counted_rows(monkeypatch, "_p1_snr_rows")
+    shared = optimize._search(cases, *_RANGE_ARGS)
+    assert calls[0][1] == 2208
+    calls.clear()
     _fresh_grids(monkeypatch)
-    unshared = optimize._drive(searches(), 30)
-    assert rows[0] == 9024
+    unshared = optimize._search(cases, *_RANGE_ARGS)
+    assert calls[0][1] == 9024
     assert [repr(result) for result in shared] == [repr(result) for result in unshared]
 
 
 def test_rows_are_shared_only_by_one_config_and_points_object(monkeypatch):
-    rows = []
-    core = optimize._p1_snr_rows
-
-    def counted(mu, *args):
-        rows.append(mu.size)
-        return core(mu, *args)
-
-    monkeypatch.setattr(optimize, "_p1_snr_rows", counted)
+    calls = _counted_rows(monkeypatch, "_p1_snr_rows")
     grid = np.geomspace(1e-3, 1.5, 300)
     grid.setflags(write=False)
     cfg = SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
     same = SourceConfig(m=2, mu=0.3, e_h=0.85, e_s=0.9, e_sw_db=0.5)  # mu is ignored
     other = cfg.replace(r_dark=5e6)
     cases = [(cfg, grid), (same, grid), (other, grid), (cfg, grid.copy()), (cfg, grid[:10])]
-    results = optimize._drive([(c, _echo(points)) for c, points in cases], 30)
-    assert rows == [300 + 300 + 300 + 10]  # cfg and same share the first grid
+    results = _on_grids(*zip(*cases))
+    assert [rows for _, rows in calls] == [300 + 300 + 300 + 10]  # cfg and same share
     for (c, points), (p1, ratio) in zip(cases, results):
         want_p1, want_ratio = p1_snr_curve(c, points)
         assert p1.tobytes() == want_p1.tobytes() and ratio.tobytes() == want_ratio.tobytes()
@@ -429,13 +528,13 @@ def test_coarse_grid_is_computed_once_and_read_only():
 
 
 def test_local_maxima_are_the_points_at_least_as_high_as_each_neighbour():
+    # Inside each row, in row-major order; the ends are never candidates.
     rng = np.random.default_rng(4)
     for size in [0, 1, 2, 3, 5, 8, 96] * 40:
-        values = rng.integers(0, 4, size).astype(float)  # plateaus
-        values[rng.random(size) < 0.1] = np.nan
-        values[rng.random(size) < 0.1] = -np.inf
-        padded = [-math.inf, *values, -math.inf]
-        want = [i for i in range(size)
-                if padded[i + 1] >= padded[i] and padded[i + 1] >= padded[i + 2]]
-        got = optimize._local_maxima(values)
-        assert got == want and all(type(i) is int for i in got)
+        values = rng.integers(0, 4, (3, size)).astype(float)  # plateaus
+        values[rng.random(values.shape) < 0.1] = np.nan
+        values[rng.random(values.shape) < 0.1] = -np.inf
+        want = [(r, i) for r in range(3) for i in range(1, size - 1)
+                if values[r, i] >= values[r, i - 1] and values[r, i] >= values[r, i + 1]]
+        rows, index = optimize._interior_maxima(values)
+        assert list(zip(rows.tolist(), index.tolist())) == want

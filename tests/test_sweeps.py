@@ -118,20 +118,25 @@ class TestFigure5:
         assert all(a >= b - 1e-9 for a, b in zip(p1, p1[1:]))
 
     def test_each_optimum_is_evaluated_once(self, monkeypatch):
-        # One loss-chain output per optimum, which the record is built from.
+        # One batched loss-chain call outputs the candidate optima of every
+        # search, each peak's best grid point and golden midpoints, and each
+        # record is built from its optimum's row; no optimum is evaluated
+        # again.
         calls = []
+        core = optimize._output_rows
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return output_distribution(*args, **kwargs)
+        def counted(mu, *args):
+            calls.append(mu.size)
+            return core(mu, *args)
 
+        monkeypatch.setattr(optimize, "_output_rows", counted)
         for module in (optimize, sweeps):
-            monkeypatch.setattr(module, "output_distribution", counted)
+            monkeypatch.setattr(module, "output_distribution", None)
         figure2()
-        assert len(calls) == 11
+        assert calls == [22]
         calls.clear()
         figure5()
-        assert len(calls) == 72
+        assert calls == [74]
 
 
 def _reference_row(cfg):
