@@ -21,9 +21,7 @@ from .stats import (
     snr,
 )
 from .losses import (
-    LossChainTrace,
     heralded_distribution,
-    output_chain,
     output_distribution,
     with_dark_counts,
 )
@@ -50,11 +48,9 @@ __all__ = [
     "ideal_distribution",
     "mandel_q",
     "snr",
-    "LossChainTrace",
     "heralded_distribution",
     "with_dark_counts",
     "output_distribution",
-    "output_chain",
     "OptimizationResult",
     "optimize_mu",
     "max_p1_with_snr_floor",

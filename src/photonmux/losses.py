@@ -11,16 +11,17 @@ a binomial loss channel.
 The chain has a closed form.  Before signal loss the routed window holds n
 photons with probability alpha Pois(n; mu) + (1 - alpha) Pois(n; mu (1 - e_h)),
 and binomial thinning maps Poisson(lambda) to Poisson(lambda t), so the output
-is the same mixture at means mu t and mu (1 - e_h) t.  One batched core,
-:func:`_output_rows`, evaluates it for arrays of pump rates and
-transmissions, with the other parameters per row or shared; the scalar
-entry points are batches of one, and :func:`_p1_snr_rows` runs any number
-of rows through it in fixed-size blocks.
+is the same mixture at means mu t and mu (1 - e_h) t.  One batched core
+evaluates it for arrays of pump rates and transmissions, with the other
+parameters per row or shared, and one driver, :func:`_blocks`, runs any
+number of rows through it in fixed-size blocks and applies the truncation
+guard.  :func:`_output_rows` collects the blocks' rows, and the scalar entry
+points are batches of one through it; :func:`_p1_snr_rows` and the sweep
+curves keep only what they need of each block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,47 +32,16 @@ from .stats import (
     TAIL_LIMIT,
     PhotonDistribution,
     TruncationError,
-    ideal_distribution,
     poisson_rows,
     snr_rows,
 )
 
 __all__ = [
-    "LossChainTrace",
     "heralded_distribution",
     "with_dark_counts",
     "output_distribution",
-    "output_chain",
     "p1_snr_curve",
 ]
-
-_STAGE_LABELS = ("ideal", "heralded", "dark", "final")
-
-
-@dataclass(frozen=True)
-class LossChainTrace:
-    """Intermediate distributions of the loss chain, for inspection.
-
-    ``stages`` holds (label, distribution) pairs in fixed order:
-    ideal, heralded, dark, final.
-    """
-
-    stages: Tuple[Tuple[str, PhotonDistribution], ...]
-
-    def __post_init__(self) -> None:
-        labels = tuple(label for label, _ in self.stages)
-        if labels != _STAGE_LABELS:
-            raise ValueError(f"stage labels must be {_STAGE_LABELS}, got {labels}")
-
-    def __getitem__(self, label: str) -> PhotonDistribution:
-        for name, dist in self.stages:
-            if name == label:
-                return dist
-        raise KeyError(label)
-
-    @property
-    def final(self) -> PhotonDistribution:
-        return self.stages[-1][1]
 
 
 def _output_rows(
@@ -112,12 +82,12 @@ def _output_rows(
 
     Returns (probs, tail): P_k for k = 0..n_max, and the sum of the terms
     k = n_max+1 .. 2 n_max+1, which wherever the guard passes leaves out
-    less than 1e-18.  Rows where 1 - sum(probs) reaches TAIL_LIMIT raise
-    TruncationError, naming the worst mu.
+    less than 1e-18.  The rows come from :func:`_blocks`, so rows where
+    1 - sum(probs) reaches TAIL_LIMIT raise TruncationError, naming the
+    worst mu.
     """
-    probs, tail, lost = _chain_rows(mu, transmission, e_h, windows, p_dark, n_max)
-    _check_truncation(mu, lost, n_max)
-    return probs, tail
+    _, probs, tail = zip(*_blocks(mu, transmission, e_h, windows, p_dark, n_max))
+    return np.concatenate(probs), np.concatenate(tail)
 
 
 def _chain_rows(mu, transmission, e_h, windows, p_dark, n_max):
@@ -152,37 +122,47 @@ def _check_truncation(mu: np.ndarray, lost: np.ndarray, n_max: int) -> None:
         worst = int(np.argmax(lost))
         raise TruncationError(
             f"tail mass {lost[worst]:.3e} beyond n_max={n_max} exceeds {TAIL_LIMIT:.0e} "
-            f"at mu={float(np.broadcast_to(mu, lost.shape)[worst])!r}; increase n_max"
+            f"at mu={float(mu[worst])!r}; increase n_max"
         )
 
 
-# Rows per core call in _p1_snr_rows, so that a block's (rows, 2 n_max + 2)
-# arrays stay in cache.  Of 128 to 4096 rows, 256 ran figure2() plus
-# figure5() fastest; a 100,001-point p1_snr_curve took 88 ms at 256 rows,
-# 82-94 ms at 512 to 4096 and 120 ms at 128 (2-vCPU x86-64 host).
+# Rows per core call, so that a block's (rows, 2 n_max + 2) arrays stay in
+# cache.  Of 128 to 4096 rows, 256 ran figure2() plus figure5() fastest; a
+# 100,001-point p1_snr_curve took 88 ms at 256 rows, 82-94 ms at 512 to 4096
+# and 120 ms at 128 (2-vCPU x86-64 host).
 _BLOCK_ROWS = 256
 
 
-def _p1_snr_rows(mu, transmission, e_h, windows, p_dark, n_max):
-    """P_1 and the SNR of the output row of each pump rate in ``mu``.
+def _blocks(mu, transmission, e_h, windows, p_dark, n_max):
+    """Yield (rows, probs, tail) for each _BLOCK_ROWS block of the pump rates
+    in ``mu`` whose rows all pass the truncation guard: the slice of ``mu``
+    and the block's core rows, as :func:`_output_rows` describes them.
 
-    The parameters broadcast per row as for :func:`_output_rows`.  The rows
-    go through the core _BLOCK_ROWS at a time, so memory stays bounded
-    whatever the number of rows; TruncationError still names the worst mu
-    over the whole input.
+    The parameters broadcast per row as for :func:`_output_rows`.  Memory
+    stays bounded whatever the number of rows.  After the last block,
+    TruncationError names the worst mu over the whole input, as one unblocked
+    core call would; a caller that stops early skips that check.
     """
     rows = mu.size
     params = (transmission, e_h, windows, p_dark)
-    p1, ratio, lost = np.empty(rows), np.empty(rows), np.empty(rows)
+    lost = np.empty(rows)
     # An empty input still passes the core's argument checks once.
     for start in range(0, max(rows, 1), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         probs, tail, lost[block] = _chain_rows(
-            mu[block], *[p[block] if np.ndim(p) else p for p in params], n_max)
+            mu[block], *[p[block] if getattr(p, "ndim", 0) else p for p in params], n_max)
         if (lost[block] < TAIL_LIMIT).all():  # a failing block raises below
-            p1[block] = probs[:, 1]
-            ratio[block] = snr_rows(probs, tail)[1]
+            yield block, probs, tail
     _check_truncation(mu, lost, n_max)
+
+
+def _p1_snr_rows(mu, transmission, e_h, windows, p_dark, n_max):
+    """P_1 and the SNR of the output row of each pump rate in ``mu``, from
+    :func:`_blocks`."""
+    p1, ratio = np.empty(mu.size), np.empty(mu.size)
+    for rows, probs, tail in _blocks(mu, transmission, e_h, windows, p_dark, n_max):
+        p1[rows] = probs[:, 1]
+        ratio[rows] = snr_rows(probs, tail)[1]
     return p1, ratio
 
 
@@ -218,16 +198,22 @@ def heralded_distribution(
         Source configuration; ``e_s``, ``e_sw_db`` and ``r_dark`` are ignored
         here.
     n_windows:
-        Effective number of detection windows in the interval; defaults to
-        ``2**m``.  Values below the full interval describe a shortened
-        correction window.
+        Effective number of detection windows in the interval, an integer;
+        defaults to ``2**m``.  Values below the full interval describe a
+        shortened correction window.
     n_max:
         Truncation bound.
     """
-    windows = cfg.n_windows if n_windows is None else int(n_windows)
-    if not 1 <= windows <= cfg.n_windows:
-        raise ValueError(f"n_windows must lie in [1, {cfg.n_windows}], got {n_windows}")
-    return _distribution(cfg, windows, 0.0, n_max)
+    windows = cfg.n_windows if n_windows is None else n_windows
+    try:
+        valid = (not isinstance(windows, bool) and int(windows) == windows
+                 and 1 <= windows <= cfg.n_windows)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+        valid = False
+    if not valid:
+        raise ValueError(f"n_windows must be an integer in [1, {cfg.n_windows}], "
+                         f"got {n_windows!r}")
+    return _distribution(cfg, int(windows), 0.0, n_max)
 
 
 def with_dark_counts(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:
@@ -250,16 +236,6 @@ def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> Photon
     ``cfg.e_s_total`` regardless of which delays were selected.
     """
     return _distribution(cfg, cfg.n_windows, cfg.p_dark, n_max, cfg.e_s_total, config=cfg)
-
-
-def output_chain(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> LossChainTrace:
-    """End-to-end chain with every intermediate stage retained."""
-    return LossChainTrace((
-        ("ideal", ideal_distribution(cfg, n_max)),
-        ("heralded", heralded_distribution(cfg, None, n_max)),
-        ("dark", with_dark_counts(cfg, n_max)),
-        ("final", output_distribution(cfg, n_max)),
-    ))
 
 
 def p1_snr_curve(

@@ -79,14 +79,17 @@ def backend_choice(backend: Optional[str] = None) -> tuple:
     """(name, reason): the backend ``simulate`` runs for ``backend``, and why.
 
     ``None`` picks the backend PHOTONMUX_BACKEND names, else the C kernel,
-    else numpy when the kernel cannot be built.  Raises ``RuntimeError``
-    when the C kernel is asked for but cannot be built, with the build error
-    as the reason.
+    else numpy when the kernel cannot be built; an empty PHOTONMUX_BACKEND
+    counts as unset, and any other value outside BACKENDS raises
+    ``ValueError``.  Raises ``RuntimeError`` when the C kernel is asked for
+    but cannot be built, with the build error as the reason.
     """
     origin = f"backend {backend!r} requested"
     if backend is None:
         forced = os.environ.get("PHOTONMUX_BACKEND", "").lower()
-        if forced in BACKENDS:
+        if forced not in ("", *BACKENDS):
+            raise ValueError(f"unknown PHOTONMUX_BACKEND={forced!r}, expected one of {BACKENDS}")
+        if forced:
             backend, origin = forced, f"PHOTONMUX_BACKEND={forced}"
     if backend not in (None, *BACKENDS):
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")

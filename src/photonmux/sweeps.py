@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import SourceConfig, signal_transmission
-from .losses import _BLOCK_ROWS, _chain_rows, _check_truncation, output_distribution
+from .losses import _blocks, output_distribution
 # optimize_mu and max_p1_with_snr_floor stay module attributes: perfbench's
 # traced pass wraps them by name.
 from .optimize import (  # noqa: F401
@@ -41,7 +41,7 @@ from .optimize import (  # noqa: F401
     optimize_mu,
     optimize_mu_batch,
 )
-from .stats import DEFAULT_N_MAX, TAIL_LIMIT, check_rows, mandel_q_or_nan, snr_rows
+from .stats import DEFAULT_N_MAX, check_rows, mandel_q_or_nan, snr_rows
 
 __all__ = [
     "SweepRecord",
@@ -126,11 +126,11 @@ def _curve(template: SourceConfig, axis: str, values: Iterable[float], n_max: in
     value})``, without building those configurations.
 
     A bad axis value raises what that replace raises for the first one.  The
-    rows go through the loss-chain core _BLOCK_ROWS at a time, and only the
-    record columns are kept, so memory beyond them stays bounded.  The rows
-    pass the checks a PhotonDistribution applies; as in one unblocked core
-    call, TruncationError names the worst mu over all rows before any other
-    check fails, and then the first failing row raises.
+    rows come from the blocks of :func:`losses._blocks`, and only the record
+    columns are kept, so memory beyond them stays bounded.  The rows pass the
+    checks a PhotonDistribution applies; TruncationError, naming the worst mu
+    over all rows, is raised before any other check fails, and then the first
+    failing row raises.
     """
     x = np.fromiter(map(float, values), float)
     bad = ~((x >= 0) & (x < math.inf))
@@ -149,15 +149,11 @@ def _curve(template: SourceConfig, axis: str, values: Iterable[float], n_max: in
         mu = np.full(rows, template.mu, dtype=float)
     transmission = np.array(echo["e_s_total"], dtype=float)
     merits = [[] for _ in range(5)]
-    lost = np.empty(rows)
     fault = None
-    # An empty input still passes the core's argument checks once.
-    for start in range(0, max(rows, 1), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        probs, tail, lost[block] = _chain_rows(mu[block], transmission[block], template.e_h,
-                                               template.n_windows, template.p_dark, n_max)
-        if fault is not None or not (lost[block] < TAIL_LIMIT).all():
-            continue  # an error is raised below
+    for _, probs, tail in _blocks(mu, transmission, template.e_h, template.n_windows,
+                                  template.p_dark, n_max):
+        if fault is not None:
+            continue  # raised once _blocks has checked every row's truncation
         try:
             check_rows(probs, tail, n_max)
         except ValueError as error:
@@ -165,7 +161,6 @@ def _curve(template: SourceConfig, axis: str, values: Iterable[float], n_max: in
             continue
         for column, part in zip(merits, _merits(probs, tail)):
             column += part
-    _check_truncation(mu, lost, n_max)
     if fault is not None:
         raise fault
     return [*(echo[name] for name in _ECHO), *merits, [None] * rows, [None] * rows]
@@ -420,15 +415,20 @@ def figure5(
 def sweep_axis(
     base: SourceConfig,
     axis: str,
-    values: Sequence[float],
+    values: Iterable[float],
     n_max: int = DEFAULT_N_MAX,
 ) -> SweepTable:
-    """Custom one-axis sweep of ``mu`` or ``e_sw_db`` around a base config."""
+    """Custom one-axis sweep of ``mu`` or ``e_sw_db`` around a base config.
+
+    ``values`` is read once, so an iterator sweeps and hashes the same points
+    as a list of them.
+    """
     if axis not in ("mu", "e_sw_db"):
         raise ValueError(f"axis must be 'mu' or 'e_sw_db', got {axis!r}")
     columns = _curve(base, axis, values, n_max)
+    # The axis column holds float(v) for each v of values.
     meta = {"config_hash": _input_hash(
-        fig="custom", axis=axis, values=[float(v) for v in values],
+        fig="custom", axis=axis, values=columns[_ECHO.index(axis)],
         base=base.as_dict(), n_max=n_max)}
     return SweepTable._from_columns("custom", columns, meta)
 

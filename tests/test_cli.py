@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -254,3 +256,16 @@ def test_validate_failing_check_exits_nonzero(monkeypatch, capsys):
     out, _ = capsys.readouterr()
     assert "[FAIL] clock arithmetic: forced failure" in out
     assert "validation: FAIL" in out
+
+
+def test_every_exported_name_resolves():
+    # A name left in an __all__ after its object was removed would break
+    # `from photonmux... import *`; every module's exports must exist.
+    modules = [photonmux] + [importlib.import_module(info.name) for info in
+                             pkgutil.walk_packages(photonmux.__path__, "photonmux.")]
+    exporting = {module.__name__: module for module in modules if hasattr(module, "__all__")}
+    assert {"photonmux", "photonmux.losses", "photonmux.sweeps", "photonmux.optimize",
+            "photonmux.montecarlo", "photonmux.stats"} <= set(exporting)
+    missing = [f"{name}.{attr}" for name, module in exporting.items()
+               for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, f"names in __all__ that do not resolve: {missing}"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from photonmux import (
     TruncationError,
     heralded_distribution,
     ideal_distribution,
-    output_chain,
     output_distribution,
     snr,
     with_dark_counts,
@@ -92,24 +92,16 @@ class TestHeraldedDistribution:
             heralded_distribution(cfg, n_windows=0)
         with pytest.raises(ValueError):
             heralded_distribution(cfg, n_windows=5)
+        want = heralded_distribution(cfg, n_windows=3).probs
+        for count in (3.0, np.int64(3), np.float64(3.0)):
+            assert np.array_equal(heralded_distribution(cfg, n_windows=count).probs, want)
 
-    def test_denominator_closed_forms(self):
-        # The truncated sums behind both conditional branches must reproduce
-        # the closed forms to 1e-10 across the supported parameter plane.
-        n = np.arange(61)
-        rng = np.random.default_rng(5150)
-        worst = 0.0
-        for _ in range(300):
-            mu = float(rng.uniform(1e-4, 2.0))
-            e_h = float(rng.uniform(0.05, 1.0))
-            pois = poisson_vector(mu, 60)
-            miss = (1.0 - e_h) ** n
-            worst = max(
-                worst,
-                abs(float((pois * (1 - miss)).sum()) - (-math.expm1(-mu * e_h))),
-                abs(float((pois * miss).sum()) - math.exp(-mu * e_h)),
-            )
-        assert worst < 1e-10
+    @pytest.mark.parametrize("bad", [2.5, True, False, math.nan, math.inf, -math.inf, "2", [2]])
+    def test_window_count_must_be_an_integer(self, bad):
+        cfg = SourceConfig(m=2, mu=0.1, e_h=0.8)
+        with pytest.raises(ValueError, match=rf"n_windows must be an integer in \[1, 4\], "
+                                             rf"got {re.escape(repr(bad))}"):
+            heralded_distribution(cfg, n_windows=bad)
 
     def test_shorter_interval_lowers_herald_weight(self):
         cfg = SourceConfig(m=4, mu=0.1, e_h=0.85)
@@ -228,43 +220,9 @@ class TestTotalSignalTransmission:
 
 
 class TestOutputDistribution:
-    def test_lossless_chain_equals_ideal(self):
-        rng = np.random.default_rng(31337)
-        for _ in range(100):
-            m = int(rng.integers(0, 9))
-            mu = float(rng.uniform(1e-4, 1.5))
-            cfg = SourceConfig.lossless(m=m, mu=mu)
-            got = output_distribution(cfg)
-            want = ideal_distribution(cfg)
-            assert np.abs(got.probs - want.probs).max() < 1e-12
-
-    def test_single_window_chain_is_thinned_poisson(self):
-        rng = np.random.default_rng(90210)
-        for _ in range(100):
-            cfg = SourceConfig(
-                m=0,
-                mu=float(rng.uniform(1e-4, 1.5)),
-                e_h=float(rng.uniform(0.05, 1.0)),
-                e_s=float(rng.uniform(0.3, 1.0)),
-                e_sw_db=float(rng.uniform(0.0, 2.0)),
-                r_dark=float(rng.choice([0.0, 1e5, 5e6])),
-            )
-            got = output_distribution(cfg)
-            want = poisson_vector(cfg.mu * cfg.e_s_total, got.n_max)
-            assert np.abs(got.probs - want).max() < 1e-12
-
     def test_meta_carries_config(self):
         cfg = SourceConfig(m=1, mu=0.2, e_h=0.9)
         assert output_distribution(cfg).meta["config"] == cfg
-
-    def test_chain_trace_stages(self):
-        cfg = SourceConfig(m=3, mu=0.2, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=1e5)
-        trace = output_chain(cfg)
-        assert tuple(label for label, _ in trace.stages) == ("ideal", "heralded", "dark", "final")
-        for _, dist in trace.stages:
-            assert abs(float(dist.probs.sum()) + dist.tail_mass - 1.0) < 1e-9
-        assert np.array_equal(trace.final.probs, output_distribution(cfg).probs)
-        assert np.array_equal(trace["ideal"].probs, ideal_distribution(cfg).probs)
 
     def test_p1_non_increasing_in_switch_loss(self):
         check = check_switch_loss_trend()
@@ -293,20 +251,6 @@ class TestOutputDistribution:
         # Poisson SNR = lam e^-lam / (1 - e^-lam - lam e^-lam) = 1 / sum_{j>=1} lam^j / (j+1)!
         series = sum(lam ** j / math.factorial(j + 1) for j in range(12, 0, -1))
         assert snr(dist) == pytest.approx(1.0 / series, rel=1e-13)
-
-    def test_normalization_across_parameter_plane(self):
-        rng = np.random.default_rng(2718)
-        for _ in range(100):
-            cfg = SourceConfig(
-                m=int(rng.integers(0, 13)),
-                mu=float(rng.uniform(1e-6, 2.0)),
-                e_h=float(rng.uniform(0.0, 1.0)),
-                e_s=float(rng.uniform(0.0, 1.0)),
-                e_sw_db=float(rng.uniform(0.0, 2.0)),
-                r_dark=float(rng.choice([0.0, 1e4, 5e6])),
-            )
-            dist = output_distribution(cfg, n_max=40)
-            assert abs(float(dist.probs.sum()) + dist.tail_mass - 1.0) < 1e-9
 
 
 class TestVectorizedCurve:
@@ -387,18 +331,22 @@ class TestTruncationGuard:
     ], ids=["first-maximum", "first-nan"])
     def test_blocked_rows_name_the_worst_mu_of_the_whole_grid(self, spikes, named):
         # The truncating rows lie in different blocks of the blocked core;
-        # the error names the mu that one unblocked core call names.
+        # every blocked path names the mu that one unblocked core call names.
         cfg = SourceConfig(m=3, mu=0.1, e_h=0.5)
+        params = (cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, 30)
         mu = np.random.default_rng(5).uniform(0.01, 2.0, 1000)
         for i, value in spikes.items():
             mu[i] = value
         assert len({i // losses._BLOCK_ROWS for i in spikes}) >= 3
         with pytest.raises(TruncationError) as unblocked:
-            losses._output_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, 30)
-        with pytest.raises(TruncationError) as blocked:
-            p1_snr_curve(cfg, mu)
-        assert str(blocked.value) == str(unblocked.value)
-        assert f"at mu={named};" in str(blocked.value)
+            losses._check_truncation(mu, losses._chain_rows(mu, *params)[2], 30)
+        for blocked in (lambda: losses._output_rows(mu, *params),
+                        lambda: p1_snr_curve(cfg, mu),
+                        lambda: sweeps.sweep_axis(cfg, "mu", mu)):
+            with pytest.raises(TruncationError) as got:
+                blocked()
+            assert str(got.value) == str(unblocked.value)
+        assert f"at mu={named};" in str(unblocked.value)
 
     def test_figure_searches_raise_on_truncation(self):
         with pytest.raises(TruncationError):

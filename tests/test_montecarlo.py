@@ -62,6 +62,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(trials=10, seed=1 << 64)
 
+    def test_backend_variable_must_name_a_backend(self, monkeypatch):
+        for value in ("cython", "C kernel", "numpy "):
+            monkeypatch.setenv("PHOTONMUX_BACKEND", value)
+            message = rf"PHOTONMUX_BACKEND='{value.lower()}', expected one of \('c', 'numpy'\)"
+            with pytest.raises(ValueError, match=message):
+                montecarlo.backend_choice()
+            with pytest.raises(ValueError, match=message):
+                simulate(LOSSY, McConfig(trials=10))
+        # An explicit backend does not read the variable.
+        assert montecarlo.backend_choice("numpy") == ("numpy", "backend 'numpy' requested")
+        monkeypatch.setenv("PHOTONMUX_BACKEND", "NumPy")
+        assert montecarlo.backend_choice() == ("numpy", "PHOTONMUX_BACKEND=numpy")
+        # An empty value counts as unset.
+        monkeypatch.setenv("PHOTONMUX_BACKEND", "")
+        empty = montecarlo.backend_choice()
+        monkeypatch.delenv("PHOTONMUX_BACKEND")
+        assert empty == montecarlo.backend_choice()
+
 
 class TestStreamLayout:
     def test_slots_are_block_aligned(self):

@@ -346,6 +346,23 @@ def test_curve_entries_equal_one_point_calls(seed):
             dist = output_distribution(cfg.replace(mu=float(mu[i])))
             assert _same_bits(p1[i], dist.p(1)) and _same_bits(ratio[i], snr(dist))
 
+    # The final round's one _output_rows call: each row with its own config's
+    # parameters, over more than two blocks.  Its rows and tails equal those
+    # of one-row calls and of the scalar path.
+    cfgs = [cfg for cfg, _ in cases]
+    params = optimize._parameters(cfgs)
+    owner = rng.integers(0, len(cfgs), 3 * block - 7)
+    mu = rng.uniform(1e-4, 2.0, owner.size)
+    mu[rng.random(mu.size) < 0.1] = 0.0
+    probs, tail = losses._output_rows(mu, *params[:, owner], 30)
+    assert probs.shape == (mu.size, 31) and tail.shape == (mu.size,)
+    for i in rng.choice(mu.size, 40, replace=False).tolist() + [0, block - 1, block, mu.size - 1]:
+        one_probs, one_tail = losses._output_rows(mu[i:i + 1], *params[:, owner[i:i + 1]], 30)
+        assert one_probs[0].tobytes() == probs[i].tobytes()
+        assert one_tail[0].tobytes() == tail[i].tobytes()
+        dist = output_distribution(cfgs[owner[i]].replace(mu=float(mu[i])))
+        assert dist.probs.tobytes() == probs[i].tobytes() and _same_bits(dist.tail_mass, tail[i])
+
 
 def _bisect(cfgs, ends, tol):
     """optimize._bisect over (feasible, infeasible, target) ends, each with

@@ -184,10 +184,10 @@ class TestCurveRowChecks:
 
     @staticmethod
     def _inject(monkeypatch, faults):
-        """Patch the core of the sweeps so that the row of each pump rate in
+        """Patch the loss-chain core so that the row of each pump rate in
         ``faults`` gets that fault; returns the faulty rows with their tail
         masses, by pump rate, as they leave the core."""
-        core = sweeps._chain_rows
+        core = losses._chain_rows
         faulty_rows = {}
 
         def faulty(mu, *args):
@@ -206,7 +206,7 @@ class TestCurveRowChecks:
                 faulty_rows[float(mu[i])] = (probs[i].copy(), float(tail[i]))
             return probs, tail, lost
 
-        monkeypatch.setattr(sweeps, "_chain_rows", faulty)
+        monkeypatch.setattr(losses, "_chain_rows", faulty)
         return faulty_rows
 
     @staticmethod
@@ -228,7 +228,7 @@ class TestCurveRowChecks:
         # first one raises, as in one unblocked check of all rows.
         mu = np.linspace(0.01, 0.5, 1000)
         first, second = float(mu[600]), float(mu[900])
-        assert {600 // sweeps._BLOCK_ROWS, 900 // sweeps._BLOCK_ROWS} == {2, 3}
+        assert {600 // losses._BLOCK_ROWS, 900 // losses._BLOCK_ROWS} == {2, 3}
         faulty_rows = self._inject(monkeypatch, {first: (fault, 1.0), second: (fault, 2.0)})
         with pytest.raises(ValueError) as got:
             sweep_axis(self.BASE, "mu", mu)
@@ -243,7 +243,8 @@ class TestCurveRowChecks:
         self._inject(monkeypatch, {float(mu[10]): ("normalization", 1.0)})
         cfg = self.BASE
         with pytest.raises(TruncationError) as unblocked:
-            losses._output_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, 30)
+            losses._check_truncation(mu, losses._chain_rows(
+                mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, 30)[2], 30)
         with pytest.raises(TruncationError) as blocked:
             sweep_axis(cfg, "mu", mu)
         assert str(blocked.value) == str(unblocked.value)
@@ -401,6 +402,17 @@ class TestSweepTable:
         b = sweep_axis(base, "mu", [0.05, 0.15])
         assert a.to_csv() == b.to_csv()
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("axis", ["mu", "e_sw_db"])
+    def test_values_are_read_once(self, axis):
+        # An iterator sweeps and hashes the same points as a list of them.
+        base = SourceConfig(m=1, mu=0.1, e_h=0.85)
+        listed = sweep_axis(base, axis, [0.1, 0.2])
+        for values in (iter([0.1, 0.2]), (v for v in (0.1, 0.2)), np.array([0.1, 0.2])):
+            table = sweep_axis(base, axis, values)
+            assert table.to_csv() == listed.to_csv() and table.to_json() == listed.to_json()
+        other = sweep_axis(base, axis, [0.1, 0.3])
+        assert other.metadata["config_hash"] != listed.metadata["config_hash"]
 
     def test_json_metadata_carries_tool_and_hash(self):
         table = sweep_axis(SourceConfig(m=0, mu=0.1), "mu", [0.1])
