@@ -32,6 +32,8 @@ from .stats import (
     TAIL_LIMIT,
     PhotonDistribution,
     TruncationError,
+    _check_n_max,
+    p1_rows,
     poisson_rows,
     snr_rows,
 )
@@ -93,8 +95,7 @@ def _output_rows(
 def _chain_rows(mu, transmission, e_h, windows, p_dark, n_max):
     """The rows of :func:`_output_rows` with their lost mass 1 - sum(probs),
     before the truncation guard."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_n_max(n_max)
     lam = mu * transmission
     width = 2 * n_max + 2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -161,7 +162,7 @@ def _p1_snr_rows(mu, transmission, e_h, windows, p_dark, n_max):
     :func:`_blocks`."""
     p1, ratio = np.empty(mu.size), np.empty(mu.size)
     for rows, probs, tail in _blocks(mu, transmission, e_h, windows, p_dark, n_max):
-        p1[rows] = probs[:, 1]
+        p1[rows] = p1_rows(probs)
         ratio[rows] = snr_rows(probs, tail)[1]
     return p1, ratio
 

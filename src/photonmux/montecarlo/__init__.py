@@ -59,6 +59,12 @@ __all__ = [
 BACKENDS = ("c", "numpy")
 
 MAX_TRIALS = 1 << 40
+# The agreement gate of compare: the total-variation limit is TV_FACTOR
+# sqrt(n_max / trials), every merged-bin |z| must stay within Z_LIMIT, and
+# the upper bins merge into one tail group of at least MIN_EXPECTED counts.
+Z_LIMIT = 4.0
+TV_FACTOR = 3.0
+MIN_EXPECTED = 10.0
 # Stream words of all chunks in flight, summed over the worker threads.
 _CHUNK_WORD_TARGET = 1 << 22
 # Stream words of one chunk.  On a 2-vCPU x86-64 host, two workers ran the
@@ -259,7 +265,7 @@ class CompareReport:
     """Analytic-versus-sampled agreement summary.
 
     Per-bin z-scores are computed after merging the sparse upper bins into
-    one tail group (expected count at least ``min_expected``), the usual
+    one tail group (expected count at least ``MIN_EXPECTED``), the usual
     guard against meaningless normal approximations on near-empty bins.
     """
 
@@ -289,18 +295,12 @@ class CompareReport:
         ]
 
 
-def compare(
-    analytic: PhotonDistribution,
-    hist: McHistogram,
-    z_limit: float = 4.0,
-    tv_factor: float = 3.0,
-    min_expected: float = 10.0,
-) -> CompareReport:
+def compare(analytic: PhotonDistribution, hist: McHistogram) -> CompareReport:
     """Check a sampled histogram against an analytic distribution.
 
     Passes when the total-variation distance stays below
-    ``tv_factor * sqrt(n_max / trials)`` and every merged-bin z-score stays
-    within ``z_limit``.
+    ``TV_FACTOR * sqrt(n_max / trials)`` and every merged-bin z-score stays
+    within ``Z_LIMIT``.
     """
     cfg = analytic.meta.get("config")
     if cfg is not None and cfg != hist.source:
@@ -315,14 +315,14 @@ def compare(
 
     freq = counts / trials
     tv = 0.5 * (float(np.abs(freq - probs).sum()) + analytic.tail_mass)
-    tv_limit = tv_factor * math.sqrt(analytic.n_max / trials)
+    tv_limit = TV_FACTOR * math.sqrt(analytic.n_max / trials)
 
     expected = probs * trials
     tail_expected = analytic.tail_mass * trials
     # suffix[i] = expected mass in bins i and above
     suffix = np.append(np.cumsum(expected[::-1])[::-1], 0.0)
     cutoff = size
-    while cutoff > 1 and suffix[cutoff] + tail_expected < min_expected:
+    while cutoff > 1 and suffix[cutoff] + tail_expected < MIN_EXPECTED:
         cutoff -= 1
     head_p = probs[:cutoff]
     head_c = counts[:cutoff].astype(float)
@@ -338,12 +338,12 @@ def compare(
     impossible = (group_p == 0) & (group_c > 0)
     max_abs_z = math.inf if impossible.any() else float(np.abs(z).max())
 
-    passed = tv <= tv_limit and max_abs_z <= z_limit
+    passed = tv <= tv_limit and max_abs_z <= Z_LIMIT
     return CompareReport(
         tv_distance=tv,
         tv_limit=tv_limit,
         max_abs_z=max_abs_z,
-        z_limit=z_limit,
+        z_limit=Z_LIMIT,
         z_scores=z,
         tail_start=cutoff,
         passed=passed,

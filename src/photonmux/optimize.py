@@ -2,18 +2,20 @@
 
 The single-photon probability is a smooth, in practice single-peaked function
 of the pump rate, but unimodality is never assumed blindly: a coarse
-logarithmic grid locates every local maximum and golden-section search
-refines each candidate bracket.  The SNR constraint is handled through the
-feasible set on the same grid, with bisection at every feasibility crossing.
+logarithmic grid of COARSE_POINTS pump rates locates every local maximum and
+golden-section search refines each candidate bracket.  The SNR constraint is
+handled through the feasible set on the same grid, with bisection at every
+feasibility crossing.
 
 The batch entry points :func:`optimize_mu_batch` and
 :func:`max_p1_with_snr_floor_batch`, which ``figure2``, ``figure5`` and
 ``validate`` use, run all their searches together in phases (:func:`_search`):
-the coarse grids, then every SNR-boundary bisection, then the grids of the
-feasible sub-intervals, then every golden section, then the optima.  A
-phase holds the brackets of all its jobs in numpy arrays, with the index of
-the search each job serves, and each round takes one step of every live job:
-a few elementwise operations and one blocked call of the loss-chain core.
+the coarse grid, one for the whole call, then every SNR-boundary bisection,
+then the grids of the feasible sub-intervals, then every golden section,
+then the optima.  A phase holds the brackets of all its jobs in numpy
+arrays, with the index of the search each job serves, and each round takes
+one step of every live job: a few elementwise operations and one blocked
+call of the loss-chain core.
 The last round evaluates each golden section's final midpoint together with
 every other candidate optimum in one call of the core that keeps whole
 output rows, and each result's distribution is its optimum's row.
@@ -27,8 +29,6 @@ not depend on the rows it is evaluated with.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -45,7 +45,7 @@ from .losses import (  # noqa: F401
     output_distribution,
     p1_snr_curve,
 )
-from .stats import DEFAULT_N_MAX, PhotonDistribution, mandel_q_or_nan, snr_rows
+from .stats import DEFAULT_N_MAX, PhotonDistribution, mandel_q_or_nan, p1_rows, snr_rows
 
 __all__ = [
     "OptimizationResult",
@@ -59,7 +59,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # An SNR-boundary bisection stops at this bracket width relative to max(1, mu).
 _BISECT_TOL = 1e-10
 DEFAULT_MU_RANGE = (1e-4, 2.0)
-MIN_COARSE_POINTS = 64
+# Points of every logarithmic grid: the coarse grid and each sub-interval's.
+COARSE_POINTS = 96
 
 
 @dataclass(frozen=True)
@@ -88,32 +89,6 @@ class OptimizationResult:
     distribution: Optional[PhotonDistribution] = field(default=None, compare=False, repr=False)
 
 
-def _coarse_grid(mu_range: Tuple[float, float], coarse_points: int, tol: float) -> np.ndarray:
-    """Logarithmic grid of at least MIN_COARSE_POINTS pump rates over
-    ``mu_range``, after the checks of the inputs both searches share."""
-    lo, hi = mu_range
-    if not (0.0 < lo < hi < math.inf):
-        raise ValueError(f"mu_range must satisfy 0 < lo < hi < inf, got {mu_range}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    try:
-        whole = not isinstance(coarse_points, bool) and int(coarse_points) == coarse_points
-    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
-        whole = False
-    if not whole:
-        raise ValueError(f"coarse_points must be an integer, got {coarse_points!r}")
-    return _geomspace(lo, hi, max(int(coarse_points), MIN_COARSE_POINTS))
-
-
-@functools.lru_cache(maxsize=256)
-def _geomspace(lo: float, hi: float, points: int) -> np.ndarray:
-    """np.geomspace(lo, hi, points), computed once per arguments and
-    read-only, so the searches that share a range share one grid."""
-    grid = np.geomspace(lo, hi, points)
-    grid.setflags(write=False)
-    return grid
-
-
 def _interior_maxima(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(row, index) of the strict-or-plateau local maxima inside each row of
     ``values``, in row-major order: the points other than the two ends that
@@ -130,24 +105,19 @@ def _parameters(configs: Sequence[SourceConfig]) -> np.ndarray:
                      for cfg in configs]).T
 
 
-def _on_grids(params: np.ndarray, owners: Sequence[int], grids: Sequence[np.ndarray],
-              n_max: int) -> list:
-    """(P_1, SNR) over ``grids[i]`` with the parameters of ``owners[i]``, as
-    views into the rows of one round.  Grids of equal parameters that are one
-    object, as the cached coarse grids are, share their rows; kept in order of
-    first appearance, the rows sent are those the unshared round would send,
-    so TruncationError names the same pump rate."""
-    keys = [(params[:, owner].tobytes(), id(grid)) for owner, grid in zip(owners, grids)]
-    first = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    sent = list(first.values())
-    counts = [grids[i].size for i in sent]
-    p1, ratio = _p1_snr_rows(np.concatenate([grids[i] for i in sent]),
-                             *params[:, np.repeat([owners[i] for i in sent], counts)], n_max)
-    start = dict(zip(first, itertools.accumulate(counts, initial=0)))
-    return [(p1[start[key]:start[key] + grid.size], ratio[start[key]:start[key] + grid.size])
-            for key, grid in zip(keys, grids)]
+def _coarse_round(params: np.ndarray, grid: np.ndarray,
+                  n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(P_1, SNR) over ``grid`` with the parameters of each case, as arrays
+    with one row per case.  Cases of equal parameters share their rows; kept
+    in order of first appearance, the rows sent are those the unshared round
+    would send, so TruncationError names the same pump rate."""
+    keys = [params[:, case].tobytes() for case in range(params.shape[1])]
+    slot = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    rows = np.array([slot[key] for key in keys])
+    sent = np.unique(rows, return_index=True)[1]  # the first case of each slot
+    p1, ratio = _p1_snr_rows(np.tile(grid, sent.size), *params[:, np.repeat(sent, grid.size)],
+                             n_max)
+    return p1.reshape(sent.size, -1)[rows], ratio.reshape(sent.size, -1)[rows]
 
 
 def _bisect(params: np.ndarray, owner: np.ndarray, feasible: np.ndarray,
@@ -204,7 +174,7 @@ def _golden(params: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarra
 
 
 def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tuple[float, float],
-            tol: float, coarse_points: int, n_max: int) -> list:
+            tol: float, n_max: int) -> list:
     """The results of the (template, snr_target) cases, all searched
     together: :func:`max_p1_with_snr_floor` for each target, and
     :func:`optimize_mu` for a target of None.
@@ -217,19 +187,19 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
     and its golden sections' midpoints, and the lone point of every
     sub-interval that bisection closed to a point.
     """
-    grids = []
-    for _, target in cases:
-        if target is not None and math.isnan(target):
-            raise ValueError("snr_target must not be NaN")
-        grids.append(_coarse_grid(mu_range, coarse_points, tol))
+    if any(target is not None and math.isnan(target) for _, target in cases):
+        raise ValueError("snr_target must not be NaN")
     if not cases:
         return []
+    lo, hi = mu_range
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError(f"mu_range must satisfy 0 < lo < hi < inf, got {mu_range}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    grid = np.geomspace(lo, hi, COARSE_POINTS)
     params = _parameters([cfg for cfg, _ in cases])
-    coarse = _on_grids(params, range(len(cases)), grids, n_max)
+    coarse_p1, coarse_ratio = _coarse_round(params, grid, n_max)
 
-    # Every grid of one call has the same number of points, so the grids of
-    # a phase and their values stack into arrays with one row per search.
-    points = grids[0].size
     targets = [target for _, target in cases]
     free = [case for case, target in enumerate(targets) if target is None or target <= 0]
     floored = [case for case, target in enumerate(targets) if target is not None and target > 0]
@@ -238,17 +208,17 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
     # bisection job per end, with the grid neighbour beyond that end as its
     # infeasible side, or the end itself at the edge of the grid.
     intervals = {case: [] for case in floored}  # [(a, b, peak index or None)]
-    sub_cases, sub_grids, lone = [], [], []
+    sub_cases, sub_ends, lone = [], [], []
     if floored:
-        grid = np.array([grids[case] for case in floored])
         target = np.array([targets[case] for case in floored])
-        feasible = np.array([coarse[case][1] for case in floored]) >= target[:, None]
+        feasible = coarse_ratio[floored] >= target[:, None]
         run, edge = np.nonzero(np.diff(feasible, axis=1, prepend=False, append=False))
         run, start, stop = np.repeat(run[::2], 2), edge[::2], edge[1::2]
         inside = np.stack((start, stop - 1), axis=1).ravel()
-        beyond = np.stack((np.maximum(start - 1, 0), np.minimum(stop, points - 1)), axis=1).ravel()
+        beyond = np.stack((np.maximum(start - 1, 0), np.minimum(stop, COARSE_POINTS - 1)),
+                          axis=1).ravel()
         owner = np.array(floored)[run]
-        bounds = _bisect(params, owner, grid[run, inside], grid[run, beyond], target[run], n_max)
+        bounds = _bisect(params, owner, grid[inside], grid[beyond], target[run], n_max)
         # A feasible sub-interval [a, b] is a peak over its own grid, or,
         # where bisection closed it to a point, that lone point.
         for case, a, b in zip(owner[::2].tolist(), bounds[::2].tolist(), bounds[1::2].tolist()):
@@ -256,16 +226,21 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
                 intervals[case].append((a, b, None))
                 lone.append((case, a))
                 continue
-            intervals[case].append((a, b, len(free) + len(sub_grids)))
+            intervals[case].append((a, b, len(free) + len(sub_cases)))
             sub_cases.append(case)
-            sub_grids.append(_coarse_grid((a, b), coarse_points, tol))
-    sub_p1 = [p1 for p1, _ in _on_grids(params, sub_cases, sub_grids, n_max)] if sub_grids else []
+            sub_ends.append((a, b))
+    # Bisection leaves each b - a at least half its tolerance: no log step is 0,
+    # so the stacked np.geomspace rounds every row as a call of its own would.
+    sub_grid = np.geomspace(*np.array(sub_ends).reshape(-1, 2).T, COARSE_POINTS, axis=1)
+    sub_p1 = (_p1_snr_rows(sub_grid.ravel(), *params[:, np.repeat(sub_cases, COARSE_POINTS)],
+                           n_max)[0].reshape(-1, COARSE_POINTS)
+              if sub_cases else np.empty((0, COARSE_POINTS)))
 
     # The peaks: each unconstrained case's coarse grid, then the sub-interval
     # grids.  One golden section per interior local maximum of a peak's grid.
     peak_case = free + sub_cases
-    peak_grid = np.array([grids[case] for case in free] + sub_grids).reshape(-1, points)
-    peak_p1 = np.array([coarse[case][0] for case in free] + sub_p1).reshape(-1, points)
+    peak_grid = np.concatenate((np.tile(grid, (len(free), 1)), sub_grid))
+    peak_p1 = np.concatenate((coarse_p1[free], sub_p1))
     job_peak, i = _interior_maxima(peak_p1)
     job_case = np.array(peak_case, dtype=int)[job_peak]
     mids, steps = (_golden(params, job_case, peak_grid[job_peak, i - 1], peak_grid[job_peak, i + 1],
@@ -278,7 +253,7 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
     mu = np.concatenate((peak_grid[np.arange(peaks), top], mids, [a for _, a in lone]))
     owner = peak_case + job_case.tolist() + [case for case, _ in lone]
     probs, tail = _output_rows(mu, *params[:, owner], n_max)
-    p1_at, snr_at = probs[:, 1], snr_rows(probs, tail)[1]
+    p1_at, snr_at = p1_rows(probs), snr_rows(probs, tail)[1]
 
     # The optimum of a peak starts at its best grid point, so it is never
     # below it, and moves to a golden midpoint only where that is higher.
@@ -286,11 +261,11 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
     for job, peak in enumerate(job_peak.tolist()):
         if p1_at[peaks + job] > p1_at[optimum[peak]]:
             optimum[peak] = peaks + job
-    used = np.full(peaks, points)
+    used = np.full(peaks, COARSE_POINTS)
     np.add.at(used, job_peak, steps + 3)
     # A best grid point on an end of the grid that no midpoint beats is a
     # maximum on the edge of the range.
-    at_edge = ((top == 0) | (top == points - 1)) & (optimum == np.arange(peaks))
+    at_edge = ((top == 0) | (top == COARSE_POINTS - 1)) & (optimum == np.arange(peaks))
     outcomes = [(row, evaluations, not edge, ("lower" if first == 0 else "upper") if edge else None)
                 for row, evaluations, edge, first
                 in zip(optimum.tolist(), used.tolist(), at_edge.tolist(), top.tolist())]
@@ -314,10 +289,10 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
         if not intervals[case]:
             nan = math.nan
             results.append(OptimizationResult(
-                mu_opt=nan, p1_max=nan, snr_at_opt=nan, mandel_q_at_opt=nan, iterations=points,
-                converged=False, feasible=False, snr_target=target))
+                mu_opt=nan, p1_max=nan, snr_at_opt=nan, mandel_q_at_opt=nan,
+                iterations=COARSE_POINTS, converged=False, feasible=False, snr_target=target))
             continue
-        iterations, chosen = points, None
+        iterations, chosen = COARSE_POINTS, None
         for a, b, peak in intervals[case]:
             if peak is None:
                 row, converged, boundary = next(lone_rows), True, None
@@ -345,13 +320,12 @@ def optimize_mu(
     cfg_template: SourceConfig,
     mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
     tol: float = 1e-6,
-    coarse_points: int = 96,
     n_max: int = DEFAULT_N_MAX,
 ) -> OptimizationResult:
     """Pump rate that maximizes the end-to-end single-photon probability.
 
-    A logarithmic coarse scan (at least 64 points) brackets every local
-    maximum; each bracket is refined by golden-section search to ``tol``
+    A logarithmic coarse scan of COARSE_POINTS (96) points brackets every
+    local maximum; each bracket is refined by golden-section search to ``tol``
     absolute in mu.  The returned optimum is never below the best coarse-grid
     value.  A maximum sitting on the range boundary is flagged non-converged
     with the boundary named.
@@ -364,22 +338,19 @@ def optimize_mu(
         Search interval (lo, hi], 0 < lo < hi < inf.
     tol:
         Absolute convergence tolerance in mu (> 0).
-    coarse_points:
-        Points of the coarse scan, an integer; fewer than 64 count as 64.
     """
-    return optimize_mu_batch([cfg_template], mu_range, tol, coarse_points, n_max)[0]
+    return optimize_mu_batch([cfg_template], mu_range, tol, n_max)[0]
 
 
 def optimize_mu_batch(
     cfg_templates: Sequence[SourceConfig],
     mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
     tol: float = 1e-6,
-    coarse_points: int = 96,
     n_max: int = DEFAULT_N_MAX,
 ) -> list:
     """:func:`optimize_mu` for each template, with the searches run
     together; each result equals that of its own optimize_mu call."""
-    return _search([(cfg, None) for cfg in cfg_templates], mu_range, tol, coarse_points, n_max)
+    return _search([(cfg, None) for cfg in cfg_templates], mu_range, tol, n_max)
 
 
 def max_p1_with_snr_floor(
@@ -387,7 +358,6 @@ def max_p1_with_snr_floor(
     snr_target: float,
     mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
     tol: float = 1e-6,
-    coarse_points: int = 96,
     n_max: int = DEFAULT_N_MAX,
 ) -> OptimizationResult:
     """Maximize P_1 over mu subject to SNR(mu) >= snr_target.
@@ -395,23 +365,22 @@ def max_p1_with_snr_floor(
     SNR decreases with pump rate throughout the modeled regimes, but the
     search does not rely on it: every run of feasible points on the coarse
     grid is delimited by bisection at its grid crossings, and the
-    unconstrained optimizer runs on each such sub-interval.  A NaN target is
+    unconstrained optimizer runs on each such sub-interval, over a grid of
+    COARSE_POINTS points of its own.  A NaN target is
     rejected; an unreachable one, +inf included, yields an explicit
     infeasibility result instead of an exception.  A target <= 0 gives the
     unconstrained result with ``snr_target`` set.
     """
-    return max_p1_with_snr_floor_batch([(cfg_template, snr_target)], mu_range, tol,
-                                       coarse_points, n_max)[0]
+    return max_p1_with_snr_floor_batch([(cfg_template, snr_target)], mu_range, tol, n_max)[0]
 
 
 def max_p1_with_snr_floor_batch(
     cases: Sequence[Tuple[SourceConfig, float]],
     mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
     tol: float = 1e-6,
-    coarse_points: int = 96,
     n_max: int = DEFAULT_N_MAX,
 ) -> list:
     """:func:`max_p1_with_snr_floor` for each (template, target) case, with
     the searches run together; each result equals that of its own
     max_p1_with_snr_floor call."""
-    return _search(list(cases), mu_range, tol, coarse_points, n_max)
+    return _search(list(cases), mu_range, tol, n_max)

@@ -20,6 +20,7 @@ from .config import SourceConfig
 
 __all__ = [
     "DEFAULT_N_MAX",
+    "N_MAX_LIMIT",
     "TAIL_LIMIT",
     "TruncationError",
     "PhotonDistribution",
@@ -33,10 +34,15 @@ __all__ = [
     "mandel_q",
     "mandel_q_or_nan",
     "snr",
+    "p1_rows",
     "snr_rows",
 ]
 
 DEFAULT_N_MAX = 30
+# The largest truncation bound accepted.  The loss chain's blocks at this
+# bound hold (256, 20002) arrays of about 41 MB each; a larger bound is
+# rejected before anything of its size is allocated.
+N_MAX_LIMIT = 10_000
 # A distribution is rejected rather than renormalized when the estimated
 # probability mass beyond n_max reaches this bound.
 TAIL_LIMIT = 1e-9
@@ -47,6 +53,14 @@ class TruncationError(ValueError):
     """Raised when the truncated representation would drop too much mass."""
 
 
+def _check_n_max(n_max: int, low: int = 0, name: str = "n_max") -> None:
+    """Reject a truncation bound below ``low`` or above N_MAX_LIMIT."""
+    if n_max < low:
+        raise ValueError(f"{name} must be >= {low}, got {n_max}")
+    if n_max > N_MAX_LIMIT:
+        raise ValueError(f"{name} must be <= {N_MAX_LIMIT}, got {n_max}")
+
+
 def poisson_pmf(mu: float, n: int) -> float:
     """Poisson probability of n events at mean mu: entry n of the one row
     :func:`poisson_rows` gives for mu, evaluated in log space.  Like
@@ -55,6 +69,7 @@ def poisson_pmf(mu: float, n: int) -> float:
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
     if int(n) != n or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n}")
+    _check_n_max(n, name="n")
     return float(poisson_rows(np.array([float(mu)]), int(n))[0, -1])
 
 
@@ -62,8 +77,7 @@ def poisson_vector(mu: float, n_max: int) -> np.ndarray:
     """Poisson pmf for n = 0..n_max as a vector, log-space evaluation."""
     if not (mu >= 0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_n_max(n_max)
     return poisson_rows(np.array([float(mu)]), n_max)[0]
 
 
@@ -241,10 +255,9 @@ def ideal_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonD
     cfg:
         Source configuration; only ``m`` and ``mu`` are used.
     n_max:
-        Truncation bound (>= 2).
+        Truncation bound, in [2, N_MAX_LIMIT].
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    _check_n_max(n_max, low=2)
     mu = cfg.mu
     if mu == 0.0:
         # Limit of the n >= 1 branch as mu -> 0: deterministic vacuum.
@@ -289,6 +302,12 @@ def snr(dist: PhotonDistribution) -> float:
     return float(snr_rows(dist.probs[None], np.array([dist.tail_mass]))[1][0])
 
 
+def p1_rows(probs: np.ndarray) -> np.ndarray:
+    """P_1 of each row of ``probs``, as PhotonDistribution.p(1) reads it: 0
+    in rows truncated at n = 0."""
+    return probs[:, 1] if probs.shape[1] > 1 else np.zeros(len(probs))
+
+
 def snr_rows(probs: np.ndarray, tail: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """P_>=2 and the SNR P_1 / P_>=2 of each row of ``probs`` with its tail mass.
 
@@ -297,7 +316,6 @@ def snr_rows(probs: np.ndarray, tail: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     multi-photon component at all has SNR +inf.
     """
     p_multi = probs[:, 2:].sum(axis=1) + tail
-    # probs[:, 1:2].sum is P_1 itself, and 0 for rows truncated at n = 0.
-    ratio = np.divide(probs[:, 1:2].sum(axis=1), p_multi, out=np.full_like(p_multi, np.inf),
+    ratio = np.divide(p1_rows(probs), p_multi, out=np.full_like(p_multi, np.inf),
                       where=~(p_multi <= 0.0))
     return p_multi, ratio

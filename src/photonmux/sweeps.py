@@ -41,7 +41,7 @@ from .optimize import (  # noqa: F401
     optimize_mu,
     optimize_mu_batch,
 )
-from .stats import DEFAULT_N_MAX, check_rows, mandel_q_or_nan, snr_rows
+from .stats import DEFAULT_N_MAX, check_rows, mandel_q_or_nan, p1_rows, snr_rows
 
 __all__ = [
     "SweepRecord",
@@ -116,7 +116,7 @@ def _merits(probs: np.ndarray, tail: np.ndarray) -> list:
     vacuum.  A NaN row gives NaN in every column.
     """
     p_multi, ratio = snr_rows(probs, tail)
-    return [probs[:, 0].tolist(), probs[:, 1].tolist(), p_multi.tolist(), ratio.tolist(),
+    return [probs[:, 0].tolist(), p1_rows(probs).tolist(), p_multi.tolist(), ratio.tolist(),
             [mandel_q_or_nan(row) for row in probs]]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import photonmux
-from photonmux import SourceConfig, ideal_distribution, montecarlo, validate
+from photonmux import SourceConfig, ideal_distribution, montecarlo, stats, validate
 from photonmux.cli import ConfigError, main, parse_config_text, parse_source_config
 
 MINIMAL = """
@@ -201,6 +201,15 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert json.loads(err.strip().splitlines()[-1]) == {
             "error": "ValueError", "message": "n_max must be >= 0, got -1", "subcommand": "dist"}
+        assert out == ""
+
+    def test_n_max_above_the_limit_error_record(self, capsys):
+        too_large = stats.N_MAX_LIMIT + 1
+        assert main(["dist", "--mu", "0.1", "--n-max", str(too_large)]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(err.strip().splitlines()[-1]) == {
+            "error": "ValueError", "subcommand": "dist",
+            "message": f"n_max must be <= {stats.N_MAX_LIMIT}, got {too_large}"}
         assert out == ""
 
     def test_m_beyond_float_range_error_record(self, capsys):

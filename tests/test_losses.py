@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,22 @@ from photonmux import (
     TruncationError,
     heralded_distribution,
     ideal_distribution,
+    max_p1_with_snr_floor,
+    optimize_mu,
     output_distribution,
+    poisson_pmf,
     snr,
     with_dark_counts,
 )
 from photonmux import losses, sweeps
 from photonmux.losses import p1_snr_curve
-from photonmux.stats import TAIL_LIMIT, binomial_matrix, poisson_rows, poisson_vector
+from photonmux.stats import (
+    N_MAX_LIMIT,
+    TAIL_LIMIT,
+    binomial_matrix,
+    poisson_rows,
+    poisson_vector,
+)
 from photonmux.validate import (
     DARK_MIXTURE_POINTS,
     check_dark_count_mixture,
@@ -271,6 +281,23 @@ class TestVectorizedCurve:
         assert p1[0] == 0.0
         assert math.isinf(ratio[0])
 
+    def test_reads_p1_as_zero_beyond_n_max(self):
+        # At n_max = 0 a vacuum row has P1 = 0 and SNR +inf, as the vacuum
+        # from output_distribution reads; a pumped row fails the guard.
+        cfg = SourceConfig(m=2, mu=0.0, e_h=0.85)
+        p1, ratio = p1_snr_curve(cfg, [0.0], n_max=0)
+        vacuum = output_distribution(cfg, n_max=0)
+        assert (float(p1[0]), float(ratio[0])) == (vacuum.p(1), snr(vacuum)) == (0.0, math.inf)
+        with pytest.raises(TruncationError, match="n_max=0 .* at mu=0.1;"):
+            p1_snr_curve(cfg, [0.1], n_max=0)
+        # The other readers of P1 rows, on a chain that transmits nothing:
+        # the optimizer's last round and the sweep records.
+        dark = SourceConfig(m=2, mu=0.1, e_s=0.0)
+        assert optimize_mu(dark, n_max=0).p1_max == 0.0
+        assert max_p1_with_snr_floor(dark, 5.0, n_max=0).p1_max == 0.0
+        assert sweeps.record_for(dark, n_max=0).p1 == 0.0
+        assert "p1" in sweeps.sweep_axis(dark, "mu", [0.1, 0.2], n_max=0).to_csv()
+
     def test_rejects_truncated_grid_point(self):
         # At mu = 10 the tail beyond n_max = 30 is 8e-8, like the scalar path.
         cfg = SourceConfig(m=2, mu=0.1, e_h=0.85)
@@ -289,6 +316,40 @@ class TestVectorizedCurve:
 def test_negative_n_max_rejected(call):
     with pytest.raises(ValueError, match=r"n_max must be >= 0, got -1"):
         call(SourceConfig(m=2, mu=0.1, e_h=0.85), n_max=-1)
+
+
+_CFG = SourceConfig(m=2, mu=0.1, e_h=0.85)
+
+
+@pytest.mark.parametrize("call,bound", [
+    (lambda n: output_distribution(_CFG, n), 10**6),
+    (lambda n: heralded_distribution(_CFG, n_max=n), 10**6),
+    (lambda n: with_dark_counts(_CFG, n), 10**6),
+    (lambda n: ideal_distribution(_CFG.replace(mu=0.0), n), 10**6),
+    (lambda n: poisson_vector(0.1, n), 10**6),
+    (lambda n: poisson_pmf(0.1, n), 10**6),
+    (lambda n: p1_snr_curve(_CFG, np.linspace(0.0, 1.0, 256), n), N_MAX_LIMIT + 1),
+    (lambda n: optimize_mu(_CFG, n_max=n), N_MAX_LIMIT + 1),
+], ids=["output_distribution", "heralded_distribution", "with_dark_counts",
+        "ideal_distribution", "poisson_vector", "poisson_pmf", "p1_snr_curve", "optimize_mu"])
+def test_n_max_above_the_limit_is_rejected_before_allocating(call, bound):
+    # Each bound would take tens of MB if the call went ahead.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"must be <= {N_MAX_LIMIT}, got {bound}$"):
+            call(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_n_max_at_the_limit_is_accepted():
+    assert poisson_vector(0.1, N_MAX_LIMIT).size == N_MAX_LIMIT + 1
+    assert poisson_pmf(0.1, N_MAX_LIMIT) == 0.0
+    dist = output_distribution(_CFG, N_MAX_LIMIT)
+    assert dist.n_max == N_MAX_LIMIT
+    assert dist.probs[:31].tobytes() == output_distribution(_CFG).probs.tobytes()
 
 
 class TestTruncationGuard:

@@ -473,6 +473,22 @@ class TestCompare:
         assert "tv_distance" in text and "agreement" in text
         assert not report.tv_vacuous and "cannot fail" not in text
 
+    def test_gate_limits(self):
+        # z within 4, TV within 3 sqrt(n_max / trials), tail groups of at
+        # least 10 expected counts.
+        assert (montecarlo.Z_LIMIT, montecarlo.TV_FACTOR, montecarlo.MIN_EXPECTED) == (
+            4.0, 3.0, 10.0)
+        hist = simulate(LOSSY, McConfig(trials=50_000, seed=41))
+        analytic = output_distribution(LOSSY)
+        report = compare(analytic, hist)
+        assert report.z_limit == 4.0
+        assert report.tv_limit == 3.0 * math.sqrt(30 / 50_000)
+        # The tail group is the shortest one of at least 10 expected counts.
+        tail = analytic.probs[report.tail_start:].sum() + analytic.tail_mass
+        assert tail * 50_000 >= 10.0 > (tail - analytic.probs[report.tail_start]) * 50_000
+        assert report.passed == (report.tv_distance <= report.tv_limit
+                                 and report.max_abs_z <= 4.0)
+
     def test_report_flags_vacuous_tv_gate(self):
         # At n_max = 30 the TV limit 3 sqrt(30 / trials) is >= 1 below 270 trials.
         hist = simulate(LOSSY, McConfig(trials=100, seed=42))

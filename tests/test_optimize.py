@@ -88,14 +88,9 @@ _INPUT_CFG = SourceConfig(m=2, mu=1e-3, e_h=0.85, e_s=0.9, e_sw_db=0.5)
     (lambda: max_p1_with_snr_floor(_INPUT_CFG, 50.0, mu_range=(1e-4, math.inf)), "mu_range"),
     (lambda: optimize_mu(_INPUT_CFG, mu_range=(math.nan, 2.0)), "mu_range"),
     (lambda: max_p1_with_snr_floor(_INPUT_CFG, 5.0, mu_range=(0.5, 0.5)), "mu_range"),
-    (lambda: optimize_mu(_INPUT_CFG, coarse_points=96.5), "coarse_points"),
-    (lambda: max_p1_with_snr_floor(_INPUT_CFG, 20.0, coarse_points=10.25), "coarse_points"),
-    (lambda: optimize_mu(_INPUT_CFG, coarse_points=True), "coarse_points"),
-    (lambda: optimize_mu(_INPUT_CFG, coarse_points=math.nan), "coarse_points"),
 ], ids=["nan-tol", "zero-tol", "negative-tol-constrained", "nan-tol-infeasible",
         "nan-target", "infinite-range", "infinite-range-constrained", "nan-range",
-        "empty-range-constrained", "fractional-points", "fractional-points-constrained",
-        "bool-points", "nan-points"])
+        "empty-range-constrained"])
 def test_rejects_invalid_search_inputs(call, match):
     # Rejected up front, before any loss-chain call can warn or fail.
     with warnings.catch_warnings():
@@ -275,9 +270,15 @@ def _random_configs(seed, count):
                            r_dark=float(rng.choice([0.0, 5e6])))
 
 
-def _on_grids(cfgs, grids):
-    """One round over each grid with its config's parameters."""
-    return optimize._on_grids(optimize._parameters(cfgs), range(len(cfgs)), grids, 30)
+def _one_round(cfgs, grids):
+    """(P1, SNR) over each grid with its config's parameters, from one
+    _p1_snr_rows call over all of them."""
+    sizes = [grid.size for grid in grids]
+    owner = np.repeat(np.arange(len(cfgs)), sizes)
+    p1, ratio = losses._p1_snr_rows(np.concatenate(grids),
+                                    *optimize._parameters(cfgs)[:, owner], 30)
+    cut = np.cumsum(sizes)[:-1]
+    return list(zip(np.split(p1, cut), np.split(ratio, cut)))
 
 
 def _same_bits(got, want):
@@ -335,7 +336,7 @@ def test_curve_entries_equal_one_point_calls(seed):
         mu[rng.random(mu.size) < 0.1] = 0.0
         cases.append((cfg, mu))
     assert sum(mu.size for _, mu in cases) > 2 * block
-    rounds = _on_grids(*zip(*cases))
+    rounds = _one_round(*zip(*cases))
     for (cfg, mu), (p1, ratio) in zip(cases, rounds):
         curve_p1, curve_ratio = p1_snr_curve(cfg, mu)
         assert p1.tobytes() == curve_p1.tobytes() and ratio.tobytes() == curve_ratio.tobytes()
@@ -428,7 +429,17 @@ def _fig2_and_fig5_cases():
     return fig2, fig5
 
 
-_RANGE_ARGS = (optimize.DEFAULT_MU_RANGE, 1e-6, 96, 30)
+_RANGE_ARGS = (optimize.DEFAULT_MU_RANGE, 1e-6, 30)
+
+
+def _same_results(got, want):
+    """Every field by repr, and every distribution's bytes and meta."""
+    assert [repr(result) for result in got] == [repr(result) for result in want]
+    for a, b in zip(got, want):
+        if b.distribution is not None:
+            assert a.distribution.probs.tobytes() == b.distribution.probs.tobytes()
+            assert _same_bits(a.distribution.tail_mass, b.distribution.tail_mass)
+            assert a.distribution.meta == b.distribution.meta
 
 
 def test_fig2_and_fig5_results_equal_one_step_searches():
@@ -439,12 +450,7 @@ def test_fig2_and_fig5_results_equal_one_step_searches():
     together = optimize._search([(cfg, None) for cfg in fig2] + fig5, *_RANGE_ARGS)
     alone = ([_ref_optimize_mu(cfg) for cfg in fig2]
              + [_ref_max_p1_with_snr_floor(cfg, target) for cfg, target in fig5])
-    assert [repr(result) for result in together] == [repr(result) for result in alone]
-    for got, want in zip(together, alone):
-        if want.distribution is not None:
-            assert got.distribution.probs.tobytes() == want.distribution.probs.tobytes()
-            assert got.distribution.tail_mass == want.distribution.tail_mass
-            assert got.distribution.meta == want.distribution.meta
+    _same_results(together, alone)
 
 
 def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
@@ -466,9 +472,8 @@ def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
     together = optimize._search(cases, *_RANGE_ARGS)
     alone = [_ref_optimize_mu(cfg) if target is None else _ref_max_p1_with_snr_floor(cfg, target)
              for cfg, target in cases]
-    assert [repr(result) for result in together] == [repr(result) for result in alone]
-    for got, want in zip(together, alone):
-        assert got.distribution.probs.tobytes() == want.distribution.probs.tobytes()
+    _same_results(together, alone)
+    assert all(result.distribution is not None for result in together)
     assert any(result.constraint_active for result in together)
     assert any(result.boundary == "lower" for result in together)
 
@@ -481,67 +486,85 @@ def test_figure_searches_share_core_rounds(monkeypatch):
     monkeypatch.setattr(optimize, "output_distribution", None)
     sweeps.figure2()
     assert [name for name, _ in calls] == ["_p1_snr_rows"] * 28 + ["_output_rows"]
-    assert calls[-1][1] == 22  # 11 best grid points and 11 golden midpoints
+    assert calls[0][1] == 11 * 96 and calls[-1][1] == 22  # 11 best points, 11 midpoints
     calls.clear()
     sweeps.figure5()
     assert [name for name, _ in calls] == ["_p1_snr_rows"] * 58 + ["_output_rows"]
-
-
-def _fresh_grids(monkeypatch):
-    """Give every search a coarse grid of its own, equal to the shared one."""
-    shared = optimize._coarse_grid
-    monkeypatch.setattr(optimize, "_coarse_grid", lambda *args: shared(*args).copy())
+    assert calls[0][1] == 12 * 96  # one coarse grid per template, shared by 6 targets
 
 
 def test_shared_rows_are_evaluated_once(monkeypatch):
-    # The 6 SNR targets of each figure5 template share its coarse grid, and
-    # figure2's searches run twice over, so the first round's 9024 rows hold
-    # 2208 distinct ones.  Every result equals that of searches that share
-    # no rows.
+    # The 6 SNR targets of each figure5 template share its coarse-grid rows,
+    # and figure2's searches run twice over, so the first round's 9024 rows
+    # hold 2208 distinct ones.  Every result equals that of its case
+    # searched alone, duplicates included.
     fig2, fig5 = _fig2_and_fig5_cases()
     cases = [(cfg, None) for cfg in fig2 + fig2] + fig5
     calls = _counted_rows(monkeypatch, "_p1_snr_rows")
-    shared = optimize._search(cases, *_RANGE_ARGS)
+    together = optimize._search(cases, *_RANGE_ARGS)
     assert calls[0][1] == 2208
-    calls.clear()
-    _fresh_grids(monkeypatch)
-    unshared = optimize._search(cases, *_RANGE_ARGS)
-    assert calls[0][1] == 9024
-    assert [repr(result) for result in shared] == [repr(result) for result in unshared]
+    _same_results(together, [optimize._search([case], *_RANGE_ARGS)[0] for case in cases])
+    # Duplicated constrained cases, whose sub-intervals are evaluated once
+    # per case, with unconstrained ones of the same templates between them.
+    mixed = fig5[:8] + [(cfg, None) for cfg, _ in fig5[:8]] + fig5[:8] + fig5[2:5]
+    together = optimize._search(mixed, *_RANGE_ARGS)
+    _same_results(together, [optimize._search([case], *_RANGE_ARGS)[0] for case in mixed])
 
 
-def test_rows_are_shared_only_by_one_config_and_points_object(monkeypatch):
+def test_rows_are_shared_only_by_equal_parameters(monkeypatch):
     calls = _counted_rows(monkeypatch, "_p1_snr_rows")
     grid = np.geomspace(1e-3, 1.5, 300)
-    grid.setflags(write=False)
     cfg = SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
     same = SourceConfig(m=2, mu=0.3, e_h=0.85, e_s=0.9, e_sw_db=0.5)  # mu is ignored
     other = cfg.replace(r_dark=5e6)
-    cases = [(cfg, grid), (same, grid), (other, grid), (cfg, grid.copy()), (cfg, grid[:10])]
-    results = _on_grids(*zip(*cases))
-    assert [rows for _, rows in calls] == [300 + 300 + 300 + 10]  # cfg and same share
-    for (c, points), (p1, ratio) in zip(cases, results):
-        want_p1, want_ratio = p1_snr_curve(c, points)
-        assert p1.tobytes() == want_p1.tobytes() and ratio.tobytes() == want_ratio.tobytes()
+    cfgs = [cfg, other, same, other.replace(m=3), cfg]
+    p1, ratio = optimize._coarse_round(optimize._parameters(cfgs), grid, 30)
+    assert [rows for _, rows in calls] == [3 * 300]  # cfg, other, other with m = 3
+    for c, got_p1, got_ratio in zip(cfgs, p1, ratio):
+        want_p1, want_ratio = p1_snr_curve(c, grid)
+        assert got_p1.tobytes() == want_p1.tobytes()
+        assert got_ratio.tobytes() == want_ratio.tobytes()
 
 
-def test_shared_rows_name_the_unshared_worst_mu(monkeypatch):
+def test_shared_rows_name_the_unshared_worst_mu():
+    # TruncationError names the pump rate that one round over every case's
+    # whole grid, unshared, names.
     _, fig5 = _fig2_and_fig5_cases()
-    with pytest.raises(TruncationError) as shared:
-        optimize.max_p1_with_snr_floor_batch(fig5, n_max=3)
-    _fresh_grids(monkeypatch)
+    grid = np.geomspace(*optimize.DEFAULT_MU_RANGE, optimize.COARSE_POINTS)
+    params = optimize._parameters([cfg for cfg, _ in fig5])
     with pytest.raises(TruncationError) as unshared:
+        losses._p1_snr_rows(np.tile(grid, len(fig5)),
+                            *np.repeat(params, grid.size, axis=1), 3)
+    with pytest.raises(TruncationError) as shared:
         optimize.max_p1_with_snr_floor_batch(fig5, n_max=3)
     assert str(shared.value) == str(unshared.value)
 
 
-def test_coarse_grid_is_computed_once_and_read_only():
-    grid = optimize._coarse_grid((1e-4, 2.0), 96, 1e-6)
-    assert optimize._coarse_grid((1e-4, 2.0), 96, 1e-3) is grid
-    assert not grid.flags.writeable
-    assert grid.tobytes() == np.geomspace(1e-4, 2.0, 96).tobytes()
-    assert optimize._coarse_grid((1e-4, 2.0), 10, 1e-6) is optimize._coarse_grid(
-        (1e-4, 2.0), optimize.MIN_COARSE_POINTS, 1e-6)
+@pytest.mark.parametrize("seed", [9, 10])
+def test_stacked_grids_equal_one_grid_per_interval(monkeypatch, seed):
+    # The sub-interval grids of a round come from one np.geomspace call with
+    # axis=1; each row equals the interval's own np.geomspace, bit for bit,
+    # on figure5's bisection ends and on random brackets.
+    ends = []
+    bisect = optimize._bisect
+
+    def recorded(*args):
+        bounds = bisect(*args)
+        ends.extend(zip(bounds[::2].tolist(), bounds[1::2].tolist()))
+        return bounds
+
+    monkeypatch.setattr(optimize, "_bisect", recorded)
+    sweeps.figure5()
+    ends = [(a, b) for a, b in ends if b > a]
+    assert len(ends) == 72
+    rng = np.random.default_rng(seed)
+    lo = np.exp(rng.uniform(np.log(1e-6), np.log(5.0), 500))
+    width = np.exp(rng.uniform(np.log(1e-10), np.log(10.0), lo.size))
+    ends += list(zip(lo.tolist(), (lo + lo * width).tolist()))
+    a, b = np.array(ends).T
+    stacked = np.geomspace(a, b, optimize.COARSE_POINTS, axis=1)
+    for row, (lo, hi) in zip(stacked, ends):
+        assert row.tobytes() == np.geomspace(lo, hi, optimize.COARSE_POINTS).tobytes()
 
 
 def test_local_maxima_are_the_points_at_least_as_high_as_each_neighbour():
