@@ -95,7 +95,7 @@ def _output_rows(
 def _chain_rows(mu, transmission, e_h, windows, p_dark, n_max):
     """The rows of :func:`_output_rows` with their lost mass 1 - sum(probs),
     before the truncation guard."""
-    _check_n_max(n_max)
+    n_max = _check_n_max(n_max)
     lam = mu * transmission
     width = 2 * n_max + 2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -22,9 +22,10 @@ sources yield the same words, so the choice never changes a histogram.
 
 Every trial owns a fixed span of the stream, so the trials split into
 independent chunks whose integer counts add in any order.  ``simulate``
-runs the chunks as tasks on one thread pool, by default one thread per CPU
-the process may run on; which thread scans a chunk never changes a
-histogram either.
+starts one drain loop per worker thread, by default one per CPU the process
+may run on.  Each loop takes the next chunk from one shared iterator and
+adds its counts into the loop's own array, and the arrays are summed at the
+end; which loop scans a chunk never changes a histogram either.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -67,10 +68,12 @@ TV_FACTOR = 3.0
 MIN_EXPECTED = 10.0
 # Stream words of all chunks in flight, summed over the worker threads.
 _CHUNK_WORD_TARGET = 1 << 22
-# Stream words of one chunk.  On a 2-vCPU x86-64 host, two workers ran the
-# criterion-7 grid about as fast with 2^19-word chunks as with 2^21, at
-# half the peak memory (62 against 125 MB); 2^18 saved 11 MB more but ran
-# slower.
+# Stream words of one chunk, the unit a drain loop takes at a time.  On a
+# 2-vCPU x86-64 host, two workers ran the criterion-7 grid about as fast
+# with 2^19-word chunks as with 2^21, at half the peak memory (62 against
+# 125 MB); 2^18 saved 11 MB more but ran slower.  Chunks this fine keep the
+# loops' shares even: one chunk per worker ran that grid 14% slower, because
+# the threads finished unevenly.
 _TASK_WORD_TARGET = 1 << 19
 # Deepest multiplexer whose trial's stream words still fit in the target.
 MAX_M = max(m for m in range(64) if slots_per_trial(1 << m) <= _CHUNK_WORD_TARGET)
@@ -185,20 +188,52 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate_range(tables, seed: int, run_counter, start: int, stop: int) -> np.ndarray:
-    """Counts of trials [start, stop), one task of the pool.
-
-    ``run_counter`` computes the trials' words by counter; ``None`` scans
-    words pre-drawn in order with the numpy backend.
-    """
-    counts = np.zeros(PAIR_COUNT_CAP + 1, dtype=np.int64)
-    if run_counter is not None:
-        run_counter(seed, start, stop, tables, counts)
-        return counts
+def _bind_predrawn(seed: int, tables, counts: np.ndarray):
+    """``run(start, stop)`` for the numpy backend on words pre-drawn in order:
+    it adds the counts of trials [start, stop) to ``counts``."""
     w = tables.n_windows
-    uniforms = philox_at_trial(seed, start, w).random((stop - start, slots_per_trial(w)))
-    _numpy_backend.run_chunk(uniforms, tables, counts)
-    return counts
+    slots = slots_per_trial(w)
+
+    def run(start: int, stop: int) -> None:
+        uniforms = philox_at_trial(seed, start, w).random((stop - start, slots))
+        _numpy_backend.run_chunk(uniforms, tables, counts)
+
+    return run
+
+
+def _bind_counter(seed: int, tables, counts: np.ndarray):
+    """``run(start, stop)`` for the numpy backend on words computed by
+    counter: it adds the counts of trials [start, stop) to ``counts``."""
+    return lambda start, stop: _numpy_backend.run_counter(seed, start, stop, tables, counts)
+
+
+def _drain(runs: list, spans) -> None:
+    """Run every (start, stop) chunk of the iterator ``spans``, one drain
+    loop per entry of ``runs`` on threads of its own.
+
+    Each loop takes the next chunk under a lock and passes it to its own
+    ``run``.  Once a chunk raises, every loop stops before taking another,
+    and the error is raised here after all the loops have ended.
+    """
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def loop(run) -> None:
+        while not failed.is_set():
+            with lock:
+                span = next(spans, None)
+            if span is None:
+                return
+            try:
+                run(*span)
+            except BaseException:
+                failed.set()
+                raise
+
+    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+        loops = [pool.submit(loop, run) for run in runs]
+    for future in loops:
+        future.result()
 
 
 def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> McHistogram:
@@ -212,13 +247,16 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
     the routed window survives with the end-to-end signal transmission;
     (6) the surviving count is recorded.
 
-    The trials are split into chunks that run as tasks on one pool of up to
-    ``mc.shards`` threads, every available CPU when ``None``.  A chunk holds
-    at most ``_TASK_WORD_TARGET`` stream words and the running chunks
-    together at most ``_CHUNK_WORD_TARGET``, counting every word of a trial
-    even where the C kernel computes only those it reads; on the numpy
-    counter source a task is one batch of ``_numpy_backend._COUNTER_BATCH``
-    trials.
+    The trials are split into chunks.  Up to ``mc.shards`` drain loops (one
+    per CPU the process may run on when ``None``) take them one at a time
+    from a shared iterator, each adding into counts of its own, which are
+    summed at the end.  A chunk holds at most
+    ``_TASK_WORD_TARGET`` stream words and the running chunks together at
+    most ``_CHUNK_WORD_TARGET``, counting every word of a trial even where
+    the C kernel computes only those it reads; on the numpy counter source a
+    chunk is one batch of ``_numpy_backend._COUNTER_BATCH`` trials.  The
+    first error a chunk raises stops every loop at its next chunk and is
+    raised here.
 
     Deterministic for a fixed (cfg, trials, seed): worker count, chunking and
     backend choice never alter the histogram.  Raises ``ValueError`` when
@@ -233,27 +271,18 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
     # Running chunks of one trial each must still fit in the word target,
     # which leaves m = MAX_M one worker.
     workers = min(mc.shards or _available_cpus(), _CHUNK_WORD_TARGET // slots)
-    run_counter = _ckernel.load()[0] if chosen == "c" else None
-    if run_counter is None and _numpy_backend.counter_source_pays(tables):
-        run_counter, chunk = _numpy_backend.run_counter, _numpy_backend._COUNTER_BATCH
+    bind = _ckernel.load()[0] if chosen == "c" else _bind_predrawn
+    if chosen == "numpy" and _numpy_backend.counter_source_pays(tables):
+        bind, chunk = _bind_counter, _numpy_backend._COUNTER_BATCH
     else:
         words = min(_TASK_WORD_TARGET, _CHUNK_WORD_TARGET // workers)
         chunk = max(1, min(words // slots, -(-mc.trials // workers)))
     starts = range(0, mc.trials, chunk)
-    workers = min(workers, len(starts))
-
-    counts = np.zeros(PAIR_COUNT_CAP + 1, dtype=np.int64)
-    # Tasks are submitted two per worker ahead of the results read, so the
-    # queue stays short however many chunks a run has.
-    pending = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for lo in starts:
-            pending.append(pool.submit(_simulate_range, tables, mc.seed, run_counter, lo,
-                                       min(lo + chunk, mc.trials)))
-            if len(pending) > 2 * workers:
-                counts += pending.popleft().result()
-        for future in pending:
-            counts += future.result()
+    totals = [np.zeros(PAIR_COUNT_CAP + 1, dtype=np.int64)
+              for _ in range(min(workers, len(starts)))]
+    _drain([bind(mc.seed, tables, counts) for counts in totals],
+           ((lo, min(lo + chunk, mc.trials)) for lo in starts))
+    counts = np.sum(totals, axis=0)
 
     top = int(np.nonzero(counts)[0].max()) if counts.any() else 0
     trimmed = counts[: max(top + 1, DEFAULT_N_MAX + 1)]

@@ -93,32 +93,54 @@ def _library() -> Path:
 
 
 def _bind(path: Path):
-    """``run_counter`` of the library at ``path``, with its argument types declared."""
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    """``bind`` of the library at ``path``, with the kernel's argument types declared."""
     fn = ctypes.CDLL(str(path)).run_counter
     fn.restype = None
     fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,
-                   ctypes.c_double, doubles, doubles, doubles, ctypes.c_int64,
-                   np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")]
+                   ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                   ctypes.c_int64, ctypes.c_void_p]
 
-    def run_counter(seed: int, start: int, stop: int, tables, counts: np.ndarray) -> None:
-        """Add the surviving counts of trials [start, stop) to ``counts``."""
+    def bind(seed: int, tables, counts: np.ndarray):
+        """``run(start, stop)``, which adds the surviving counts of trials
+        [start, stop) to ``counts``.
+
+        The checks that guard the kernel's reads and writes run here, once:
+        the tables must be C-contiguous float64 and ``counts`` a writable
+        C-contiguous int64 array, all sized for one pair-count cap, or
+        ``ValueError`` is raised.  ``run`` then passes the arguments as
+        ctypes values converted here, the arrays as pointers that hold a
+        reference to them.
+        """
+        arrays = (tables.pair_cdf, tables.herald_prob, tables.survival_cdf)
+        if not (all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
+                and counts.dtype == np.int64 and counts.flags.c_contiguous
+                and counts.flags.writeable):
+            raise ValueError("the C kernel takes C-contiguous float64 sampling tables "
+                             "and a writable C-contiguous int64 counts array")
         side = tables.pair_cdf.size
         if not (tables.herald_prob.size == counts.size == side
                 and tables.survival_cdf.shape == (side, side)):
             raise ValueError("sampling tables and counts must share one pair-count cap")
-        fn(seed, start, stop, tables.n_windows, tables.p_dark, tables.pair_cdf,
-           tables.herald_prob, tables.survival_cdf, side, counts)
+        key = ctypes.c_uint64(seed)
+        args = (ctypes.c_uint64(tables.n_windows), ctypes.c_double(tables.p_dark),
+                *(a.ctypes.data_as(ctypes.c_void_p) for a in arrays), ctypes.c_int64(side),
+                counts.ctypes.data_as(ctypes.c_void_p))
 
-    return run_counter
+        def run(start: int, stop: int) -> None:
+            fn(key, start, stop, *args)
+
+        return run
+
+    return bind
 
 
 def load():
-    """(run_counter, detail), building the kernel on the first call.
+    """(bind, detail), building the kernel on the first call.
 
-    ``run_counter`` is None when the kernel cannot be built or loaded, and
-    ``detail`` is then the reason; else it says where the library was
-    loaded from.  A failed build raises nothing.
+    ``bind(seed, tables, counts)`` checks its arguments and returns the
+    kernel's ``run(start, stop)``.  ``bind`` is None when the kernel cannot
+    be built or loaded, and ``detail`` is then the reason; else it says
+    where the library was loaded from.  A failed build raises nothing.
     """
     global _loaded
     with _lock:

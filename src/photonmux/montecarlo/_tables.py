@@ -19,12 +19,14 @@ compute only the blocks they read.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import SourceConfig
-from ..stats import binomial_matrix, poisson_vector
+from ..stats import _lgamma_cache, poisson_vector
 
 __all__ = ["SamplingTables", "build_tables", "slots_per_trial", "philox_at_trial"]
 
@@ -32,6 +34,35 @@ __all__ = ["SamplingTables", "build_tables", "slots_per_trial", "philox_at_trial
 # the largest supported pump rates the probability mass beyond the cap is far
 # below 2^-53 per draw.
 PAIR_COUNT_CAP = 128
+
+
+@functools.lru_cache(maxsize=32)
+def _binomial_matrix(n_max: int, p: float) -> np.ndarray:
+    """Binomial loss matrix B[n, k] = C(n, k) p^k (1-p)^(n-k) for n, k = 0..n_max.
+
+    Row n is the distribution of survivors among n photons that each survive
+    independently with probability ``p``.  Only the sampling tables call it,
+    at n_max = PAIR_COUNT_CAP; its (n_max+1)^2 arrays would grow to gigabytes
+    at the analytic chain's largest bounds, so it is not public.  Cached per
+    (n_max, p) and returned read-only, because the tables of one
+    configuration are rebuilt by every ``simulate`` call.
+    """
+    if p == 1.0:
+        out = np.eye(n_max + 1)
+    elif p == 0.0:
+        out = np.zeros((n_max + 1, n_max + 1))
+        out[:, 0] = 1.0
+    else:
+        n = np.arange(n_max + 1)[:, None]
+        k = n.T
+        lg = _lgamma_cache(n_max + 1)
+        log_comb = lg[n] - lg[k] - lg[np.maximum(n - k, 0)]
+        log_b = log_comb + k * math.log(p) + (n - k) * math.log1p(-p)
+        # k > n gets (n - k) log1p(-p) > 0, which overflows exp as p nears 1.
+        log_b[k > n] = -np.inf
+        out = np.exp(log_b)
+    out.setflags(write=False)
+    return out
 
 
 def slots_per_trial(n_windows: int) -> int:
@@ -73,7 +104,7 @@ def build_tables(cfg: SourceConfig) -> SamplingTables:
     n = np.arange(cap + 1)
     herald_prob = 1.0 - (1.0 - cfg.e_h) ** n
 
-    survival_cdf = np.minimum(np.cumsum(binomial_matrix(cap, cfg.e_s_total), axis=1), 1.0)
+    survival_cdf = np.minimum(np.cumsum(_binomial_matrix(cap, cfg.e_s_total), axis=1), 1.0)
     # Rows are exact at and beyond their own n, so the inversion can never
     # yield more survivors than input photons.
     survival_cdf[n[None, :] >= n[:, None]] = 1.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Tuple
@@ -27,7 +28,6 @@ __all__ = [
     "poisson_pmf",
     "poisson_vector",
     "poisson_rows",
-    "binomial_matrix",
     "ideal_distribution",
     "check_rows",
     "moments",
@@ -53,12 +53,23 @@ class TruncationError(ValueError):
     """Raised when the truncated representation would drop too much mass."""
 
 
-def _check_n_max(n_max: int, low: int = 0, name: str = "n_max") -> None:
-    """Reject a truncation bound below ``low`` or above N_MAX_LIMIT."""
+def _check_n_max(n_max: int, low: int = 0, name: str = "n_max") -> int:
+    """``n_max`` as an int, in [low, N_MAX_LIMIT].
+
+    An integral real such as 30.0 is accepted, as ``McConfig.trials`` is;
+    a bool, a fractional or non-finite number and a non-number raise
+    ``ValueError`` naming the value.
+    """
+    if isinstance(n_max, bool) or not (
+            isinstance(n_max, numbers.Integral)
+            or (isinstance(n_max, numbers.Real) and float(n_max).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {n_max!r}")
+    n_max = int(n_max)
     if n_max < low:
         raise ValueError(f"{name} must be >= {low}, got {n_max}")
     if n_max > N_MAX_LIMIT:
         raise ValueError(f"{name} must be <= {N_MAX_LIMIT}, got {n_max}")
+    return n_max
 
 
 def poisson_pmf(mu: float, n: int) -> float:
@@ -67,18 +78,15 @@ def poisson_pmf(mu: float, n: int) -> float:
     :func:`poisson_vector`, it computes the n + 1 entries up to n."""
     if not (mu >= 0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    if int(n) != n or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n}")
-    _check_n_max(n, name="n")
-    return float(poisson_rows(np.array([float(mu)]), int(n))[0, -1])
+    n = _check_n_max(n, name="n")
+    return float(poisson_rows(np.array([float(mu)]), n)[0, -1])
 
 
 def poisson_vector(mu: float, n_max: int) -> np.ndarray:
     """Poisson pmf for n = 0..n_max as a vector, log-space evaluation."""
     if not (mu >= 0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    _check_n_max(n_max)
-    return poisson_rows(np.array([float(mu)]), n_max)[0]
+    return poisson_rows(np.array([float(mu)]), _check_n_max(n_max))[0]
 
 
 def poisson_rows(mu: np.ndarray, n_max: int) -> np.ndarray:
@@ -93,34 +101,6 @@ def poisson_rows(mu: np.ndarray, n_max: int) -> np.ndarray:
     if not pumped:
         rows[mu == 0, 1:] = 0.0  # log(1) stood in for log(0) there
     return rows
-
-
-@functools.lru_cache(maxsize=32)
-def binomial_matrix(n_max: int, p: float) -> np.ndarray:
-    """Binomial loss matrix B[n, k] = C(n, k) p^k (1-p)^(n-k) for n, k = 0..n_max.
-
-    Row n is the distribution of survivors among n photons that each survive
-    independently with probability ``p``.  Cached per (n_max, p) and returned
-    read-only, because the Monte Carlo sampling tables of one configuration
-    are rebuilt by every ``simulate`` call; the analytic chain thins in
-    closed form and needs no matrix.
-    """
-    if p == 1.0:
-        out = np.eye(n_max + 1)
-    elif p == 0.0:
-        out = np.zeros((n_max + 1, n_max + 1))
-        out[:, 0] = 1.0
-    else:
-        n = np.arange(n_max + 1)[:, None]
-        k = n.T
-        lg = _lgamma_cache(n_max + 1)
-        log_comb = lg[n] - lg[k] - lg[np.maximum(n - k, 0)]
-        log_b = log_comb + k * math.log(p) + (n - k) * math.log1p(-p)
-        # k > n gets (n - k) log1p(-p) > 0, which overflows exp as p nears 1.
-        log_b[k > n] = -np.inf
-        out = np.exp(log_b)
-    out.setflags(write=False)
-    return out
 
 
 _LGAMMA_TABLE = np.zeros(0)
@@ -138,7 +118,9 @@ def _lgamma_cache(size: int) -> np.ndarray:
 class PhotonDistribution:
     """Truncated photon-number distribution of the synchronized output window.
 
-    ``probs[n]`` is the probability of n photons, for n = 0..n_max.
+    ``probs[n]`` is the probability of n photons, for n = 0..n_max, where
+    ``n_max`` is an integer in [0, N_MAX_LIMIT] (an integral real is stored
+    as an int).
     ``tail_mass`` is the residual probability beyond the truncation bound; it
     must stay below :data:`TAIL_LIMIT` or construction fails loudly instead of
     renormalizing, which would silently bias multi-photon figures of merit.
@@ -153,6 +135,7 @@ class PhotonDistribution:
         probs = np.array(self.probs, dtype=float)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "n_max", _check_n_max(self.n_max))
         if probs.ndim != 1:
             raise ValueError(f"probs must have length n_max+1 = {self.n_max + 1}, got {probs.size}")
         check_rows(probs[None], np.array([self.tail_mass], dtype=float), self.n_max)
@@ -257,7 +240,7 @@ def ideal_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonD
     n_max:
         Truncation bound, in [2, N_MAX_LIMIT].
     """
-    _check_n_max(n_max, low=2)
+    n_max = _check_n_max(n_max, low=2)
     mu = cfg.mu
     if mu == 0.0:
         # Limit of the n >= 1 branch as mu -> 0: deterministic vacuum.

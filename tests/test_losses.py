@@ -23,10 +23,10 @@ from photonmux import (
 )
 from photonmux import losses, sweeps
 from photonmux.losses import p1_snr_curve
+from photonmux.montecarlo._tables import _binomial_matrix as binomial_matrix
 from photonmux.stats import (
     N_MAX_LIMIT,
     TAIL_LIMIT,
-    binomial_matrix,
     poisson_rows,
     poisson_vector,
 )
@@ -321,17 +321,20 @@ def test_negative_n_max_rejected(call):
 _CFG = SourceConfig(m=2, mu=0.1, e_h=0.85)
 
 
-@pytest.mark.parametrize("call,bound", [
-    (lambda n: output_distribution(_CFG, n), 10**6),
-    (lambda n: heralded_distribution(_CFG, n_max=n), 10**6),
-    (lambda n: with_dark_counts(_CFG, n), 10**6),
-    (lambda n: ideal_distribution(_CFG.replace(mu=0.0), n), 10**6),
-    (lambda n: poisson_vector(0.1, n), 10**6),
-    (lambda n: poisson_pmf(0.1, n), 10**6),
-    (lambda n: p1_snr_curve(_CFG, np.linspace(0.0, 1.0, 256), n), N_MAX_LIMIT + 1),
-    (lambda n: optimize_mu(_CFG, n_max=n), N_MAX_LIMIT + 1),
-], ids=["output_distribution", "heralded_distribution", "with_dark_counts",
-        "ideal_distribution", "poisson_vector", "poisson_pmf", "p1_snr_curve", "optimize_mu"])
+_N_MAX_CALLS = {
+    "output_distribution": (lambda n: output_distribution(_CFG, n), 10**6),
+    "heralded_distribution": (lambda n: heralded_distribution(_CFG, n_max=n), 10**6),
+    "with_dark_counts": (lambda n: with_dark_counts(_CFG, n), 10**6),
+    "ideal_distribution": (lambda n: ideal_distribution(_CFG.replace(mu=0.0), n), 10**6),
+    "poisson_vector": (lambda n: poisson_vector(0.1, n), 10**6),
+    "poisson_pmf": (lambda n: poisson_pmf(0.1, n), 10**6),
+    "p1_snr_curve": (lambda n: p1_snr_curve(_CFG, np.linspace(0.0, 1.0, 256), n),
+                     N_MAX_LIMIT + 1),
+    "optimize_mu": (lambda n: optimize_mu(_CFG, n_max=n), N_MAX_LIMIT + 1),
+}
+
+
+@pytest.mark.parametrize("call,bound", _N_MAX_CALLS.values(), ids=_N_MAX_CALLS)
 def test_n_max_above_the_limit_is_rejected_before_allocating(call, bound):
     # Each bound would take tens of MB if the call went ahead.
     tracemalloc.start()
@@ -342,6 +345,24 @@ def test_n_max_above_the_limit_is_rejected_before_allocating(call, bound):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, math.nan, math.inf, "30", None],
+                         ids=["bool", "fraction", "nan", "inf", "string", "none"])
+@pytest.mark.parametrize("call", [call for call, _ in _N_MAX_CALLS.values()], ids=_N_MAX_CALLS)
+def test_n_max_must_be_an_integer(call, bad):
+    with pytest.raises(ValueError, match=rf"must be an integer, got {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("integral", [30.0, np.int64(30), np.float64(30.0)])
+def test_integral_n_max_is_accepted_as_an_int(integral):
+    assert poisson_vector(0.1, integral).tobytes() == poisson_vector(0.1, 30).tobytes()
+    assert poisson_pmf(0.1, integral) == poisson_pmf(0.1, 30)
+    for dist in (output_distribution(_CFG, integral), ideal_distribution(_CFG, integral)):
+        assert type(dist.n_max) is int and dist.n_max == 30
+    assert output_distribution(_CFG, integral).probs.tobytes() == \
+        output_distribution(_CFG).probs.tobytes()
 
 
 def test_n_max_at_the_limit_is_accepted():

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -119,6 +121,12 @@ def counted(fn, calls: list):
     return wrapper
 
 
+def wrapped_drain(wrap):
+    """``montecarlo._drain`` that runs each chunk through ``wrap(run)``."""
+    drain = montecarlo._drain
+    return lambda runs, spans: drain([wrap(run) for run in runs], spans)
+
+
 def finish_within(seconds: float, fn, *args):
     """``fn(*args)`` run on a daemon thread that must return within ``seconds``."""
     out = []
@@ -150,26 +158,60 @@ class TestDeterminism:
                 assert np.array_equal(base.counts, sharded.counts), (cfg.m, shards)
 
     def test_many_small_tasks_on_more_workers_than_cores(self, monkeypatch):
-        # Dozens of chunks on 8 threads that switch every microsecond: a chunk
-        # lost, run twice or summed in a race would change the histogram.
+        # Dozens of chunks drained by 8 threads that switch every microsecond:
+        # a chunk lost, run twice or summed in a race would change the
+        # histogram.
         trials, seed = 30_001, 9
         want = {cfg: simulate(cfg, McConfig(trials, seed, shards=1), "numpy").counts
                 for cfg in (LOSSY, DARK, DEEP)}
         monkeypatch.setattr(montecarlo, "_CHUNK_WORD_TARGET", 1 << 16)
         monkeypatch.setattr(_numpy_backend, "_COUNTER_BATCH", 512)
-        tasks = []
-        monkeypatch.setattr(montecarlo, "_simulate_range",
-                            counted(montecarlo._simulate_range, tasks))
+        chunks = []
+
+        def count(run):
+            def wrapper(start, stop):
+                chunks.append(threading.get_ident())
+                if len(set(chunks)) < 2:
+                    time.sleep(1e-3)  # lets the other loops start before this one drains all
+                run(start, stop)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "_drain", wrapped_drain(count))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for backend, (cfg, counts) in itertools.product(BACKENDS, want.items()):
-                tasks.clear()
+                chunks.clear()
                 hist = finish_within(60, simulate, cfg, McConfig(trials, seed, shards=8), backend)
-                assert len(tasks) >= 32 and len(set(tasks)) > 1, (backend, cfg)
+                assert len(chunks) >= 32 and len(set(chunks)) > 1, (backend, cfg)
                 assert np.array_equal(hist.counts, counts), (backend, cfg)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failing_chunk_stops_every_loop(self, backend, monkeypatch):
+        # 3000 one-trial chunks on 4 loops, of which the tenth chunk raises.
+        workers, failing = 4, 10
+        calls, lock = [], threading.Lock()
+
+        def fail_tenth(run):
+            def wrapper(start, stop):
+                with lock:
+                    calls.append(start)
+                    call = len(calls)
+                if call == failing:
+                    raise RuntimeError(f"chunk {start} failed")
+                run(start, stop)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "_TASK_WORD_TARGET", 4)
+        monkeypatch.setattr(montecarlo, "_drain", wrapped_drain(fail_tenth))
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=r"chunk \d+ failed"):
+            simulate(SourceConfig(m=0, mu=0.1), McConfig(3000, seed=1, shards=workers), backend)
+        # Each other loop finishes at most the chunk it holds.
+        assert failing <= len(calls) <= failing + workers
+        assert not set(threading.enumerate()) - before
 
     # DEEP and DEEP_DARK run the numpy backend on its counter source.
     @needs_c
@@ -247,16 +289,16 @@ class TestNumpyKernel:
         trials = max(64, (1 << 14) // slots)
         start = (1 << 32) // (slots // 4) - trials // 2
         uniforms = philox_at_trial(m + 3, start, w).random((trials, slots))
-        runners = [_numpy_backend.run_counter, _ckernel.load()[0]]
+        binders = [montecarlo._bind_counter, _ckernel.load()[0]]
         for mu, e_h in itertools.product((0.0, 0.05, 0.5, 2.0), (0.0, 0.85, 1.0)):
             tables = build_tables(SourceConfig(m=m, mu=mu, e_h=e_h, e_s=0.9,
                                                e_sw_db=0.5, r_dark=r_dark))
             want = np.zeros(129, dtype=np.int64)
             _numpy_backend.run_chunk(uniforms, tables, want)
-            for run_counter in filter(None, runners):
+            for bind in filter(None, binders):
                 got = np.zeros(129, dtype=np.int64)
-                run_counter(m + 3, start, start + trials, tables, got)
-                assert np.array_equal(got, want), (run_counter, mu, e_h)
+                bind(m + 3, tables, got)(start, start + trials)
+                assert np.array_equal(got, want), (bind, mu, e_h)
 
     # The last trials the stream holds, under the largest seed: their block
     # counters lie between 2**40 and 2**50, and the key schedule that blocks
@@ -268,14 +310,14 @@ class TestNumpyKernel:
         seed, w = 2**64 - 1, 2 ** m
         start = MAX_TRIALS - 64
         uniforms = philox_at_trial(seed, start, w).random((64, slots_per_trial(w)))
-        run_counter = _ckernel.load()[0]
+        bind = _ckernel.load()[0]
         for mu, e_h in itertools.product((0.0, 0.5, 2.0), (0.0, 0.85)):
             tables = build_tables(SourceConfig(m=m, mu=mu, e_h=e_h, e_s=0.9,
                                                e_sw_db=0.5, r_dark=r_dark))
             want = np.zeros(129, dtype=np.int64)
             got = np.zeros(129, dtype=np.int64)
             _numpy_backend.run_chunk(uniforms, tables, want)
-            run_counter(seed, start, MAX_TRIALS, tables, got)
+            bind(seed, tables, got)(start, MAX_TRIALS)
             assert np.array_equal(got, want), (mu, e_h)
 
     def test_counter_source_across_batches(self):
@@ -303,8 +345,9 @@ class TestNumpyKernel:
         assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
     def test_task_queue_stays_short(self, monkeypatch):
-        # One trial per task: 3000 tasks queued at once would hold some 6 MB
-        # of futures.
+        # One trial per chunk: the drain loops take 3000 chunks one at a
+        # time from the iterator, where 3000 queued tasks would hold some
+        # 6 MB of futures.
         monkeypatch.setattr(montecarlo, "_TASK_WORD_TARGET", 4)
         cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
         want = simulate(cfg, McConfig(trials=3000, seed=1, shards=1)).counts
@@ -325,6 +368,72 @@ def fresh_kernel(monkeypatch, cache_dir, builds: list):
     monkeypatch.setattr(_ckernel, "CACHE_DIR", cache_dir)
     monkeypatch.setattr(_ckernel, "_loaded", None)
     monkeypatch.setattr(_ckernel, "compile_library", counted(_ckernel.compile_library, builds))
+
+
+TABLES = build_tables(LOSSY)
+
+
+def strided(a: np.ndarray) -> np.ndarray:
+    """The values of ``a`` as a view that is not C-contiguous."""
+    return np.repeat(a, 2, axis=-1)[..., ::2]
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class TestCKernelArguments:
+    # The kernel takes raw addresses, so these checks alone keep it inside
+    # the arrays.  A stand-in library records every kernel call.
+    @pytest.fixture
+    def kernel(self, monkeypatch):
+        calls = []
+
+        class Library:
+            def __init__(self, path):
+                self.run_counter = lambda *args: calls.append(args)
+
+        monkeypatch.setattr(_ckernel.ctypes, "CDLL", Library)
+        return _ckernel._bind("stand-in"), calls
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("pair_cdf", TABLES.pair_cdf.astype(np.float32), "float64"),
+        ("herald_prob", strided(TABLES.herald_prob), "C-contiguous"),
+        ("survival_cdf", np.asfortranarray(TABLES.survival_cdf), "C-contiguous"),
+        ("herald_prob", TABLES.herald_prob[:-1].copy(), "pair-count cap"),
+        ("survival_cdf", TABLES.survival_cdf[:-1].copy(), "pair-count cap"),
+    ], ids=["dtype", "strided", "fortran", "short-herald", "short-survival"])
+    def test_bad_tables_raise_before_the_kernel_runs(self, kernel, field, value, message):
+        bind, calls = kernel
+        with pytest.raises(ValueError, match=message):
+            bind(1, dataclasses.replace(TABLES, **{field: value}), np.zeros(129, np.int64))
+        assert not calls
+
+    @pytest.mark.parametrize("counts,message", [
+        (np.zeros(129, np.int32), "int64"),
+        (strided(np.zeros(129, np.int64)), "C-contiguous"),
+        (read_only(np.zeros(129, np.int64)), "writable"),
+        (np.zeros(128, np.int64), "pair-count cap"),
+    ], ids=["dtype", "strided", "read-only", "short"])
+    def test_bad_counts_raise_before_the_kernel_runs(self, kernel, counts, message):
+        bind, calls = kernel
+        with pytest.raises(ValueError, match=message):
+            bind(1, TABLES, counts)
+        assert not calls
+
+    def test_each_chunk_passes_the_bound_addresses(self, kernel):
+        bind, calls = kernel
+        counts = np.zeros(129, np.int64)
+        run = bind(7, TABLES, counts)
+        run(3, 5)
+        run(5, 9)
+        arrays = (TABLES.pair_cdf, TABLES.herald_prob, TABLES.survival_cdf, counts)
+        for (seed, start, stop, windows, p_dark, *pointers), span in zip(calls, [(3, 5), (5, 9)]):
+            assert (seed.value, start, stop) == (7, *span)
+            assert (windows.value, p_dark.value) == (TABLES.n_windows, TABLES.p_dark)
+            addresses = [p.value for p in pointers]
+            assert addresses == [a.ctypes.data for a in arrays[:3]] + [129, counts.ctypes.data]
 
 
 @needs_c

@@ -15,7 +15,8 @@ from photonmux import (
     snr,
 )
 from photonmux.montecarlo import build_tables
-from photonmux.stats import binomial_matrix, check_rows, moments, poisson_vector
+from photonmux.montecarlo._tables import _binomial_matrix as binomial_matrix
+from photonmux.stats import check_rows, moments, poisson_vector
 
 
 class TestPoissonPmf:
