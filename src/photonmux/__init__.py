@@ -17,7 +17,6 @@ from .stats import (
     TruncationError,
     ideal_distribution,
     mandel_q,
-    poisson_pmf,
     snr,
 )
 from .losses import (
@@ -28,10 +27,8 @@ from .losses import (
 from .optimize import OptimizationResult, max_p1_with_snr_floor, optimize_mu
 from .montecarlo import McConfig, McHistogram, compare, simulate
 from .sweeps import (
-    ClockReport,
     SweepRecord,
     SweepTable,
-    clock_report,
     figure2,
     figure3,
     figure4,
@@ -44,7 +41,6 @@ __all__ = [
     "PhotonDistribution",
     "TruncationError",
     "DEFAULT_N_MAX",
-    "poisson_pmf",
     "ideal_distribution",
     "mandel_q",
     "snr",
@@ -60,8 +56,6 @@ __all__ = [
     "compare",
     "SweepRecord",
     "SweepTable",
-    "ClockReport",
-    "clock_report",
     "figure2",
     "figure3",
     "figure4",

@@ -12,6 +12,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,15 +27,7 @@ from .losses import output_distribution
 from .montecarlo import BACKENDS, McConfig, backend_choice, compare, simulate
 from .optimize import max_p1_with_snr_floor, optimize_mu
 from .stats import DEFAULT_N_MAX
-from .sweeps import (
-    clock_report,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    gnuplot_commands,
-    sweep_axis,
-)
+from .sweeps import figure2, figure3, figure4, figure5, gnuplot_commands, sweep_axis
 from .validate import run_validation
 
 __all__ = ["main", "parse_source_config", "ConfigError"]
@@ -270,12 +263,11 @@ def run(ns: argparse.Namespace) -> int:
             result = optimize_mu(cfg, mu_range, ns.tol)
         else:
             result = max_p1_with_snr_floor(cfg, ns.snr_target, mu_range, ns.tol)
-        clock = clock_report(cfg)
         doc = {
             "format": "photonmux-optimize",
             "tool": f"photonmux {__version__}",
             "config": cfg.as_dict(),
-            "clock_hz": clock.frequency_hz,
+            "clock_hz": cfg.clock_hz,
             "result": {
                 "mu_opt": result.mu_opt,
                 "p1_max": result.p1_max,
@@ -334,6 +326,10 @@ def run(ns: argparse.Namespace) -> int:
                 "backend": hist.backend,
                 "counts": hist.counts.tolist(),
             }
+            if ns.compare:
+                doc["compare"] = {field.name: getattr(report, field.name)
+                                  for field in dataclasses.fields(report)
+                                  if field.name != "z_scores"}
             _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", path)
         else:
             lines.append("k,count,frequency")

@@ -10,6 +10,7 @@ the heralding detector dark-count rate ``r_dark``.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -20,6 +21,24 @@ __all__ = ["SourceConfig", "signal_transmission"]
 _MU_RATE_RTOL = 1e-12
 # Largest m: the loss chain takes the 2**m windows as a float.
 _MAX_M = sys.float_info.max_exp - 1
+
+
+def _check_int(value, name: str, low: int, high: int) -> int:
+    """``value`` as an int in [low, high]: the one check of every integer
+    argument.
+
+    An integral real such as 2.0 or np.int64(2) is accepted; a bool, a
+    fraction, nan, an infinity and a non-number raise ``ValueError``
+    naming ``name`` and the value.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = int(value)
+        except (ValueError, OverflowError):  # nan, inf
+            number = None
+        if number == value and low <= number <= high:
+            return number
+    raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 def signal_transmission(e_s: float, e_sw_db: float, m: int) -> float:
@@ -67,15 +86,7 @@ class SourceConfig:
     r_dark: float = 0.0
 
     def __post_init__(self) -> None:
-        m = self.m
-        try:
-            valid = not isinstance(m, bool) and int(m) == m and 0 <= m <= _MAX_M
-        except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
-            valid = False
-        if not valid:
-            raise ValueError(f"m must be an integer >= 0 with 2**m a finite float "
-                             f"(m <= {_MAX_M}), got {m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _check_int(self.m, "m", 0, _MAX_M))
         if not (self.delta_t0_ns > 0 and math.isfinite(self.delta_t0_ns)):
             raise ValueError(f"delta_t0_ns must be finite and > 0, got {self.delta_t0_ns}")
         if self.mu is None and self.herald_rate_r is None:
@@ -128,11 +139,6 @@ class SourceConfig:
     @property
     def clock_hz(self) -> float:
         return 1e9 / self.period_ns
-
-    @property
-    def e_sw(self) -> float:
-        """Linear transmission of one switch, 10**(-IL/10)."""
-        return 10.0 ** (-self.e_sw_db / 10.0)
 
     @property
     def e_s_total(self) -> float:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import SourceConfig
+from .config import SourceConfig, _check_int
 from .stats import (
     DEFAULT_N_MAX,
     TAIL_LIMIT,
@@ -206,15 +206,7 @@ def heralded_distribution(
         Truncation bound.
     """
     windows = cfg.n_windows if n_windows is None else n_windows
-    try:
-        valid = (not isinstance(windows, bool) and int(windows) == windows
-                 and 1 <= windows <= cfg.n_windows)
-    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
-        valid = False
-    if not valid:
-        raise ValueError(f"n_windows must be an integer in [1, {cfg.n_windows}], "
-                         f"got {n_windows!r}")
-    return _distribution(cfg, int(windows), 0.0, n_max)
+    return _distribution(cfg, _check_int(windows, "n_windows", 1, cfg.n_windows), 0.0, n_max)
 
 
 def with_dark_counts(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:

@@ -10,9 +10,8 @@ Two interchangeable kernels exist.  The C kernel (``_ckernel.c``) is built
 with the system C compiler on the first simulation and cached; it computes
 each Philox block a trial reads from its counter.  The vectorized numpy
 backend is the fallback when the kernel cannot be built, and the reference
-it is checked against (the PHOTONMUX_BACKEND environment variable forces
-either).  Both read the identical Philox stream, so their histograms are
-bit-identical.
+it is checked against (``backend=`` selects either).  Both read the
+identical Philox stream, so their histograms are bit-identical.
 
 The numpy backend scans a chunk of stream words pre-drawn in order, unless
 the sampling tables predict that its scan reads only a small share of each
@@ -31,7 +30,6 @@ end; which loop scans a chunk never changes a histogram either.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import SourceConfig
+from ..config import SourceConfig, _check_int
 from ..stats import DEFAULT_N_MAX, PhotonDistribution
 from . import _ckernel, _numpy_backend
 from ._tables import PAIR_COUNT_CAP, build_tables, philox_at_trial, slots_per_trial
@@ -87,19 +85,12 @@ def available_backends() -> tuple:
 def backend_choice(backend: Optional[str] = None) -> tuple:
     """(name, reason): the backend ``simulate`` runs for ``backend``, and why.
 
-    ``None`` picks the backend PHOTONMUX_BACKEND names, else the C kernel,
-    else numpy when the kernel cannot be built; an empty PHOTONMUX_BACKEND
-    counts as unset, and any other value outside BACKENDS raises
-    ``ValueError``.  Raises ``RuntimeError`` when the C kernel is asked for
-    but cannot be built, with the build error as the reason.
+    ``None`` picks the C kernel, else numpy when the kernel cannot be built;
+    a value outside BACKENDS raises ``ValueError``.  Raises ``RuntimeError``
+    when the C kernel is asked for but cannot be built, with the build error
+    as the reason.
     """
     origin = f"backend {backend!r} requested"
-    if backend is None:
-        forced = os.environ.get("PHOTONMUX_BACKEND", "").lower()
-        if forced not in ("", *BACKENDS):
-            raise ValueError(f"unknown PHOTONMUX_BACKEND={forced!r}, expected one of {BACKENDS}")
-        if forced:
-            backend, origin = forced, f"PHOTONMUX_BACKEND={forced}"
     if backend not in (None, *BACKENDS):
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     if backend == "numpy":
@@ -113,7 +104,7 @@ def backend_choice(backend: Optional[str] = None) -> tuple:
 
 
 def default_backend() -> str:
-    """Backend that ``simulate`` runs when none is given, honoring PHOTONMUX_BACKEND."""
+    """Backend that ``simulate`` runs when none is given."""
     return backend_choice()[0]
 
 
@@ -124,7 +115,8 @@ class McConfig:
     The histogram depends only on (trials, seed) and the source
     configuration.  ``shards`` caps the worker threads that run the trial
     chunks, ``None`` meaning every CPU the process may run on; it never
-    changes the result.
+    changes the result.  ``trials``, ``seed`` and ``shards`` are stored as
+    ints, so an integral real such as ``2.0`` runs as ``2`` on every backend.
     """
 
     trials: int
@@ -132,22 +124,11 @@ class McConfig:
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        trials = self.trials
-        if not (isinstance(trials, numbers.Integral)
-                or (isinstance(trials, numbers.Real) and float(trials).is_integer())):
-            raise ValueError(f"trials must be an integer, got {trials!r}")
-        object.__setattr__(self, "trials", int(trials))
-        if not 1 <= self.trials:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > MAX_TRIALS:
-            raise ValueError(f"trials={self.trials} exceeds the supported maximum 2**40")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        shards = self.shards
-        if shards is not None:
-            if not isinstance(shards, numbers.Integral) or shards < 1:
-                raise ValueError(f"shards must be None or an integer >= 1, got {shards!r}")
-            object.__setattr__(self, "shards", int(shards))
+        object.__setattr__(self, "trials", _check_int(self.trials, "trials", 1, MAX_TRIALS))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0, (1 << 64) - 1))
+        if self.shards is not None:
+            # More loops than trials never start, as each takes whole trials.
+            object.__setattr__(self, "shards", _check_int(self.shards, "shards", 1, MAX_TRIALS))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Tuple
 
 import numpy as np
 
-from .config import SourceConfig
+from .config import SourceConfig, _check_int
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -25,7 +24,6 @@ __all__ = [
     "TAIL_LIMIT",
     "TruncationError",
     "PhotonDistribution",
-    "poisson_pmf",
     "poisson_vector",
     "poisson_rows",
     "ideal_distribution",
@@ -53,33 +51,10 @@ class TruncationError(ValueError):
     """Raised when the truncated representation would drop too much mass."""
 
 
-def _check_n_max(n_max: int, low: int = 0, name: str = "n_max") -> int:
-    """``n_max`` as an int, in [low, N_MAX_LIMIT].
-
-    An integral real such as 30.0 is accepted, as ``McConfig.trials`` is;
-    a bool, a fractional or non-finite number and a non-number raise
-    ``ValueError`` naming the value.
-    """
-    if isinstance(n_max, bool) or not (
-            isinstance(n_max, numbers.Integral)
-            or (isinstance(n_max, numbers.Real) and float(n_max).is_integer())):
-        raise ValueError(f"{name} must be an integer, got {n_max!r}")
-    n_max = int(n_max)
-    if n_max < low:
-        raise ValueError(f"{name} must be >= {low}, got {n_max}")
-    if n_max > N_MAX_LIMIT:
-        raise ValueError(f"{name} must be <= {N_MAX_LIMIT}, got {n_max}")
-    return n_max
-
-
-def poisson_pmf(mu: float, n: int) -> float:
-    """Poisson probability of n events at mean mu: entry n of the one row
-    :func:`poisson_rows` gives for mu, evaluated in log space.  Like
-    :func:`poisson_vector`, it computes the n + 1 entries up to n."""
-    if not (mu >= 0 and math.isfinite(mu)):
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    n = _check_n_max(n, name="n")
-    return float(poisson_rows(np.array([float(mu)]), n)[0, -1])
+def _check_n_max(n_max: int, low: int = 0) -> int:
+    """``n_max`` as an int in [low, N_MAX_LIMIT], as :func:`config._check_int`
+    gives it."""
+    return _check_int(n_max, "n_max", low, N_MAX_LIMIT)
 
 
 def poisson_vector(mu: float, n_max: int) -> np.ndarray:
@@ -156,11 +131,6 @@ class PhotonDistribution:
 
     def variance(self) -> float:
         return moments(self.probs)[1]
-
-    def with_meta(self, **entries) -> "PhotonDistribution":
-        merged = dict(self.meta)
-        merged.update(entries)
-        return PhotonDistribution(self.probs, self.n_max, self.tail_mass, merged)
 
 
 def check_rows(probs: np.ndarray, tail: np.ndarray, n_max: int) -> None:

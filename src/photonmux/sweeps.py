@@ -41,17 +41,15 @@ from .optimize import (  # noqa: F401
     optimize_mu,
     optimize_mu_batch,
 )
-from .stats import DEFAULT_N_MAX, check_rows, mandel_q_or_nan, p1_rows, snr_rows
+from .stats import DEFAULT_N_MAX, _check_n_max, check_rows, mandel_q_or_nan, p1_rows, snr_rows
 
 __all__ = [
     "SweepRecord",
     "SweepTable",
-    "ClockReport",
     "figure2",
     "figure3",
     "figure4",
     "figure5",
-    "clock_report",
     "sweep_axis",
     "gnuplot_commands",
 ]
@@ -338,7 +336,7 @@ def figure2(
     probability, all stage counts' searches in lockstep; the record carries
     P0, P1, P>=2 and Q at that optimum.
     """
-    m_values = list(m_values)
+    m_values, n_max = list(m_values), _check_n_max(n_max)
     templates = [SourceConfig.lossless(m=m, mu=mu_range[0]) for m in m_values]
     results = optimize_mu_batch(templates, mu_range=mu_range, n_max=n_max)
     meta = {"config_hash": _input_hash(fig="fig2", m_values=m_values, n_max=n_max)}
@@ -355,7 +353,7 @@ def figure3(
 ) -> SweepTable:
     """Single-photon probability versus pump rate for each (stages, IL)."""
     grid = DEFAULT_MU_GRID if mu_grid is None else np.asarray(mu_grid, dtype=float)
-    m_values = list(m_values)
+    m_values, n_max = list(m_values), _check_n_max(n_max)
     columns = _joined(_curve(SourceConfig(m=m, mu=0.0, e_h=e_h, e_s=e_s, e_sw_db=float(il)),
                              "mu", grid, n_max)
                       for il in il_db_values for m in m_values)
@@ -375,7 +373,7 @@ def figure4(
 ) -> SweepTable:
     """Single-photon probability versus switch insertion loss."""
     grid = DEFAULT_IL_GRID if il_grid is None else np.asarray(il_grid, dtype=float)
-    m_values = list(m_values)
+    m_values, n_max = list(m_values), _check_n_max(n_max)
     columns = _joined(_curve(SourceConfig(m=m, mu=float(mu), e_h=e_h, e_s=e_s),
                              "e_sw_db", grid, n_max)
                       for mu in mu_values for m in m_values)
@@ -400,7 +398,7 @@ def figure5(
     Infeasible (target, stages, IL) combinations produce records with NaN
     outputs and the mu field set to NaN.
     """
-    m_values = list(m_values)
+    m_values, n_max = list(m_values), _check_n_max(n_max)
     templates = [SourceConfig(m=m, mu=mu_range[0], e_h=e_h, e_s=e_s, e_sw_db=float(il))
                  for il in il_db_values for m in m_values]
     cases = [(template, float(target)) for template in templates for target in snr_targets]
@@ -425,26 +423,13 @@ def sweep_axis(
     """
     if axis not in ("mu", "e_sw_db"):
         raise ValueError(f"axis must be 'mu' or 'e_sw_db', got {axis!r}")
+    n_max = _check_n_max(n_max)
     columns = _curve(base, axis, values, n_max)
     # The axis column holds float(v) for each v of values.
     meta = {"config_hash": _input_hash(
         fig="custom", axis=axis, values=columns[_ECHO.index(axis)],
         base=base.as_dict(), n_max=n_max)}
     return SweepTable._from_columns("custom", columns, meta)
-
-
-# -- clock arithmetic --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClockReport:
-    period_ns: float
-    frequency_hz: float
-
-
-def clock_report(cfg: SourceConfig) -> ClockReport:
-    """Synchronization clock period 2**m * delta_t0 and its frequency."""
-    return ClockReport(period_ns=cfg.period_ns, frequency_hz=cfg.clock_hz)
 
 
 # -- plotting convenience ----------------------------------------------------

@@ -29,7 +29,6 @@ from .losses import (
 from .montecarlo import McConfig, compare, simulate
 from .optimize import optimize_mu_batch
 from .stats import ideal_distribution, poisson_vector
-from .sweeps import clock_report
 
 __all__ = [
     "AGREEMENT_CONFIGS", "DARK_MIXTURE_POINTS", "Check", "ValidationReport",
@@ -81,10 +80,10 @@ def _below(name: str, value: float, limit: float, what: str = "max deviation") -
 
 def check_clock() -> Check:
     """Four stages of 2 ns windows give exactly a 32 ns, 31.25 MHz clock."""
-    report = clock_report(SourceConfig(m=4, delta_t0_ns=2.0, mu=0.1))
-    ok = report.period_ns == 32.0 and report.frequency_hz == 31.25e6
-    return Check("clock arithmetic", ok, f"m=4, 2 ns -> {report.period_ns} ns, "
-                                         f"{report.frequency_hz / 1e6} MHz (exact)")
+    cfg = SourceConfig(m=4, delta_t0_ns=2.0, mu=0.1)
+    ok = cfg.period_ns == 32.0 and cfg.clock_hz == 31.25e6
+    return Check("clock arithmetic", ok, f"m=4, 2 ns -> {cfg.period_ns} ns, "
+                                         f"{cfg.clock_hz / 1e6} MHz (exact)")
 
 
 def check_reductions() -> Tuple[Check, ...]:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -5,12 +6,22 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import photonmux
-from photonmux import SourceConfig, ideal_distribution, montecarlo, stats, validate
+from photonmux import (
+    McConfig,
+    SourceConfig,
+    ideal_distribution,
+    montecarlo,
+    output_distribution,
+    simulate,
+    stats,
+    validate,
+)
 from photonmux.cli import ConfigError, main, parse_config_text, parse_source_config
 
 MINIMAL = """
@@ -131,6 +142,22 @@ class TestMonteCarlo:
         counts = [int(r.split(",")[1]) for r in data[1:]]
         assert sum(counts) == 50_000
 
+    def test_structured_output_carries_the_compare_report(self, tmp_path):
+        args = ["montecarlo", "--m", "2", "--mu", "0.1", "--e_h", "0.85",
+                "--trials", "5e4", "--seed", "42", "--format", "structured"]
+        plain, compared = tmp_path / "plain.json", tmp_path / "compared.json"
+        assert main([*args, "-o", str(plain)]) == 0
+        assert main([*args, "--compare", "-o", str(compared)]) == 0
+        cfg = SourceConfig(m=2, mu=0.1, e_h=0.85)
+        report = montecarlo.compare(output_distribution(cfg), simulate(cfg, McConfig(50_000, 42)))
+        doc = json.loads(compared.read_text())
+        assert doc.pop("compare") == {
+            "tv_distance": report.tv_distance, "tv_limit": report.tv_limit,
+            "max_abs_z": report.max_abs_z, "z_limit": report.z_limit,
+            "tail_start": report.tail_start, "passed": True}
+        # Otherwise the document is the one written without --compare.
+        assert doc == json.loads(plain.read_text())
+
     def test_seeded_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["montecarlo", "--mu", "0.1", "--trials", "2e4", "--seed", "7"]
@@ -200,7 +227,8 @@ class TestErrors:
         assert main(["dist", "--mu", "0.1", "--n-max", "-1"]) == 1
         out, err = capsys.readouterr()
         assert json.loads(err.strip().splitlines()[-1]) == {
-            "error": "ValueError", "message": "n_max must be >= 0, got -1", "subcommand": "dist"}
+            "error": "ValueError", "subcommand": "dist",
+            "message": f"n_max must be an integer in [0, {stats.N_MAX_LIMIT}], got -1"}
         assert out == ""
 
     def test_n_max_above_the_limit_error_record(self, capsys):
@@ -209,7 +237,7 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert json.loads(err.strip().splitlines()[-1]) == {
             "error": "ValueError", "subcommand": "dist",
-            "message": f"n_max must be <= {stats.N_MAX_LIMIT}, got {too_large}"}
+            "message": f"n_max must be an integer in [0, {stats.N_MAX_LIMIT}], got {too_large}"}
         assert out == ""
 
     def test_m_beyond_float_range_error_record(self, capsys):
@@ -217,7 +245,7 @@ class TestErrors:
         out, err = capsys.readouterr()
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "ConfigError" and record["subcommand"] == "dist"
-        assert record["message"].startswith("m must be an integer >= 0")
+        assert record["message"] == "m must be an integer in [0, 1023], got 100000"
         assert out == ""
 
     def test_success_has_no_error_record(self, tmp_path):
@@ -243,18 +271,17 @@ def test_validate_rejects_fractional_trials(capsys):
     assert out == ""
 
 
-def test_validate_fast_smoke(monkeypatch):
+def test_validate_fast_smoke():
     # The backend that ran, and why, goes to stderr; stdout does not depend on it.
-    monkeypatch.delenv("PHOTONMUX_BACKEND", raising=False)
     backend, reason = montecarlo.backend_choice()
     args = ["validate", "--trials", "2e4", "--seed", "42"]
-    proc = run_cli(args, env_extra={"PHOTONMUX_BACKEND": ""})
+    proc = run_cli(args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "validation: PASS" in proc.stdout
     assert proc.stderr.splitlines() == [f"photonmux validate: backend {backend} ({reason})"]
-    forced = run_cli(args, env_extra={"PHOTONMUX_BACKEND": "numpy"})
+    forced = run_cli([*args, "--backend", "numpy"])
     assert forced.stderr.splitlines() == [
-        "photonmux validate: backend numpy (PHOTONMUX_BACKEND=numpy)"]
+        "photonmux validate: backend numpy (backend 'numpy' requested)"]
     assert forced.stdout == proc.stdout
 
 
@@ -278,3 +305,48 @@ def test_every_exported_name_resolves():
     missing = [f"{name}.{attr}" for name, module in exporting.items()
                for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"names in __all__ that do not resolve: {missing}"
+
+
+# The environment variables the package may read.  Options and keyword
+# arguments select everything else, so a new variable fails here.
+_ENVIRONMENT = {"SOURCE_DATE_EPOCH", "PHOTONMUX_OUTDIR", "XDG_CACHE_HOME"}
+
+
+def _environment_reads(path):
+    """The names of the environment variables the module at ``path`` reads,
+    and the place of each read whose name is not a string constant."""
+    tree = ast.parse(path.read_text(), str(path))
+    constants = {target.id: node.value.value for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    names, unresolved = set(), []
+    for node in ast.walk(tree):
+        attr = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if attr not in ("environ", "environb", "getenv", "getenvb"):
+            continue
+        use, key = parents[node], None
+        if attr.startswith("getenv") and isinstance(use, ast.Call) and use.args:
+            key = use.args[0]
+        elif isinstance(use, ast.Subscript):
+            key = use.slice
+        elif isinstance(use, ast.Attribute) and isinstance(parents[use], ast.Call) \
+                and parents[use].args:  # os.environ.get(key) and the like
+            key = parents[use].args[0]
+        if isinstance(key, ast.Name):
+            key = ast.Constant(constants.get(key.id))
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            names.add(key.value)
+        else:
+            unresolved.append(f"{path.name}:{node.lineno}")
+    return names, unresolved
+
+
+def test_reads_only_the_known_environment_variables():
+    names, unresolved = set(), []
+    for path in sorted(Path(photonmux.__file__).parent.rglob("*.py")):
+        found, unknown = _environment_reads(path)
+        names |= found
+        unresolved += unknown
+    assert not unresolved, f"environment reads whose variable is not a constant: {unresolved}"
+    assert names == _ENVIRONMENT

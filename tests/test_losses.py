@@ -9,6 +9,7 @@ from scipy import stats as sps
 from scipy.optimize import brentq
 
 from photonmux import (
+    McConfig,
     PhotonDistribution,
     SourceConfig,
     TruncationError,
@@ -17,7 +18,6 @@ from photonmux import (
     max_p1_with_snr_floor,
     optimize_mu,
     output_distribution,
-    poisson_pmf,
     snr,
     with_dark_counts,
 )
@@ -314,7 +314,8 @@ class TestVectorizedCurve:
     lambda cfg, n_max: p1_snr_curve(cfg, [0.1], n_max),
 ], ids=["output_distribution", "heralded_distribution", "with_dark_counts", "p1_snr_curve"])
 def test_negative_n_max_rejected(call):
-    with pytest.raises(ValueError, match=r"n_max must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=rf"^n_max must be an integer in \[0, {N_MAX_LIMIT}\], "
+                                         r"got -1$"):
         call(SourceConfig(m=2, mu=0.1, e_h=0.85), n_max=-1)
 
 
@@ -327,10 +328,17 @@ _N_MAX_CALLS = {
     "with_dark_counts": (lambda n: with_dark_counts(_CFG, n), 10**6),
     "ideal_distribution": (lambda n: ideal_distribution(_CFG.replace(mu=0.0), n), 10**6),
     "poisson_vector": (lambda n: poisson_vector(0.1, n), 10**6),
-    "poisson_pmf": (lambda n: poisson_pmf(0.1, n), 10**6),
     "p1_snr_curve": (lambda n: p1_snr_curve(_CFG, np.linspace(0.0, 1.0, 256), n),
                      N_MAX_LIMIT + 1),
     "optimize_mu": (lambda n: optimize_mu(_CFG, n_max=n), N_MAX_LIMIT + 1),
+    "max_p1_with_snr_floor": (lambda n: max_p1_with_snr_floor(_CFG, 10.0, n_max=n), 10**6),
+    "PhotonDistribution": (lambda n: PhotonDistribution([1.0], n), 10**6),
+    "record_for": (lambda n: sweeps.record_for(_CFG, n), 10**6),
+    "figure2": (lambda n: sweeps.figure2(n_max=n), 10**6),
+    "figure3": (lambda n: sweeps.figure3(n_max=n), 10**6),
+    "figure4": (lambda n: sweeps.figure4(n_max=n), 10**6),
+    "figure5": (lambda n: sweeps.figure5(n_max=n), 10**6),
+    "sweep_axis": (lambda n: sweeps.sweep_axis(_CFG, "mu", [0.1], n), 10**6),
 }
 
 
@@ -339,7 +347,8 @@ def test_n_max_above_the_limit_is_rejected_before_allocating(call, bound):
     # Each bound would take tens of MB if the call went ahead.
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"must be <= {N_MAX_LIMIT}, got {bound}$"):
+        with pytest.raises(ValueError, match=rf"^n_max must be an integer in \[\d, {N_MAX_LIMIT}\], "
+                                             rf"got {bound}$"):
             call(bound)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -351,23 +360,57 @@ def test_n_max_above_the_limit_is_rejected_before_allocating(call, bound):
                          ids=["bool", "fraction", "nan", "inf", "string", "none"])
 @pytest.mark.parametrize("call", [call for call, _ in _N_MAX_CALLS.values()], ids=_N_MAX_CALLS)
 def test_n_max_must_be_an_integer(call, bad):
-    with pytest.raises(ValueError, match=rf"must be an integer, got {re.escape(repr(bad))}$"):
+    with pytest.raises(ValueError, match=rf"^n_max must be an integer in \[\d, {N_MAX_LIMIT}\], "
+                                         rf"got {re.escape(repr(bad))}$"):
         call(bad)
+
+
+# Every other integer argument, with its name and range, through the one check
+# that n_max passes.
+_INTEGER_ARGUMENTS = {
+    "m": (lambda v: SourceConfig(m=v, mu=0.1), 0, 1023),
+    "n_windows": (lambda v: heralded_distribution(_CFG, n_windows=v), 1, 4),
+    "trials": (lambda v: McConfig(trials=v), 1, 2**40),
+    "seed": (lambda v: McConfig(trials=1, seed=v), 0, 2**64 - 1),
+    "shards": (lambda v: McConfig(trials=1, shards=v), 1, 2**40),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, math.nan, math.inf, "3"],
+                         ids=["bool", "fraction", "nan", "inf", "string"])
+@pytest.mark.parametrize("name", _INTEGER_ARGUMENTS)
+def test_integer_argument_must_be_an_integer(name, bad):
+    call, low, high = _INTEGER_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[{low}, {high}\], "
+                                         rf"got {re.escape(repr(bad))}$"):
+        call(bad)
+    for outside in (low - 1, high + 1):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer .* got {outside}$"):
+            call(outside)
+
+
+@pytest.mark.parametrize("integral", [2.0, np.int64(2)], ids=["float", "int64"])
+def test_integral_argument_is_accepted_as_an_int(integral):
+    mc = McConfig(trials=integral, seed=integral, shards=integral)
+    values = [SourceConfig(m=integral, mu=0.1).m, mc.trials, mc.seed, mc.shards]
+    assert all(type(value) is int and value == 2 for value in values)
+    assert heralded_distribution(_CFG, n_windows=integral).probs.tobytes() == \
+        heralded_distribution(_CFG, n_windows=2).probs.tobytes()
 
 
 @pytest.mark.parametrize("integral", [30.0, np.int64(30), np.float64(30.0)])
 def test_integral_n_max_is_accepted_as_an_int(integral):
     assert poisson_vector(0.1, integral).tobytes() == poisson_vector(0.1, 30).tobytes()
-    assert poisson_pmf(0.1, integral) == poisson_pmf(0.1, 30)
     for dist in (output_distribution(_CFG, integral), ideal_distribution(_CFG, integral)):
         assert type(dist.n_max) is int and dist.n_max == 30
     assert output_distribution(_CFG, integral).probs.tobytes() == \
         output_distribution(_CFG).probs.tobytes()
+    assert sweeps.record_for(_CFG, integral) == sweeps.record_for(_CFG)
 
 
 def test_n_max_at_the_limit_is_accepted():
     assert poisson_vector(0.1, N_MAX_LIMIT).size == N_MAX_LIMIT + 1
-    assert poisson_pmf(0.1, N_MAX_LIMIT) == 0.0
+    assert poisson_vector(0.1, N_MAX_LIMIT)[-1] == 0.0
     dist = output_distribution(_CFG, N_MAX_LIMIT)
     assert dist.n_max == N_MAX_LIMIT
     assert dist.probs[:31].tobytes() == output_distribution(_CFG).probs.tobytes()

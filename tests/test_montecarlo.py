@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ import pytest
 
 from photonmux import (
     McConfig,
+    PhotonDistribution,
     SourceConfig,
     compare,
     ideal_distribution,
@@ -64,23 +66,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(trials=10, seed=1 << 64)
 
-    def test_backend_variable_must_name_a_backend(self, monkeypatch):
-        for value in ("cython", "C kernel", "numpy "):
-            monkeypatch.setenv("PHOTONMUX_BACKEND", value)
-            message = rf"PHOTONMUX_BACKEND='{value.lower()}', expected one of \('c', 'numpy'\)"
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_integral_seed_runs_as_its_int(self, backend):
+        # One contract on every backend: seed 2.0 is seed 2, and seed 1.5 is
+        # refused by McConfig, before any backend runs.
+        want = simulate(LOSSY, McConfig(trials=5_000, seed=2), backend).counts
+        got = simulate(LOSSY, McConfig(trials=5_000, seed=2.0), backend).counts
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match=r"^seed must be an integer in .* got 1\.5$"):
+            simulate(LOSSY, McConfig(trials=5_000, seed=1.5), backend)
+
+    def test_backend_must_name_a_backend(self):
+        for value in ("cython", "C kernel", "numpy ", "NumPy", ""):
+            message = rf"unknown backend {re.escape(repr(value))}, expected one of \('c', 'numpy'\)"
             with pytest.raises(ValueError, match=message):
-                montecarlo.backend_choice()
+                montecarlo.backend_choice(value)
             with pytest.raises(ValueError, match=message):
-                simulate(LOSSY, McConfig(trials=10))
-        # An explicit backend does not read the variable.
+                simulate(LOSSY, McConfig(trials=10), value)
         assert montecarlo.backend_choice("numpy") == ("numpy", "backend 'numpy' requested")
-        monkeypatch.setenv("PHOTONMUX_BACKEND", "NumPy")
-        assert montecarlo.backend_choice() == ("numpy", "PHOTONMUX_BACKEND=numpy")
-        # An empty value counts as unset.
-        monkeypatch.setenv("PHOTONMUX_BACKEND", "")
-        empty = montecarlo.backend_choice()
-        monkeypatch.delenv("PHOTONMUX_BACKEND")
-        assert empty == montecarlo.backend_choice()
 
 
 class TestStreamLayout:
@@ -364,7 +367,6 @@ class TestNumpyKernel:
 def fresh_kernel(monkeypatch, cache_dir, builds: list):
     """Point the loader at an empty ``cache_dir``, forget the loaded kernel and
     count the compiler runs in ``builds``."""
-    monkeypatch.delenv("PHOTONMUX_BACKEND", raising=False)
     monkeypatch.setattr(_ckernel, "CACHE_DIR", cache_dir)
     monkeypatch.setattr(_ckernel, "_loaded", None)
     monkeypatch.setattr(_ckernel, "compile_library", counted(_ckernel.compile_library, builds))
@@ -507,9 +509,8 @@ class TestCKernelBuild:
             "numpy", f"fallback, the C kernel is unavailable: {detail}")
         assert available_backends() == ("numpy",)
         assert simulate(LOSSY, McConfig(trials=1_000, seed=5)).backend == "numpy"
-        monkeypatch.setenv("PHOTONMUX_BACKEND", "c")
         with pytest.raises(RuntimeError, match="undeclared"):
-            simulate(LOSSY, McConfig(trials=1_000, seed=5))
+            simulate(LOSSY, McConfig(trials=1_000, seed=5), "c")
         assert not list((tmp_path / "cache").iterdir())
 
 
@@ -534,7 +535,9 @@ class TestEventRules:
     def test_ideal_source_agrees_with_exact_distribution(self):
         cfg = SourceConfig.lossless(m=3, mu=0.05)
         hist = simulate(cfg, McConfig(trials=1_000_000, seed=21))
-        report = compare(ideal_distribution(cfg).with_meta(config=cfg), hist)
+        ideal = ideal_distribution(cfg)
+        report = compare(PhotonDistribution(ideal.probs, ideal.n_max, ideal.tail_mass,
+                                            {"config": cfg}), hist)
         assert report.passed, report.lines()
 
     def test_lossy_source_agrees_with_analytic_chain(self):
@@ -566,7 +569,8 @@ class TestCompare:
         # Analytic curve for e_h = 0.5 against samples drawn at e_h = 0.85.
         hist = simulate(LOSSY, McConfig(trials=200_000, seed=31))
         wrong = output_distribution(LOSSY.replace(e_h=0.5))
-        report = compare(wrong.with_meta(config=LOSSY), hist)
+        report = compare(PhotonDistribution(wrong.probs, wrong.n_max, wrong.tail_mass,
+                                            {"config": LOSSY}), hist)
         assert not report.passed
 
     def test_rejects_config_mismatch(self):

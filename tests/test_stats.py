@@ -11,7 +11,6 @@ from photonmux import (
     TruncationError,
     ideal_distribution,
     mandel_q,
-    poisson_pmf,
     snr,
 )
 from photonmux.montecarlo import build_tables
@@ -21,33 +20,35 @@ from photonmux.stats import check_rows, moments, poisson_vector
 
 class TestPoissonPmf:
     def test_empty_source_identity(self):
-        assert poisson_pmf(0.0, 0) == 1.0
-        assert poisson_pmf(0.0, 3) == 0.0
+        assert poisson_vector(0.0, 0).tolist() == [1.0]
+        assert poisson_vector(0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_direct_substitution(self):
-        assert poisson_pmf(1.0, 1) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert poisson_vector(1.0, 1)[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_against_arbitrary_precision(self):
         # mpmath at 40 digits: e^-0.1 * 0.1^2 / 2!
-        assert poisson_pmf(0.1, 2) == pytest.approx(0.0045241870901797978658, rel=1e-12)
+        assert poisson_vector(0.1, 2)[2] == pytest.approx(0.0045241870901797978658, rel=1e-12)
 
     @pytest.mark.parametrize("mu", [1e-6, 0.05, 0.37, 1.0, 2.0, 17.5])
     def test_against_scipy(self, mu):
         n = np.arange(0, 50)
-        ours = np.array([poisson_pmf(mu, int(k)) for k in n])
+        ours = poisson_vector(mu, 49)
         assert np.allclose(ours, sps.poisson.pmf(n, mu), rtol=1e-12, atol=1e-300)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            poisson_pmf(-0.5, 1)
+            poisson_vector(-0.5, 1)
         with pytest.raises(ValueError):
-            poisson_pmf(0.5, -1)
+            poisson_vector(0.5, -1)
         with pytest.raises(ValueError):
-            poisson_pmf(math.inf, 1)
+            poisson_vector(math.inf, 1)
 
     def test_vector_matches_scalar(self):
+        # Each entry against the closed form e^-mu mu^k / k!, one k at a time.
         vec = poisson_vector(0.37, 20)
-        assert np.allclose(vec, [poisson_pmf(0.37, k) for k in range(21)], rtol=1e-14)
+        scalar = [math.exp(-0.37) * 0.37**k / math.factorial(k) for k in range(21)]
+        assert np.allclose(vec, scalar, rtol=1e-14)
 
 
 class TestBinomialMatrix:

@@ -7,7 +7,6 @@ import pytest
 
 from photonmux import (
     SourceConfig,
-    clock_report,
     figure2,
     losses,
     optimize,
@@ -414,6 +413,16 @@ class TestSweepTable:
         other = sweep_axis(base, axis, [0.1, 0.3])
         assert other.metadata["config_hash"] != listed.metadata["config_hash"]
 
+    @pytest.mark.parametrize("make", [
+        figure2, figure3, figure4, figure5,
+        lambda **kw: sweep_axis(SourceConfig(m=1, mu=0.1, e_h=0.85), "mu", [0.1, 0.2], **kw),
+    ], ids=["fig2", "fig3", "fig4", "fig5", "sweep_axis"])
+    def test_integral_n_max_writes_the_same_file(self, make):
+        # The config hash holds the int an integral n_max runs as.
+        want = make().to_csv()
+        for integral in (30.0, np.int64(30)):
+            assert make(n_max=integral).to_csv() == want
+
     def test_json_metadata_carries_tool_and_hash(self):
         table = sweep_axis(SourceConfig(m=0, mu=0.1), "mu", [0.1])
         doc = json.loads(table.to_json())
@@ -422,20 +431,22 @@ class TestSweepTable:
 
 
 class TestClockReport:
+    # A record reports the clock of its configuration: the period 2**m *
+    # delta_t0 and its frequency.
     def test_four_stages_at_two_ns(self):
-        report = clock_report(SourceConfig(m=4, delta_t0_ns=2.0, mu=0.1))
-        assert report.period_ns == 32.0
-        assert report.frequency_hz == pytest.approx(31.25e6, rel=1e-15)
+        cfg = SourceConfig(m=4, delta_t0_ns=2.0, mu=0.1)
+        assert cfg.period_ns == 32.0
+        assert record_for(cfg).clock_freq_hz == pytest.approx(31.25e6, rel=1e-15)
 
     def test_single_window(self):
-        report = clock_report(SourceConfig(m=0, delta_t0_ns=2.0, mu=0.1))
-        assert report.period_ns == 2.0
-        assert report.frequency_hz == pytest.approx(500e6, rel=1e-15)
+        cfg = SourceConfig(m=0, delta_t0_ns=2.0, mu=0.1)
+        assert cfg.period_ns == 2.0
+        assert record_for(cfg).clock_freq_hz == pytest.approx(500e6, rel=1e-15)
 
     def test_ten_stages(self):
-        report = clock_report(SourceConfig(m=10, delta_t0_ns=2.0, mu=0.01))
-        assert report.period_ns == 2048.0
-        assert report.frequency_hz == pytest.approx(488281.25, rel=1e-15)
+        cfg = SourceConfig(m=10, delta_t0_ns=2.0, mu=0.01)
+        assert cfg.period_ns == 2048.0
+        assert record_for(cfg).clock_freq_hz == pytest.approx(488281.25, rel=1e-15)
 
 
 def test_gnuplot_emitter_mentions_all_groups():
