@@ -328,6 +328,8 @@ _N_MAX_CALLS = {
     "with_dark_counts": (lambda n: with_dark_counts(_CFG, n), 10**6),
     "ideal_distribution": (lambda n: ideal_distribution(_CFG.replace(mu=0.0), n), 10**6),
     "poisson_vector": (lambda n: poisson_vector(0.1, n), 10**6),
+    # One Poisson probability P(n), read as the last entry of the vector.
+    "poisson_pmf": (lambda n: poisson_vector(0.1, n)[-1], 10**6),
     "p1_snr_curve": (lambda n: p1_snr_curve(_CFG, np.linspace(0.0, 1.0, 256), n),
                      N_MAX_LIMIT + 1),
     "optimize_mu": (lambda n: optimize_mu(_CFG, n_max=n), N_MAX_LIMIT + 1),
