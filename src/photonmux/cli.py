@@ -112,8 +112,9 @@ def _add_simulation_flags(parser: argparse.ArgumentParser, seed: int) -> None:
     parser.add_argument("--trials", type=float, default=1e6)
     parser.add_argument("--seed", type=int, default=seed)
     parser.add_argument("--shards", type=int, default=None,
-                        help="most worker threads to run on (default every available CPU); "
-                             "never changes the histogram")
+                        help="most drain loops to run, one of them on the calling thread "
+                             "(default and at most one per available CPU); never changes "
+                             "the histogram")
     parser.add_argument("--backend", choices=BACKENDS, default=None,
                         help="simulator backend (default the C kernel, numpy where it "
                              "cannot be built); never changes the histogram")

@@ -8,7 +8,8 @@ counts is the brute-force oracle for every analytic distribution.
 
 Two interchangeable kernels exist.  The C kernel (``_ckernel.c``) is built
 with the system C compiler on the first simulation and cached; it computes
-each Philox block a trial reads from its counter.  The vectorized numpy
+from its counter each Philox block whose words can decide a trial's
+outcome, and skips the others.  The vectorized numpy
 backend is the fallback when the kernel cannot be built, and the reference
 it is checked against (``backend=`` selects either).  Both read the
 identical Philox stream, so their histograms are bit-identical.
@@ -21,10 +22,13 @@ sources yield the same words, so the choice never changes a histogram.
 
 Every trial owns a fixed span of the stream, so the trials split into
 independent chunks whose integer counts add in any order.  ``simulate``
-starts one drain loop per worker thread, by default one per CPU the process
-may run on.  Each loop takes the next chunk from one shared iterator and
-adds its counts into the loop's own array, and the arrays are summed at the
-end; which loop scans a chunk never changes a histogram either.
+runs one drain loop per worker, by default one per CPU the process may run
+on and never more: the calling thread runs the first loop itself, and each
+other loop runs on a thread of its own.  Each loop takes the next chunk
+from one shared iterator and adds its counts into the loop's own array, and
+the arrays are summed at the end; which loop scans a chunk never changes a
+histogram either.  A C kernel chunk holds no stream words, so its size is
+set by the trials alone: 1/``_CHUNKS_PER_LOOP`` of one loop's share.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,13 +69,19 @@ TV_FACTOR = 3.0
 MIN_EXPECTED = 10.0
 # Stream words of all chunks in flight, summed over the worker threads.
 _CHUNK_WORD_TARGET = 1 << 22
-# Stream words of one chunk, the unit a drain loop takes at a time.  On a
-# 2-vCPU x86-64 host, two workers ran the criterion-7 grid about as fast
-# with 2^19-word chunks as with 2^21, at half the peak memory (62 against
-# 125 MB); 2^18 saved 11 MB more but ran slower.  Chunks this fine keep the
-# loops' shares even: one chunk per worker ran that grid 14% slower, because
-# the threads finished unevenly.
+# Stream words of one chunk of the numpy backend's pre-drawn source, the
+# unit a drain loop takes at a time.  On a 2-vCPU x86-64 host, two workers
+# ran the criterion-7 grid about as fast with 2^19-word chunks as with
+# 2^21, at half the peak memory (62 against 125 MB); 2^18 saved 11 MB more
+# but ran slower.  Chunks this fine keep the loops' shares even: one chunk
+# per worker ran that grid 14% slower, because the threads finished
+# unevenly.
 _TASK_WORD_TARGET = 1 << 19
+# C kernel chunks per drain loop.  A C chunk holds no stream words, so only
+# the cost of taking one (about 2 us on a 2-vCPU x86-64 host) and the
+# evenness of the loops' shares size it: with 16 a loop, the loops finish
+# within about one chunk, 1/16 of a share, of each other.
+_CHUNKS_PER_LOOP = 16
 # Deepest multiplexer whose trial's stream words still fit in the target.
 MAX_M = max(m for m in range(64) if slots_per_trial(1 << m) <= _CHUNK_WORD_TARGET)
 
@@ -113,10 +122,13 @@ class McConfig:
     """Simulation size and reproducibility contract.
 
     The histogram depends only on (trials, seed) and the source
-    configuration.  ``shards`` caps the worker threads that run the trial
-    chunks, ``None`` meaning every CPU the process may run on; it never
-    changes the result.  ``trials``, ``seed`` and ``shards`` are stored as
-    ints, so an integral real such as ``2.0`` runs as ``2`` on every backend.
+    configuration.  ``shards`` caps the drain loops that run the trial
+    chunks, which never outnumber the CPUs the process may run on, so
+    ``None`` means one per CPU.  The calling thread runs one loop and each
+    other loop a thread of its own, so ``shards=1`` starts no thread.  It
+    never changes the result.  ``trials``, ``seed`` and ``shards`` are
+    stored as ints, so an integral real such as ``2.0`` runs as ``2`` on
+    every backend.
     """
 
     trials: int
@@ -190,31 +202,37 @@ def _bind_counter(seed: int, tables, counts: np.ndarray):
 
 def _drain(runs: list, spans) -> None:
     """Run every (start, stop) chunk of the iterator ``spans``, one drain
-    loop per entry of ``runs`` on threads of its own.
+    loop per entry of ``runs``: the first on the calling thread, each other
+    on a thread of its own.
 
     Each loop takes the next chunk under a lock and passes it to its own
     ``run``.  Once a chunk raises, every loop stops before taking another,
-    and the error is raised here after all the loops have ended.
+    and the first error is raised here after all the loops have ended.
     """
     lock = threading.Lock()
-    failed = threading.Event()
+    errors = []
 
     def loop(run) -> None:
-        while not failed.is_set():
+        while not errors:
             with lock:
                 span = next(spans, None)
             if span is None:
                 return
             try:
                 run(*span)
-            except BaseException:
-                failed.set()
-                raise
+            except BaseException as exc:
+                errors.append(exc)
 
-    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-        loops = [pool.submit(loop, run) for run in runs]
-    for future in loops:
-        future.result()
+    threads = [threading.Thread(target=loop, args=(run,)) for run in runs[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        loop(runs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> McHistogram:
@@ -228,16 +246,17 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
     the routed window survives with the end-to-end signal transmission;
     (6) the surviving count is recorded.
 
-    The trials are split into chunks.  Up to ``mc.shards`` drain loops (one
-    per CPU the process may run on when ``None``) take them one at a time
-    from a shared iterator, each adding into counts of its own, which are
-    summed at the end.  A chunk holds at most
-    ``_TASK_WORD_TARGET`` stream words and the running chunks together at
-    most ``_CHUNK_WORD_TARGET``, counting every word of a trial even where
-    the C kernel computes only those it reads; on the numpy counter source a
-    chunk is one batch of ``_numpy_backend._COUNTER_BATCH`` trials.  The
-    first error a chunk raises stops every loop at its next chunk and is
-    raised here.
+    The trials are split into chunks.  Up to ``mc.shards`` drain loops, and
+    never more than the CPUs the process may run on, take them one at a
+    time from a shared iterator, each adding into counts of its own, which
+    are summed at the end.  The calling thread runs the first loop, and each
+    other loop a thread of its own.  On the C kernel a chunk is
+    1/``_CHUNKS_PER_LOOP`` of one loop's share of the trials.  On the numpy
+    pre-drawn source it holds at most ``_TASK_WORD_TARGET`` stream words and
+    the running chunks together at most ``_CHUNK_WORD_TARGET``; on the numpy
+    counter source a chunk is one batch of ``_numpy_backend._COUNTER_BATCH``
+    trials.  The first error a chunk raises stops every loop at its next
+    chunk and is raised here.
 
     Deterministic for a fixed (cfg, trials, seed): worker count, chunking and
     backend choice never alter the histogram.  Raises ``ValueError`` when
@@ -251,13 +270,16 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
     slots = slots_per_trial(tables.n_windows)
     # Running chunks of one trial each must still fit in the word target,
     # which leaves m = MAX_M one worker.
-    workers = min(mc.shards or _available_cpus(), _CHUNK_WORD_TARGET // slots)
-    bind = _ckernel.load()[0] if chosen == "c" else _bind_predrawn
-    if chosen == "numpy" and _numpy_backend.counter_source_pays(tables):
+    cpus = _available_cpus()
+    workers = min(mc.shards or cpus, cpus, _CHUNK_WORD_TARGET // slots)
+    share = -(-mc.trials // workers)
+    if chosen == "c":
+        bind, chunk = _ckernel.load()[0], max(1, share // _CHUNKS_PER_LOOP)
+    elif _numpy_backend.counter_source_pays(tables):
         bind, chunk = _bind_counter, _numpy_backend._COUNTER_BATCH
     else:
         words = min(_TASK_WORD_TARGET, _CHUNK_WORD_TARGET // workers)
-        chunk = max(1, min(words // slots, -(-mc.trials // workers)))
+        bind, chunk = _bind_predrawn, max(1, min(words // slots, share))
     starts = range(0, mc.trials, chunk)
     totals = [np.zeros(PAIR_COUNT_CAP + 1, dtype=np.int64)
               for _ in range(min(workers, len(starts)))]

@@ -9,7 +9,7 @@ where that is not writable, in the user cache (``$XDG_CACHE_HOME/photonmux``
 or ``~/.cache/photonmux``).  Each build writes a temporary file and renames
 it into place, so a reader never sees a partial library.  ctypes releases
 the interpreter lock for the call, so the kernel runs in parallel on the
-worker threads of ``simulate``.
+drain loops of ``simulate``.
 """
 
 from __future__ import annotations
@@ -95,14 +95,15 @@ def _library() -> Path:
 def _bind(path: Path):
     """``bind`` of the library at ``path``, with the kernel's argument types declared."""
     fn = ctypes.CDLL(str(path)).run_counter
-    fn.restype = None
+    fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,
                    ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                    ctypes.c_int64, ctypes.c_void_p]
 
     def bind(seed: int, tables, counts: np.ndarray):
         """``run(start, stop)``, which adds the surviving counts of trials
-        [start, stop) to ``counts``.
+        [start, stop) to ``counts`` and returns the number of Philox blocks
+        it computed.
 
         The checks that guard the kernel's reads and writes run here, once:
         the tables must be C-contiguous float64 and ``counts`` a writable
@@ -126,8 +127,8 @@ def _bind(path: Path):
                 *(a.ctypes.data_as(ctypes.c_void_p) for a in arrays), ctypes.c_int64(side),
                 counts.ctypes.data_as(ctypes.c_void_p))
 
-        def run(start: int, stop: int) -> None:
-            fn(key, start, stop, *args)
+        def run(start: int, stop: int) -> int:
+            return fn(key, start, stop, *args)
 
         return run
 

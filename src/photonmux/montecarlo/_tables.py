@@ -14,7 +14,7 @@ Word j of trial t is lane j % 4 of the Philox4x64-10 block with counter
 t*S/4 + j//4 + 1 (the upper three counter words zero) and key (seed, 0),
 and its double is (x >> 11) * 2**-53, as ``Generator.random`` maps it.
 This lets the C kernel, and the numpy backend on deep multiplexers,
-compute only the blocks they read.
+compute only the blocks they need.
 """
 
 from __future__ import annotations
@@ -36,16 +36,14 @@ __all__ = ["SamplingTables", "build_tables", "slots_per_trial", "philox_at_trial
 PAIR_COUNT_CAP = 128
 
 
-@functools.lru_cache(maxsize=32)
 def _binomial_matrix(n_max: int, p: float) -> np.ndarray:
     """Binomial loss matrix B[n, k] = C(n, k) p^k (1-p)^(n-k) for n, k = 0..n_max.
 
     Row n is the distribution of survivors among n photons that each survive
-    independently with probability ``p``.  Only the sampling tables call it,
-    at n_max = PAIR_COUNT_CAP; its (n_max+1)^2 arrays would grow to gigabytes
-    at the analytic chain's largest bounds, so it is not public.  Cached per
-    (n_max, p) and returned read-only, because the tables of one
-    configuration are rebuilt by every ``simulate`` call.
+    independently with probability ``p``.  Only ``_survival_cdf`` calls it,
+    at n_max = PAIR_COUNT_CAP, and that CDF is what is cached; its
+    (n_max+1)^2 arrays would grow to gigabytes at the analytic chain's
+    largest bounds, so it is not public.
     """
     if p == 1.0:
         out = np.eye(n_max + 1)
@@ -61,6 +59,22 @@ def _binomial_matrix(n_max: int, p: float) -> np.ndarray:
         # k > n gets (n - k) log1p(-p) > 0, which overflows exp as p nears 1.
         log_b[k > n] = -np.inf
         out = np.exp(log_b)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _survival_cdf(p: float) -> np.ndarray:
+    """Cumulative Binomial(n, p) rows for n = 0..PAIR_COUNT_CAP, each exactly
+    1.0 at and beyond its own n, so that the inversion can never yield more
+    survivors than input photons.
+
+    Cached per transmission ``p`` and returned read-only, because the
+    tables of one configuration are rebuilt by every ``simulate`` call.
+    """
+    cap = PAIR_COUNT_CAP
+    out = np.minimum(np.cumsum(_binomial_matrix(cap, p), axis=1), 1.0)
+    n = np.arange(cap + 1)
+    out[n[None, :] >= n[:, None]] = 1.0
     out.setflags(write=False)
     return out
 
@@ -104,15 +118,10 @@ def build_tables(cfg: SourceConfig) -> SamplingTables:
     n = np.arange(cap + 1)
     herald_prob = 1.0 - (1.0 - cfg.e_h) ** n
 
-    survival_cdf = np.minimum(np.cumsum(_binomial_matrix(cap, cfg.e_s_total), axis=1), 1.0)
-    # Rows are exact at and beyond their own n, so the inversion can never
-    # yield more survivors than input photons.
-    survival_cdf[n[None, :] >= n[:, None]] = 1.0
-
     return SamplingTables(
         pair_cdf=np.ascontiguousarray(pair_cdf),
         herald_prob=np.ascontiguousarray(herald_prob),
-        survival_cdf=np.ascontiguousarray(survival_cdf),
+        survival_cdf=_survival_cdf(cfg.e_s_total),
         p_dark=cfg.p_dark,
         n_windows=cfg.n_windows,
     )

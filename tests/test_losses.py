@@ -194,12 +194,6 @@ class TestSignalLoss:
         got = _apply_signal_loss(dist, 0.2)
         assert abs(float(got.probs.sum()) + got.tail_mass - 1.0) < 1e-12
 
-    def test_loss_matrix_is_cached_read_only(self):
-        matrix = binomial_matrix(30, 0.41)
-        assert matrix is binomial_matrix(30, 0.41)
-        with pytest.raises(ValueError):
-            matrix[1, 0] = 0.5
-
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
     def test_rejects_bad_transmission(self, bad):
         dist = ideal_distribution(SourceConfig.lossless(m=0, mu=0.1))

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -32,6 +33,11 @@ DARK = SourceConfig(m=3, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
 # Deep enough that the numpy backend computes Philox blocks by counter.
 DEEP = SourceConfig(m=8, mu=0.5, e_h=0.85, e_s=0.9, e_sw_db=1.0)
 DEEP_DARK = SourceConfig(m=10, mu=0.05, e_h=0.85, e_s=0.9, e_sw_db=1.0, r_dark=5e6)
+# Where a group of four windows usually holds a pair, as in BRIGHT_DEEP, the
+# C kernel computes each group's pair and herald blocks in one pass; else it
+# computes each block alone.
+BRIGHT_DEEP = SourceConfig(m=6, mu=0.5, e_h=0.85, e_s=0.9, e_sw_db=1.0)
+DIM_DEEP_DARK = SourceConfig(m=8, mu=0.05, e_h=0.85, e_s=0.9, e_sw_db=1.0, r_dark=5e6)
 # Skips a test only where no C compiler can build the kernel, with the
 # build error as the reason.
 needs_c = pytest.mark.skipif("c" not in BACKENDS, reason=_ckernel.load()[1])
@@ -130,6 +136,14 @@ def wrapped_drain(wrap):
     return lambda runs, spans: drain([wrap(run) for run in runs], spans)
 
 
+def one_trial_chunks(monkeypatch, cpus: int) -> None:
+    """Make every backend's chunks one trial each, on a host made to report
+    ``cpus`` CPUs."""
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_TASK_WORD_TARGET", 4)
+    monkeypatch.setattr(montecarlo, "_CHUNKS_PER_LOOP", MAX_TRIALS)
+
+
 def finish_within(seconds: float, fn, *args):
     """``fn(*args)`` run on a daemon thread that must return within ``seconds``."""
     out = []
@@ -161,12 +175,13 @@ class TestDeterminism:
                 assert np.array_equal(base.counts, sharded.counts), (cfg.m, shards)
 
     def test_many_small_tasks_on_more_workers_than_cores(self, monkeypatch):
-        # Dozens of chunks drained by 8 threads that switch every microsecond:
-        # a chunk lost, run twice or summed in a race would change the
-        # histogram.
+        # Dozens of chunks drained by 8 loops that switch every microsecond,
+        # on a host made to report 8 CPUs: a chunk lost, run twice or summed
+        # in a race would change the histogram.
         trials, seed = 30_001, 9
         want = {cfg: simulate(cfg, McConfig(trials, seed, shards=1), "numpy").counts
                 for cfg in (LOSSY, DARK, DEEP)}
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 8)
         monkeypatch.setattr(montecarlo, "_CHUNK_WORD_TARGET", 1 << 16)
         monkeypatch.setattr(_numpy_backend, "_COUNTER_BATCH", 512)
         chunks = []
@@ -200,26 +215,96 @@ class TestDeterminism:
         def fail_tenth(run):
             def wrapper(start, stop):
                 with lock:
-                    calls.append(start)
+                    calls.append((start, stop))
                     call = len(calls)
                 if call == failing:
                     raise RuntimeError(f"chunk {start} failed")
                 run(start, stop)
             return wrapper
 
-        monkeypatch.setattr(montecarlo, "_TASK_WORD_TARGET", 4)
+        one_trial_chunks(monkeypatch, cpus=workers)
         monkeypatch.setattr(montecarlo, "_drain", wrapped_drain(fail_tenth))
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match=r"chunk \d+ failed"):
             simulate(SourceConfig(m=0, mu=0.1), McConfig(3000, seed=1, shards=workers), backend)
         # Each other loop finishes at most the chunk it holds.
         assert failing <= len(calls) <= failing + workers
+        assert {stop - start for start, stop in calls} == {1}
         assert not set(threading.enumerate()) - before
 
-    # DEEP and DEEP_DARK run the numpy backend on its counter source.
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failing_chunk_on_the_calling_thread_stops_every_loop(self, backend, monkeypatch):
+        # The calling thread's first chunk raises, while each other loop
+        # holds its first chunk until it has.
+        workers, caller = 4, threading.get_ident()
+        calls, lock, raised = [], threading.Lock(), threading.Event()
+
+        def fail_on_caller(run):
+            def wrapper(start, stop):
+                with lock:
+                    calls.append(threading.get_ident())
+                if threading.get_ident() == caller:
+                    raised.set()
+                    raise RuntimeError(f"chunk {start} failed")
+                assert raised.wait(10), "the calling thread took no chunk"
+                run(start, stop)
+            return wrapper
+
+        one_trial_chunks(monkeypatch, cpus=workers)
+        monkeypatch.setattr(montecarlo, "_drain", wrapped_drain(fail_on_caller))
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=r"chunk \d+ failed"):
+            simulate(SourceConfig(m=0, mu=0.1), McConfig(3000, seed=1, shards=workers), backend)
+        # No other loop takes a chunk after the one it held.
+        assert calls.count(caller) == 1 and len(calls) <= workers
+        assert not set(threading.enumerate()) - before
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_shard_runs_every_chunk_on_the_calling_thread(self, backend, monkeypatch):
+        before = threading.enumerate()
+        seen = []
+
+        def record(run):
+            def wrapper(start, stop):
+                seen.append((threading.get_ident(), threading.enumerate()))
+                run(start, stop)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "_drain", wrapped_drain(record))
+        for cfg in (LOSSY, DEEP):
+            seen.clear()
+            simulate(cfg, McConfig(trials=30_001, seed=9, shards=1), backend)
+            assert len(seen) > 1
+            assert {ident for ident, _ in seen} == {threading.get_ident()}
+            assert all(threads == before for _, threads in seen), "a thread started"
+
+    def test_loops_never_outnumber_the_cpus(self, monkeypatch):
+        # A stub drain counts the loops and runs every chunk on the first,
+        # so that none of them starts.
+        loops = []
+
+        def drain(runs, spans):
+            loops.append(len(runs))
+            for span in spans:
+                runs[0](*span)
+
+        cfg = SourceConfig(m=0, mu=0.1)
+        want = simulate(cfg, McConfig(trials=2000, seed=1, shards=1), "numpy").counts
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_drain", drain)
+        for backend in BACKENDS:
+            got = simulate(cfg, McConfig(trials=2000, seed=1, shards=2000), backend).counts
+            assert np.array_equal(got, want), backend
+        assert loops == [3] * len(BACKENDS)
+
+    # DEEP and DEEP_DARK run the numpy backend on its counter source.  The
+    # C kernel computes blocks in one pass on BRIGHT_DEEP and DEEP, alone on
+    # DIM_DEEP_DARK and DEEP_DARK, and only pair blocks at mu = 0.
     @needs_c
     @pytest.mark.parametrize("cfg", [LOSSY, DARK, SourceConfig(m=0, mu=0.3),
-                                     SourceConfig.lossless(m=2, mu=0.05), DEEP, DEEP_DARK])
+                                     SourceConfig.lossless(m=2, mu=0.05), DEEP, DEEP_DARK,
+                                     SourceConfig(m=4, mu=0.0, e_h=0.85, e_s=0.9, e_sw_db=0.5),
+                                     BRIGHT_DEEP, DIM_DEEP_DARK])
     def test_backends_bit_identical(self, cfg):
         mc = McConfig(trials=40_000, seed=123)
         a = simulate(cfg, mc, backend="c")
@@ -351,17 +436,51 @@ class TestNumpyKernel:
         # One trial per chunk: the drain loops take 3000 chunks one at a
         # time from the iterator, where 3000 queued tasks would hold some
         # 6 MB of futures.
-        monkeypatch.setattr(montecarlo, "_TASK_WORD_TARGET", 4)
+        one_trial_chunks(monkeypatch, cpus=2)
+        sizes = set()
+
+        def record(run):
+            def wrapper(start, stop):
+                sizes.add(stop - start)
+                run(start, stop)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "_drain", wrapped_drain(record))
         cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
-        want = simulate(cfg, McConfig(trials=3000, seed=1, shards=1)).counts
-        tracemalloc.start()
-        try:
-            got = simulate(cfg, McConfig(trials=3000, seed=1, shards=2)).counts
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got, want)
-        assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+        for backend in BACKENDS:
+            want = simulate(cfg, McConfig(trials=3000, seed=1, shards=1), backend).counts
+            tracemalloc.start()
+            try:
+                got = simulate(cfg, McConfig(trials=3000, seed=1, shards=2), backend).counts
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sizes == {1}, backend
+            assert np.array_equal(got, want), backend
+            assert peak < 2**20, f"{backend}: peak {peak / 2**20:.1f} MB"
+
+    # Without light or dark counts no window heralds and no routed row can
+    # give survivors, so a trial's pair blocks are all the kernel computes.
+    @needs_c
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_c_kernel_computes_only_pair_blocks_in_the_dark(self, m):
+        trials = 1000
+        tables = build_tables(SourceConfig(m=m, mu=0.0, e_h=0.85, e_s=0.9, e_sw_db=0.5))
+        counts = np.zeros(129, dtype=np.int64)
+        assert _ckernel.load()[0](3, tables, counts)(0, trials) == trials * 2**m // 4
+        assert counts[0] == trials
+
+    # A trial of one or two windows computes all its blocks at its start.
+    @needs_c
+    @pytest.mark.parametrize("mu,r_dark", [(0.0, 0.0), (0.05, 5e6), (2.0, 0.0)])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_c_kernel_computes_every_block_of_a_shallow_trial(self, m, mu, r_dark):
+        trials, w = 1000, 2 ** m
+        tables = build_tables(SourceConfig(m=m, mu=mu, e_h=0.85, e_s=0.9, e_sw_db=0.5,
+                                           r_dark=r_dark))
+        counts = np.zeros(129, dtype=np.int64)
+        blocks = _ckernel.load()[0](3, tables, counts)(0, trials)
+        assert blocks == trials * slots_per_trial(w) // 4
 
 
 def fresh_kernel(monkeypatch, cache_dir, builds: list):
@@ -514,6 +633,14 @@ class TestCKernelBuild:
         assert not list((tmp_path / "cache").iterdir())
 
 
+def test_kernel_builds_wherever_the_compiler_is_found():
+    # Unskipped, unlike the C tests, which a kernel that fails to build
+    # would turn into skips.
+    if shutil.which(_ckernel.compiler()[0]):
+        run, detail = _ckernel.load()
+        assert run is not None, f"the C kernel did not build: {detail}"
+
+
 class TestEventRules:
     @pytest.mark.parametrize("m", [21, 40])
     def test_rejects_trials_wider_than_a_chunk(self, m):
@@ -616,6 +743,14 @@ class TestTables:
     def test_rejects_pump_beyond_cap(self):
         with pytest.raises(ValueError, match="cap"):
             build_tables(SourceConfig(m=0, mu=120.0))
+
+    def test_survival_cdf_is_cached_read_only(self):
+        # Every simulate call builds its tables, and every call with the
+        # same signal transmission shares one survival CDF.
+        cdf = build_tables(LOSSY).survival_cdf
+        assert cdf is build_tables(LOSSY.replace(mu=0.2, e_h=0.5)).survival_cdf
+        with pytest.raises(ValueError):
+            cdf[1, 0] = 0.5
 
     def test_survival_rows_bounded(self):
         tables = build_tables(LOSSY)
