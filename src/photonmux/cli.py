@@ -27,7 +27,7 @@ from .losses import output_distribution
 from .montecarlo import BACKENDS, McConfig, backend_choice, compare, simulate
 from .optimize import max_p1_with_snr_floor, optimize_mu
 from .stats import DEFAULT_N_MAX
-from .sweeps import figure2, figure3, figure4, figure5, gnuplot_commands, sweep_axis
+from .sweeps import FIGURES, gnuplot_commands, sweep_axis
 from .validate import run_validation
 
 __all__ = ["main", "parse_source_config", "ConfigError"]
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="reproduce a named figure as a data table")
     _add_output_flags(p_fig)
-    p_fig.add_argument("--id", choices=("fig2", "fig3", "fig4", "fig5"), required=True)
+    p_fig.add_argument("--id", choices=tuple(FIGURES), required=True)
     p_fig.add_argument("--gnuplot", metavar="PATH",
                        help="also emit a gnuplot script next to the table")
 
@@ -222,17 +222,12 @@ def run(ns: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if ns.subcommand == "figure":
-        table = {
-            "fig2": figure2,
-            "fig3": figure3,
-            "fig4": figure4,
-            "fig5": figure5,
-        }[ns.id]()
+        build, x = FIGURES[ns.id]
+        table = build()
         path = _resolve_output(ns.output)
         _emit(table.to_csv() if ns.format == "tabular" else table.to_json(), path)
         if ns.gnuplot:
-            x = {"fig2": "m", "fig3": "mu", "fig4": "e_sw_db", "fig5": "snr_target"}[ns.id]
-            script = gnuplot_commands(table, path or "table.csv", x=x, y="p1")
+            script = gnuplot_commands(table, path or "table.csv", x=x)
             _write_atomic(_resolve_output(ns.gnuplot), script)
         return 0
 

@@ -52,6 +52,9 @@ def signal_transmission(e_s: float, e_sw_db: float, m: int) -> float:
 class SourceConfig:
     """Full parameter set of one source configuration.
 
+    The defaults describe the ideal device: unit transmissions, no switch
+    loss and no dark counts, so ``SourceConfig(m=m, mu=mu)`` is lossless.
+
     Parameters
     ----------
     m:
@@ -151,11 +154,6 @@ class SourceConfig:
         return -math.expm1(-self.r_dark * self.delta_t0_s)
 
     # -- convenience -------------------------------------------------------
-
-    @classmethod
-    def lossless(cls, m: int, mu: float, delta_t0_ns: float = 2.0) -> "SourceConfig":
-        """Ideal device: unit transmissions, no switch loss, no dark counts."""
-        return cls(m=m, delta_t0_ns=delta_t0_ns, mu=mu)
 
     def replace(self, **changes) -> "SourceConfig":
         if "mu" in changes and "herald_rate_r" not in changes:

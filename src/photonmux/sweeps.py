@@ -1,6 +1,11 @@
 """Parameter sweeps producing plot-ready tables for the headline figures.
 
-Each generator returns a :class:`SweepTable` whose records are computed by
+``figure2``..``figure5`` take no arguments: they reproduce the paper's fixed
+Figs. 2-5 from module constants at ``DEFAULT_N_MAX``, and :data:`FIGURES`
+maps each figure id to its builder and the column it is plotted against.
+``sweep_axis`` sweeps ``mu`` or ``e_sw_db`` around any configuration.
+
+Each of them returns a :class:`SweepTable` whose records are computed by
 direct calls into the loss chain and the optimizer, so table contents are
 bit-identical to what those calls return.  A table holds its records as
 columns, one tuple per :attr:`SweepRecord.FIELDS` entry.  ``figure3``,
@@ -24,8 +29,8 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,12 +57,22 @@ __all__ = [
     "figure5",
     "sweep_axis",
     "gnuplot_commands",
+    "FIGURES",
 ]
 
+# The fixed inputs of the figures.  Fig. 2 is lossless over FIG2_M_VALUES;
+# Figs. 3-5 run M_VALUES behind switches of IL_DB_VALUES dB with E_H and E_S,
+# over DEFAULT_MU_GRID (Fig. 3), FIG4_MU_VALUES and DEFAULT_IL_GRID (Fig. 4)
+# and DEFAULT_SNR_TARGETS (Fig. 5).
 DEFAULT_MU_GRID = np.geomspace(1e-3, 2.0, 200)
 DEFAULT_IL_GRID = np.linspace(0.0, 2.0, 50)
 DEFAULT_SNR_TARGETS = (5.0, 10.0, 20.0, 50.0, 100.0, 200.0)
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "custom")
+FIG2_M_VALUES = tuple(range(0, 11))
+M_VALUES = tuple(range(0, 6))
+IL_DB_VALUES = (0.5, 1.0)
+FIG4_MU_VALUES = (0.1, 0.2)
+E_H = 0.85
+E_S = 0.9
 
 
 @dataclass(frozen=True)
@@ -82,19 +97,18 @@ class SweepRecord:
     mu_opt: Optional[float] = None
     snr_target: Optional[float] = None
 
-    FIELDS = (
-        "m", "delta_t0_ns", "mu", "e_h", "e_s", "e_sw_db", "r_dark",
-        "mu_total", "e_s_total", "clock_freq_hz",
-        "p0", "p1", "p_ge2", "snr", "mandel_q", "mu_opt", "snr_target",
-    )
+    FIELDS: ClassVar[Tuple[str, ...]]  # the field names in order, set below
 
     def row(self) -> tuple:
         return tuple(getattr(self, name) for name in self.FIELDS)
 
 
-# The SourceConfig attributes echoed by the first ten SweepRecord fields.
-_ECHO = ("m", "delta_t0_ns", "mu", "e_h", "e_s", "e_sw_db", "r_dark", "mu_total", "e_s_total",
-         "clock_hz")
+SweepRecord.FIELDS = tuple(field.name for field in fields(SweepRecord))
+
+
+# The SourceConfig attributes echoed by the first ten SweepRecord fields, the
+# first nine under their own names.
+_ECHO = (*SweepRecord.FIELDS[:9], "clock_hz")
 
 
 def record_for(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> SweepRecord:
@@ -164,7 +178,7 @@ def _curve(template: SourceConfig, axis: str, values: Iterable[float], n_max: in
     return [*(echo[name] for name in _ECHO), *merits, [None] * rows, [None] * rows]
 
 
-def _optimum_columns(templates: Sequence[SourceConfig], results: Sequence, n_max: int) -> list:
+def _optimum_columns(templates: Sequence[SourceConfig], results: Sequence) -> list:
     """The columns of one record per optimizer result: the configuration and
     output of the loss chain at the optimum, or, where the result is
     infeasible, the template's echo with NaN pump rate and outputs."""
@@ -179,7 +193,7 @@ def _optimum_columns(templates: Sequence[SourceConfig], results: Sequence, n_max
             row = [getattr(template, name) for name in _ECHO]
             row[_ECHO.index("mu")] = row[_ECHO.index("mu_total")] = math.nan
             echo.append(row)
-            probs.append(np.full(n_max + 1, math.nan))
+            probs.append(np.full(DEFAULT_N_MAX + 1, math.nan))
             tail.append(math.nan)
     return [*map(list, zip(*echo)), *_merits(np.array(probs), np.array(tail)),
             [result.mu_opt for result in results], [result.snr_target for result in results]]
@@ -190,46 +204,36 @@ def _joined(curves: Iterable[list]) -> list:
     return [list(itertools.chain.from_iterable(parts)) for parts in zip(*curves)]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SweepTable:
     """Ordered sweep records plus reproducibility metadata.
 
-    The table holds its records as ``columns``, one tuple per
-    :attr:`SweepRecord.FIELDS` entry, and builds the :class:`SweepRecord`
-    tuple ``records`` on first use.  It serializes column by column: each
-    column is formatted a block of rows at a time, a block of one repeated
-    value once, and the rows are joined from the formatted columns.
+    The table holds its records as ``columns``, one sequence per
+    :attr:`SweepRecord.FIELDS` entry, kept as tuples, and builds the
+    :class:`SweepRecord` tuple ``records`` on first use.  ``metadata`` is
+    stamped with the tool and version, and with ``SOURCE_DATE_EPOCH`` when
+    that is set.  The table serializes column by column: each column is
+    formatted a block of rows at a time, a block of one repeated value once,
+    and the rows are joined from the formatted columns.
     """
 
     figure_id: str
     columns: Tuple[tuple, ...]
-    metadata: dict
+    metadata: Optional[dict] = None
 
-    def __init__(self, figure_id: str, records: Iterable[SweepRecord],
-                 metadata: Optional[dict] = None) -> None:
-        records = tuple(records)
-        self._fill(figure_id, zip(*(record.row() for record in records)), metadata)
-        self.__dict__["records"] = records
-
-    @classmethod
-    def _from_columns(cls, figure_id: str, columns: Iterable[Sequence],
-                      metadata: Optional[dict] = None) -> "SweepTable":
-        table = cls.__new__(cls)
-        table._fill(figure_id, columns, metadata)
-        return table
-
-    def _fill(self, figure_id: str, columns: Iterable[Sequence], metadata: Optional[dict]) -> None:
-        if figure_id not in FIGURE_IDS:
-            raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id!r}")
-        columns = tuple(map(tuple, columns))
+    def __post_init__(self) -> None:
+        if self.figure_id not in FIGURE_IDS:
+            raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {self.figure_id!r}")
+        columns = tuple(map(tuple, self.columns))
         if not columns or not columns[0]:
             raise ValueError("a sweep table must contain at least one record")
+        if len(columns) != len(SweepRecord.FIELDS) or len(set(map(len, columns))) != 1:
+            raise ValueError(f"a sweep table takes {len(SweepRecord.FIELDS)} columns of one length")
         meta = {"tool": "photonmux", "version": __version__}
-        meta.update(metadata or {})
+        meta.update(self.metadata or {})
         stamp = os.environ.get("SOURCE_DATE_EPOCH")
         if stamp is not None:
             meta.setdefault("created_epoch", int(stamp))
-        object.__setattr__(self, "figure_id", figure_id)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "metadata", meta)
 
@@ -264,9 +268,8 @@ class SweepTable:
             raise ValueError("not a photonmux table document")
         if doc["columns"] != list(SweepRecord.FIELDS):
             raise ValueError("column layout mismatch")
-        records = tuple(SweepRecord(**dict(zip(SweepRecord.FIELDS, row))) for row in doc["records"])
         meta = {k: v for k, v in doc["metadata"].items() if k not in ("tool", "version")}
-        return cls(doc["figure_id"], records, meta)
+        return cls(doc["figure_id"], zip(*doc["records"], strict=True), meta)
 
 
 _JSON = {"sort_keys": True, "separators": (",", ":"), "allow_nan": True}
@@ -317,97 +320,60 @@ def _json_cells(column: tuple) -> list:
     return cells
 
 
-def _input_hash(**inputs) -> str:
-    blob = json.dumps(inputs, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _table(figure_id: str, columns: list, **inputs) -> SweepTable:
+    """The table of ``columns``, its ``config_hash`` taken over the figure id
+    and ``inputs``."""
+    blob = json.dumps({"fig": figure_id, **inputs}, sort_keys=True, default=str).encode()
+    return SweepTable(figure_id, columns, {"config_hash": hashlib.sha256(blob).hexdigest()[:16]})
 
 
 # -- figure reproductions ---------------------------------------------------
 
 
-def figure2(
-    m_values: Iterable[int] = range(0, 11),
-    n_max: int = DEFAULT_N_MAX,
-    mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
-) -> SweepTable:
+def figure2() -> SweepTable:
     """Lossless emission probabilities and Mandel Q at the per-m optimum.
 
     For each stage count the pump rate is tuned to maximize the single-photon
     probability, all stage counts' searches in lockstep; the record carries
     P0, P1, P>=2 and Q at that optimum.
     """
-    m_values, n_max = list(m_values), _check_n_max(n_max)
-    templates = [SourceConfig.lossless(m=m, mu=mu_range[0]) for m in m_values]
-    results = optimize_mu_batch(templates, mu_range=mu_range, n_max=n_max)
-    meta = {"config_hash": _input_hash(fig="fig2", m_values=m_values, n_max=n_max)}
-    return SweepTable._from_columns("fig2", _optimum_columns(templates, results, n_max), meta)
+    templates = [SourceConfig(m=m, mu=DEFAULT_MU_RANGE[0]) for m in FIG2_M_VALUES]
+    columns = _optimum_columns(templates, optimize_mu_batch(templates))
+    return _table("fig2", columns, m_values=FIG2_M_VALUES, n_max=DEFAULT_N_MAX)
 
 
-def figure3(
-    m_values: Iterable[int] = range(0, 6),
-    mu_grid: Optional[Sequence[float]] = None,
-    il_db_values: Sequence[float] = (0.5, 1.0),
-    e_h: float = 0.85,
-    e_s: float = 0.9,
-    n_max: int = DEFAULT_N_MAX,
-) -> SweepTable:
+def figure3() -> SweepTable:
     """Single-photon probability versus pump rate for each (stages, IL)."""
-    grid = DEFAULT_MU_GRID if mu_grid is None else np.asarray(mu_grid, dtype=float)
-    m_values, n_max = list(m_values), _check_n_max(n_max)
-    columns = _joined(_curve(SourceConfig(m=m, mu=0.0, e_h=e_h, e_s=e_s, e_sw_db=float(il)),
-                             "mu", grid, n_max)
-                      for il in il_db_values for m in m_values)
-    meta = {"config_hash": _input_hash(
-        fig="fig3", m_values=m_values, mu_grid=[float(v) for v in grid],
-        il_db_values=list(il_db_values), e_h=e_h, e_s=e_s, n_max=n_max)}
-    return SweepTable._from_columns("fig3", columns, meta)
+    columns = _joined(_curve(SourceConfig(m=m, mu=0.0, e_h=E_H, e_s=E_S, e_sw_db=il),
+                             "mu", DEFAULT_MU_GRID, DEFAULT_N_MAX)
+                      for il in IL_DB_VALUES for m in M_VALUES)
+    return _table("fig3", columns, m_values=M_VALUES, mu_grid=DEFAULT_MU_GRID.tolist(),
+                  il_db_values=IL_DB_VALUES, e_h=E_H, e_s=E_S, n_max=DEFAULT_N_MAX)
 
 
-def figure4(
-    mu_values: Sequence[float] = (0.1, 0.2),
-    il_grid: Optional[Sequence[float]] = None,
-    m_values: Iterable[int] = range(0, 6),
-    e_h: float = 0.85,
-    e_s: float = 0.9,
-    n_max: int = DEFAULT_N_MAX,
-) -> SweepTable:
+def figure4() -> SweepTable:
     """Single-photon probability versus switch insertion loss."""
-    grid = DEFAULT_IL_GRID if il_grid is None else np.asarray(il_grid, dtype=float)
-    m_values, n_max = list(m_values), _check_n_max(n_max)
-    columns = _joined(_curve(SourceConfig(m=m, mu=float(mu), e_h=e_h, e_s=e_s),
-                             "e_sw_db", grid, n_max)
-                      for mu in mu_values for m in m_values)
-    meta = {"config_hash": _input_hash(
-        fig="fig4", mu_values=list(mu_values), il_grid=[float(v) for v in grid],
-        m_values=m_values, e_h=e_h, e_s=e_s, n_max=n_max)}
-    return SweepTable._from_columns("fig4", columns, meta)
+    columns = _joined(_curve(SourceConfig(m=m, mu=mu, e_h=E_H, e_s=E_S),
+                             "e_sw_db", DEFAULT_IL_GRID, DEFAULT_N_MAX)
+                      for mu in FIG4_MU_VALUES for m in M_VALUES)
+    return _table("fig4", columns, mu_values=FIG4_MU_VALUES, il_grid=DEFAULT_IL_GRID.tolist(),
+                  m_values=M_VALUES, e_h=E_H, e_s=E_S, n_max=DEFAULT_N_MAX)
 
 
-def figure5(
-    snr_targets: Sequence[float] = DEFAULT_SNR_TARGETS,
-    m_values: Iterable[int] = range(0, 6),
-    il_db_values: Sequence[float] = (0.5, 1.0),
-    e_h: float = 0.85,
-    e_s: float = 0.9,
-    n_max: int = DEFAULT_N_MAX,
-    mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
-) -> SweepTable:
+def figure5() -> SweepTable:
     """Maximum single-photon probability under an SNR floor.
 
     The searches of every (IL, stages, target) case run in lockstep.
-    Infeasible (target, stages, IL) combinations produce records with NaN
-    outputs and the mu field set to NaN.
+    Infeasible (target, stages, IL) combinations would produce records with
+    NaN outputs and the mu field set to NaN; none of the figure's is.
     """
-    m_values, n_max = list(m_values), _check_n_max(n_max)
-    templates = [SourceConfig(m=m, mu=mu_range[0], e_h=e_h, e_s=e_s, e_sw_db=float(il))
-                 for il in il_db_values for m in m_values]
-    cases = [(template, float(target)) for template in templates for target in snr_targets]
-    results = max_p1_with_snr_floor_batch(cases, mu_range, n_max=n_max)
-    columns = _optimum_columns([template for template, _ in cases], results, n_max)
-    meta = {"config_hash": _input_hash(
-        fig="fig5", snr_targets=list(snr_targets), m_values=m_values,
-        il_db_values=list(il_db_values), e_h=e_h, e_s=e_s, n_max=n_max)}
-    return SweepTable._from_columns("fig5", columns, meta)
+    templates = [SourceConfig(m=m, mu=DEFAULT_MU_RANGE[0], e_h=E_H, e_s=E_S, e_sw_db=il)
+                 for il in IL_DB_VALUES for m in M_VALUES]
+    cases = [(template, target) for template in templates for target in DEFAULT_SNR_TARGETS]
+    columns = _optimum_columns([template for template, _ in cases],
+                               max_p1_with_snr_floor_batch(cases))
+    return _table("fig5", columns, snr_targets=DEFAULT_SNR_TARGETS, m_values=M_VALUES,
+                  il_db_values=IL_DB_VALUES, e_h=E_H, e_s=E_S, n_max=DEFAULT_N_MAX)
 
 
 def sweep_axis(
@@ -426,36 +392,43 @@ def sweep_axis(
     n_max = _check_n_max(n_max)
     columns = _curve(base, axis, values, n_max)
     # The axis column holds float(v) for each v of values.
-    meta = {"config_hash": _input_hash(
-        fig="custom", axis=axis, values=columns[_ECHO.index(axis)],
-        base=base.as_dict(), n_max=n_max)}
-    return SweepTable._from_columns("custom", columns, meta)
+    return _table("custom", columns, axis=axis, values=columns[_ECHO.index(axis)],
+                  base=base.as_dict(), n_max=n_max)
 
 
 # -- plotting convenience ----------------------------------------------------
 
 
-def gnuplot_commands(table: SweepTable, data_path: str, x: str = "mu", y: str = "p1",
-                     group_by: str = "m") -> str:
-    """Emit a gnuplot script plotting one table column against another.
+def gnuplot_commands(table: SweepTable, data_path: str, x: str = "mu") -> str:
+    """Emit a gnuplot script plotting p1 against column ``x``, one line per
+    stage count.
 
     Purely a convenience for quick looks at sweep output; the CSV itself is
     the product.
     """
     cols = {name: i + 1 for i, name in enumerate(SweepRecord.FIELDS)}
-    for name in (x, y, group_by):
-        if name not in cols:
-            raise ValueError(f"unknown column {name!r}")
-    groups = sorted(set(table.columns[cols[group_by] - 1]))
+    if x not in cols:
+        raise ValueError(f"unknown column {x!r}")
+    path = data_path.replace("'", "''")  # gnuplot's escape inside single quotes
     plots = ", ".join(
-        f"'{data_path}' using {cols[x]}:((${cols[group_by]} == {g}) ? ${cols[y]} : 1/0) "
-        f"with lines title '{group_by}={g}'"
-        for g in groups
+        f"'{path}' using {cols[x]}:((${cols['m']} == {m}) ? ${cols['p1']} : 1/0) "
+        f"with lines title 'm={m}'"
+        for m in sorted(set(table.columns[cols["m"] - 1]))
     )
     return "\n".join([
         "set datafile separator ','",
         "set datafile commentschars '#'",
         f"set xlabel '{x}'",
-        f"set ylabel '{y}'",
+        "set ylabel 'p1'",
         f"plot {plots}",
     ]) + "\n"
+
+
+# Each figure's builder, and the column its gnuplot script plots p1 against.
+FIGURES = {
+    "fig2": (figure2, "m"),
+    "fig3": (figure3, "mu"),
+    "fig4": (figure4, "e_sw_db"),
+    "fig5": (figure5, "snr_target"),
+}
+FIGURE_IDS = (*FIGURES, "custom")

@@ -99,7 +99,7 @@ def check_reductions() -> Tuple[Check, ...]:
     for _ in range(100):
         m = int(rng.integers(0, 10))
         mu = float(rng.uniform(1e-4, 1.5))
-        cfg = SourceConfig.lossless(m=m, mu=mu)
+        cfg = SourceConfig(m=m, mu=mu)
         chain = output_distribution(cfg)
         worst_lossless = max(worst_lossless,
                              float(np.abs(chain.probs - ideal_distribution(cfg).probs).max()))
@@ -205,7 +205,7 @@ def check_optimizer() -> Tuple[Check, Check]:
         e_s=float(rng.uniform(0.5, 1.0)),
         e_sw_db=float(rng.uniform(0.1, 1.5)),
     ) for _ in range(10)]
-    lossless = [SourceConfig.lossless(m=m, mu=1e-3) for m in range(0, 9)]
+    lossless = [SourceConfig(m=m, mu=1e-3) for m in range(0, 9)]
     results = optimize_mu_batch(lossy + lossless)
     worst_mu = worst_p1 = 0.0
     for cfg, result in zip(lossy, results):

@@ -66,8 +66,8 @@ def test_criterion_1_deep_multiplexing_mandel_q():
     """Lossless Mandel Q at ten stages and the optimal pump, against the
     closed-form stationary point of P1(mu) and the closed-form Q there."""
     t0 = time.perf_counter()
-    result = optimize_mu(SourceConfig.lossless(m=10, mu=1e-3))
-    dist = ideal_distribution(SourceConfig.lossless(m=10, mu=result.mu_opt))
+    result = optimize_mu(SourceConfig(m=10, mu=1e-3))
+    dist = ideal_distribution(SourceConfig(m=10, mu=result.mu_opt))
     q = mandel_q(dist)
     elapsed = time.perf_counter() - t0
     mu_star = _lossless_p1_stationary_mu(10)
@@ -182,7 +182,7 @@ def test_criterion_3_one_db_regime():
 
 @pytest.fixture(scope="module")
 def fig3_table():
-    return figure3(m_values=range(0, 6))
+    return figure3()
 
 
 def _per_curve_maxima(table, il_db):

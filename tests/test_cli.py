@@ -95,7 +95,7 @@ class TestDist:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "n,probability"
         probs = np.array([float(r.split(",")[1]) for r in rows[1:]])
-        want = ideal_distribution(SourceConfig.lossless(m=3, mu=0.05))
+        want = ideal_distribution(SourceConfig(m=3, mu=0.05))
         assert np.abs(probs - np.array(want.probs)).max() < 1e-12
 
     def test_structured_output(self, tmp_path):
@@ -126,6 +126,12 @@ class TestFigure:
         assert main(["figure", "--id", "fig2", "-o", str(out)]) == 0
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(data) == 1 + 11  # header plus one record per stage count
+
+    def test_gnuplot_script_names_a_quoted_path(self, tmp_path):
+        out, script = tmp_path / "it's.csv", tmp_path / "fig2.gp"
+        assert main(["figure", "--id", "fig2", "-o", str(out), "--gnuplot", str(script)]) == 0
+        plot = script.read_text().splitlines()[-1]
+        assert plot.startswith("plot '" + str(out).replace("'", "''") + "' using 1:")
 
 
 class TestMonteCarlo:

@@ -84,7 +84,7 @@ def test_replace_mu_drops_stale_rate():
 
 
 def test_lossless_constructor():
-    cfg = SourceConfig.lossless(m=3, mu=0.05)
+    cfg = SourceConfig(m=3, mu=0.05)
     assert cfg.e_h == 1.0 and cfg.e_s == 1.0
     assert cfg.e_sw_db == 0.0 and cfg.r_dark == 0.0
-    assert cfg.e_s_total == 1.0
+    assert cfg.e_s_total == 1.0 and cfg.p_dark == 0.0

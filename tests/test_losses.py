@@ -23,6 +23,7 @@ from photonmux import (
 )
 from photonmux import losses, sweeps
 from photonmux.losses import p1_snr_curve
+from photonmux.optimize import max_p1_with_snr_floor_batch, optimize_mu_batch
 from photonmux.montecarlo._tables import _binomial_matrix as binomial_matrix
 from photonmux.stats import (
     N_MAX_LIMIT,
@@ -77,7 +78,7 @@ def _config_with_p_dark(m, mu, e_h, transmission, p_dark):
 class TestHeraldedDistribution:
     @pytest.mark.parametrize("m,mu", [(0, 0.3), (2, 0.1), (4, 0.05), (6, 0.8)])
     def test_perfect_heralding_equals_ideal(self, m, mu):
-        cfg = SourceConfig.lossless(m=m, mu=mu)
+        cfg = SourceConfig(m=m, mu=mu)
         got = heralded_distribution(cfg)
         want = ideal_distribution(cfg)
         assert np.abs(got.probs - want.probs).max() < 1e-12
@@ -165,7 +166,7 @@ def _apply_signal_loss(dist: PhotonDistribution, transmission: float) -> PhotonD
 
 class TestSignalLoss:
     def test_identity_at_unit_transmission(self):
-        dist = ideal_distribution(SourceConfig.lossless(m=2, mu=0.3))
+        dist = ideal_distribution(SourceConfig(m=2, mu=0.3))
         got = _apply_signal_loss(dist, 1.0)
         assert np.array_equal(got.probs, dist.probs)
 
@@ -190,20 +191,20 @@ class TestSignalLoss:
         assert np.abs(got.probs - want).max() < 1e-14
 
     def test_normalization_preserved(self):
-        dist = ideal_distribution(SourceConfig.lossless(m=4, mu=0.8))
+        dist = ideal_distribution(SourceConfig(m=4, mu=0.8))
         got = _apply_signal_loss(dist, 0.2)
         assert abs(float(got.probs.sum()) + got.tail_mass - 1.0) < 1e-12
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
     def test_rejects_bad_transmission(self, bad):
-        dist = ideal_distribution(SourceConfig.lossless(m=0, mu=0.1))
+        dist = ideal_distribution(SourceConfig(m=0, mu=0.1))
         with pytest.raises(ValueError):
             _apply_signal_loss(dist, bad)
 
 
 class TestTotalSignalTransmission:
     def test_lossless(self):
-        assert SourceConfig.lossless(m=7, mu=0.1).e_s_total == 1.0
+        assert SourceConfig(m=7, mu=0.1).e_s_total == 1.0
 
     def test_half_db_single_window(self):
         cfg = SourceConfig(m=0, mu=0.1, e_s=0.9, e_sw_db=0.5)
@@ -330,10 +331,6 @@ _N_MAX_CALLS = {
     "max_p1_with_snr_floor": (lambda n: max_p1_with_snr_floor(_CFG, 10.0, n_max=n), 10**6),
     "PhotonDistribution": (lambda n: PhotonDistribution([1.0], n), 10**6),
     "record_for": (lambda n: sweeps.record_for(_CFG, n), 10**6),
-    "figure2": (lambda n: sweeps.figure2(n_max=n), 10**6),
-    "figure3": (lambda n: sweeps.figure3(n_max=n), 10**6),
-    "figure4": (lambda n: sweeps.figure4(n_max=n), 10**6),
-    "figure5": (lambda n: sweeps.figure5(n_max=n), 10**6),
     "sweep_axis": (lambda n: sweeps.sweep_axis(_CFG, "mu", [0.1], n), 10**6),
 }
 
@@ -470,7 +467,10 @@ class TestTruncationGuard:
         assert f"at mu={named};" in str(unblocked.value)
 
     def test_figure_searches_raise_on_truncation(self):
+        # The searches of figure2 and figure5, at a bound they outgrow.
         with pytest.raises(TruncationError):
-            sweeps.figure2(m_values=[0, 1], n_max=3)
+            optimize_mu_batch([SourceConfig(m=m, mu=1e-4) for m in (0, 1)], n_max=3)
         with pytest.raises(TruncationError):
-            sweeps.figure5(snr_targets=[5.0], m_values=[1, 2], il_db_values=[0.5], n_max=3)
+            max_p1_with_snr_floor_batch(
+                [(SourceConfig(m=m, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=0.5), 5.0)
+                 for m in (1, 2)], n_max=3)

@@ -302,7 +302,7 @@ class TestDeterminism:
     # DIM_DEEP_DARK and DEEP_DARK, and only pair blocks at mu = 0.
     @needs_c
     @pytest.mark.parametrize("cfg", [LOSSY, DARK, SourceConfig(m=0, mu=0.3),
-                                     SourceConfig.lossless(m=2, mu=0.05), DEEP, DEEP_DARK,
+                                     SourceConfig(m=2, mu=0.05), DEEP, DEEP_DARK,
                                      SourceConfig(m=4, mu=0.0, e_h=0.85, e_s=0.9, e_sw_db=0.5),
                                      BRIGHT_DEEP, DIM_DEEP_DARK])
     def test_backends_bit_identical(self, cfg):
@@ -648,7 +648,7 @@ class TestEventRules:
             simulate(SourceConfig(m=m, mu=0.1), McConfig(trials=1))
 
     def test_dark_pump_yields_only_vacuum(self):
-        hist = simulate(SourceConfig.lossless(m=3, mu=0.0), McConfig(trials=10_000, seed=1))
+        hist = simulate(SourceConfig(m=3, mu=0.0), McConfig(trials=10_000, seed=1))
         assert hist.counts[0] == 10_000
         assert hist.counts[1:].sum() == 0
 
@@ -660,7 +660,7 @@ class TestEventRules:
         assert sum(r[1] for r in rows) == 12_345
 
     def test_ideal_source_agrees_with_exact_distribution(self):
-        cfg = SourceConfig.lossless(m=3, mu=0.05)
+        cfg = SourceConfig(m=3, mu=0.05)
         hist = simulate(cfg, McConfig(trials=1_000_000, seed=21))
         ideal = ideal_distribution(cfg)
         report = compare(PhotonDistribution(ideal.probs, ideal.n_max, ideal.tail_mass,

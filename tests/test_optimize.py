@@ -20,7 +20,7 @@ from photonmux.stats import TruncationError, mandel_q_or_nan, snr
 
 def test_ideal_single_window_peaks_at_unit_mu():
     # Calculus: P1 = mu e^-mu is maximal at mu = 1.
-    result = optimize_mu(SourceConfig.lossless(m=0, mu=1e-3), mu_range=(1e-4, 2.0), tol=1e-8)
+    result = optimize_mu(SourceConfig(m=0, mu=1e-3), mu_range=(1e-4, 2.0), tol=1e-8)
     assert result.converged
     assert result.mu_opt == pytest.approx(1.0, abs=1e-6)
     assert result.p1_max == pytest.approx(math.exp(-1.0), rel=1e-9)
@@ -63,13 +63,13 @@ def test_never_below_coarse_grid():
 
 def test_boundary_maximum_flagged():
     # The ideal single-window curve still rises at mu = 0.8.
-    result = optimize_mu(SourceConfig.lossless(m=0, mu=1e-3), mu_range=(0.1, 0.8))
+    result = optimize_mu(SourceConfig(m=0, mu=1e-3), mu_range=(0.1, 0.8))
     assert not result.converged
     assert result.boundary == "upper"
     assert result.mu_opt == pytest.approx(0.8, rel=1e-12)
     # A floor met over the whole range leaves the edge of the range, not the
     # SNR boundary, as the reason.
-    floored = max_p1_with_snr_floor(SourceConfig.lossless(m=0, mu=1e-3), 1e-3,
+    floored = max_p1_with_snr_floor(SourceConfig(m=0, mu=1e-3), 1e-3,
                                     mu_range=(0.1, 0.8))
     assert (floored.mu_opt, floored.boundary, floored.converged) == (0.8, "upper", False)
     assert not floored.constraint_active
@@ -422,7 +422,7 @@ def test_golden_section_equals_one_step_loop(seed):
 
 
 def _fig2_and_fig5_cases():
-    fig2 = [SourceConfig.lossless(m=m, mu=1e-4) for m in range(11)]
+    fig2 = [SourceConfig(m=m, mu=1e-4) for m in range(11)]
     fig5 = [(SourceConfig(m=m, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=il), target)
             for il in (0.5, 1.0) for m in range(6)
             for target in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0)]

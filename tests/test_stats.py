@@ -99,7 +99,7 @@ class TestPhotonDistribution:
         assert dist.p(5) == 0.0
 
     def test_moments_share_one_evaluation(self):
-        dist = ideal_distribution(SourceConfig.lossless(m=3, mu=0.4))
+        dist = ideal_distribution(SourceConfig(m=3, mu=0.4))
         n = np.arange(dist.n_max + 1)
         mean = float(n @ dist.probs)
         variance = float((n * n) @ dist.probs) - mean * mean
@@ -125,25 +125,25 @@ class TestIdealDistribution:
     def test_single_stage_reduces_to_poisson(self):
         rng = np.random.default_rng(1234)
         for mu in rng.uniform(1e-6, 2.0, size=100):
-            dist = ideal_distribution(SourceConfig.lossless(m=0, mu=float(mu)))
+            dist = ideal_distribution(SourceConfig(m=0, mu=float(mu)))
             assert np.abs(dist.probs - poisson_vector(float(mu), dist.n_max)).max() < 1e-12
 
     def test_zero_pump_gives_vacuum(self):
-        dist = ideal_distribution(SourceConfig.lossless(m=5, mu=0.0))
+        dist = ideal_distribution(SourceConfig(m=5, mu=0.0))
         assert dist.p(0) == 1.0
         assert dist.probs[1:].sum() == 0.0
 
     def test_vacuum_weight_formula(self):
-        dist = ideal_distribution(SourceConfig.lossless(m=3, mu=0.05))
+        dist = ideal_distribution(SourceConfig(m=3, mu=0.05))
         assert dist.p(0) == pytest.approx(math.exp(-0.4), rel=1e-14)
 
     def test_vacuum_weight_strictly_decreasing_in_stages(self):
-        p0 = [ideal_distribution(SourceConfig.lossless(m=m, mu=0.05)).p(0) for m in range(0, 11)]
+        p0 = [ideal_distribution(SourceConfig(m=m, mu=0.05)).p(0) for m in range(0, 11)]
         assert all(a > b for a, b in zip(p0, p0[1:]))
 
     def test_needs_two_bins(self):
         with pytest.raises(ValueError):
-            ideal_distribution(SourceConfig.lossless(m=0, mu=0.1), n_max=1)
+            ideal_distribution(SourceConfig(m=0, mu=0.1), n_max=1)
 
 
 def _ideal_mandel_q_closed_form(mu: float, m: int) -> float:
@@ -176,7 +176,7 @@ class TestMandelQ:
         for _ in range(60):
             m = int(rng.integers(0, 11))
             mu = float(rng.uniform(5e-3, 1.5))
-            got = mandel_q(ideal_distribution(SourceConfig.lossless(m=m, mu=mu), n_max=40))
+            got = mandel_q(ideal_distribution(SourceConfig(m=m, mu=mu), n_max=40))
             assert got == pytest.approx(_ideal_mandel_q_closed_form(mu, m), rel=1e-9, abs=1e-11)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from photonmux import (
     output_distribution,
     sweeps,
 )
-from photonmux.optimize import optimize_mu
+from photonmux.optimize import max_p1_with_snr_floor_batch, optimize_mu
 from photonmux.stats import PhotonDistribution, TruncationError, mandel_q, poisson_vector, snr
 from photonmux.sweeps import (
     SweepRecord,
@@ -30,6 +31,27 @@ from photonmux.sweeps import (
 @pytest.fixture(scope="module")
 def fig2():
     return figure2()
+
+
+@pytest.fixture(scope="module")
+def fig3():
+    return figure3()
+
+
+@pytest.fixture(scope="module")
+def fig4():
+    return figure4()
+
+
+@pytest.fixture(scope="module")
+def fig5():
+    return figure5()
+
+
+def _floor_table(cases):
+    """The figure5 table of SNR-floor cases other than the figure's own."""
+    results = max_p1_with_snr_floor_batch(cases)
+    return SweepTable("fig5", sweeps._optimum_columns([cfg for cfg, _ in cases], results))
 
 
 class TestFigure2:
@@ -52,49 +74,51 @@ class TestFigure2:
 
     def test_rows_recomputable_from_config(self, fig2):
         row = fig2.records[4]
-        cfg = SourceConfig.lossless(m=row.m, mu=row.mu)
+        cfg = SourceConfig(m=row.m, mu=row.mu)
         dist = output_distribution(cfg)
         assert row.p1 == dist.p(1)
         assert row.p0 == dist.p(0)
 
 
 class TestFigure3:
-    def test_single_window_curve_is_thinned_poisson(self):
-        grid = np.geomspace(1e-3, 2.0, 25)
-        table = figure3(m_values=[0], mu_grid=grid, il_db_values=[0.5])
-        for record in table.records:
-            lam = record.mu * record.e_s_total
-            assert record.p1 == pytest.approx(float(poisson_vector(lam, 30)[1]), rel=1e-12)
+    def test_single_window_curve_is_thinned_poisson(self, fig3):
+        for record in fig3.records:
+            if record.m == 0:
+                lam = record.mu * record.e_s_total
+                assert record.p1 == pytest.approx(float(poisson_vector(lam, 30)[1]), rel=1e-12)
 
-    def test_grid_axes_cover_all_combinations(self):
-        grid = [0.05, 0.1]
-        table = figure3(m_values=[0, 1], mu_grid=grid, il_db_values=[0.5, 1.0])
-        assert len(table.records) == 8
-        seen = {(r.m, r.e_sw_db, r.mu) for r in table.records}
-        assert len(seen) == 8
+    def test_grid_axes_cover_all_combinations(self, fig3):
+        assert len(fig3.records) == 2 * 6 * 200
+        seen = {(r.m, r.e_sw_db, r.mu) for r in fig3.records}
+        assert len(seen) == 2 * 6 * 200
+        assert {r.m for r in fig3.records} == set(range(6))
+        assert {r.e_sw_db for r in fig3.records} == {0.5, 1.0}
+        assert {r.mu for r in fig3.records} == set(sweeps.DEFAULT_MU_GRID.tolist())
 
 
 class TestFigure4:
-    def test_zero_loss_column_matches_switchless_chain(self):
-        table = figure4(mu_values=[0.1], il_grid=[0.0, 0.5], m_values=[4])
-        at_zero = [r for r in table.records if r.e_sw_db == 0.0][0]
+    def test_zero_loss_column_matches_switchless_chain(self, fig4):
+        at_zero = [r for r in fig4.records if (r.m, r.mu, r.e_sw_db) == (4, 0.1, 0.0)]
         direct = output_distribution(SourceConfig(m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.0))
-        assert at_zero.p1 == direct.p(1)
-        assert at_zero.e_s_total == pytest.approx(0.9, rel=1e-15)
+        assert len(at_zero) == 1
+        assert at_zero[0].p1 == direct.p(1)
+        assert at_zero[0].e_s_total == pytest.approx(0.9, rel=1e-15)
 
-    def test_higher_stage_counts_decay_faster_in_db(self):
-        # slope of log10(P1) against IL approaches -(m+1)/10 at large IL
-        table = figure4(mu_values=[0.1], il_grid=[1.5, 2.0], m_values=[1, 4])
+    def test_higher_stage_counts_decay_faster_in_db(self, fig4):
+        # slope of log10(P1) against IL approaches -(m+1)/10 at large IL;
+        # taken from IL 1.5 (the first grid point beyond) to 2 dB
         def slope(m):
-            rows = [r for r in table.records if r.m == m]
-            return (math.log10(rows[1].p1) - math.log10(rows[0].p1)) / 0.5
+            rows = [r for r in fig4.records if r.m == m and r.mu == 0.1 and r.e_sw_db >= 1.5]
+            first, last = rows[0], rows[-1]
+            assert last.e_sw_db == 2.0 and first.e_sw_db < 1.6
+            return (math.log10(last.p1) - math.log10(first.p1)) / (last.e_sw_db - first.e_sw_db)
         assert slope(4) < slope(1) < 0
 
 
 class TestFigure5:
     def test_infeasible_case_echoes_its_template_with_nan_outputs(self):
-        table = figure5(snr_targets=[5.0, 1e9], m_values=[2], il_db_values=[0.5])
         template = SourceConfig(m=2, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+        table = _floor_table([(template, 5.0), (template, 1e9)])
         nan = math.nan
         assert repr(table.records[1].row()) == repr((
             2, 2.0, nan, 0.85, 0.9, 0.5, 0.0, nan, template.e_s_total, template.clock_hz,
@@ -103,18 +127,25 @@ class TestFigure5:
         assert table.to_json() == _rowwise_json(table)
 
     def test_vanishing_target_recovers_unconstrained_peak(self):
-        table = figure5(snr_targets=[1e-9, 50.0], m_values=[4], il_db_values=[0.5])
-        relaxed = [r for r in table.records if r.snr_target == 1e-9][0]
-        constrained = [r for r in table.records if r.snr_target == 50.0][0]
-        unconstrained = optimize_mu(SourceConfig(m=4, mu=1e-3, e_h=0.85, e_s=0.9, e_sw_db=0.5))
+        template = SourceConfig(m=4, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+        relaxed, constrained = _floor_table([(template, 1e-9), (template, 50.0)]).records
+        unconstrained = optimize_mu(template.replace(mu=1e-3))
         assert relaxed.p1 == pytest.approx(unconstrained.p1_max, rel=1e-8)
         assert constrained.p1 < relaxed.p1
         assert constrained.snr >= 50.0 - 1e-6
 
-    def test_curves_non_increasing_in_target(self):
-        table = figure5(snr_targets=[5.0, 20.0, 100.0], m_values=[2], il_db_values=[1.0])
-        p1 = [r.p1 for r in table.records]
-        assert all(a >= b - 1e-9 for a, b in zip(p1, p1[1:]))
+    def test_curves_non_increasing_in_target(self, fig5):
+        # Every (IL, stages) curve, each of its feasible optima on its floor.
+        assert not any(math.isnan(r.p1) for r in fig5.records)
+        curves = {}
+        for r in fig5.records:
+            curves.setdefault((r.e_sw_db, r.m), []).append(r)
+        assert len(curves) == 12
+        for rows in curves.values():
+            assert [r.snr_target for r in rows] == list(sweeps.DEFAULT_SNR_TARGETS)
+            assert all(r.snr >= r.snr_target - 1e-6 for r in rows)
+            p1 = [r.p1 for r in rows]
+            assert all(a >= b - 1e-9 for a, b in zip(p1, p1[1:]))
 
     def test_each_optimum_is_evaluated_once(self, monkeypatch):
         # One batched loss-chain call outputs the candidate optima of every
@@ -160,20 +191,20 @@ def _assert_rows_match_record_for(table):
 
 
 class TestBatchedCurves:
-    def test_figure3_matches_record_for(self):
-        table = figure3(m_values=[0, 3], mu_grid=[0.0, 1e-3, 0.1, 1.5], il_db_values=[0.5, 1.0])
-        assert math.isnan(table.records[0].mandel_q)
-        _assert_rows_match_record_for(table)
+    def test_figure3_matches_record_for(self, fig3):
+        _assert_rows_match_record_for(fig3)
 
-    def test_figure4_matches_record_for(self):
-        table = figure4(mu_values=[0.0, 0.2], il_grid=[0.0, 0.7, 2.0], m_values=[0, 3])
-        _assert_rows_match_record_for(table)
+    def test_figure4_matches_record_for(self, fig4):
+        _assert_rows_match_record_for(fig4)
 
     @pytest.mark.parametrize("axis,values", [("mu", [0.0, 1e-3, 0.3]),
                                              ("e_sw_db", [0.0, 1.0, 2.0])])
     def test_sweep_axis_matches_record_for(self, axis, values):
         base = SourceConfig(m=2, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
-        _assert_rows_match_record_for(sweep_axis(base, axis, values))
+        table = sweep_axis(base, axis, values)
+        if axis == "mu":  # the vacuum row at zero pump has NaN Q
+            assert math.isnan(table.records[0].mandel_q)
+        _assert_rows_match_record_for(table)
 
 
 class TestCurveRowChecks:
@@ -330,7 +361,8 @@ class TestColumnarSerialization:
                     mu_opt=0.25, snr_target="5,0"),
             replace(base, m=True, e_h=1.0, mu_opt=(1, 2), snr_target=None),
         ]
-        table = SweepTable("custom", records)
+        table = SweepTable("custom", zip(*(record.row() for record in records)))
+        assert table.records == tuple(records)
         assert table.to_csv() == _rowwise_csv(table)
         assert table.to_json() == _rowwise_json(table)
 
@@ -347,10 +379,10 @@ class TestColumnarSerialization:
         assert back.to_csv() == table.to_csv()
         assert back.to_json() == table.to_json()
 
-    def test_records_are_the_columns_transposed(self):
-        table = figure4(mu_values=[0.1], il_grid=[0.0, 1.0], m_values=[0, 3])
-        assert tuple(zip(*(record.row() for record in table.records))) == table.columns
-        assert SweepTable("fig4", table.records).columns == table.columns
+    def test_records_are_the_columns_transposed(self, fig4):
+        assert tuple(zip(*(record.row() for record in fig4.records))) == fig4.columns
+        # Columns given as lists are kept as tuples.
+        assert SweepTable("fig4", map(list, fig4.columns)).columns == fig4.columns
 
 
 class TestSweepTable:
@@ -374,8 +406,23 @@ class TestSweepTable:
             sweep_axis(SourceConfig(m=0, mu=0.1), "e_h", [0.5])
 
     def test_rejects_empty_table(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one record"):
             SweepTable("custom", ())
+        with pytest.raises(ValueError, match="at least one record"):
+            SweepTable("custom", [()] * len(SweepRecord.FIELDS))
+
+    def test_rejects_misshapen_columns(self):
+        table = sweep_axis(SourceConfig(m=0, mu=0.1), "mu", [0.1, 0.2])
+        columns = table.columns
+        for bad in (columns[:-1], columns + (columns[0],), (columns[0][:1],) + columns[1:]):
+            with pytest.raises(ValueError, match="17 columns of one length"):
+                SweepTable("custom", bad)
+        with pytest.raises(ValueError, match="figure_id must be one of"):
+            SweepTable("fig9", columns)
+        doc = json.loads(table.to_json())
+        doc["records"][1].pop()  # a document row one entry short
+        with pytest.raises(ValueError):
+            SweepTable.from_json(json.dumps(doc))
 
     def test_csv_shape(self):
         base = SourceConfig(m=0, mu=0.1)
@@ -414,9 +461,8 @@ class TestSweepTable:
         assert other.metadata["config_hash"] != listed.metadata["config_hash"]
 
     @pytest.mark.parametrize("make", [
-        figure2, figure3, figure4, figure5,
         lambda **kw: sweep_axis(SourceConfig(m=1, mu=0.1, e_h=0.85), "mu", [0.1, 0.2], **kw),
-    ], ids=["fig2", "fig3", "fig4", "fig5", "sweep_axis"])
+    ], ids=["sweep_axis"])
     def test_integral_n_max_writes_the_same_file(self, make):
         # The config hash holds the int an integral n_max runs as.
         want = make().to_csv()
@@ -449,11 +495,25 @@ class TestClockReport:
         assert record_for(cfg).clock_freq_hz == pytest.approx(488281.25, rel=1e-15)
 
 
-def test_gnuplot_emitter_mentions_all_groups():
-    table = figure4(mu_values=[0.1], il_grid=[0.0, 1.0], m_values=[0, 3])
-    script = gnuplot_commands(table, "fig4.csv", x="e_sw_db", y="p1", group_by="m")
+def test_gnuplot_emitter_mentions_all_groups(fig4):
+    script = gnuplot_commands(fig4, "fig4.csv", x="e_sw_db")
     assert "plot " in script
-    assert "m=0" in script and "m=3" in script
+    assert all(f"title 'm={m}'" in script for m in range(6))
+    assert "set xlabel 'e_sw_db'" in script and "set ylabel 'p1'" in script
+    with pytest.raises(ValueError, match="unknown column"):
+        gnuplot_commands(fig4, "fig4.csv", x="q")
+
+
+# A gnuplot string in single quotes; a quote inside it is written twice.
+_GNUPLOT_STRING = re.compile(r"'((?:[^']|'')*)'")
+
+
+@pytest.mark.parametrize("path", ["it's.csv", "'", "a''b/c d.csv"])
+def test_gnuplot_script_quotes_the_data_path(path):
+    table = sweep_axis(SourceConfig(m=1, mu=0.1), "mu", [0.1, 0.2])
+    plot = gnuplot_commands(table, path).splitlines()[-1]
+    strings = [text.replace("''", "'") for text in _GNUPLOT_STRING.findall(plot)]
+    assert strings == [path, "m=1"]
 
 
 def test_record_for_nan_mandel_q_at_zero_pump():
@@ -464,6 +524,7 @@ def test_record_for_nan_mandel_q_at_zero_pump():
 
 def test_figure5_vacuum_optimum_has_nan_mandel_q():
     # At 3000 dB per switch the signal transmission underflows to 0.
-    (record,) = figure5(snr_targets=[5.0], m_values=[1], il_db_values=[3000.0]).records
+    template = SourceConfig(m=1, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=3000.0)
+    (record,) = _floor_table([(template, 5.0)]).records
     assert record.e_s_total == 0.0 and record.p0 == 1.0 and record.p1 == 0.0
     assert math.isnan(record.mandel_q)
