@@ -4,9 +4,11 @@ Subcommands: ``dist`` (output distribution), ``optimize`` (pump tuning),
 ``sweep`` (custom one-axis sweep), ``figure`` (named figure tables),
 ``montecarlo`` (event-level simulation), ``validate`` (invariant and
 agreement suite).  Source parameters come from a line-oriented
-``key = value`` config file and/or per-key flags; flags win.  All file
-output is written atomically and carries a config echo, so identical inputs
-produce byte-identical files.
+``key = value`` config file and/or per-key flags; flags win.  ``dist``,
+``optimize`` and ``montecarlo`` write their results through one writer,
+:func:`_write_result`; ``sweep`` and ``figure`` write their tables' own CSV
+or JSON.  All file output is written atomically and carries a config echo,
+so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -200,14 +202,30 @@ def _emit(text: str, path: Optional[str]) -> None:
         _write_atomic(path, text)
 
 
-def _config_echo_lines(cfg: SourceConfig) -> list:
-    lines = [f"# tool = photonmux {__version__}"]
+def _write_result(format: str, path: Optional[str], kind: str, cfg: SourceConfig, fields: dict,
+                  table: Iterable[str], notes: Iterable[str] = ()) -> None:
+    """Write one subcommand result with its config echo.
+
+    Structured output is the JSON record ``{"format": "photonmux-<kind>",
+    "tool", "config", **fields}``.  Tabular output is the config echo as
+    ``# key = value`` lines, then each of ``notes`` as a ``# `` comment line,
+    then the ``table`` lines.
+    """
+    tool = f"photonmux {__version__}"
+    if format == "structured":
+        doc = {"format": f"photonmux-{kind}", "tool": tool, "config": cfg.as_dict(), **fields}
+        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", path)
+        return
+    lines = [f"# tool = {tool}"]
     lines += [f"# {key} = {value!r}" for key, value in sorted(cfg.as_dict().items())]
-    return lines
+    lines += [f"# {note}" for note in notes]
+    _emit("\n".join([*lines, *table]) + "\n", path)
 
 
-def _gather_overrides(ns: argparse.Namespace) -> Dict[str, float]:
-    return {key: getattr(ns, key, None) for key in _KEY_TYPES}
+def _fields_except(result, name: str) -> dict:
+    """The dataclass fields of ``result`` by name, all but ``name``."""
+    return {field.name: getattr(result, field.name) for field in dataclasses.fields(result)
+            if field.name != name}
 
 
 def run(ns: argparse.Namespace) -> int:
@@ -231,66 +249,33 @@ def run(ns: argparse.Namespace) -> int:
             _write_atomic(_resolve_output(ns.gnuplot), script)
         return 0
 
-    cfg = parse_source_config(ns.config, _gather_overrides(ns))
+    cfg = parse_source_config(ns.config, {key: getattr(ns, key) for key in _KEY_TYPES})
     path = _resolve_output(ns.output)
 
     if ns.subcommand == "dist":
         dist = output_distribution(cfg, ns.n_max)
-        if ns.format == "structured":
-            doc = {
-                "format": "photonmux-dist",
-                "tool": f"photonmux {__version__}",
-                "config": cfg.as_dict(),
-                "n_max": dist.n_max,
-                "tail_mass": dist.tail_mass,
-                "probs": dist.probs.tolist(),
-            }
-            _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", path)
-        else:
-            lines = _config_echo_lines(cfg)
-            lines.append("n,probability")
-            lines += [f"{n},{float(p)!r}" for n, p in enumerate(dist.probs)]
-            _emit("\n".join(lines) + "\n", path)
+        fields = {"n_max": dist.n_max, "tail_mass": dist.tail_mass, "probs": dist.probs.tolist()}
+        _write_result(ns.format, path, "dist", cfg, fields,
+                      ["n,probability", *(f"{n},{p!r}" for n, p in enumerate(fields["probs"]))])
         return 0
 
     if ns.subcommand == "optimize":
-        mu_range = (ns.mu_min, ns.mu_max)
         if ns.snr_target is None:
-            result = optimize_mu(cfg, mu_range, ns.tol)
+            result = optimize_mu(cfg, (ns.mu_min, ns.mu_max), ns.tol)
         else:
-            result = max_p1_with_snr_floor(cfg, ns.snr_target, mu_range, ns.tol)
-        doc = {
-            "format": "photonmux-optimize",
-            "tool": f"photonmux {__version__}",
-            "config": cfg.as_dict(),
-            "clock_hz": cfg.clock_hz,
-            "result": {
-                "mu_opt": result.mu_opt,
-                "p1_max": result.p1_max,
-                "snr_at_opt": result.snr_at_opt,
-                "mandel_q_at_opt": result.mandel_q_at_opt,
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "boundary": result.boundary,
-                "feasible": result.feasible,
-                "snr_target": result.snr_target,
-                "constraint_active": result.constraint_active,
-            },
-        }
-        if ns.format == "structured":
-            _emit(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=True) + "\n", path)
-        else:
-            lines = _config_echo_lines(cfg) + ["key,value"]
-            lines += [f"{k},{v!r}" for k, v in sorted(doc["result"].items())]
-            _emit("\n".join(lines) + "\n", path)
+            result = max_p1_with_snr_floor(cfg, ns.snr_target, (ns.mu_min, ns.mu_max), ns.tol)
+        values = _fields_except(result, "distribution")
+        fields = {"clock_hz": cfg.clock_hz, "result": values}
+        _write_result(ns.format, path, "optimize", cfg, fields,
+                      ["key,value", *(f"{k},{v!r}" for k, v in sorted(values.items()))])
         return 0
 
     if ns.subcommand == "sweep":
         if ns.points < 1:
             raise ConfigError("--points must be >= 1")
         if ns.log:
-            if ns.min <= 0:
-                raise ConfigError("--log requires --min > 0")
+            if not (ns.min > 0 and ns.max > 0):
+                raise ConfigError("--log requires --min > 0 and --max > 0")
             values = np.geomspace(ns.min, ns.max, ns.points)
         else:
             values = np.linspace(ns.min, ns.max, ns.points)
@@ -301,39 +286,17 @@ def run(ns: argparse.Namespace) -> int:
     if ns.subcommand == "montecarlo":
         mc = McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards)
         hist = simulate(cfg, mc, backend=ns.backend)
-        lines = _config_echo_lines(cfg)
-        lines += [
-            f"# trials = {hist.trials}",
-            f"# seed = {mc.seed}",
-            f"# shards = {mc.shards}",
-            f"# backend = {hist.backend}",
-        ]
+        fields = {"trials": hist.trials, "seed": mc.seed, "shards": mc.shards,
+                  "backend": hist.backend}
+        notes = [f"{key} = {value}" for key, value in fields.items()]
+        fields["counts"] = hist.counts.tolist()
         if ns.compare:
             report = compare(output_distribution(cfg), hist)
-            lines += [f"# {line}" for line in report.lines()]
-        if ns.format == "structured":
-            doc = {
-                "format": "photonmux-histogram",
-                "tool": f"photonmux {__version__}",
-                "config": cfg.as_dict(),
-                "trials": hist.trials,
-                "seed": mc.seed,
-                "shards": mc.shards,
-                "backend": hist.backend,
-                "counts": hist.counts.tolist(),
-            }
-            if ns.compare:
-                doc["compare"] = {field.name: getattr(report, field.name)
-                                  for field in dataclasses.fields(report)
-                                  if field.name != "z_scores"}
-            _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", path)
-        else:
-            lines.append("k,count,frequency")
-            lines += [f"{k},{c},{f!r}" for k, c, f in hist.rows()]
-            _emit("\n".join(lines) + "\n", path)
-        if ns.compare and not report.passed:
-            return 1
-        return 0
+            notes += report.lines()
+            fields["compare"] = _fields_except(report, "z_scores")
+        _write_result(ns.format, path, "histogram", cfg, fields,
+                      ["k,count,frequency", *(f"{k},{c},{f!r}" for k, c, f in hist.rows())], notes)
+        return 1 if ns.compare and not report.passed else 0
 
     raise ConfigError(f"unknown subcommand {ns.subcommand!r}")
 

@@ -17,7 +17,9 @@ parameters per row or shared, and one driver, :func:`_blocks`, runs any
 number of rows through it in fixed-size blocks and applies the truncation
 guard.  :func:`_output_rows` collects the blocks' rows, and the scalar entry
 points are batches of one through it; :func:`_p1_snr_rows` and the sweep
-curves keep only what they need of each block.
+curves keep only what they need of each block.  Every entry point works at
+the truncation bound ``DEFAULT_N_MAX`` but :func:`output_distribution`, which
+takes its own.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _check_truncation(mu: np.ndarray, lost: np.ndarray, n_max: int) -> None:
         worst = int(np.argmax(lost))
         raise TruncationError(
             f"tail mass {lost[worst]:.3e} beyond n_max={n_max} exceeds {TAIL_LIMIT:.0e} "
-            f"at mu={float(mu[worst])!r}; increase n_max"
+            f"at mu={float(mu[worst])!r}; lower mu or increase n_max"
         )
 
 
@@ -157,36 +159,33 @@ def _blocks(mu, transmission, e_h, windows, p_dark, n_max):
     _check_truncation(mu, lost, n_max)
 
 
-def _p1_snr_rows(mu, transmission, e_h, windows, p_dark, n_max):
+def _p1_snr_rows(mu, transmission, e_h, windows, p_dark):
     """P_1 and the SNR of the output row of each pump rate in ``mu``, from
-    :func:`_blocks`."""
+    :func:`_blocks` at DEFAULT_N_MAX."""
     p1, ratio = np.empty(mu.size), np.empty(mu.size)
-    for rows, probs, tail in _blocks(mu, transmission, e_h, windows, p_dark, n_max):
+    for rows, probs, tail in _blocks(mu, transmission, e_h, windows, p_dark, DEFAULT_N_MAX):
         p1[rows] = p1_rows(probs)
         ratio[rows] = snr_rows(probs, tail)[1]
     return p1, ratio
 
 
-def _distribution(cfg: SourceConfig, windows: int, p_dark: float, n_max: int,
-                  transmission: float = 1.0, **meta) -> PhotonDistribution:
+def _distribution(cfg: SourceConfig, windows: int, p_dark: float, transmission: float = 1.0,
+                  n_max: int = DEFAULT_N_MAX, **meta) -> PhotonDistribution:
     """One loss-chain evaluation at cfg.mu: a batch of one through the core."""
     probs, tail = _output_rows(np.array([cfg.mu]), transmission, cfg.e_h, windows, p_dark, n_max)
-    return _row_distribution(cfg, probs[0], tail[0], n_max, **meta)
+    return _row_distribution(cfg, probs[0], tail[0], **meta)
 
 
-def _row_distribution(cfg: SourceConfig, probs: np.ndarray, tail: float, n_max: int,
+def _row_distribution(cfg: SourceConfig, probs: np.ndarray, tail: float,
                       **meta) -> PhotonDistribution:
     """The distribution of one core row of cfg's chain, with ``meta``."""
     if cfg.e_h == 0.0:
         meta["degenerate_no_herald"] = True
-    return PhotonDistribution(probs, n_max, float(tail), meta)
+    return PhotonDistribution(probs, probs.size - 1, float(tail), meta)
 
 
-def heralded_distribution(
-    cfg: SourceConfig,
-    n_windows: Optional[int] = None,
-    n_max: int = DEFAULT_N_MAX,
-) -> PhotonDistribution:
+def heralded_distribution(cfg: SourceConfig,
+                          n_windows: Optional[int] = None) -> PhotonDistribution:
     """Output distribution with heralding-branch loss only.
 
     Mixes the clicked-window conditional (weight: probability of at least one
@@ -202,14 +201,12 @@ def heralded_distribution(
         Effective number of detection windows in the interval, an integer;
         defaults to ``2**m``.  Values below the full interval describe a
         shortened correction window.
-    n_max:
-        Truncation bound.
     """
     windows = cfg.n_windows if n_windows is None else n_windows
-    return _distribution(cfg, _check_int(windows, "n_windows", 1, cfg.n_windows), 0.0, n_max)
+    return _distribution(cfg, _check_int(windows, "n_windows", 1, cfg.n_windows), 0.0)
 
 
-def with_dark_counts(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:
+def with_dark_counts(cfg: SourceConfig) -> PhotonDistribution:
     """Output distribution with heralding loss and dark counts.
 
     The first dark count within the synchronization interval (probability
@@ -219,7 +216,7 @@ def with_dark_counts(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDis
     :func:`heralded_distribution` over interval lengths, summed in closed
     form at a cost independent of the interval length.
     """
-    return _distribution(cfg, cfg.n_windows, cfg.p_dark, n_max)
+    return _distribution(cfg, cfg.n_windows, cfg.p_dark)
 
 
 def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:
@@ -228,14 +225,11 @@ def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> Photon
     Every routed photon crosses m+1 switches, so the signal branch transmits
     ``cfg.e_s_total`` regardless of which delays were selected.
     """
-    return _distribution(cfg, cfg.n_windows, cfg.p_dark, n_max, cfg.e_s_total, config=cfg)
+    return _distribution(cfg, cfg.n_windows, cfg.p_dark, cfg.e_s_total, n_max, config=cfg)
 
 
-def p1_snr_curve(
-    cfg: SourceConfig,
-    mu_values: Sequence[float],
-    n_max: int = DEFAULT_N_MAX,
-) -> Tuple[np.ndarray, np.ndarray]:
+def p1_snr_curve(cfg: SourceConfig,
+                 mu_values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized single-photon probability and SNR over a pump grid.
 
     Evaluates the full loss chain of :func:`output_distribution` for every
@@ -252,4 +246,4 @@ def p1_snr_curve(
     mu = np.asarray(mu_values, dtype=float)
     if not ((mu >= 0) & (mu < np.inf)).all():
         raise ValueError("mu grid must be finite and >= 0")
-    return _p1_snr_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, n_max)
+    return _p1_snr_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark)

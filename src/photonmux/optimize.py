@@ -24,7 +24,8 @@ its 72, about 4 and 17 ms on a 2-vCPU x86-64 host.  Every result,
 ``iterations`` included, equals that of the search run alone with one
 loss-chain evaluation per step: numpy's elementwise float64 arithmetic
 rounds as Python's does, one operation at a time, and a point's values do
-not depend on the rows it is evaluated with.
+not depend on the rows it is evaluated with.  Every search evaluates the
+chain at the truncation bound ``DEFAULT_N_MAX``.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ def _parameters(configs: Sequence[SourceConfig]) -> np.ndarray:
                      for cfg in configs]).T
 
 
-def _coarse_round(params: np.ndarray, grid: np.ndarray,
-                  n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+def _coarse_round(params: np.ndarray, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(P_1, SNR) over ``grid`` with the parameters of each case, as arrays
     with one row per case.  Cases of equal parameters share their rows; kept
     in order of first appearance, the rows sent are those the unshared round
@@ -115,14 +115,12 @@ def _coarse_round(params: np.ndarray, grid: np.ndarray,
     slot = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     rows = np.array([slot[key] for key in keys])
     sent = np.unique(rows, return_index=True)[1]  # the first case of each slot
-    p1, ratio = _p1_snr_rows(np.tile(grid, sent.size), *params[:, np.repeat(sent, grid.size)],
-                             n_max)
+    p1, ratio = _p1_snr_rows(np.tile(grid, sent.size), *params[:, np.repeat(sent, grid.size)])
     return p1.reshape(sent.size, -1)[rows], ratio.reshape(sent.size, -1)[rows]
 
 
 def _bisect(params: np.ndarray, owner: np.ndarray, feasible: np.ndarray,
-            infeasible: np.ndarray, target: np.ndarray, n_max: int,
-            tol: float = _BISECT_TOL) -> np.ndarray:
+            infeasible: np.ndarray, target: np.ndarray, tol: float = _BISECT_TOL) -> np.ndarray:
     """The feasibility boundaries between ``feasible[i]`` (SNR >= target[i])
     and ``infeasible[i]`` (SNR < target[i]), in either order, each on its
     feasible side: the feasible ends of the final brackets.  A pair of equal
@@ -139,12 +137,12 @@ def _bisect(params: np.ndarray, owner: np.ndarray, feasible: np.ndarray,
         if not live.size:
             return found
         mid = 0.5 * (ok + bad)
-        passed = _p1_snr_rows(mid, *row, n_max)[1] >= target
+        passed = _p1_snr_rows(mid, *row)[1] >= target
         ok, bad = np.where(passed, mid, ok), np.where(passed, bad, mid)
 
 
 def _golden(params: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            tol: float, n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+            tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Golden-section maximizations of P_1 on [lo[i], hi[i]], each bracket
     (a, b) with inner points c < d keeping the side of the larger of P_1(c)
     and P_1(d) until b - a <= tol.  Returns the final midpoints, not yet
@@ -154,7 +152,7 @@ def _golden(params: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarra
     live, a, b, row = np.arange(lo.size), lo, hi, params[:, owner]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = np.split(_p1_snr_rows(np.concatenate((c, d)), *np.tile(row, 2), n_max)[0], 2)
+    fc, fd = np.split(_p1_snr_rows(np.concatenate((c, d)), *np.tile(row, 2))[0], 2)
     step = 0
     while True:
         open_ = b - a > tol
@@ -166,7 +164,7 @@ def _golden(params: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarra
             return mids, steps
         left = fc >= fd
         new = np.where(left, d - _GOLDEN * (d - a), c + _GOLDEN * (b - c))
-        f_new = _p1_snr_rows(new, *row, n_max)[0]
+        f_new = _p1_snr_rows(new, *row)[0]
         a, b = np.where(left, a, c), np.where(left, d, b)
         c, d = np.where(left, new, d), np.where(left, c, new)
         fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
@@ -174,7 +172,7 @@ def _golden(params: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarra
 
 
 def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tuple[float, float],
-            tol: float, n_max: int) -> list:
+            tol: float) -> list:
     """The results of the (template, snr_target) cases, all searched
     together: :func:`max_p1_with_snr_floor` for each target, and
     :func:`optimize_mu` for a target of None.
@@ -198,7 +196,7 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
         raise ValueError(f"tol must be > 0, got {tol}")
     grid = np.geomspace(lo, hi, COARSE_POINTS)
     params = _parameters([cfg for cfg, _ in cases])
-    coarse_p1, coarse_ratio = _coarse_round(params, grid, n_max)
+    coarse_p1, coarse_ratio = _coarse_round(params, grid)
 
     targets = [target for _, target in cases]
     free = [case for case, target in enumerate(targets) if target is None or target <= 0]
@@ -218,7 +216,7 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
         beyond = np.stack((np.maximum(start - 1, 0), np.minimum(stop, COARSE_POINTS - 1)),
                           axis=1).ravel()
         owner = np.array(floored)[run]
-        bounds = _bisect(params, owner, grid[inside], grid[beyond], target[run], n_max)
+        bounds = _bisect(params, owner, grid[inside], grid[beyond], target[run])
         # A feasible sub-interval [a, b] is a peak over its own grid, or,
         # where bisection closed it to a point, that lone point.
         for case, a, b in zip(owner[::2].tolist(), bounds[::2].tolist(), bounds[1::2].tolist()):
@@ -232,8 +230,8 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
     # Bisection leaves each b - a at least half its tolerance: no log step is 0,
     # so the stacked np.geomspace rounds every row as a call of its own would.
     sub_grid = np.geomspace(*np.array(sub_ends).reshape(-1, 2).T, COARSE_POINTS, axis=1)
-    sub_p1 = (_p1_snr_rows(sub_grid.ravel(), *params[:, np.repeat(sub_cases, COARSE_POINTS)],
-                           n_max)[0].reshape(-1, COARSE_POINTS)
+    sub_p1 = (_p1_snr_rows(sub_grid.ravel(), *params[:, np.repeat(sub_cases, COARSE_POINTS)])[0]
+              .reshape(-1, COARSE_POINTS)
               if sub_cases else np.empty((0, COARSE_POINTS)))
 
     # The peaks: each unconstrained case's coarse grid, then the sub-interval
@@ -244,7 +242,7 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
     job_peak, i = _interior_maxima(peak_p1)
     job_case = np.array(peak_case, dtype=int)[job_peak]
     mids, steps = (_golden(params, job_case, peak_grid[job_peak, i - 1], peak_grid[job_peak, i + 1],
-                           tol, n_max) if job_peak.size else (np.empty(0), np.empty(0, dtype=int)))
+                           tol) if job_peak.size else (np.empty(0), np.empty(0, dtype=int)))
 
     # The final round: row k is peak k's best grid point, then come the
     # golden midpoints and the lone points.
@@ -252,7 +250,7 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
     top = peak_p1.argmax(axis=1)
     mu = np.concatenate((peak_grid[np.arange(peaks), top], mids, [a for _, a in lone]))
     owner = peak_case + job_case.tolist() + [case for case, _ in lone]
-    probs, tail = _output_rows(mu, *params[:, owner], n_max)
+    probs, tail = _output_rows(mu, *params[:, owner], DEFAULT_N_MAX)
     p1_at, snr_at = p1_rows(probs), snr_rows(probs, tail)[1]
 
     # The optimum of a peak starts at its best grid point, so it is never
@@ -272,7 +270,7 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
 
     def result(case, row, **outcome):
         cfg = cases[case][0].replace(mu=float(mu[row]))
-        dist = _row_distribution(cfg, probs[row], tail[row], n_max, config=cfg)
+        dist = _row_distribution(cfg, probs[row], tail[row], config=cfg)
         return OptimizationResult(mu_opt=float(mu[row]), p1_max=dist.p(1),
                                   snr_at_opt=float(snr_at[row]),
                                   mandel_q_at_opt=mandel_q_or_nan(dist.probs),
@@ -320,7 +318,6 @@ def optimize_mu(
     cfg_template: SourceConfig,
     mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
     tol: float = 1e-6,
-    n_max: int = DEFAULT_N_MAX,
 ) -> OptimizationResult:
     """Pump rate that maximizes the end-to-end single-photon probability.
 
@@ -339,18 +336,14 @@ def optimize_mu(
     tol:
         Absolute convergence tolerance in mu (> 0).
     """
-    return optimize_mu_batch([cfg_template], mu_range, tol, n_max)[0]
+    return optimize_mu_batch([cfg_template], mu_range, tol)[0]
 
 
-def optimize_mu_batch(
-    cfg_templates: Sequence[SourceConfig],
-    mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
-    tol: float = 1e-6,
-    n_max: int = DEFAULT_N_MAX,
-) -> list:
+def optimize_mu_batch(cfg_templates: Sequence[SourceConfig],
+                      mu_range: Tuple[float, float] = DEFAULT_MU_RANGE, tol: float = 1e-6) -> list:
     """:func:`optimize_mu` for each template, with the searches run
     together; each result equals that of its own optimize_mu call."""
-    return _search([(cfg, None) for cfg in cfg_templates], mu_range, tol, n_max)
+    return _search([(cfg, None) for cfg in cfg_templates], mu_range, tol)
 
 
 def max_p1_with_snr_floor(
@@ -358,7 +351,6 @@ def max_p1_with_snr_floor(
     snr_target: float,
     mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
     tol: float = 1e-6,
-    n_max: int = DEFAULT_N_MAX,
 ) -> OptimizationResult:
     """Maximize P_1 over mu subject to SNR(mu) >= snr_target.
 
@@ -371,16 +363,13 @@ def max_p1_with_snr_floor(
     infeasibility result instead of an exception.  A target <= 0 gives the
     unconstrained result with ``snr_target`` set.
     """
-    return max_p1_with_snr_floor_batch([(cfg_template, snr_target)], mu_range, tol, n_max)[0]
+    return max_p1_with_snr_floor_batch([(cfg_template, snr_target)], mu_range, tol)[0]
 
 
-def max_p1_with_snr_floor_batch(
-    cases: Sequence[Tuple[SourceConfig, float]],
-    mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
-    tol: float = 1e-6,
-    n_max: int = DEFAULT_N_MAX,
-) -> list:
+def max_p1_with_snr_floor_batch(cases: Sequence[Tuple[SourceConfig, float]],
+                                mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
+                                tol: float = 1e-6) -> list:
     """:func:`max_p1_with_snr_floor` for each (template, target) case, with
     the searches run together; each result equals that of its own
     max_p1_with_snr_floor call."""
-    return _search(list(cases), mu_range, tol, n_max)
+    return _search(list(cases), mu_range, tol)

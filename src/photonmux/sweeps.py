@@ -1,9 +1,10 @@
 """Parameter sweeps producing plot-ready tables for the headline figures.
 
 ``figure2``..``figure5`` take no arguments: they reproduce the paper's fixed
-Figs. 2-5 from module constants at ``DEFAULT_N_MAX``, and :data:`FIGURES`
-maps each figure id to its builder and the column it is plotted against.
-``sweep_axis`` sweeps ``mu`` or ``e_sw_db`` around any configuration.
+Figs. 2-5 from module constants, and :data:`FIGURES` maps each figure id to
+its builder and the column it is plotted against.  ``sweep_axis`` sweeps
+``mu`` or ``e_sw_db`` around any configuration.  Every table and record is
+computed at the truncation bound ``DEFAULT_N_MAX``.
 
 Each of them returns a :class:`SweepTable` whose records are computed by
 direct calls into the loss chain and the optimizer, so table contents are
@@ -46,7 +47,7 @@ from .optimize import (  # noqa: F401
     optimize_mu,
     optimize_mu_batch,
 )
-from .stats import DEFAULT_N_MAX, _check_n_max, check_rows, mandel_q_or_nan, p1_rows, snr_rows
+from .stats import DEFAULT_N_MAX, check_rows, mandel_q_or_nan, p1_rows, snr_rows
 
 __all__ = [
     "SweepRecord",
@@ -111,9 +112,9 @@ SweepRecord.FIELDS = tuple(field.name for field in fields(SweepRecord))
 _ECHO = (*SweepRecord.FIELDS[:9], "clock_hz")
 
 
-def record_for(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> SweepRecord:
+def record_for(cfg: SourceConfig) -> SweepRecord:
     """Evaluate the full loss chain at one configuration."""
-    dist = output_distribution(cfg, n_max)
+    dist = output_distribution(cfg)
     merits = _merits(dist.probs[None], np.array([dist.tail_mass]))
     return SweepRecord(*[getattr(cfg, name) for name in _ECHO], *[column[0] for column in merits])
 
@@ -132,7 +133,7 @@ def _merits(probs: np.ndarray, tail: np.ndarray) -> list:
             [mandel_q_or_nan(row) for row in probs]]
 
 
-def _curve(template: SourceConfig, axis: str, values: Iterable[float], n_max: int) -> list:
+def _curve(template: SourceConfig, axis: str, values: Iterable[float]) -> list:
     """The columns of the records along ``axis`` (``mu`` or ``e_sw_db``),
     each record as :func:`record_for` makes it at ``template.replace(**{axis:
     value})``, without building those configurations.
@@ -163,11 +164,11 @@ def _curve(template: SourceConfig, axis: str, values: Iterable[float], n_max: in
     merits = [[] for _ in range(5)]
     fault = None
     for _, probs, tail in _blocks(mu, transmission, template.e_h, template.n_windows,
-                                  template.p_dark, n_max):
+                                  template.p_dark, DEFAULT_N_MAX):
         if fault is not None:
             continue  # raised once _blocks has checked every row's truncation
         try:
-            check_rows(probs, tail, n_max)
+            check_rows(probs, tail, DEFAULT_N_MAX)
         except ValueError as error:
             fault = error
             continue
@@ -321,9 +322,10 @@ def _json_cells(column: tuple) -> list:
 
 
 def _table(figure_id: str, columns: list, **inputs) -> SweepTable:
-    """The table of ``columns``, its ``config_hash`` taken over the figure id
-    and ``inputs``."""
-    blob = json.dumps({"fig": figure_id, **inputs}, sort_keys=True, default=str).encode()
+    """The table of ``columns``, its ``config_hash`` taken over the figure id,
+    ``inputs`` and the truncation bound."""
+    blob = json.dumps({"fig": figure_id, "n_max": DEFAULT_N_MAX, **inputs}, sort_keys=True,
+                      default=str).encode()
     return SweepTable(figure_id, columns, {"config_hash": hashlib.sha256(blob).hexdigest()[:16]})
 
 
@@ -339,25 +341,25 @@ def figure2() -> SweepTable:
     """
     templates = [SourceConfig(m=m, mu=DEFAULT_MU_RANGE[0]) for m in FIG2_M_VALUES]
     columns = _optimum_columns(templates, optimize_mu_batch(templates))
-    return _table("fig2", columns, m_values=FIG2_M_VALUES, n_max=DEFAULT_N_MAX)
+    return _table("fig2", columns, m_values=FIG2_M_VALUES)
 
 
 def figure3() -> SweepTable:
     """Single-photon probability versus pump rate for each (stages, IL)."""
     columns = _joined(_curve(SourceConfig(m=m, mu=0.0, e_h=E_H, e_s=E_S, e_sw_db=il),
-                             "mu", DEFAULT_MU_GRID, DEFAULT_N_MAX)
+                             "mu", DEFAULT_MU_GRID)
                       for il in IL_DB_VALUES for m in M_VALUES)
     return _table("fig3", columns, m_values=M_VALUES, mu_grid=DEFAULT_MU_GRID.tolist(),
-                  il_db_values=IL_DB_VALUES, e_h=E_H, e_s=E_S, n_max=DEFAULT_N_MAX)
+                  il_db_values=IL_DB_VALUES, e_h=E_H, e_s=E_S)
 
 
 def figure4() -> SweepTable:
     """Single-photon probability versus switch insertion loss."""
     columns = _joined(_curve(SourceConfig(m=m, mu=mu, e_h=E_H, e_s=E_S),
-                             "e_sw_db", DEFAULT_IL_GRID, DEFAULT_N_MAX)
+                             "e_sw_db", DEFAULT_IL_GRID)
                       for mu in FIG4_MU_VALUES for m in M_VALUES)
     return _table("fig4", columns, mu_values=FIG4_MU_VALUES, il_grid=DEFAULT_IL_GRID.tolist(),
-                  m_values=M_VALUES, e_h=E_H, e_s=E_S, n_max=DEFAULT_N_MAX)
+                  m_values=M_VALUES, e_h=E_H, e_s=E_S)
 
 
 def figure5() -> SweepTable:
@@ -373,15 +375,10 @@ def figure5() -> SweepTable:
     columns = _optimum_columns([template for template, _ in cases],
                                max_p1_with_snr_floor_batch(cases))
     return _table("fig5", columns, snr_targets=DEFAULT_SNR_TARGETS, m_values=M_VALUES,
-                  il_db_values=IL_DB_VALUES, e_h=E_H, e_s=E_S, n_max=DEFAULT_N_MAX)
+                  il_db_values=IL_DB_VALUES, e_h=E_H, e_s=E_S)
 
 
-def sweep_axis(
-    base: SourceConfig,
-    axis: str,
-    values: Iterable[float],
-    n_max: int = DEFAULT_N_MAX,
-) -> SweepTable:
+def sweep_axis(base: SourceConfig, axis: str, values: Iterable[float]) -> SweepTable:
     """Custom one-axis sweep of ``mu`` or ``e_sw_db`` around a base config.
 
     ``values`` is read once, so an iterator sweeps and hashes the same points
@@ -389,11 +386,10 @@ def sweep_axis(
     """
     if axis not in ("mu", "e_sw_db"):
         raise ValueError(f"axis must be 'mu' or 'e_sw_db', got {axis!r}")
-    n_max = _check_n_max(n_max)
-    columns = _curve(base, axis, values, n_max)
+    columns = _curve(base, axis, values)
     # The axis column holds float(v) for each v of values.
     return _table("custom", columns, axis=axis, values=columns[_ECHO.index(axis)],
-                  base=base.as_dict(), n_max=n_max)
+                  base=base.as_dict())
 
 
 # -- plotting convenience ----------------------------------------------------

@@ -6,6 +6,8 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 import photonmux
 from photonmux import (
     McConfig,
+    OptimizationResult,
     SourceConfig,
     ideal_distribution,
     montecarlo,
@@ -219,6 +222,66 @@ class TestSweep:
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(data) == 1 + 5
 
+    @pytest.mark.parametrize("ends", [("1", "-1"), ("-1", "1"), ("0", "1"), ("1", "nan")])
+    def test_log_grid_needs_positive_ends(self, capsys, ends):
+        # Rejected before np.geomspace can warn or make up a NaN point.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--mu", "0.1", "--axis", "mu", "--min", ends[0],
+                         "--max", ends[1], "--points", "3", "--log"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(err) == {"error": "ConfigError", "subcommand": "sweep",
+                                   "message": "--log requires --min > 0 and --max > 0"}
+        assert out == ""
+
+
+# The config echo that opens every tabular dist, optimize and montecarlo file
+# of the configuration m = 2, mu = 0.1.
+_ECHO = [f"# tool = photonmux {photonmux.__version__}"] + [
+    f"# {key} = {value!r}" for key, value in sorted(SourceConfig(m=2, mu=0.1).as_dict().items())]
+
+
+def _run_to_text(tmp_path, *args):
+    out = tmp_path / "out"
+    assert main([*args, "--m", "2", "--mu", "0.1", "-o", str(out)]) == 0
+    return out.read_text()
+
+
+class TestOutputLayout:
+    @pytest.mark.parametrize("args,kind", [
+        (["dist"], "dist"),
+        (["optimize"], "optimize"),
+        (["montecarlo", "--trials", "1e3"], "histogram"),
+    ], ids=["dist", "optimize", "montecarlo"])
+    def test_structured_records_name_their_kind(self, tmp_path, args, kind):
+        doc = json.loads(_run_to_text(tmp_path, *args, "--format", "structured"))
+        assert doc["format"] == f"photonmux-{kind}"
+        assert doc["tool"] == f"photonmux {photonmux.__version__}"
+        assert doc["config"] == SourceConfig(m=2, mu=0.1).as_dict()
+
+    def test_optimize_result_keys_are_the_result_fields(self, tmp_path):
+        keys = sorted(field.name for field in fields(OptimizationResult)
+                      if field.name != "distribution")
+        doc = json.loads(_run_to_text(tmp_path, "optimize", "--format", "structured"))
+        assert sorted(doc) == ["clock_hz", "config", "format", "result", "tool"]
+        assert sorted(doc["result"]) == keys
+        lines = _run_to_text(tmp_path, "optimize").splitlines()
+        assert lines[:len(_ECHO)] == _ECHO
+        body = lines[len(_ECHO):]
+        assert body[0] == "key,value"
+        assert [line.split(",")[0] for line in body[1:]] == keys
+
+    @pytest.mark.parametrize("compare", [False, True], ids=["plain", "compare"])
+    def test_montecarlo_notes_precede_the_table(self, tmp_path, compare):
+        args = ["montecarlo", "--trials", "1e3", "--seed", "5"] + ["--compare"] * compare
+        lines = _run_to_text(tmp_path, *args).splitlines()
+        assert lines[:len(_ECHO)] == _ECHO
+        notes = lines[len(_ECHO):lines.index("k,count,frequency")]
+        assert [note.split(" = ")[0] for note in notes[:4]] == [
+            "# trials", "# seed", "# shards", "# backend"]
+        report = [note.split(" ")[1] for note in notes[4:]]
+        assert report == (["tv_distance", "max", "agreement:"] if compare else [])
+
 
 class TestErrors:
     def test_error_record_and_exit_status(self):
@@ -244,6 +307,16 @@ class TestErrors:
         assert json.loads(err.strip().splitlines()[-1]) == {
             "error": "ValueError", "subcommand": "dist",
             "message": f"n_max must be an integer in [0, {stats.N_MAX_LIMIT}], got {too_large}"}
+        assert out == ""
+
+    def test_truncation_error_record_names_the_pump_rate(self, capsys):
+        # The searches run at the default truncation bound, so the advice
+        # names the pump rate as well as n_max.
+        assert main(["optimize", "--m", "0", "--mu", "0.1", "--mu-max", "40"]) == 1
+        out, err = capsys.readouterr()
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "TruncationError" and record["subcommand"] == "optimize"
+        assert record["message"].endswith("at mu=40.0; lower mu or increase n_max")
         assert out == ""
 
     def test_m_beyond_float_range_error_record(self, capsys):

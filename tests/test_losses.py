@@ -58,7 +58,7 @@ def _herald_rows(mu, e_h, windows, p_dark, n_max):
         worst = int(np.argmax(tail))
         raise TruncationError(
             f"tail mass {tail[worst]:.3e} beyond n_max={n_max} exceeds {TAIL_LIMIT:.0e} "
-            f"at mu={float(mu[worst])!r}; increase n_max"
+            f"at mu={float(mu[worst])!r}; lower mu or increase n_max"
         )
     return rows, tail
 
@@ -277,21 +277,22 @@ class TestVectorizedCurve:
         assert math.isinf(ratio[0])
 
     def test_reads_p1_as_zero_beyond_n_max(self):
-        # At n_max = 0 a vacuum row has P1 = 0 and SNR +inf, as the vacuum
-        # from output_distribution reads; a pumped row fails the guard.
+        # At n_max = 0 the vacuum from output_distribution has P1 = 0 and SNR
+        # +inf, as the vacuum row of the curve reads; a pumped row fails the
+        # guard.
         cfg = SourceConfig(m=2, mu=0.0, e_h=0.85)
-        p1, ratio = p1_snr_curve(cfg, [0.0], n_max=0)
+        p1, ratio = p1_snr_curve(cfg, [0.0])
         vacuum = output_distribution(cfg, n_max=0)
         assert (float(p1[0]), float(ratio[0])) == (vacuum.p(1), snr(vacuum)) == (0.0, math.inf)
         with pytest.raises(TruncationError, match="n_max=0 .* at mu=0.1;"):
-            p1_snr_curve(cfg, [0.1], n_max=0)
+            output_distribution(cfg.replace(mu=0.1), n_max=0)
         # The other readers of P1 rows, on a chain that transmits nothing:
         # the optimizer's last round and the sweep records.
         dark = SourceConfig(m=2, mu=0.1, e_s=0.0)
-        assert optimize_mu(dark, n_max=0).p1_max == 0.0
-        assert max_p1_with_snr_floor(dark, 5.0, n_max=0).p1_max == 0.0
-        assert sweeps.record_for(dark, n_max=0).p1 == 0.0
-        assert "p1" in sweeps.sweep_axis(dark, "mu", [0.1, 0.2], n_max=0).to_csv()
+        assert optimize_mu(dark).p1_max == 0.0
+        assert max_p1_with_snr_floor(dark, 5.0).p1_max == 0.0
+        assert sweeps.record_for(dark).p1 == 0.0
+        assert "p1" in sweeps.sweep_axis(dark, "mu", [0.1, 0.2]).to_csv()
 
     def test_rejects_truncated_grid_point(self):
         # At mu = 10 the tail beyond n_max = 30 is 8e-8, like the scalar path.
@@ -302,12 +303,7 @@ class TestVectorizedCurve:
             output_distribution(cfg.replace(mu=10.0))
 
 
-@pytest.mark.parametrize("call", [
-    output_distribution,
-    heralded_distribution,
-    with_dark_counts,
-    lambda cfg, n_max: p1_snr_curve(cfg, [0.1], n_max),
-], ids=["output_distribution", "heralded_distribution", "with_dark_counts", "p1_snr_curve"])
+@pytest.mark.parametrize("call", [output_distribution], ids=["output_distribution"])
 def test_negative_n_max_rejected(call):
     with pytest.raises(ValueError, match=rf"^n_max must be an integer in \[0, {N_MAX_LIMIT}\], "
                                          r"got -1$"):
@@ -319,19 +315,11 @@ _CFG = SourceConfig(m=2, mu=0.1, e_h=0.85)
 
 _N_MAX_CALLS = {
     "output_distribution": (lambda n: output_distribution(_CFG, n), 10**6),
-    "heralded_distribution": (lambda n: heralded_distribution(_CFG, n_max=n), 10**6),
-    "with_dark_counts": (lambda n: with_dark_counts(_CFG, n), 10**6),
     "ideal_distribution": (lambda n: ideal_distribution(_CFG.replace(mu=0.0), n), 10**6),
     "poisson_vector": (lambda n: poisson_vector(0.1, n), 10**6),
     # One Poisson probability P(n), read as the last entry of the vector.
     "poisson_pmf": (lambda n: poisson_vector(0.1, n)[-1], 10**6),
-    "p1_snr_curve": (lambda n: p1_snr_curve(_CFG, np.linspace(0.0, 1.0, 256), n),
-                     N_MAX_LIMIT + 1),
-    "optimize_mu": (lambda n: optimize_mu(_CFG, n_max=n), N_MAX_LIMIT + 1),
-    "max_p1_with_snr_floor": (lambda n: max_p1_with_snr_floor(_CFG, 10.0, n_max=n), 10**6),
     "PhotonDistribution": (lambda n: PhotonDistribution([1.0], n), 10**6),
-    "record_for": (lambda n: sweeps.record_for(_CFG, n), 10**6),
-    "sweep_axis": (lambda n: sweeps.sweep_axis(_CFG, "mu", [0.1], n), 10**6),
 }
 
 
@@ -398,7 +386,6 @@ def test_integral_n_max_is_accepted_as_an_int(integral):
         assert type(dist.n_max) is int and dist.n_max == 30
     assert output_distribution(_CFG, integral).probs.tobytes() == \
         output_distribution(_CFG).probs.tobytes()
-    assert sweeps.record_for(_CFG, integral) == sweeps.record_for(_CFG)
 
 
 def test_n_max_at_the_limit_is_accepted():
@@ -467,10 +454,11 @@ class TestTruncationGuard:
         assert f"at mu={named};" in str(unblocked.value)
 
     def test_figure_searches_raise_on_truncation(self):
-        # The searches of figure2 and figure5, at a bound they outgrow.
+        # The searches of figure2 and figure5, over a range they outgrow.
         with pytest.raises(TruncationError):
-            optimize_mu_batch([SourceConfig(m=m, mu=1e-4) for m in (0, 1)], n_max=3)
+            optimize_mu_batch([SourceConfig(m=m, mu=1e-4) for m in (0, 1)],
+                              mu_range=(1e-4, 40.0))
         with pytest.raises(TruncationError):
             max_p1_with_snr_floor_batch(
                 [(SourceConfig(m=m, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=0.5), 5.0)
-                 for m in (1, 2)], n_max=3)
+                 for m in (1, 2)], mu_range=(1e-4, 40.0))

@@ -162,61 +162,61 @@ def test_vacuum_optimum_reports_nan_mandel_q():
 # -- the phased searches against one-point-at-a-time references -------------
 
 
-def _at(cfg, mu, n_max=30):
+def _at(cfg, mu):
     """P1 and the SNR at one pump rate, from a p1_snr_curve call of its own."""
-    p1, ratio = p1_snr_curve(cfg, [mu], n_max)
+    p1, ratio = p1_snr_curve(cfg, [mu])
     return float(p1[0]), float(ratio[0])
 
 
-def _ref_golden(cfg, lo, hi, tol, n_max=30):
+def _ref_golden(cfg, lo, hi, tol):
     """Golden-section search with one evaluation per step: (x, P1(x), evaluations)."""
     a, b = lo, hi
     c = b - optimize._GOLDEN * (b - a)
     d = a + optimize._GOLDEN * (b - a)
-    fc, fd = _at(cfg, c, n_max)[0], _at(cfg, d, n_max)[0]
+    fc, fd = _at(cfg, c)[0], _at(cfg, d)[0]
     evals = 2
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - optimize._GOLDEN * (b - a)
-            fc = _at(cfg, c, n_max)[0]
+            fc = _at(cfg, c)[0]
         else:
             a, c, fc = c, d, fd
             d = a + optimize._GOLDEN * (b - a)
-            fd = _at(cfg, d, n_max)[0]
+            fd = _at(cfg, d)[0]
         evals += 1
     x = 0.5 * (a + b)
-    return x, _at(cfg, x, n_max)[0], evals + 1
+    return x, _at(cfg, x)[0], evals + 1
 
 
-def _ref_bisection(cfg, feasible, infeasible, target, tol=1e-10, n_max=30):
+def _ref_bisection(cfg, feasible, infeasible, target, tol=1e-10):
     """SNR-boundary bisection with one evaluation per step."""
     ok, bad = feasible, infeasible
     while abs(bad - ok) > tol * max(1.0, ok, bad):
         mid = 0.5 * (ok + bad)
-        if _at(cfg, mid, n_max)[1] >= target:
+        if _at(cfg, mid)[1] >= target:
             ok = mid
         else:
             bad = mid
     return ok
 
 
-def _ref_result(cfg, mu, n_max, **outcome):
-    dist = output_distribution(cfg.replace(mu=mu), n_max)
+def _ref_result(cfg, mu, **outcome):
+    dist = output_distribution(cfg.replace(mu=mu))
     return optimize.OptimizationResult(
         mu_opt=mu, p1_max=dist.p(1), snr_at_opt=snr(dist),
         mandel_q_at_opt=mandel_q_or_nan(dist.probs), distribution=dist, **outcome)
 
 
-def _ref_optimize_mu(cfg, mu_range=optimize.DEFAULT_MU_RANGE, tol=1e-6, n_max=30):
+def _ref_optimize_mu(cfg, mu_range=optimize.DEFAULT_MU_RANGE, tol=1e-6):
     """optimize_mu as one search, one point at a time."""
     grid = np.geomspace(*mu_range, 96)
-    grid_p1, _ = p1_snr_curve(cfg, grid, n_max)
+    grid_p1, _ = p1_snr_curve(cfg, grid)
     best = int(np.argmax(grid_p1))
     mu_opt, p1_max, iterations = float(grid[best]), float(grid_p1[best]), grid.size
     for i in range(1, grid.size - 1):
         if grid_p1[i] >= grid_p1[i - 1] and grid_p1[i] >= grid_p1[i + 1]:
-            x, fx, evals = _ref_golden(cfg, float(grid[i - 1]), float(grid[i + 1]), tol, n_max)
+            x, fx, evals = _ref_golden(cfg, float(grid[i - 1]), float(grid[i + 1]), tol)
             iterations += evals
             if fx > p1_max:
                 mu_opt, p1_max = x, fx
@@ -224,29 +224,28 @@ def _ref_optimize_mu(cfg, mu_range=optimize.DEFAULT_MU_RANGE, tol=1e-6, n_max=30
     if best in (0, grid.size - 1) and grid_p1[best] >= p1_max:
         boundary = "lower" if best == 0 else "upper"
         mu_opt = float(grid[best])
-    return _ref_result(cfg, mu_opt, n_max, iterations=iterations, converged=boundary is None,
+    return _ref_result(cfg, mu_opt, iterations=iterations, converged=boundary is None,
                        boundary=boundary)
 
 
-def _ref_max_p1_with_snr_floor(cfg, target, mu_range=optimize.DEFAULT_MU_RANGE, n_max=30):
+def _ref_max_p1_with_snr_floor(cfg, target, mu_range=optimize.DEFAULT_MU_RANGE):
     """max_p1_with_snr_floor as one search, one point at a time."""
     if target <= 0:
-        return replace(_ref_optimize_mu(cfg, mu_range, n_max=n_max), snr_target=target)
+        return replace(_ref_optimize_mu(cfg, mu_range), snr_target=target)
     grid = np.geomspace(*mu_range, 96).tolist()
-    feasible = (p1_snr_curve(cfg, grid, n_max)[1] >= target).tolist() + [False]
+    feasible = (p1_snr_curve(cfg, grid)[1] >= target).tolist() + [False]
     iterations, best, i = len(grid), None, 0
     while i < len(grid):
         if not feasible[i]:
             i += 1
             continue
         j = feasible.index(False, i) - 1
-        a = _ref_bisection(cfg, grid[i], grid[i - 1], target, n_max=n_max) if i else grid[i]
-        b = grid[j] if j == len(grid) - 1 else _ref_bisection(cfg, grid[j], grid[j + 1], target,
-                                                              n_max=n_max)
+        a = _ref_bisection(cfg, grid[i], grid[i - 1], target) if i else grid[i]
+        b = grid[j] if j == len(grid) - 1 else _ref_bisection(cfg, grid[j], grid[j + 1], target)
         if b <= a:
-            sub = _ref_result(cfg, a, n_max, iterations=iterations, converged=True)
+            sub = _ref_result(cfg, a, iterations=iterations, converged=True)
         else:
-            sub = _ref_optimize_mu(cfg, (a, b), n_max=n_max)
+            sub = _ref_optimize_mu(cfg, (a, b))
             iterations += sub.iterations
         if best is None or sub.p1_max > best.p1_max:
             hit = sub.boundary == "upper" and b < mu_range[1]
@@ -275,8 +274,7 @@ def _one_round(cfgs, grids):
     _p1_snr_rows call over all of them."""
     sizes = [grid.size for grid in grids]
     owner = np.repeat(np.arange(len(cfgs)), sizes)
-    p1, ratio = losses._p1_snr_rows(np.concatenate(grids),
-                                    *optimize._parameters(cfgs)[:, owner], 30)
+    p1, ratio = losses._p1_snr_rows(np.concatenate(grids), *optimize._parameters(cfgs)[:, owner])
     cut = np.cumsum(sizes)[:-1]
     return list(zip(np.split(p1, cut), np.split(ratio, cut)))
 
@@ -370,7 +368,7 @@ def _bisect(cfgs, ends, tol):
     the parameters of its config."""
     feasible, infeasible, target = map(np.array, zip(*ends))
     return optimize._bisect(optimize._parameters(cfgs), np.arange(len(cfgs)), feasible,
-                            infeasible, target, 30, tol).tolist()
+                            infeasible, target, tol).tolist()
 
 
 @pytest.mark.parametrize("seed", [4, 5])
@@ -402,8 +400,7 @@ def _golden(cfgs, brackets, tol):
     """(x, P1(x), evaluations) of optimize._golden on each (lo, hi) bracket
     with the parameters of its config."""
     lo, hi = map(np.array, zip(*brackets))
-    mids, steps = optimize._golden(optimize._parameters(cfgs), np.arange(len(cfgs)), lo, hi,
-                                   tol, 30)
+    mids, steps = optimize._golden(optimize._parameters(cfgs), np.arange(len(cfgs)), lo, hi, tol)
     return [(x, _at(cfg, x)[0], int(used) + 3) for cfg, x, used in zip(cfgs, mids.tolist(), steps)]
 
 
@@ -429,7 +426,7 @@ def _fig2_and_fig5_cases():
     return fig2, fig5
 
 
-_RANGE_ARGS = (optimize.DEFAULT_MU_RANGE, 1e-6, 30)
+_RANGE_ARGS = (optimize.DEFAULT_MU_RANGE, 1e-6)
 
 
 def _same_results(got, want):
@@ -518,7 +515,7 @@ def test_rows_are_shared_only_by_equal_parameters(monkeypatch):
     same = SourceConfig(m=2, mu=0.3, e_h=0.85, e_s=0.9, e_sw_db=0.5)  # mu is ignored
     other = cfg.replace(r_dark=5e6)
     cfgs = [cfg, other, same, other.replace(m=3), cfg]
-    p1, ratio = optimize._coarse_round(optimize._parameters(cfgs), grid, 30)
+    p1, ratio = optimize._coarse_round(optimize._parameters(cfgs), grid)
     assert [rows for _, rows in calls] == [3 * 300]  # cfg, other, other with m = 3
     for c, got_p1, got_ratio in zip(cfgs, p1, ratio):
         want_p1, want_ratio = p1_snr_curve(c, grid)
@@ -530,13 +527,13 @@ def test_shared_rows_name_the_unshared_worst_mu():
     # TruncationError names the pump rate that one round over every case's
     # whole grid, unshared, names.
     _, fig5 = _fig2_and_fig5_cases()
-    grid = np.geomspace(*optimize.DEFAULT_MU_RANGE, optimize.COARSE_POINTS)
+    mu_range = (1e-4, 40.0)
+    grid = np.geomspace(*mu_range, optimize.COARSE_POINTS)
     params = optimize._parameters([cfg for cfg, _ in fig5])
     with pytest.raises(TruncationError) as unshared:
-        losses._p1_snr_rows(np.tile(grid, len(fig5)),
-                            *np.repeat(params, grid.size, axis=1), 3)
+        losses._p1_snr_rows(np.tile(grid, len(fig5)), *np.repeat(params, grid.size, axis=1))
     with pytest.raises(TruncationError) as shared:
-        optimize.max_p1_with_snr_floor_batch(fig5, n_max=3)
+        optimize.max_p1_with_snr_floor_batch(fig5, mu_range)
     assert str(shared.value) == str(unshared.value)
 
 

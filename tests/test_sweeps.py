@@ -460,15 +460,6 @@ class TestSweepTable:
         other = sweep_axis(base, axis, [0.1, 0.3])
         assert other.metadata["config_hash"] != listed.metadata["config_hash"]
 
-    @pytest.mark.parametrize("make", [
-        lambda **kw: sweep_axis(SourceConfig(m=1, mu=0.1, e_h=0.85), "mu", [0.1, 0.2], **kw),
-    ], ids=["sweep_axis"])
-    def test_integral_n_max_writes_the_same_file(self, make):
-        # The config hash holds the int an integral n_max runs as.
-        want = make().to_csv()
-        for integral in (30.0, np.int64(30)):
-            assert make(n_max=integral).to_csv() == want
-
     def test_json_metadata_carries_tool_and_hash(self):
         table = sweep_axis(SourceConfig(m=0, mu=0.1), "mu", [0.1])
         doc = json.loads(table.to_json())
