@@ -303,7 +303,12 @@ class TestVectorizedCurve:
             output_distribution(cfg.replace(mu=10.0))
 
 
-@pytest.mark.parametrize("call", [output_distribution], ids=["output_distribution"])
+@pytest.mark.parametrize("call", [
+    output_distribution,
+    # The heralding-loss-only chain that heralded_distribution runs at
+    # DEFAULT_N_MAX, here at a bound of its own.
+    lambda cfg, n_max: losses._distribution(cfg, cfg.n_windows, 0.0, n_max=n_max),
+], ids=["output_distribution", "heralded_distribution"])
 def test_negative_n_max_rejected(call):
     with pytest.raises(ValueError, match=rf"^n_max must be an integer in \[0, {N_MAX_LIMIT}\], "
                                          r"got -1$"):

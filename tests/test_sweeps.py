@@ -460,6 +460,17 @@ class TestSweepTable:
         other = sweep_axis(base, axis, [0.1, 0.3])
         assert other.metadata["config_hash"] != listed.metadata["config_hash"]
 
+    @pytest.mark.parametrize("make", [
+        lambda: sweep_axis(SourceConfig(m=1, mu=0.1, e_h=0.85), "mu", [0.1, 0.2]),
+    ], ids=["sweep_axis"])
+    def test_integral_n_max_writes_the_same_file(self, make):
+        # The config hash holds the int DEFAULT_N_MAX the sweep runs at: this
+        # is the file that n_max = 30, 30.0 and np.int64(30) all wrote when
+        # sweep_axis still took n_max.
+        table = make()
+        assert table.metadata["config_hash"] == "f14a10c4e89042e2"
+        assert table.to_csv() == make().to_csv()
+
     def test_json_metadata_carries_tool_and_hash(self):
         table = sweep_axis(SourceConfig(m=0, mu=0.1), "mu", [0.1])
         doc = json.loads(table.to_json())
