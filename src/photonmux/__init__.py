@@ -7,7 +7,13 @@ under device imperfections (switch insertion loss, heralding efficiency,
 dark counts), pump-rate optimization, figure-style parameter sweeps, and an
 independent event-level Monte Carlo oracle that cross-validates the analytic
 chain.
+
+The analytic names load with the package.  The names of ``optimize``,
+``montecarlo`` and ``sweeps`` load on first access (PEP 562), so a run
+imports only the modules it uses.
 """
+
+import importlib
 
 from ._version import __version__
 from .config import SourceConfig
@@ -23,16 +29,6 @@ from .losses import (
     heralded_distribution,
     output_distribution,
     with_dark_counts,
-)
-from .optimize import OptimizationResult, max_p1_with_snr_floor, optimize_mu
-from .montecarlo import McConfig, McHistogram, compare, simulate
-from .sweeps import (
-    SweepRecord,
-    SweepTable,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
 )
 
 __all__ = [
@@ -61,3 +57,26 @@ __all__ = [
     "figure4",
     "figure5",
 ]
+
+# The module of each name that loads on first access.  Each of these
+# modules loads on first access too, as an attribute of the package.
+_LAZY = {
+    **dict.fromkeys(("OptimizationResult", "optimize_mu", "max_p1_with_snr_floor"), "optimize"),
+    **dict.fromkeys(("McConfig", "McHistogram", "simulate", "compare"), "montecarlo"),
+    **dict.fromkeys(("SweepRecord", "SweepTable", "figure2", "figure3", "figure4", "figure5"),
+                    "sweeps"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY.values()})

@@ -8,7 +8,9 @@ agreement suite).  Source parameters come from a line-oriented
 ``optimize`` and ``montecarlo`` write their results through one writer,
 :func:`_write_result`; ``sweep`` and ``figure`` write their tables' own CSV
 or JSON.  All file output is written atomically and carries a config echo,
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files.  A subcommand imports the
+modules it needs when it is dispatched, so ``dist`` loads no optimizer,
+sweep, Monte Carlo or validation code.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,15 +29,16 @@ import numpy as np
 from ._version import __version__
 from .config import SourceConfig
 from .losses import output_distribution
-from .montecarlo import BACKENDS, McConfig, backend_choice, compare, simulate
-from .optimize import max_p1_with_snr_floor, optimize_mu
 from .stats import DEFAULT_N_MAX
-from .sweeps import FIGURES, gnuplot_commands, sweep_axis
-from .validate import run_validation
 
 __all__ = ["main", "parse_source_config", "ConfigError"]
 
 OUTDIR_ENV = "PHOTONMUX_OUTDIR"
+
+# The choices of --backend and --id: montecarlo.BACKENDS and the keys of
+# sweeps.FIGURES, written out so that building the parser imports neither.
+_BACKEND_CHOICES = ("c", "numpy")
+_FIGURE_CHOICES = ("fig2", "fig3", "fig4", "fig5")
 
 _KEY_TYPES = {
     "m": int,
@@ -117,7 +121,7 @@ def _add_simulation_flags(parser: argparse.ArgumentParser, seed: int) -> None:
                         help="most drain loops to run, one of them on the calling thread "
                              "(default and at most one per available CPU); never changes "
                              "the histogram")
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
+    parser.add_argument("--backend", choices=_BACKEND_CHOICES, default=None,
                         help="simulator backend (default the C kernel, numpy where it "
                              "cannot be built); never changes the histogram")
 
@@ -155,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="reproduce a named figure as a data table")
     _add_output_flags(p_fig)
-    p_fig.add_argument("--id", choices=tuple(FIGURES), required=True)
+    p_fig.add_argument("--id", choices=_FIGURE_CHOICES, required=True)
     p_fig.add_argument("--gnuplot", metavar="PATH",
                        help="also emit a gnuplot script next to the table")
 
@@ -231,6 +235,9 @@ def _fields_except(result, name: str) -> dict:
 def run(ns: argparse.Namespace) -> int:
     """Dispatch one parsed invocation; returns the process exit status."""
     if ns.subcommand == "validate":
+        from .montecarlo import McConfig, backend_choice
+        from .validate import run_validation
+
         mc = McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards)
         backend, reason = backend_choice(ns.backend)
         print(f"photonmux validate: backend {backend} ({reason})", file=sys.stderr)
@@ -240,6 +247,8 @@ def run(ns: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if ns.subcommand == "figure":
+        from .sweeps import FIGURES, gnuplot_commands
+
         build, x = FIGURES[ns.id]
         table = build()
         path = _resolve_output(ns.output)
@@ -260,6 +269,13 @@ def run(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.subcommand == "optimize":
+        from .optimize import max_p1_with_snr_floor, optimize_mu
+
+        if not 0 < ns.mu_min < ns.mu_max < math.inf:
+            raise ConfigError("--mu-min and --mu-max must satisfy 0 < --mu-min < --mu-max < inf, "
+                              f"got --mu-min {ns.mu_min!r} and --mu-max {ns.mu_max!r}")
+        if not ns.tol > 0:
+            raise ConfigError(f"--tol must be > 0, got {ns.tol!r}")
         if ns.snr_target is None:
             result = optimize_mu(cfg, (ns.mu_min, ns.mu_max), ns.tol)
         else:
@@ -271,6 +287,8 @@ def run(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.subcommand == "sweep":
+        from .sweeps import sweep_axis
+
         if ns.points < 1:
             raise ConfigError("--points must be >= 1")
         if ns.log:
@@ -284,6 +302,8 @@ def run(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.subcommand == "montecarlo":
+        from .montecarlo import McConfig, compare, simulate
+
         mc = McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards)
         hist = simulate(cfg, mc, backend=ns.backend)
         fields = {"trials": hist.trials, "seed": mc.seed, "shards": mc.shards,

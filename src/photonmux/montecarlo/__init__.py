@@ -12,7 +12,9 @@ from its counter each Philox block whose words can decide a trial's
 outcome, and skips the others.  The vectorized numpy
 backend is the fallback when the kernel cannot be built, and the reference
 it is checked against (``backend=`` selects either).  Both read the
-identical Philox stream, so their histograms are bit-identical.
+identical Philox stream, so their histograms are bit-identical.  The
+numpy backend's module, ``_numpy_backend``, is imported only when it runs
+or a caller reads it, so a run on the C kernel never loads it.
 
 The numpy backend scans a chunk of stream words pre-drawn in order, unless
 the sampling tables predict that its scan reads only a small share of each
@@ -33,6 +35,7 @@ set by the trials alone: 1/``_CHUNKS_PER_LOOP`` of one loop's share.
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import threading
@@ -43,8 +46,8 @@ import numpy as np
 
 from ..config import SourceConfig, _check_int
 from ..stats import DEFAULT_N_MAX, PhotonDistribution
-from . import _ckernel, _numpy_backend
-from ._tables import PAIR_COUNT_CAP, build_tables, philox_at_trial, slots_per_trial
+from . import _ckernel
+from ._tables import PAIR_COUNT_CAP, build_tables, slots_per_trial
 
 __all__ = [
     "McConfig",
@@ -84,6 +87,12 @@ _TASK_WORD_TARGET = 1 << 19
 _CHUNKS_PER_LOOP = 16
 # Deepest multiplexer whose trial's stream words still fit in the target.
 MAX_M = max(m for m in range(64) if slots_per_trial(1 << m) <= _CHUNK_WORD_TARGET)
+
+
+def __getattr__(name: str):
+    if name == "_numpy_backend":
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def available_backends() -> tuple:
@@ -181,25 +190,6 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _bind_predrawn(seed: int, tables, counts: np.ndarray):
-    """``run(start, stop)`` for the numpy backend on words pre-drawn in order:
-    it adds the counts of trials [start, stop) to ``counts``."""
-    w = tables.n_windows
-    slots = slots_per_trial(w)
-
-    def run(start: int, stop: int) -> None:
-        uniforms = philox_at_trial(seed, start, w).random((stop - start, slots))
-        _numpy_backend.run_chunk(uniforms, tables, counts)
-
-    return run
-
-
-def _bind_counter(seed: int, tables, counts: np.ndarray):
-    """``run(start, stop)`` for the numpy backend on words computed by
-    counter: it adds the counts of trials [start, stop) to ``counts``."""
-    return lambda start, stop: _numpy_backend.run_counter(seed, start, stop, tables, counts)
-
-
 def _drain(runs: list, spans) -> None:
     """Run every (start, stop) chunk of the iterator ``spans``, one drain
     loop per entry of ``runs``: the first on the calling thread, each other
@@ -275,11 +265,14 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
     share = -(-mc.trials // workers)
     if chosen == "c":
         bind, chunk = _ckernel.load()[0], max(1, share // _CHUNKS_PER_LOOP)
-    elif _numpy_backend.counter_source_pays(tables):
-        bind, chunk = _bind_counter, _numpy_backend._COUNTER_BATCH
     else:
-        words = min(_TASK_WORD_TARGET, _CHUNK_WORD_TARGET // workers)
-        bind, chunk = _bind_predrawn, max(1, min(words // slots, share))
+        from . import _numpy_backend
+
+        if _numpy_backend.counter_source_pays(tables):
+            bind, chunk = _numpy_backend.bind_counter, _numpy_backend._COUNTER_BATCH
+        else:
+            words = min(_TASK_WORD_TARGET, _CHUNK_WORD_TARGET // workers)
+            bind, chunk = _numpy_backend.bind_predrawn, max(1, min(words // slots, share))
     starts = range(0, mc.trials, chunk)
     totals = [np.zeros(PAIR_COUNT_CAP + 1, dtype=np.int64)
               for _ in range(min(workers, len(starts)))]

@@ -3,21 +3,27 @@
 The library is compiled with the interpreter's C compiler (sysconfig's
 ``CC``, else ``cc``) at ``-O2``, and never with ``-ffast-math``, which
 would change the comparisons that decide each outcome.  It is cached under
-a name keyed by the sha256 of the source and of the compile command (the
-compiler and ``CFLAGS``) and by the platform tag, in ``CACHE_DIR`` or,
-where that is not writable, in the user cache (``$XDG_CACHE_HOME/photonmux``
-or ``~/.cache/photonmux``).  Each build writes a temporary file and renames
-it into place, so a reader never sees a partial library.  ctypes releases
-the interpreter lock for the call, so the kernel runs in parallel on the
-drain loops of ``simulate``.
+a name keyed by ``importlib.util.source_hash`` of the source and of the
+compile command (the compiler and ``CFLAGS``), 16 hex digits, and by the
+platform tag, in ``CACHE_DIR`` or, where that is not writable, in the user
+cache (``$XDG_CACHE_HOME/photonmux`` or ``~/.cache/photonmux``).  The key
+is the import system's own SipHash, already loaded, so finding the library
+loads no hash library; it is salted with the interpreter's bytecode magic
+number, so each Python version builds its own library.  Each build writes
+a temporary file and renames it into place, so a reader never sees a
+partial library.  A build into ``CACHE_DIR`` then removes the other kernel
+builds for the platform there; the user cache, which other checkouts may
+share, keeps every build.  So two interpreters with different ``CC`` or
+Python versions that share one checkout rebuild the kernel each time they
+alternate.  ctypes releases the interpreter lock for the call, so the
+kernel runs in parallel on the drain loops of ``simulate``.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
+import importlib.util
 import os
-import tempfile
 import threading
 from pathlib import Path
 
@@ -65,17 +71,29 @@ def compile_library(output: Path) -> None:
         raise BuildError((errors or lines or [status])[0])
 
 
+def _prune(keep: Path, platform: str) -> None:
+    """Remove the kernel builds for ``platform`` in ``CACHE_DIR`` other than ``keep``."""
+    for stale in CACHE_DIR.glob(f"_ckernel-*-{platform}.so"):
+        if stale != keep:
+            try:
+                stale.unlink()
+            except OSError:
+                pass  # gone already, or not ours to remove
+
+
 def _library() -> Path:
     """Path of the built library, compiling it into the first writable cache."""
     import sysconfig
 
-    key = hashlib.sha256(SOURCE.read_bytes())
-    key.update("\0".join(compiler()).encode())
-    name = f"_ckernel-{key.hexdigest()[:16]}-{sysconfig.get_platform()}.so"
+    key = importlib.util.source_hash(SOURCE.read_bytes() + "\0".join(compiler()).encode())
+    platform = sysconfig.get_platform()
+    name = f"_ckernel-{key.hex()}-{platform}.so"
     for directory in (CACHE_DIR, _user_cache()):
         path = directory / name
         if path.exists():
             return path
+        import tempfile
+
         try:
             directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckernel-", suffix=".so")
@@ -88,6 +106,8 @@ def _library() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        if directory == CACHE_DIR:
+            _prune(path, platform)
         return path
     raise BuildError(f"no writable cache directory for the C kernel ({CACHE_DIR}, {_user_cache()})")
 

@@ -19,7 +19,9 @@ for every trial, and hence bit-identical histograms.
 The scan takes its words from one of two sources, which hold the same
 words: a chunk of stream words pre-drawn in order (``run_chunk``), or
 Philox blocks computed by counter for just the slots the scan reads
-(``run_counter``).  ``counter_source_pays`` picks between them.
+(``run_counter``).  ``counter_source_pays`` picks between them, and
+``bind_predrawn`` and ``bind_counter`` bind either to one run of
+``simulate``, as ``_ckernel``'s ``bind`` does the C kernel.
 
 Survivors are drawn per routed count ``n``: searching the survival word in
 row ``n`` of the survival CDF counts the ``k`` with ``u >= cdf[n, k]``,
@@ -31,9 +33,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._philox import philox_doubles
-from ._tables import SamplingTables, slots_per_trial
+from ._tables import SamplingTables, philox_at_trial, slots_per_trial
 
-__all__ = ["run_chunk", "run_counter", "counter_source_pays"]
+__all__ = ["run_chunk", "run_counter", "bind_predrawn", "bind_counter", "counter_source_pays"]
 
 _FIRST_BLOCK = 8
 # Applies only where the numpy backend runs, as the fallback when the C
@@ -144,6 +146,26 @@ def run_counter(seed: int, start: int, stop: int, tables: SamplingTables,
         # np.random.Philox computes block i of its stream at counter i + 1.
         first_counter = trials * blocks_per_trial + np.uint64(1)
         _scan(_counter_reader(seed, first_counter), trials.size, tables, counts)
+
+
+def bind_predrawn(seed: int, tables: SamplingTables, counts: np.ndarray):
+    """``run(start, stop)`` on words pre-drawn in order: it adds the counts
+    of trials [start, stop) to ``counts`` through ``run_chunk``, read at
+    each call."""
+    w = tables.n_windows
+    slots = slots_per_trial(w)
+
+    def run(start: int, stop: int) -> None:
+        uniforms = philox_at_trial(seed, start, w).random((stop - start, slots))
+        run_chunk(uniforms, tables, counts)
+
+    return run
+
+
+def bind_counter(seed: int, tables: SamplingTables, counts: np.ndarray):
+    """``run(start, stop)`` on words computed by counter: it adds the counts
+    of trials [start, stop) to ``counts`` through ``run_counter``."""
+    return lambda start, stop: run_counter(seed, start, stop, tables, counts)
 
 
 def counter_source_pays(tables: SamplingTables) -> bool:

@@ -319,6 +319,23 @@ class TestErrors:
         assert record["message"].endswith("at mu=40.0; lower mu or increase n_max")
         assert out == ""
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--mu-min", "0"], "--mu-min and --mu-max must satisfy 0 < --mu-min < --mu-max < inf, "
+                            "got --mu-min 0.0 and --mu-max 2.0"),
+        (["--mu-min", "0.5", "--mu-max", "0.5"], "got --mu-min 0.5 and --mu-max 0.5"),
+        (["--mu-max", "inf"], "got --mu-min 0.0001 and --mu-max inf"),
+        (["--mu-min", "nan"], "got --mu-min nan and --mu-max 2.0"),
+        (["--tol", "0"], "--tol must be > 0, got 0.0"),
+        (["--tol", "nan", "--snr-target", "5"], "--tol must be > 0, got nan"),
+    ], ids=["zero-min", "empty", "infinite-max", "nan-min", "zero-tol", "nan-tol"])
+    def test_optimize_range_errors_name_the_flags(self, capsys, flags, message):
+        assert main(["optimize", "--m", "4", "--mu", "0.1", *flags]) == 1
+        out, err = capsys.readouterr()
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError" and record["subcommand"] == "optimize"
+        assert message in record["message"]
+        assert out == ""
+
     def test_m_beyond_float_range_error_record(self, capsys):
         assert main(["dist", "--m", "100000", "--mu", "0.1"]) == 1
         out, err = capsys.readouterr()
@@ -384,6 +401,18 @@ def test_every_exported_name_resolves():
     missing = [f"{name}.{attr}" for name, module in exporting.items()
                for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"names in __all__ that do not resolve: {missing}"
+
+
+def test_parser_choices_are_the_backends_and_figures():
+    # The parser spells them out, so that building it imports neither module.
+    from photonmux import cli, sweeps
+
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    choices = {name: {a.dest: a.choices for a in parser._actions if a.choices}
+               for name, parser in sub.choices.items()}
+    assert tuple(choices["figure"]["id"]) == tuple(sweeps.FIGURES)
+    assert tuple(choices["montecarlo"]["backend"]) == montecarlo.BACKENDS
+    assert tuple(choices["validate"]["backend"]) == montecarlo.BACKENDS
 
 
 # The environment variables the package may read.  Options and keyword

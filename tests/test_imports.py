@@ -1,0 +1,97 @@
+"""A run imports only the modules it uses.
+
+Each test runs a fresh interpreter, since the test process has imported
+every module already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import photonmux
+from photonmux.montecarlo import available_backends
+
+# The directory holding the imported package, so the subprocess imports the
+# same code when the package is found only through pytest's pythonpath.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(photonmux.__file__))
+needs_c = pytest.mark.skipif("c" not in available_backends(),
+                             reason="the C kernel is unavailable")
+
+
+def fresh(args: list) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def fresh_json(code: str):
+    """The JSON that ``code`` prints last, run in a fresh interpreter."""
+    return json.loads(fresh(["-c", textwrap.dedent(code)]).stdout.splitlines()[-1])
+
+
+@needs_c
+def test_a_first_simulation_loads_no_unused_module():
+    report = fresh_json("""
+        import json, sys
+        import photonmux
+
+        eager = sorted(set(photonmux.__all__) & set(vars(photonmux)))
+        listed = set(photonmux.__all__) <= set(dir(photonmux))
+        cfg = photonmux.SourceConfig(m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+        photonmux.output_distribution(cfg)
+        photonmux.simulate(cfg, photonmux.McConfig(trials=1), "c")
+        loaded = sorted(name for name in sys.modules
+                        if name.startswith("photonmux.") or name == "hashlib")
+        unresolved = [name for name in photonmux.__all__ if not hasattr(photonmux, name)]
+        star = {}
+        exec("from photonmux import *", star)
+        unbound = sorted(set(photonmux.__all__) - set(star))
+        print(json.dumps({"eager": eager, "lazy": sorted(photonmux._LAZY), "listed": listed,
+                          "loaded": loaded, "unresolved": unresolved, "unbound": unbound}))
+    """)
+    unused = {"photonmux.sweeps", "photonmux.optimize", "photonmux.validate", "photonmux.cli",
+              "photonmux.montecarlo._numpy_backend", "photonmux.montecarlo._philox", "hashlib"}
+    assert not unused & set(report["loaded"]), report["loaded"]
+    assert report["listed"]
+    assert report["unresolved"] == [] and report["unbound"] == []
+    assert set(report["lazy"]) == set(photonmux.__all__) - set(report["eager"])
+
+
+def test_dist_loads_no_optimizer_sweep_monte_carlo_or_validation_module():
+    proc = fresh(["-X", "importtime", "-m", "photonmux.cli", "dist", "--m", "4", "--mu", "0.1"])
+    assert proc.stdout.splitlines()[-1].startswith("30,")
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "photonmux.losses" in loaded
+    assert not loaded & {"photonmux.sweeps", "photonmux.optimize", "photonmux.validate",
+                         "photonmux.montecarlo"}
+
+
+@needs_c
+@pytest.mark.parametrize("config,counter", [
+    ("m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6", False),
+    ("m=8, mu=0.5, e_h=0.85, e_s=0.9, e_sw_db=1.0", True),
+], ids=["predrawn", "counter"])
+def test_a_cold_numpy_backend_matches_the_c_kernel(config, counter):
+    # The numpy backend's module is imported for the first time inside
+    # simulate, on either of its stream sources.
+    report = fresh_json(f"""
+        import json, sys
+        from photonmux import McConfig, SourceConfig, simulate
+
+        cfg, mc = SourceConfig({config}), McConfig(trials=20_000, seed=11)
+        cold = "photonmux.montecarlo._numpy_backend" not in sys.modules
+        numpy = simulate(cfg, mc, backend="numpy").counts.tolist()
+        c = simulate(cfg, mc, backend="c").counts.tolist()
+        from photonmux.montecarlo import _numpy_backend, _tables
+        counter = _numpy_backend.counter_source_pays(_tables.build_tables(cfg))
+        print(json.dumps({{"cold": cold, "counter": counter, "numpy": numpy, "c": c}}))
+    """)
+    assert report["cold"] and report["counter"] == counter
+    assert report["numpy"] == report["c"]

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 import threading
 import time
 import tracemalloc
@@ -377,7 +378,7 @@ class TestNumpyKernel:
         trials = max(64, (1 << 14) // slots)
         start = (1 << 32) // (slots // 4) - trials // 2
         uniforms = philox_at_trial(m + 3, start, w).random((trials, slots))
-        binders = [montecarlo._bind_counter, _ckernel.load()[0]]
+        binders = [_numpy_backend.bind_counter, _ckernel.load()[0]]
         for mu, e_h in itertools.product((0.0, 0.05, 0.5, 2.0), (0.0, 0.85, 1.0)):
             tables = build_tables(SourceConfig(m=m, mu=mu, e_h=e_h, e_s=0.9,
                                                e_sw_db=0.5, r_dark=r_dark))
@@ -581,8 +582,24 @@ class TestCKernelBuild:
         assert _ckernel._library().name != first.name
         assert simulate(LOSSY, McConfig(trials=1_000, seed=6)).backend == "c"
         assert len(builds) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [first.name, _ckernel._library().name])
+        # The new build removed the first, which is stale in the package cache.
+        assert [p.name for p in tmp_path.iterdir()] == [_ckernel._library().name]
+
+    def test_a_build_removes_stale_libraries_from_the_package_cache_only(self, tmp_path,
+                                                                          monkeypatch):
+        platform = sysconfig.get_platform()
+        stale = f"_ckernel-0123456789abcdef-{platform}.so"
+        package, user = tmp_path / "package", tmp_path / "xdg" / "photonmux"
+        for directory in (package, user):
+            directory.mkdir(parents=True)
+            (directory / stale).write_bytes(b"")
+            (directory / "notes.txt").write_text("kept")
+        fresh_kernel(monkeypatch, package, [])
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert simulate(LOSSY, McConfig(trials=1_000, seed=6)).backend == "c"
+        assert sorted(p.name for p in package.iterdir()) == sorted(
+            [_ckernel._library().name, "notes.txt"])
+        assert sorted(p.name for p in user.iterdir()) == sorted([stale, "notes.txt"])
 
     def test_concurrent_cold_start_builds_one_library(self, tmp_path, monkeypatch):
         builds = []
