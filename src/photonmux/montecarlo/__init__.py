@@ -90,6 +90,8 @@ MAX_M = max(m for m in range(64) if slots_per_trial(1 << m) <= _CHUNK_WORD_TARGE
 
 
 def __getattr__(name: str):
+    # ``_numpy_backend`` loads on first access: when ``simulate`` runs it,
+    # or when a caller reads it as an attribute of this package.
     if name == "_numpy_backend":
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,6 +17,11 @@ share, keeps every build.  So two interpreters with different ``CC`` or
 Python versions that share one checkout rebuild the kernel each time they
 alternate.  ctypes releases the interpreter lock for the call, so the
 kernel runs in parallel on the drain loops of ``simulate``.
+
+This module loads with ``photonmux.montecarlo``, which the package imports
+on first access to one of its names, as it does ``optimize`` and
+``sweeps``.  It imports ``tempfile`` and the compiler's modules only where
+it builds the kernel or names the compile command.
 """
 
 from __future__ import annotations
