@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Dict, Iterable, Optional
 
 import numpy as np
@@ -186,9 +185,13 @@ def _resolve_output(path: Optional[str]) -> Optional[str]:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path`` and rename it into place.
+    The file is created with mode 0666, so it gets what the umask leaves of
+    that, as any new file does."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".photonmux-", suffix=".part")
+    tmp = os.path.join(directory, f".photonmux-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

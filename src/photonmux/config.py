@@ -156,8 +156,14 @@ class SourceConfig:
     # -- convenience -------------------------------------------------------
 
     def replace(self, **changes) -> "SourceConfig":
-        if "mu" in changes and "herald_rate_r" not in changes:
+        """A copy with ``changes``.  A new ``mu`` drops the pair rate.  A new
+        rate, or a new ``delta_t0_ns`` on a config that holds one, derives
+        ``mu`` again.  A ``mu`` given with a rate is cross-checked against it."""
+        if "mu" in changes:
             changes.setdefault("herald_rate_r", None)
+        elif (changes.get("herald_rate_r", self.herald_rate_r) is not None
+              and changes.keys() & {"herald_rate_r", "delta_t0_ns"}):
+            changes["mu"] = None
         return replace(self, **changes)
 
     def as_dict(self) -> dict:

@@ -7,15 +7,14 @@ golden-section search refines each candidate bracket.  The SNR constraint is
 handled through the feasible set on the same grid, with bisection at every
 feasibility crossing.
 
-The batch entry points :func:`optimize_mu_batch` and
-:func:`max_p1_with_snr_floor_batch`, which ``figure2``, ``figure5`` and
-``validate`` use, run all their searches together in phases (:func:`_search`):
-the coarse grid, one for the whole call, then every SNR-boundary bisection,
-then the grids of the feasible sub-intervals, then every golden section,
-then the optima.  A phase holds the brackets of all its jobs in numpy
-arrays, with the index of the search each job serves, and each round takes
-one step of every live job: a few elementwise operations and one blocked
-call of the loss-chain core.
+The one batch entry point :func:`search`, which ``figure2``, ``figure5``
+and ``validate`` use, runs all its searches together in phases: the coarse
+grid, one for the whole call, then every SNR-boundary bisection, then the
+grids of the feasible sub-intervals, then every golden section, then the
+optima.  A phase holds the brackets of all its jobs in numpy arrays, with the
+index of the search each job serves, and each round takes one step of every
+live job: a few elementwise operations and one blocked call of the
+loss-chain core.
 The last round evaluates each golden section's final midpoint together with
 every other candidate optimum in one call of the core that keeps whole
 output rows, and each result's distribution is its optimum's row.
@@ -50,10 +49,9 @@ from .stats import DEFAULT_N_MAX, PhotonDistribution, mandel_q_or_nan, p1_rows, 
 
 __all__ = [
     "OptimizationResult",
+    "search",
     "optimize_mu",
-    "optimize_mu_batch",
     "max_p1_with_snr_floor",
-    "max_p1_with_snr_floor_batch",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -171,19 +169,22 @@ def _golden(params: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarra
         step += 1
 
 
-def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tuple[float, float],
-            tol: float) -> list:
+def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
+           mu_range: Tuple[float, float] = DEFAULT_MU_RANGE, tol: float = 1e-6) -> list:
     """The results of the (template, snr_target) cases, all searched
     together: :func:`max_p1_with_snr_floor` for each target, and
-    :func:`optimize_mu` for a target of None.
+    :func:`optimize_mu` for a target of None.  Each result equals that of
+    its case searched alone.
 
     The phases run in order, each in rounds of one step for every live job
-    (see the module docstring).  A peak is a maximization over a grid: the
-    coarse grid of an unconstrained case or the grid of a feasible
-    sub-interval; each interior local maximum of its grid gives it one golden
-    section.  The final round evaluates, for every peak, its best grid point
-    and its golden sections' midpoints, and the lone point of every
-    sub-interval that bisection closed to a point.
+    (see the module docstring).  Each case maximizes P_1 over its feasible
+    intervals: a case without a floor (a target of None or <= 0) has one,
+    the whole range, over the coarse grid; a case with one has an interval
+    per run of its feasible coarse-grid points, over a grid of its own.
+    Each interior local maximum of an interval's grid gives it one golden
+    section.  The final round evaluates, for every interval, its best grid
+    point and its golden sections' midpoints, or the lone point of an
+    interval that bisection closed to a point.
     """
     if any(target is not None and math.isnan(target) for _, target in cases):
         raise ValueError("snr_target must not be NaN")
@@ -198,35 +199,37 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
     params = _parameters([cfg for cfg, _ in cases])
     coarse_p1, coarse_ratio = _coarse_round(params, grid)
 
+    # The feasible intervals (a, b, peak index or None) of each case.  The
+    # peaks come first on the coarse grid, one per case without a floor.
     targets = [target for _, target in cases]
     free = [case for case, target in enumerate(targets) if target is None or target <= 0]
     floored = [case for case, target in enumerate(targets) if target is not None and target > 0]
-
-    # Each run of feasible grid points of a constrained case gives one
+    intervals = [[] for _ in cases]
+    for peak, case in enumerate(free):
+        intervals[case].append((lo, hi, peak))
+    # Each run of feasible grid points of a case with a floor gives one
     # bisection job per end, with the grid neighbour beyond that end as its
     # infeasible side, or the end itself at the edge of the grid.
-    intervals = {case: [] for case in floored}  # [(a, b, peak index or None)]
+    floor = np.array([targets[case] for case in floored])
+    feasible = coarse_ratio[floored] >= floor[:, None]
+    run, edge = np.nonzero(np.diff(feasible, axis=1, prepend=False, append=False))
+    run, start, stop = np.repeat(run[::2], 2), edge[::2], edge[1::2]
+    inside = np.stack((start, stop - 1), axis=1).ravel()
+    beyond = np.stack((np.maximum(start - 1, 0), np.minimum(stop, COARSE_POINTS - 1)),
+                      axis=1).ravel()
+    owner = np.array(floored, dtype=int)[run]
+    bounds = _bisect(params, owner, grid[inside], grid[beyond], floor[run])
+    # A feasible sub-interval [a, b] is a peak over its own grid, or, where
+    # bisection closed it to a point, that lone point.
     sub_cases, sub_ends, lone = [], [], []
-    if floored:
-        target = np.array([targets[case] for case in floored])
-        feasible = coarse_ratio[floored] >= target[:, None]
-        run, edge = np.nonzero(np.diff(feasible, axis=1, prepend=False, append=False))
-        run, start, stop = np.repeat(run[::2], 2), edge[::2], edge[1::2]
-        inside = np.stack((start, stop - 1), axis=1).ravel()
-        beyond = np.stack((np.maximum(start - 1, 0), np.minimum(stop, COARSE_POINTS - 1)),
-                          axis=1).ravel()
-        owner = np.array(floored)[run]
-        bounds = _bisect(params, owner, grid[inside], grid[beyond], target[run])
-        # A feasible sub-interval [a, b] is a peak over its own grid, or,
-        # where bisection closed it to a point, that lone point.
-        for case, a, b in zip(owner[::2].tolist(), bounds[::2].tolist(), bounds[1::2].tolist()):
-            if b <= a:
-                intervals[case].append((a, b, None))
-                lone.append((case, a))
-                continue
-            intervals[case].append((a, b, len(free) + len(sub_cases)))
-            sub_cases.append(case)
-            sub_ends.append((a, b))
+    for case, a, b in zip(owner[::2].tolist(), bounds[::2].tolist(), bounds[1::2].tolist()):
+        if b <= a:
+            intervals[case].append((a, b, None))
+            lone.append((case, a))
+            continue
+        intervals[case].append((a, b, len(free) + len(sub_cases)))
+        sub_cases.append(case)
+        sub_ends.append((a, b))
     # Bisection leaves each b - a at least half its tolerance: no log step is 0,
     # so the stacked np.geomspace rounds every row as a call of its own would.
     sub_grid = np.geomspace(*np.array(sub_ends).reshape(-1, 2).T, COARSE_POINTS, axis=1)
@@ -234,8 +237,7 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
               .reshape(-1, COARSE_POINTS)
               if sub_cases else np.empty((0, COARSE_POINTS)))
 
-    # The peaks: each unconstrained case's coarse grid, then the sub-interval
-    # grids.  One golden section per interior local maximum of a peak's grid.
+    # One golden section per interior local maximum of a peak's grid.
     peak_case = free + sub_cases
     peak_grid = np.concatenate((np.tile(grid, (len(free), 1)), sub_grid))
     peak_p1 = np.concatenate((coarse_p1[free], sub_p1))
@@ -259,7 +261,9 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
     for job, peak in enumerate(job_peak.tolist()):
         if p1_at[peaks + job] > p1_at[optimum[peak]]:
             optimum[peak] = peaks + job
+    # The coarse grid's points count once, in every case's own COARSE_POINTS.
     used = np.full(peaks, COARSE_POINTS)
+    used[:len(free)] = 0
     np.add.at(used, job_peak, steps + 3)
     # A best grid point on an end of the grid that no midpoint beats is a
     # maximum on the edge of the range.
@@ -268,30 +272,16 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
                 for row, evaluations, edge, first
                 in zip(optimum.tolist(), used.tolist(), at_edge.tolist(), top.tolist())]
 
-    def result(case, row, **outcome):
-        cfg = cases[case][0].replace(mu=float(mu[row]))
-        dist = _row_distribution(cfg, probs[row], tail[row], config=cfg)
-        return OptimizationResult(mu_opt=float(mu[row]), p1_max=dist.p(1),
-                                  snr_at_opt=float(snr_at[row]),
-                                  mandel_q_at_opt=mandel_q_or_nan(dist.probs),
-                                  distribution=dist, snr_target=cases[case][1], **outcome)
-
     results, lone_rows = [], iter(range(peaks + mids.size, mu.size))
-    unconstrained = iter(outcomes)  # their peaks come first, in case order
-    for case, target in enumerate(targets):
-        if case not in intervals:
-            row, iterations, converged, boundary = next(unconstrained)
-            results.append(result(case, row, iterations=iterations, converged=converged,
-                                  boundary=boundary))
-            continue
-        if not intervals[case]:
+    for (cfg, target), spans in zip(cases, intervals):
+        if not spans:
             nan = math.nan
             results.append(OptimizationResult(
                 mu_opt=nan, p1_max=nan, snr_at_opt=nan, mandel_q_at_opt=nan,
                 iterations=COARSE_POINTS, converged=False, feasible=False, snr_target=target))
             continue
         iterations, chosen = COARSE_POINTS, None
-        for a, b, peak in intervals[case]:
+        for a, b, peak in spans:
             if peak is None:
                 row, converged, boundary = next(lone_rows), True, None
             else:
@@ -300,17 +290,22 @@ def _search(cases: Sequence[Tuple[SourceConfig, Optional[float]]], mu_range: Tup
             if chosen is None or p1_at[row] > p1_at[chosen[0]]:
                 # A peak on the upper end of a sub-interval inside the range
                 # is the SNR boundary, not the edge of the search.
-                hit = boundary == "upper" and b < mu_range[1]
+                hit = boundary == "upper" and b < hi
                 chosen = (row, iterations, hit or converged, None if hit else boundary, hit)
         row, iterations, converged, boundary, hit = chosen
-        # The constrained optimum must actually satisfy the floor.
-        if snr_at[row] < target - 1e-6:
+        # The optimum must actually satisfy the floor, which is 0 without one.
+        if snr_at[row] < (target or 0.0) - 1e-6:
             raise RuntimeError(
                 f"internal error: constrained optimum violates SNR floor "
                 f"({float(snr_at[row])} < {target})"
             )
-        results.append(result(case, row, iterations=iterations, converged=converged,
-                              boundary=boundary, constraint_active=hit))
+        opt = float(mu[row])
+        dist = _row_distribution(cfg, probs[row], tail[row], config=cfg.replace(mu=opt))
+        results.append(OptimizationResult(
+            mu_opt=opt, p1_max=dist.p(1), snr_at_opt=float(snr_at[row]),
+            mandel_q_at_opt=mandel_q_or_nan(dist.probs), iterations=iterations,
+            converged=converged, boundary=boundary, snr_target=target, constraint_active=hit,
+            distribution=dist))
     return results
 
 
@@ -336,14 +331,7 @@ def optimize_mu(
     tol:
         Absolute convergence tolerance in mu (> 0).
     """
-    return optimize_mu_batch([cfg_template], mu_range, tol)[0]
-
-
-def optimize_mu_batch(cfg_templates: Sequence[SourceConfig],
-                      mu_range: Tuple[float, float] = DEFAULT_MU_RANGE, tol: float = 1e-6) -> list:
-    """:func:`optimize_mu` for each template, with the searches run
-    together; each result equals that of its own optimize_mu call."""
-    return _search([(cfg, None) for cfg in cfg_templates], mu_range, tol)
+    return search([(cfg_template, None)], mu_range, tol)[0]
 
 
 def max_p1_with_snr_floor(
@@ -363,13 +351,4 @@ def max_p1_with_snr_floor(
     infeasibility result instead of an exception.  A target <= 0 gives the
     unconstrained result with ``snr_target`` set.
     """
-    return max_p1_with_snr_floor_batch([(cfg_template, snr_target)], mu_range, tol)[0]
-
-
-def max_p1_with_snr_floor_batch(cases: Sequence[Tuple[SourceConfig, float]],
-                                mu_range: Tuple[float, float] = DEFAULT_MU_RANGE,
-                                tol: float = 1e-6) -> list:
-    """:func:`max_p1_with_snr_floor` for each (template, target) case, with
-    the searches run together; each result equals that of its own
-    max_p1_with_snr_floor call."""
-    return _search(list(cases), mu_range, tol)
+    return search([(cfg_template, snr_target)], mu_range, tol)[0]

@@ -43,9 +43,8 @@ from .losses import _blocks, output_distribution
 from .optimize import (  # noqa: F401
     DEFAULT_MU_RANGE,
     max_p1_with_snr_floor,
-    max_p1_with_snr_floor_batch,
     optimize_mu,
-    optimize_mu_batch,
+    search,
 )
 from .stats import DEFAULT_N_MAX, check_rows, mandel_q_or_nan, p1_rows, snr_rows
 
@@ -340,7 +339,7 @@ def figure2() -> SweepTable:
     P0, P1, P>=2 and Q at that optimum.
     """
     templates = [SourceConfig(m=m, mu=DEFAULT_MU_RANGE[0]) for m in FIG2_M_VALUES]
-    columns = _optimum_columns(templates, optimize_mu_batch(templates))
+    columns = _optimum_columns(templates, search([(template, None) for template in templates]))
     return _table("fig2", columns, m_values=FIG2_M_VALUES)
 
 
@@ -372,8 +371,7 @@ def figure5() -> SweepTable:
     templates = [SourceConfig(m=m, mu=DEFAULT_MU_RANGE[0], e_h=E_H, e_s=E_S, e_sw_db=il)
                  for il in IL_DB_VALUES for m in M_VALUES]
     cases = [(template, target) for template in templates for target in DEFAULT_SNR_TARGETS]
-    columns = _optimum_columns([template for template, _ in cases],
-                               max_p1_with_snr_floor_batch(cases))
+    columns = _optimum_columns([template for template, _ in cases], search(cases))
     return _table("fig5", columns, snr_targets=DEFAULT_SNR_TARGETS, m_values=M_VALUES,
                   il_db_values=IL_DB_VALUES, e_h=E_H, e_s=E_S)
 

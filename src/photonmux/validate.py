@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .losses import (
     with_dark_counts,
 )
 from .montecarlo import McConfig, compare, simulate
-from .optimize import optimize_mu_batch
+from .optimize import search
 from .stats import ideal_distribution, poisson_vector
 
 __all__ = [
@@ -144,12 +144,11 @@ def check_reductions() -> Tuple[Check, ...]:
     )
 
 
-def check_dark_count_mixture(points: Sequence[Tuple[int, float, float]] = DARK_MIXTURE_POINTS
-                             ) -> Check:
+def check_dark_count_mixture() -> Check:
     """Factored dark-count mixture equals the literal sum over the window of
-    the first dark count, at each (m, mu, P_dark) of ``points``."""
+    the first dark count, at each (m, mu, P_dark) of ``DARK_MIXTURE_POINTS``."""
     worst = 0.0
-    for m, mu, p_dark in points:
+    for m, mu, p_dark in DARK_MIXTURE_POINTS:
         r_dark = -math.log1p(-p_dark) / 2e-9
         cfg = SourceConfig(m=m, mu=mu, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=r_dark)
         mixed = with_dark_counts(cfg)
@@ -178,18 +177,18 @@ def check_switch_loss_trend() -> Check:
                  "rises at " + "; ".join(failing) if failing else "6 curves x 21 points")
 
 
-def check_transmission_trend(fields: Sequence[str] = ("e_s", "e_h")) -> Check:
-    """Below the optimal pump (m=4, mu=0.05), P1 never falls as each of
-    ``fields`` rises over 0.2..1."""
+def check_transmission_trend() -> Check:
+    """Below the optimal pump (m=4, mu=0.05), P1 never falls as e_s or e_h
+    rises over 0.2..1."""
     cfg = SourceConfig(m=4, mu=0.05, e_h=0.85, e_s=0.9, e_sw_db=0.5)
     failing = []
-    for name in fields:
+    for name in ("e_s", "e_h"):
         p1 = [output_distribution(cfg.replace(**{name: float(v)})).p(1)
               for v in np.linspace(0.2, 1.0, 17)]
         if not all(b >= a - 1e-12 for a, b in zip(p1, p1[1:])):
             failing.append(name)
     return Check("P1 non-decreasing in transmissions", not failing,
-                 "falls in " + ", ".join(failing) if failing else ", ".join(fields) + " x 17 points")
+                 "falls in " + ", ".join(failing) if failing else "e_s, e_h x 17 points")
 
 
 def check_optimizer() -> Tuple[Check, Check]:
@@ -206,7 +205,7 @@ def check_optimizer() -> Tuple[Check, Check]:
         e_sw_db=float(rng.uniform(0.1, 1.5)),
     ) for _ in range(10)]
     lossless = [SourceConfig(m=m, mu=1e-3) for m in range(0, 9)]
-    results = optimize_mu_batch(lossy + lossless)
+    results = search([(cfg, None) for cfg in lossy + lossless])
     worst_mu = worst_p1 = 0.0
     for cfg, result in zip(lossy, results):
         p1, _ = p1_snr_curve(cfg, grid)

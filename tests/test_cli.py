@@ -122,6 +122,21 @@ class TestDist:
         assert main(["dist", "--mu", "0.1", "-o", str(out)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dist.csv"]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    def test_outputs_get_the_mode_of_a_new_file(self, tmp_path, umask):
+        # What the writing process's umask leaves of 0666, as `touch` gives.
+        script = ("import os, sys; os.umask(int(sys.argv[1])); from photonmux.cli import main; "
+                  "sys.exit(main(sys.argv[2:]))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+        names = ("out.csv", "fig2.csv", "fig2.gp")
+        out, table, plot = (str(tmp_path / name) for name in names)
+        for args in (["dist", "--m", "2", "--mu", "0.1", "-o", out],
+                     ["figure", "--id", "fig2", "-o", table, "--gnuplot", plot]):
+            subprocess.run([sys.executable, "-c", script, str(umask), *args], env=env, check=True)
+        for name in names:
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
 
 class TestFigure:
     def test_fig2_has_eleven_rows(self, tmp_path):

@@ -83,6 +83,27 @@ def test_replace_mu_drops_stale_rate():
     assert newer.herald_rate_r is None
 
 
+def test_replace_rate_derives_mu():
+    newer = SourceConfig(m=2, mu=0.1).replace(herald_rate_r=1e8)
+    assert newer.herald_rate_r == 1e8 and newer.mu == pytest.approx(0.2, rel=1e-15)
+    # Dropping the rate keeps the mu it implied.
+    assert newer.replace(herald_rate_r=None).mu == newer.mu
+    # A mu named with the rate is cross-checked against it.
+    assert SourceConfig(m=2, mu=0.1).replace(mu=0.2, herald_rate_r=1e8).mu == 0.2
+    with pytest.raises(ValueError, match="inconsistent"):
+        SourceConfig(m=2, mu=0.1).replace(mu=0.3, herald_rate_r=1e8)
+
+
+def test_replace_window_keeps_the_rate():
+    cfg = SourceConfig(m=2, herald_rate_r=5e7)
+    newer = cfg.replace(delta_t0_ns=4.0)
+    assert newer.herald_rate_r == 5e7 and newer.mu == pytest.approx(0.2, rel=1e-15)
+    # Named with the window, mu wins and the rate is dropped.
+    assert cfg.replace(delta_t0_ns=4.0, mu=0.3) == SourceConfig(m=2, delta_t0_ns=4.0, mu=0.3)
+    # Without a rate, a new window keeps mu.
+    assert SourceConfig(m=2, mu=0.1).replace(delta_t0_ns=4.0).mu == 0.1
+
+
 def test_lossless_constructor():
     cfg = SourceConfig(m=3, mu=0.05)
     assert cfg.e_h == 1.0 and cfg.e_s == 1.0

@@ -23,7 +23,7 @@ from photonmux import (
 )
 from photonmux import losses, sweeps
 from photonmux.losses import p1_snr_curve
-from photonmux.optimize import max_p1_with_snr_floor_batch, optimize_mu_batch
+from photonmux.optimize import search
 from photonmux.montecarlo._tables import _binomial_matrix as binomial_matrix
 from photonmux.stats import (
     N_MAX_LIMIT,
@@ -32,7 +32,6 @@ from photonmux.stats import (
     poisson_vector,
 )
 from photonmux.validate import (
-    DARK_MIXTURE_POINTS,
     check_dark_count_mixture,
     check_switch_loss_trend,
     check_transmission_trend,
@@ -132,9 +131,9 @@ class TestDarkCounts:
         got = with_dark_counts(cfg)
         assert np.abs(got.probs - poisson_vector(0.1, got.n_max)).max() < 1e-12
 
-    @pytest.mark.parametrize("m,mu,p_dark", DARK_MIXTURE_POINTS)
-    def test_matches_literal_mixture(self, m, mu, p_dark):
-        check = check_dark_count_mixture([(m, mu, p_dark)])
+    def test_matches_literal_mixture(self):
+        # At each point of DARK_MIXTURE_POINTS.
+        check = check_dark_count_mixture()
         assert check.passed, check.detail
 
     def test_dark_counts_shift_weight_to_vacuum(self):
@@ -233,9 +232,9 @@ class TestOutputDistribution:
         check = check_switch_loss_trend()
         assert check.passed, check.detail
 
-    @pytest.mark.parametrize("field", ["e_s", "e_h"])
-    def test_p1_non_decreasing_in_transmissions_below_optimum(self, field):
-        check = check_transmission_trend([field])
+    def test_p1_non_decreasing_in_transmissions_below_optimum(self):
+        # In e_s and in e_h.
+        check = check_transmission_trend()
         assert check.passed, check.detail
 
     def test_closed_form_matches_truncated_sum_chain(self):
@@ -461,9 +460,9 @@ class TestTruncationGuard:
     def test_figure_searches_raise_on_truncation(self):
         # The searches of figure2 and figure5, over a range they outgrow.
         with pytest.raises(TruncationError):
-            optimize_mu_batch([SourceConfig(m=m, mu=1e-4) for m in (0, 1)],
-                              mu_range=(1e-4, 40.0))
+            search([(SourceConfig(m=m, mu=1e-4), None) for m in (0, 1)],
+                   mu_range=(1e-4, 40.0))
         with pytest.raises(TruncationError):
-            max_p1_with_snr_floor_batch(
+            search(
                 [(SourceConfig(m=m, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=0.5), 5.0)
                  for m in (1, 2)], mu_range=(1e-4, 40.0))

@@ -26,7 +26,9 @@ from photonmux import (
 from photonmux.montecarlo import MAX_M, MAX_TRIALS, _ckernel, _numpy_backend, available_backends
 from photonmux.montecarlo._philox import philox_doubles
 from photonmux.montecarlo._tables import build_tables, philox_at_trial, slots_per_trial
-from photonmux.validate import check_agreement
+from photonmux.losses import _output_rows
+from photonmux.stats import DEFAULT_N_MAX
+from photonmux.validate import AGREEMENT_CONFIGS, check_agreement
 
 BACKENDS = available_backends()
 LOSSY = SourceConfig(m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
@@ -754,6 +756,36 @@ class TestCompare:
         assert any("tv gate cannot fail" in line for line in report.lines())
         check = check_agreement(McConfig(trials=100, seed=42))
         assert "TV gate cannot fail at 100 trials" in check.detail
+
+    def test_gate_detects_passage_and_dark_count_errors(self):
+        # The unchanged gate on criterion 7's configs at 1e5 trials: the true
+        # chain passes, a chain with one switch passage more or fewer fails
+        # every config, and one without dark counts fails the dark config.
+        def model(cfg, transmission, p_dark):
+            # No config in meta, so compare takes a model of another device.
+            probs, tail = _output_rows(np.array([cfg.mu]), transmission, cfg.e_h,
+                                       cfg.n_windows, p_dark, DEFAULT_N_MAX)
+            return PhotonDistribution(probs[0], DEFAULT_N_MAX, float(tail[0]))
+
+        def reports(build):
+            return [compare(build(cfg), hist) for cfg, hist in zip(AGREEMENT_CONFIGS, hists)]
+
+        hists = [simulate(cfg, McConfig(trials=100_000, seed=42)) for cfg in AGREEMENT_CONFIGS]
+        true = reports(lambda cfg: model(cfg, cfg.e_s_total, cfg.p_dark))
+        assert all(report.passed for report in true)
+        assert round(max(report.max_abs_z for report in true), 2) == 2.17
+        def passage(cfg):
+            return 10 ** (-cfg.e_sw_db / 10)
+
+        more = reports(lambda cfg: model(cfg, cfg.e_s_total * passage(cfg), cfg.p_dark))
+        fewer = reports(lambda cfg: model(cfg, cfg.e_s_total / passage(cfg), cfg.p_dark))
+        for wrong, smallest_z in ((more, 7.1), (fewer, 7.3)):
+            assert not any(report.passed for report in wrong)
+            assert round(min(report.max_abs_z for report in wrong), 1) == smallest_z
+        dark = AGREEMENT_CONFIGS[-1]
+        assert dark.r_dark > 0 and all(cfg.r_dark == 0 for cfg in AGREEMENT_CONFIGS[:-1])
+        dark_free = compare(model(dark, dark.e_s_total, 0.0), hists[-1])
+        assert not dark_free.passed and round(dark_free.max_abs_z, 1) == 14.7
 
 
 class TestTables:

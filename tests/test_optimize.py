@@ -444,7 +444,7 @@ def test_fig2_and_fig5_results_equal_one_step_searches():
     # one-point-at-a-time searches give them run one at a time; here all 83
     # searches of both figures run together.
     fig2, fig5 = _fig2_and_fig5_cases()
-    together = optimize._search([(cfg, None) for cfg in fig2] + fig5, *_RANGE_ARGS)
+    together = optimize.search([(cfg, None) for cfg in fig2] + fig5, *_RANGE_ARGS)
     alone = ([_ref_optimize_mu(cfg) for cfg in fig2]
              + [_ref_max_p1_with_snr_floor(cfg, target) for cfg, target in fig5])
     _same_results(together, alone)
@@ -466,7 +466,7 @@ def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
     cfgs = list(_random_configs(8, 3))
     cases = [(cfg, None) for cfg in cfgs] + [(cfg, target) for cfg in cfgs
                                              for target in (0.0, 3.0, 8.0, 30.0)]
-    together = optimize._search(cases, *_RANGE_ARGS)
+    together = optimize.search(cases, *_RANGE_ARGS)
     alone = [_ref_optimize_mu(cfg) if target is None else _ref_max_p1_with_snr_floor(cfg, target)
              for cfg, target in cases]
     _same_results(together, alone)
@@ -498,14 +498,14 @@ def test_shared_rows_are_evaluated_once(monkeypatch):
     fig2, fig5 = _fig2_and_fig5_cases()
     cases = [(cfg, None) for cfg in fig2 + fig2] + fig5
     calls = _counted_rows(monkeypatch, "_p1_snr_rows")
-    together = optimize._search(cases, *_RANGE_ARGS)
+    together = optimize.search(cases, *_RANGE_ARGS)
     assert calls[0][1] == 2208
-    _same_results(together, [optimize._search([case], *_RANGE_ARGS)[0] for case in cases])
+    _same_results(together, [optimize.search([case], *_RANGE_ARGS)[0] for case in cases])
     # Duplicated constrained cases, whose sub-intervals are evaluated once
     # per case, with unconstrained ones of the same templates between them.
     mixed = fig5[:8] + [(cfg, None) for cfg, _ in fig5[:8]] + fig5[:8] + fig5[2:5]
-    together = optimize._search(mixed, *_RANGE_ARGS)
-    _same_results(together, [optimize._search([case], *_RANGE_ARGS)[0] for case in mixed])
+    together = optimize.search(mixed, *_RANGE_ARGS)
+    _same_results(together, [optimize.search([case], *_RANGE_ARGS)[0] for case in mixed])
 
 
 def test_rows_are_shared_only_by_equal_parameters(monkeypatch):
@@ -533,7 +533,7 @@ def test_shared_rows_name_the_unshared_worst_mu():
     with pytest.raises(TruncationError) as unshared:
         losses._p1_snr_rows(np.tile(grid, len(fig5)), *np.repeat(params, grid.size, axis=1))
     with pytest.raises(TruncationError) as shared:
-        optimize.max_p1_with_snr_floor_batch(fig5, mu_range)
+        optimize.search(fig5, mu_range)
     assert str(shared.value) == str(unshared.value)
 
 

@@ -14,7 +14,7 @@ from photonmux import (
     output_distribution,
     sweeps,
 )
-from photonmux.optimize import max_p1_with_snr_floor_batch, optimize_mu
+from photonmux.optimize import optimize_mu, search
 from photonmux.stats import PhotonDistribution, TruncationError, mandel_q, poisson_vector, snr
 from photonmux.sweeps import (
     SweepRecord,
@@ -50,7 +50,7 @@ def fig5():
 
 def _floor_table(cases):
     """The figure5 table of SNR-floor cases other than the figure's own."""
-    results = max_p1_with_snr_floor_batch(cases)
+    results = search(cases)
     return SweepTable("fig5", sweeps._optimum_columns([cfg for cfg, _ in cases], results))
 
 
