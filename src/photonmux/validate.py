@@ -31,7 +31,8 @@ from .optimize import search
 from .stats import ideal_distribution, poisson_vector
 
 __all__ = [
-    "AGREEMENT_CONFIGS", "DARK_MIXTURE_POINTS", "Check", "ValidationReport",
+    "AGREEMENT_CONFIGS", "DARK_MIXTURE_POINTS", "TRANSMISSION_FIELDS", "Check",
+    "ValidationReport",
     "check_agreement", "check_clock", "check_dark_count_mixture", "check_optimizer",
     "check_reductions", "check_switch_loss_trend", "check_transmission_trend",
     "run_validation",
@@ -50,6 +51,9 @@ AGREEMENT_CONFIGS: Tuple[SourceConfig, ...] = tuple(
 DARK_MIXTURE_POINTS: Tuple[Tuple[int, float, float], ...] = (
     (2, 0.1, 0.01), (4, 0.3, 0.05), (6, 0.05, 0.002),
 )
+
+# Transmissions the below-optimum trend check raises over 0.2..1.
+TRANSMISSION_FIELDS: Tuple[str, ...] = ("e_s", "e_h")
 
 
 @dataclass(frozen=True)
@@ -178,17 +182,18 @@ def check_switch_loss_trend() -> Check:
 
 
 def check_transmission_trend() -> Check:
-    """Below the optimal pump (m=4, mu=0.05), P1 never falls as e_s or e_h
-    rises over 0.2..1."""
+    """Below the optimal pump (m=4, mu=0.05), P1 never falls as each of
+    ``TRANSMISSION_FIELDS`` rises over 0.2..1."""
     cfg = SourceConfig(m=4, mu=0.05, e_h=0.85, e_s=0.9, e_sw_db=0.5)
     failing = []
-    for name in ("e_s", "e_h"):
+    for name in TRANSMISSION_FIELDS:
         p1 = [output_distribution(cfg.replace(**{name: float(v)})).p(1)
               for v in np.linspace(0.2, 1.0, 17)]
         if not all(b >= a - 1e-12 for a, b in zip(p1, p1[1:])):
             failing.append(name)
     return Check("P1 non-decreasing in transmissions", not failing,
-                 "falls in " + ", ".join(failing) if failing else "e_s, e_h x 17 points")
+                 "falls in " + ", ".join(failing) if failing
+                 else ", ".join(TRANSMISSION_FIELDS) + " x 17 points")
 
 
 def check_optimizer() -> Tuple[Check, Check]:

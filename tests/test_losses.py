@@ -21,7 +21,7 @@ from photonmux import (
     snr,
     with_dark_counts,
 )
-from photonmux import losses, sweeps
+from photonmux import losses, sweeps, validate
 from photonmux.losses import p1_snr_curve
 from photonmux.optimize import search
 from photonmux.montecarlo._tables import _binomial_matrix as binomial_matrix
@@ -32,6 +32,8 @@ from photonmux.stats import (
     poisson_vector,
 )
 from photonmux.validate import (
+    DARK_MIXTURE_POINTS,
+    TRANSMISSION_FIELDS,
     check_dark_count_mixture,
     check_switch_loss_trend,
     check_transmission_trend,
@@ -131,8 +133,10 @@ class TestDarkCounts:
         got = with_dark_counts(cfg)
         assert np.abs(got.probs - poisson_vector(0.1, got.n_max)).max() < 1e-12
 
-    def test_matches_literal_mixture(self):
-        # At each point of DARK_MIXTURE_POINTS.
+    @pytest.mark.parametrize("m,mu,p_dark", DARK_MIXTURE_POINTS)
+    def test_matches_literal_mixture(self, monkeypatch, m, mu, p_dark):
+        # One case per point: the check reads the points at call time.
+        monkeypatch.setattr(validate, "DARK_MIXTURE_POINTS", ((m, mu, p_dark),))
         check = check_dark_count_mixture()
         assert check.passed, check.detail
 
@@ -232,8 +236,10 @@ class TestOutputDistribution:
         check = check_switch_loss_trend()
         assert check.passed, check.detail
 
-    def test_p1_non_decreasing_in_transmissions_below_optimum(self):
-        # In e_s and in e_h.
+    @pytest.mark.parametrize("field", TRANSMISSION_FIELDS)
+    def test_p1_non_decreasing_in_transmissions_below_optimum(self, monkeypatch, field):
+        # One case per field: the check reads the fields at call time.
+        monkeypatch.setattr(validate, "TRANSMISSION_FIELDS", (field,))
         check = check_transmission_trend()
         assert check.passed, check.detail
 
