@@ -39,27 +39,13 @@ OUTDIR_ENV = "PHOTONMUX_OUTDIR"
 _BACKEND_CHOICES = ("c", "numpy")
 _FIGURE_CHOICES = ("fig2", "fig3", "fig4", "fig5")
 
-_KEY_TYPES = {
-    "m": int,
-    "delta_t0_ns": float,
-    "mu": float,
-    "herald_rate_r": float,
-    "e_h": float,
-    "e_s": float,
-    "e_sw_db": float,
-    "r_dark": float,
-}
+# int for the fields annotated "int" (config's annotations are strings), float
+# for the rest.
+_KEY_TYPES = {f.name: int if f.type == "int" else float for f in dataclasses.fields(SourceConfig)}
 
 
 class ConfigError(ValueError):
     """Configuration file or override rejected; message carries key and line."""
-
-
-def _convert(key: str, text: str, where: str):
-    try:
-        return _KEY_TYPES[key](text)
-    except ValueError:
-        raise ConfigError(f"{where}: value for {key!r} is not a number: {text!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Dict[str, float]:
@@ -78,7 +64,11 @@ def parse_config_text(text: str, source: str = "<config>") -> Dict[str, float]:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = _convert(key, value, f"{source}:{lineno}")
+        try:
+            values[key] = _KEY_TYPES[key](value)
+        except ValueError:
+            raise ConfigError(
+                f"{source}:{lineno}: value for {key!r} is not a number: {value!r}") from None
     return values
 
 
@@ -250,6 +240,8 @@ def run(ns: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if ns.subcommand == "figure":
+        if ns.gnuplot and ns.output is None:
+            raise ConfigError("--gnuplot needs -o/--output: the script plots the table file")
         from .sweeps import FIGURES, gnuplot_commands
 
         build, x = FIGURES[ns.id]
@@ -257,7 +249,7 @@ def run(ns: argparse.Namespace) -> int:
         path = _resolve_output(ns.output)
         _emit(table.to_csv() if ns.format == "tabular" else table.to_json(), path)
         if ns.gnuplot:
-            script = gnuplot_commands(table, path or "table.csv", x=x)
+            script = gnuplot_commands(table, path, x=x)
             _write_atomic(_resolve_output(ns.gnuplot), script)
         return 0
 

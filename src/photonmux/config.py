@@ -31,7 +31,7 @@ def _check_int(value, name: str, low: int, high: int) -> int:
     fraction, nan, an infinity and a non-number raise ``ValueError``
     naming ``name`` and the value.
     """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if type(value) is int or isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = int(value)
         except (ValueError, OverflowError):  # nan, inf
@@ -39,6 +39,26 @@ def _check_int(value, name: str, low: int, high: int) -> int:
         if number == value and low <= number <= high:
             return number
     raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def _check_real(value, name: str, high: float = math.inf, positive: bool = False):
+    """``value`` unchanged if it is a finite real in [0, high], or > 0 where
+    ``positive``: the one check of every real source parameter.
+
+    A bool, nan, an infinity, a non-number (a string, None, a Decimal) and a
+    value out of range raise ``ValueError`` naming ``name`` and the value.
+    """
+    # type() first: the abstract-class check costs more than the rest.
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        if (value > 0 if positive else value >= 0) and value <= high and math.isfinite(value):
+            return value
+    else:
+        value = repr(value)
+    if positive:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if high < math.inf:
+        raise ValueError(f"{name} must lie in [0, {high:g}], got {value}")
+    raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def signal_transmission(e_s: float, e_sw_db: float, m: int) -> float:
@@ -90,33 +110,24 @@ class SourceConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_int(self.m, "m", 0, _MAX_M))
-        if not (self.delta_t0_ns > 0 and math.isfinite(self.delta_t0_ns)):
-            raise ValueError(f"delta_t0_ns must be finite and > 0, got {self.delta_t0_ns}")
-        if self.mu is None and self.herald_rate_r is None:
-            raise ValueError("either mu or herald_rate_r must be given")
+        _check_real(self.delta_t0_ns, "delta_t0_ns", positive=True)
         if self.herald_rate_r is not None:
-            if not (self.herald_rate_r >= 0 and math.isfinite(self.herald_rate_r)):
-                raise ValueError(f"herald_rate_r must be finite and >= 0, got {self.herald_rate_r}")
-            implied = self.herald_rate_r * self.delta_t0_s
+            implied = _check_real(self.herald_rate_r, "herald_rate_r") * self.delta_t0_s
             if self.mu is None:
                 object.__setattr__(self, "mu", implied)
-            else:
-                scale = max(abs(self.mu), abs(implied), 1e-300)
-                if abs(self.mu - implied) > _MU_RATE_RTOL * scale:
-                    raise ValueError(
-                        f"inconsistent pump specification: mu={self.mu} but "
-                        f"herald_rate_r*delta_t0 implies mu={implied}"
-                    )
-        if not (self.mu >= 0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        for name in ("e_h", "e_s"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if not (self.e_sw_db >= 0 and math.isfinite(self.e_sw_db)):
-            raise ValueError(f"e_sw_db must be finite and >= 0, got {self.e_sw_db}")
-        if not (self.r_dark >= 0 and math.isfinite(self.r_dark)):
-            raise ValueError(f"r_dark must be finite and >= 0, got {self.r_dark}")
+            elif abs(_check_real(self.mu, "mu") - implied) > _MU_RATE_RTOL * max(
+                    abs(self.mu), abs(implied), 1e-300):
+                raise ValueError(
+                    f"inconsistent pump specification: mu={self.mu} but "
+                    f"herald_rate_r*delta_t0 implies mu={implied}"
+                )
+        elif self.mu is None:
+            raise ValueError("either mu or herald_rate_r must be given")
+        _check_real(self.mu, "mu")
+        _check_real(self.e_h, "e_h", 1.0)
+        _check_real(self.e_s, "e_s", 1.0)
+        _check_real(self.e_sw_db, "e_sw_db")
+        _check_real(self.r_dark, "r_dark")
 
     # -- derived quantities ------------------------------------------------
 

@@ -282,7 +282,7 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
            ((lo, min(lo + chunk, mc.trials)) for lo in starts))
     counts = np.sum(totals, axis=0)
 
-    top = int(np.nonzero(counts)[0].max()) if counts.any() else 0
+    top = int(np.nonzero(counts)[0].max())
     trimmed = counts[: max(top + 1, DEFAULT_N_MAX + 1)]
     return McHistogram(trimmed, mc.trials, cfg, mc, chosen)
 

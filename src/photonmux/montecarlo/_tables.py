@@ -119,8 +119,8 @@ def build_tables(cfg: SourceConfig) -> SamplingTables:
     herald_prob = 1.0 - (1.0 - cfg.e_h) ** n
 
     return SamplingTables(
-        pair_cdf=np.ascontiguousarray(pair_cdf),
-        herald_prob=np.ascontiguousarray(herald_prob),
+        pair_cdf=pair_cdf,
+        herald_prob=herald_prob,
         survival_cdf=_survival_cdf(cfg.e_s_total),
         p_dark=cfg.p_dark,
         n_windows=cfg.n_windows,

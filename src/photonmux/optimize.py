@@ -19,12 +19,11 @@ The last round evaluates each golden section's final midpoint together with
 every other candidate optimum in one call of the core that keeps whole
 output rows, and each result's distribution is its optimum's row.
 ``figure2()`` takes 29 rounds for its 11 searches and ``figure5()`` 59 for
-its 72, about 4 and 17 ms on a 2-vCPU x86-64 host.  Every result,
-``iterations`` included, equals that of the search run alone with one
-loss-chain evaluation per step: numpy's elementwise float64 arithmetic
-rounds as Python's does, one operation at a time, and a point's values do
-not depend on the rows it is evaluated with.  Every search evaluates the
-chain at the truncation bound ``DEFAULT_N_MAX``.
+its 72.  Every result, ``iterations`` included, equals that of the search
+run alone with one loss-chain evaluation per step: numpy's elementwise
+float64 arithmetic rounds as Python's does, one operation at a time, and a
+point's values do not depend on the rows it is evaluated with.  Every search
+evaluates the chain at the truncation bound ``DEFAULT_N_MAX``.
 """
 
 from __future__ import annotations

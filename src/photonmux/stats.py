@@ -16,7 +16,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .config import SourceConfig, _check_int
+from .config import SourceConfig, _check_int, _check_real
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -59,9 +59,7 @@ def _check_n_max(n_max: int, low: int = 0) -> int:
 
 def poisson_vector(mu: float, n_max: int) -> np.ndarray:
     """Poisson pmf for n = 0..n_max as a vector, log-space evaluation."""
-    if not (mu >= 0 and math.isfinite(mu)):
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    return poisson_rows(np.array([float(mu)]), _check_n_max(n_max))[0]
+    return poisson_rows(np.array([float(_check_real(mu, "mu"))]), _check_n_max(n_max))[0]
 
 
 def poisson_rows(mu: np.ndarray, n_max: int) -> np.ndarray:
@@ -231,22 +229,18 @@ def mandel_q(dist: PhotonDistribution) -> float:
     Zero for Poissonian light, -1 for a photon-number state; negative values
     indicate sub-poissonian statistics.
     """
-    mean, variance = moments(dist.probs)
-    if mean <= 0.0:
+    q = mandel_q_or_nan(dist.probs)
+    if math.isnan(q):
         raise ValueError("Mandel Q is undefined for the vacuum state (<n> = 0)")
-    return _mandel_q(mean, variance)
+    return q
 
 
 def mandel_q_or_nan(probs: np.ndarray) -> float:
     """Mandel Q of the pmf ``probs`` as tables and optimizer results report
-    it: what :func:`mandel_q` gives, or NaN for the vacuum state, where
-    mandel_q raises."""
+    it, NaN for the vacuum state.  :func:`mandel_q` computes through it and
+    raises where it gives NaN."""
     mean, variance = moments(probs)
-    return _mandel_q(mean, variance) if mean > 0 else math.nan
-
-
-def _mandel_q(mean: float, variance: float) -> float:
-    return (variance - mean) / mean
+    return (variance - mean) / mean if mean > 0 else math.nan
 
 
 def snr(dist: PhotonDistribution) -> float:

@@ -17,8 +17,7 @@ optimizer's distributions at the optima.  Tables serialize to CSV (one
 header row, '.' decimal separator) and to a self-describing JSON document
 carrying metadata, formatted column by column; both are byte-stable for
 fixed inputs and tool version, and equal to what formatting one record at a
-time gives.  ``figure3()`` plus ``to_csv()`` takes about a third of the time
-it took with a configuration and a record per point (README, "Loss chain").
+time gives.
 """
 
 from __future__ import annotations

@@ -151,6 +151,16 @@ class TestFigure:
         plot = script.read_text().splitlines()[-1]
         assert plot.startswith("plot '" + str(out).replace("'", "''") + "' using 1:")
 
+    def test_gnuplot_without_output_is_rejected(self, tmp_path, capsys):
+        # The script would plot a table file that no run writes.
+        script = tmp_path / "fig2.gp"
+        assert main(["figure", "--id", "fig2", "--gnuplot", str(script)]) == 1
+        out, err = capsys.readouterr()
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert "--gnuplot" in record["message"] and "-o" in record["message"]
+        assert out == "" and not script.exists()
+
 
 class TestMonteCarlo:
     def test_histogram_and_compare(self, tmp_path):

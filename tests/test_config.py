@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 
 import pytest
 
@@ -54,6 +55,12 @@ def test_missing_pump_spec_rejected():
         ("e_s", 2.0),
         ("e_sw_db", -0.5),
         ("r_dark", -1.0),
+        # A bool, a string, None and a Decimal are not real numbers.  A None
+        # herald_rate_r is the default, so that case is left out.
+        *((field, value)
+          for field in ("delta_t0_ns", "mu", "herald_rate_r", "e_h", "e_s", "e_sw_db", "r_dark")
+          for value in (True, "0.1", None, Decimal("0.1"))
+          if (field, value) != ("herald_rate_r", None)),
     ],
 )
 def test_field_validation(field, value):
@@ -61,6 +68,21 @@ def test_field_validation(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=field):
         SourceConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("mu", -0.1, "mu must be finite and >= 0, got -0.1"),
+    ("delta_t0_ns", 0.0, "delta_t0_ns must be finite and > 0, got 0.0"),
+    ("e_h", 1.2, "e_h must lie in [0, 1], got 1.2"),
+])
+def test_out_of_range_messages(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SourceConfig(**{"mu": 0.1, field: value})
+
+
+def test_real_fields_are_kept_as_given():
+    cfg = SourceConfig(m=2, delta_t0_ns=4, herald_rate_r=25_000_000)
+    assert type(cfg.delta_t0_ns) is int and type(cfg.herald_rate_r) is int
 
 
 # The loss chain takes the 2**m windows as a float, and 2**1024 overflows one.

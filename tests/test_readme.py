@@ -1,10 +1,11 @@
-"""The photonmux names README.md refers to must exist.
+"""The photonmux names and commands README.md refers to must exist.
 
 README is the reference for the package, so every backticked ``module.name``
 or ``Class.attr`` whose first part names a photonmux module or class, such as
 ``losses._blocks``, ``SourceConfig.e_s_total`` or ``optimize.COARSE_POINTS``,
 has to resolve.  File paths and other libraries' names, such as ``np.*``,
-are not checked.
+are not checked.  Every ``photonmux ...`` command in the CLI section's code
+blocks has to parse.
 """
 
 import dataclasses
@@ -12,9 +13,13 @@ import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import photonmux
+from photonmux.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,3 +62,16 @@ def test_every_photonmux_name_in_the_readme_resolves():
     missing = sorted(name for name in names
                      if not _exists(roots[name.split(".")[0]], name.split(".")[1:]))
     assert not missing, f"README names that photonmux does not have: {missing}"
+
+
+def _cli_commands(text):
+    """The ``photonmux`` command lines in the code blocks of the CLI section."""
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [line for block in re.findall(r"```.*?\n(.*?)```", section, flags=re.S)
+            for line in block.splitlines() if line.startswith("photonmux ")]
+
+
+@pytest.mark.parametrize("command", _cli_commands(README.read_text()))
+def test_every_cli_command_in_the_readme_parses(command):
+    ns = build_parser().parse_args(shlex.split(command)[1:])
+    assert ns.subcommand == shlex.split(command)[1]

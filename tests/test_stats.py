@@ -44,6 +44,8 @@ class TestPoissonPmf:
             poisson_vector(0.5, -1)
         with pytest.raises(ValueError):
             poisson_vector(math.inf, 1)
+        with pytest.raises(ValueError, match=r"^mu must be finite and >= 0, got True$"):
+            poisson_vector(True, 3)
 
     def test_vector_matches_scalar(self):
         # Each entry against the closed form e^-mu mu^k / k!, one k at a time.
