@@ -242,6 +242,9 @@ def run(ns: argparse.Namespace) -> int:
     if ns.subcommand == "figure":
         if ns.gnuplot and ns.output is None:
             raise ConfigError("--gnuplot needs -o/--output: the script plots the table file")
+        if ns.gnuplot and ns.format == "structured":
+            raise ConfigError("--gnuplot cannot go with --format structured: "
+                              "the script plots a CSV table")
         from .sweeps import FIGURES, gnuplot_commands
 
         build, x = FIGURES[ns.id]

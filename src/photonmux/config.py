@@ -42,8 +42,10 @@ def _check_int(value, name: str, low: int, high: int) -> int:
 
 
 def _check_real(value, name: str, high: float = math.inf, positive: bool = False):
-    """``value`` unchanged if it is a finite real in [0, high], or > 0 where
-    ``positive``: the one check of every real source parameter.
+    """``value`` if it is a finite real in [0, high], or > 0 where
+    ``positive``: the one check of every real source parameter.  An int or a
+    float is returned unchanged, any other real (np.float32, np.float64, a
+    Fraction) as a float, so the loss chain computes in float64.
 
     A bool, nan, an infinity, a non-number (a string, None, a Decimal) and a
     value out of range raise ``ValueError`` naming ``name`` and the value.
@@ -51,7 +53,7 @@ def _check_real(value, name: str, high: float = math.inf, positive: bool = False
     # type() first: the abstract-class check costs more than the rest.
     if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
         if (value > 0 if positive else value >= 0) and value <= high and math.isfinite(value):
-            return value
+            return value if type(value) is float or type(value) is int else float(value)
     else:
         value = repr(value)
     if positive:
@@ -109,12 +111,16 @@ class SourceConfig:
     r_dark: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _check_int(self.m, "m", 0, _MAX_M))
-        _check_real(self.delta_t0_ns, "delta_t0_ns", positive=True)
+        # Each field keeps the value its check returns, stored in the instance
+        # dict: object.__setattr__ costs several times more per field.
+        checked = self.__dict__
+        checked["m"] = _check_int(self.m, "m", 0, _MAX_M)
+        checked["delta_t0_ns"] = _check_real(self.delta_t0_ns, "delta_t0_ns", positive=True)
         if self.herald_rate_r is not None:
-            implied = _check_real(self.herald_rate_r, "herald_rate_r") * self.delta_t0_s
+            checked["herald_rate_r"] = _check_real(self.herald_rate_r, "herald_rate_r")
+            implied = self.herald_rate_r * self.delta_t0_s
             if self.mu is None:
-                object.__setattr__(self, "mu", implied)
+                checked["mu"] = implied
             elif abs(_check_real(self.mu, "mu") - implied) > _MU_RATE_RTOL * max(
                     abs(self.mu), abs(implied), 1e-300):
                 raise ValueError(
@@ -123,11 +129,11 @@ class SourceConfig:
                 )
         elif self.mu is None:
             raise ValueError("either mu or herald_rate_r must be given")
-        _check_real(self.mu, "mu")
-        _check_real(self.e_h, "e_h", 1.0)
-        _check_real(self.e_s, "e_s", 1.0)
-        _check_real(self.e_sw_db, "e_sw_db")
-        _check_real(self.r_dark, "r_dark")
+        checked["mu"] = _check_real(self.mu, "mu")
+        checked["e_h"] = _check_real(self.e_h, "e_h", 1.0)
+        checked["e_s"] = _check_real(self.e_s, "e_s", 1.0)
+        checked["e_sw_db"] = _check_real(self.e_sw_db, "e_sw_db")
+        checked["r_dark"] = _check_real(self.r_dark, "r_dark")
 
     # -- derived quantities ------------------------------------------------
 

@@ -8,13 +8,15 @@ handled through the feasible set on the same grid, with bisection at every
 feasibility crossing.
 
 The one batch entry point :func:`search`, which ``figure2``, ``figure5``
-and ``validate`` use, runs all its searches together in phases: the coarse
-grid, one for the whole call, then every SNR-boundary bisection, then the
-grids of the feasible sub-intervals, then every golden section, then the
-optima.  A phase holds the brackets of all its jobs in numpy arrays, with the
-index of the search each job serves, and each round takes one step of every
-live job: a few elementwise operations and one blocked call of the
-loss-chain core.
+and ``validate`` use, runs all its searches together in phases over one
+table of feasible runs, each a run of a case's coarse-grid points that meet
+its SNR floor: the coarse grid, one for the whole call, then the bisections
+at every run end inside the grid, then the runs' own grids, then every golden
+section, then the optima.  A case without a floor has the floor -inf, so its
+one run is the whole coarse grid, whose rows it reuses.  A phase holds the
+brackets of all its jobs in numpy arrays, with the index of the search each
+job serves, and each round takes one step of every live job: a few
+elementwise operations and one blocked call of the loss-chain core.
 The last round evaluates each golden section's final midpoint together with
 every other candidate optimum in one call of the core that keeps whole
 output rows, and each result's distribution is its optimum's row.
@@ -176,14 +178,15 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
     its case searched alone.
 
     The phases run in order, each in rounds of one step for every live job
-    (see the module docstring).  Each case maximizes P_1 over its feasible
-    intervals: a case without a floor (a target of None or <= 0) has one,
-    the whole range, over the coarse grid; a case with one has an interval
-    per run of its feasible coarse-grid points, over a grid of its own.
-    Each interior local maximum of an interval's grid gives it one golden
-    section.  The final round evaluates, for every interval, its best grid
-    point and its golden sections' midpoints, or the lone point of an
-    interval that bisection closed to a point.
+    (see the module docstring), over one table of feasible runs: a run per
+    run of a case's coarse-grid points whose SNR meets its floor, its ends
+    bisected.  A case without a floor (a target of None or <= 0) has the
+    floor -inf, so its one run is the whole grid, whose coarse rows it
+    reuses; every other run gets a grid of its own.  Each interior local
+    maximum of a run's grid gives it one golden section.  The final round
+    evaluates, for every run, its best grid point, or its lone point where
+    bisection closed it to one, and the golden sections' midpoints.  A
+    case's result is its first run of the highest P_1.
     """
     if any(target is not None and math.isnan(target) for _, target in cases):
         raise ValueError("snr_target must not be NaN")
@@ -198,113 +201,94 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
     params = _parameters([cfg for cfg, _ in cases])
     coarse_p1, coarse_ratio = _coarse_round(params, grid)
 
-    # The feasible intervals (a, b, peak index or None) of each case.  The
-    # peaks come first on the coarse grid, one per case without a floor.
-    targets = [target for _, target in cases]
-    free = [case for case, target in enumerate(targets) if target is None or target <= 0]
-    floored = [case for case, target in enumerate(targets) if target is not None and target > 0]
-    intervals = [[] for _ in cases]
-    for peak, case in enumerate(free):
-        intervals[case].append((lo, hi, peak))
-    # Each run of feasible grid points of a case with a floor gives one
-    # bisection job per end, with the grid neighbour beyond that end as its
-    # infeasible side, or the end itself at the edge of the grid.
-    floor = np.array([targets[case] for case in floored])
-    feasible = coarse_ratio[floored] >= floor[:, None]
-    run, edge = np.nonzero(np.diff(feasible, axis=1, prepend=False, append=False))
-    run, start, stop = np.repeat(run[::2], 2), edge[::2], edge[1::2]
+    # Each run of feasible grid points gives one bisection job per end, with
+    # the grid neighbour beyond that end as its infeasible side, or the end
+    # itself at the edge of the grid, a bracket closed already.  The runs are
+    # in order of their case, then of the grid.
+    floor = np.array([-math.inf if target is None or target <= 0 else target
+                      for _, target in cases])
+    feasible = coarse_ratio >= floor[:, None]
+    case, cut = np.nonzero(np.diff(feasible, axis=1, prepend=False, append=False))
+    case, start, stop = case[::2], cut[::2], cut[1::2]
     inside = np.stack((start, stop - 1), axis=1).ravel()
     beyond = np.stack((np.maximum(start - 1, 0), np.minimum(stop, COARSE_POINTS - 1)),
                       axis=1).ravel()
-    owner = np.array(floored, dtype=int)[run]
-    bounds = _bisect(params, owner, grid[inside], grid[beyond], floor[run])
-    # A feasible sub-interval [a, b] is a peak over its own grid, or, where
-    # bisection closed it to a point, that lone point.
-    sub_cases, sub_ends, lone = [], [], []
-    for case, a, b in zip(owner[::2].tolist(), bounds[::2].tolist(), bounds[1::2].tolist()):
-        if b <= a:
-            intervals[case].append((a, b, None))
-            lone.append((case, a))
-            continue
-        intervals[case].append((a, b, len(free) + len(sub_cases)))
-        sub_cases.append(case)
-        sub_ends.append((a, b))
-    # Bisection leaves each b - a at least half its tolerance: no log step is 0,
-    # so the stacked np.geomspace rounds every row as a call of its own would.
-    sub_grid = np.geomspace(*np.array(sub_ends).reshape(-1, 2).T, COARSE_POINTS, axis=1)
-    sub_p1 = (_p1_snr_rows(sub_grid.ravel(), *params[:, np.repeat(sub_cases, COARSE_POINTS)])[0]
-              .reshape(-1, COARSE_POINTS)
-              if sub_cases else np.empty((0, COARSE_POINTS)))
+    bounds = _bisect(params, np.repeat(case, 2), grid[inside], grid[beyond],
+                     np.repeat(floor[case], 2))
+    a, b = bounds[::2], bounds[1::2]
+    # A run is a peak over its grid, or, where bisection closed it to a
+    # point, that lone point.  Bisection leaves each other b - a at least
+    # half its tolerance: no log step is 0, so the stacked np.geomspace
+    # rounds every row as a call of its own would.
+    runs, peak = case.size, np.flatnonzero(b > a)
+    own = peak[floor[case[peak]] > -math.inf]
+    peak_grid, peak_p1 = np.tile(grid, (runs, 1)), coarse_p1[case]
+    if own.size:
+        peak_grid[own] = np.geomspace(a[own], b[own], COARSE_POINTS, axis=1)
+        own_p1 = _p1_snr_rows(peak_grid[own].ravel(),
+                              *params[:, np.repeat(case[own], COARSE_POINTS)])[0]
+        peak_p1[own] = own_p1.reshape(own.size, COARSE_POINTS)
+    peak_grid, peak_p1 = peak_grid[peak], peak_p1[peak]
 
     # One golden section per interior local maximum of a peak's grid.
-    peak_case = free + sub_cases
-    peak_grid = np.concatenate((np.tile(grid, (len(free), 1)), sub_grid))
-    peak_p1 = np.concatenate((coarse_p1[free], sub_p1))
     job_peak, i = _interior_maxima(peak_p1)
-    job_case = np.array(peak_case, dtype=int)[job_peak]
-    mids, steps = (_golden(params, job_case, peak_grid[job_peak, i - 1], peak_grid[job_peak, i + 1],
-                           tol) if job_peak.size else (np.empty(0), np.empty(0, dtype=int)))
+    job_run = peak[job_peak]
+    mids, steps = (_golden(params, case[job_run], peak_grid[job_peak, i - 1],
+                           peak_grid[job_peak, i + 1], tol)
+                   if job_run.size else (np.empty(0), np.empty(0, dtype=int)))
 
-    # The final round: row k is peak k's best grid point, then come the
-    # golden midpoints and the lone points.
-    peaks = len(peak_case)
-    top = peak_p1.argmax(axis=1)
-    mu = np.concatenate((peak_grid[np.arange(peaks), top], mids, [a for _, a in lone]))
-    owner = peak_case + job_case.tolist() + [case for case, _ in lone]
-    probs, tail = _output_rows(mu, *params[:, owner], DEFAULT_N_MAX)
+    # The final round: row k is run k's best grid point or lone point, then
+    # come the golden midpoints.
+    first = np.zeros(runs, dtype=int)
+    first[peak] = peak_p1.argmax(axis=1)
+    mu = np.concatenate((a, mids))
+    mu[peak] = peak_grid[np.arange(peak.size), first[peak]]
+    probs, tail = _output_rows(mu, *params[:, np.concatenate((case, case[job_run]))],
+                               DEFAULT_N_MAX)
     p1_at, snr_at = p1_rows(probs), snr_rows(probs, tail)[1]
 
-    # The optimum of a peak starts at its best grid point, so it is never
+    # The optimum of a run starts at its best grid point, so it is never
     # below it, and moves to a golden midpoint only where that is higher.
-    optimum = np.arange(peaks)
-    for job, peak in enumerate(job_peak.tolist()):
-        if p1_at[peaks + job] > p1_at[optimum[peak]]:
-            optimum[peak] = peaks + job
+    row = np.arange(runs)
+    for job, run in enumerate(job_run.tolist()):
+        if p1_at[runs + job] > p1_at[row[run]]:
+            row[run] = runs + job
     # The coarse grid's points count once, in every case's own COARSE_POINTS.
-    used = np.full(peaks, COARSE_POINTS)
-    used[:len(free)] = 0
-    np.add.at(used, job_peak, steps + 3)
-    # A best grid point on an end of the grid that no midpoint beats is a
-    # maximum on the edge of the range.
-    at_edge = ((top == 0) | (top == COARSE_POINTS - 1)) & (optimum == np.arange(peaks))
-    outcomes = [(row, evaluations, not edge, ("lower" if first == 0 else "upper") if edge else None)
-                for row, evaluations, edge, first
-                in zip(optimum.tolist(), used.tolist(), at_edge.tolist(), top.tolist())]
+    evaluations = np.zeros(runs, dtype=int)
+    evaluations[own] = COARSE_POINTS
+    np.add.at(evaluations, job_run, steps + 3)
+    # A best grid point on an end of a peak's grid that no midpoint beats is
+    # a maximum on the edge of the range.
+    at_edge = (b > a) & ((first == 0) | (first == COARSE_POINTS - 1)) & (row == np.arange(runs))
 
-    results, lone_rows = [], iter(range(peaks + mids.size, mu.size))
-    for (cfg, target), spans in zip(cases, intervals):
-        if not spans:
+    results, runs_of = [], np.searchsorted(case, np.arange(len(cases) + 1)).tolist()
+    for (cfg, target), begin, end in zip(cases, runs_of, runs_of[1:]):
+        if begin == end:
             nan = math.nan
             results.append(OptimizationResult(
                 mu_opt=nan, p1_max=nan, snr_at_opt=nan, mandel_q_at_opt=nan,
                 iterations=COARSE_POINTS, converged=False, feasible=False, snr_target=target))
             continue
-        iterations, chosen = COARSE_POINTS, None
-        for a, b, peak in spans:
-            if peak is None:
-                row, converged, boundary = next(lone_rows), True, None
-            else:
-                row, evaluations, converged, boundary = outcomes[peak]
-                iterations += evaluations
-            if chosen is None or p1_at[row] > p1_at[chosen[0]]:
-                # A peak on the upper end of a sub-interval inside the range
-                # is the SNR boundary, not the edge of the search.
-                hit = boundary == "upper" and b < hi
-                chosen = (row, iterations, hit or converged, None if hit else boundary, hit)
-        row, iterations, converged, boundary, hit = chosen
+        best = max(range(begin, end), key=lambda run: p1_at[row[run]])
+        k, edge = int(row[best]), bool(at_edge[best])
+        boundary = ("lower" if first[best] == 0 else "upper") if edge else None
+        # A peak on the upper end of a sub-interval inside the range is the
+        # SNR boundary, not the edge of the search.
+        hit = boundary == "upper" and bool(b[best] < hi)
         # The optimum must actually satisfy the floor, which is 0 without one.
-        if snr_at[row] < (target or 0.0) - 1e-6:
+        if snr_at[k] < (target or 0.0) - 1e-6:
             raise RuntimeError(
                 f"internal error: constrained optimum violates SNR floor "
-                f"({float(snr_at[row])} < {target})"
+                f"({float(snr_at[k])} < {target})"
             )
-        opt = float(mu[row])
-        dist = _row_distribution(cfg, probs[row], tail[row], config=cfg.replace(mu=opt))
+        opt = float(mu[k])
+        dist = _row_distribution(cfg, probs[k], tail[k], config=cfg.replace(mu=opt))
         results.append(OptimizationResult(
-            mu_opt=opt, p1_max=dist.p(1), snr_at_opt=float(snr_at[row]),
-            mandel_q_at_opt=mandel_q_or_nan(dist.probs), iterations=iterations,
-            converged=converged, boundary=boundary, snr_target=target, constraint_active=hit,
-            distribution=dist))
+            mu_opt=opt, p1_max=dist.p(1), snr_at_opt=float(snr_at[k]),
+            mandel_q_at_opt=mandel_q_or_nan(dist.probs),
+            iterations=COARSE_POINTS + int(evaluations[begin:best + 1].sum()),
+            converged=hit or not edge, boundary=None if hit else boundary, snr_target=target,
+            constraint_active=hit, distribution=dist))
     return results
 
 

@@ -161,6 +161,18 @@ class TestFigure:
         assert "--gnuplot" in record["message"] and "-o" in record["message"]
         assert out == "" and not script.exists()
 
+    def test_gnuplot_with_structured_output_is_rejected(self, tmp_path, capsys):
+        # The script reads its table as comma-separated columns, which the
+        # one-line JSON document has not.
+        table, script = tmp_path / "fig2.json", tmp_path / "fig2.gp"
+        assert main(["figure", "--id", "fig2", "--format", "structured", "-o", str(table),
+                     "--gnuplot", str(script)]) == 1
+        out, err = capsys.readouterr()
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert "--gnuplot" in record["message"] and "--format structured" in record["message"]
+        assert out == "" and not table.exists() and not script.exists()
+
 
 class TestMonteCarlo:
     def test_histogram_and_compare(self, tmp_path):

@@ -1,10 +1,12 @@
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from photonmux import SourceConfig
+from photonmux import SourceConfig, output_distribution
 
 
 def test_derived_quantities():
@@ -83,6 +85,29 @@ def test_out_of_range_messages(field, value, message):
 def test_real_fields_are_kept_as_given():
     cfg = SourceConfig(m=2, delta_t0_ns=4, herald_rate_r=25_000_000)
     assert type(cfg.delta_t0_ns) is int and type(cfg.herald_rate_r) is int
+
+
+_DARK_M4 = dict(m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
+
+
+# Stored as given, np.float32 ran the loss chain in float32, whose tail mass
+# failed the truncation guard, and a Fraction had no expm1.
+@pytest.mark.parametrize("field,value,as_float", [
+    ("mu", np.float32(0.1), float(np.float32(0.1))),
+    ("e_h", np.float32(0.85), float(np.float32(0.85))),
+    ("mu", Fraction(1, 10), 0.1),
+], ids=["mu-float32", "e_h-float32", "mu-Fraction"])
+def test_other_reals_are_stored_as_floats(field, value, as_float):
+    cfg = SourceConfig(**{**_DARK_M4, field: value})
+    assert type(getattr(cfg, field)) is float
+    got = output_distribution(cfg)
+    want = output_distribution(SourceConfig(**{**_DARK_M4, field: as_float}))
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert got.meta == want.meta
+
+
+def test_a_numpy_float64_is_stored_as_a_float():
+    assert type(SourceConfig(m=2, mu=np.float64(0.1)).mu) is float
 
 
 # The loss chain takes the 2**m windows as a float, and 2**1024 overflows one.

@@ -450,6 +450,24 @@ def test_fig2_and_fig5_results_equal_one_step_searches():
     _same_results(together, alone)
 
 
+def test_interleaved_cases_equal_one_step_searches():
+    # Cases without a floor among the others, not first: each is one run over
+    # the whole coarse grid, whose rows it reuses.  A floor of 1e-9 is met
+    # over the whole grid too, but its run still evaluates a grid of its own.
+    cfg = SourceConfig(m=3, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
+    other = SourceConfig(m=1, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=1.0, r_dark=5e6)
+    cases = [(cfg, 50.0), (cfg, None), (cfg, 1e9), (other, None), (cfg, -1.0), (other, 20.0),
+             (cfg, 0.0), (cfg, 1e-9), (other, 1e9), (other, 0.0)]
+    together = optimize.search(cases, *_RANGE_ARGS)
+    alone = [_ref_optimize_mu(cfg) if target is None else _ref_max_p1_with_snr_floor(cfg, target)
+             for cfg, target in cases]
+    _same_results(together, alone)
+    free, zero, tiny = together[1], together[6], together[7]
+    assert (free.iterations, zero.iterations, tiny.iterations) == (124, 124, 220)
+    assert free.mu_opt == zero.mu_opt == tiny.mu_opt
+    assert [result.feasible for result in together] == [target != 1e9 for _, target in cases]
+
+
 def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
     # The chain's SNR falls with the pump rate, so its feasible sets start at
     # the low end of the range.  Evaluated at mu (1.5 + sin(3 ln mu)), both
