@@ -25,11 +25,7 @@ from .stats import (
     mandel_q,
     snr,
 )
-from .losses import (
-    heralded_distribution,
-    output_distribution,
-    with_dark_counts,
-)
+from .losses import output_distribution
 
 __all__ = [
     "__version__",
@@ -40,8 +36,6 @@ __all__ = [
     "ideal_distribution",
     "mandel_q",
     "snr",
-    "heralded_distribution",
-    "with_dark_counts",
     "output_distribution",
     "OptimizationResult",
     "optimize_mu",

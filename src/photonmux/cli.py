@@ -245,15 +245,17 @@ def run(ns: argparse.Namespace) -> int:
         if ns.gnuplot and ns.format == "structured":
             raise ConfigError("--gnuplot cannot go with --format structured: "
                               "the script plots a CSV table")
+        path, script_path = _resolve_output(ns.output), _resolve_output(ns.gnuplot)
+        if ns.gnuplot and os.path.realpath(script_path) == os.path.realpath(path):
+            raise ConfigError("--gnuplot and -o/--output name the same file: "
+                              "the script would overwrite the table")
         from .sweeps import FIGURES, gnuplot_commands
 
         build, x = FIGURES[ns.id]
         table = build()
-        path = _resolve_output(ns.output)
         _emit(table.to_csv() if ns.format == "tabular" else table.to_json(), path)
         if ns.gnuplot:
-            script = gnuplot_commands(table, path, x=x)
-            _write_atomic(_resolve_output(ns.gnuplot), script)
+            _write_atomic(script_path, gnuplot_commands(table, path, x=x))
         return 0
 
     cfg = parse_source_config(ns.config, {key: getattr(ns, key) for key in _KEY_TYPES})

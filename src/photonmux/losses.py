@@ -15,20 +15,21 @@ is the same mixture at means mu t and mu (1 - e_h) t.  One batched core
 evaluates it for arrays of pump rates and transmissions, with the other
 parameters per row or shared, and one driver, :func:`_blocks`, runs any
 number of rows through it in fixed-size blocks and applies the truncation
-guard.  :func:`_output_rows` collects the blocks' rows, and the scalar entry
-points are batches of one through it; :func:`_p1_snr_rows` and the sweep
-curves keep only what they need of each block.  Every entry point works at
-the truncation bound ``DEFAULT_N_MAX`` but :func:`output_distribution`, which
-takes its own.
+guard.  :func:`_output_rows` collects the blocks' rows, and the one scalar
+entry point, :func:`output_distribution`, is a batch of one through it;
+:func:`_p1_snr_rows` and the sweep curves keep only what they need of each
+block.  Each stage on its own is a config of the full chain: transmission 1
+(``e_s=1.0, e_sw_db=0.0``) leaves heralding loss and dark counts, and
+``r_dark=0.0`` as well leaves heralding loss only.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .config import SourceConfig, _check_int
+from .config import SourceConfig
 from .stats import (
     DEFAULT_N_MAX,
     TAIL_LIMIT,
@@ -40,12 +41,7 @@ from .stats import (
     snr_rows,
 )
 
-__all__ = [
-    "heralded_distribution",
-    "with_dark_counts",
-    "output_distribution",
-    "p1_snr_curve",
-]
+__all__ = ["output_distribution", "p1_snr_curve"]
 
 
 def _output_rows(
@@ -173,50 +169,12 @@ def _distribution(cfg: SourceConfig, windows: int, p_dark: float, transmission: 
                   n_max: int = DEFAULT_N_MAX, **meta) -> PhotonDistribution:
     """One loss-chain evaluation at cfg.mu: a batch of one through the core."""
     probs, tail = _output_rows(np.array([cfg.mu]), transmission, cfg.e_h, windows, p_dark, n_max)
-    return _row_distribution(cfg, probs[0], tail[0], **meta)
+    return _row_distribution(probs[0], tail[0], **meta)
 
 
-def _row_distribution(cfg: SourceConfig, probs: np.ndarray, tail: float,
-                      **meta) -> PhotonDistribution:
-    """The distribution of one core row of cfg's chain, with ``meta``."""
-    if cfg.e_h == 0.0:
-        meta["degenerate_no_herald"] = True
+def _row_distribution(probs: np.ndarray, tail: float, **meta) -> PhotonDistribution:
+    """The distribution of one core row, with ``meta``."""
     return PhotonDistribution(probs, probs.size - 1, float(tail), meta)
-
-
-def heralded_distribution(cfg: SourceConfig,
-                          n_windows: Optional[int] = None) -> PhotonDistribution:
-    """Output distribution with heralding-branch loss only.
-
-    Mixes the clicked-window conditional (weight: probability of at least one
-    idler detection within the interval) with the unclicked bypass-window
-    conditional (complementary weight).
-
-    Parameters
-    ----------
-    cfg:
-        Source configuration; ``e_s``, ``e_sw_db`` and ``r_dark`` are ignored
-        here.
-    n_windows:
-        Effective number of detection windows in the interval, an integer;
-        defaults to ``2**m``.  Values below the full interval describe a
-        shortened correction window.
-    """
-    windows = cfg.n_windows if n_windows is None else n_windows
-    return _distribution(cfg, _check_int(windows, "n_windows", 1, cfg.n_windows), 0.0)
-
-
-def with_dark_counts(cfg: SourceConfig) -> PhotonDistribution:
-    """Output distribution with heralding loss and dark counts.
-
-    The first dark count within the synchronization interval (probability
-    ``(1-P_dark)**(l-1) * P_dark`` for window l) truncates the usable
-    interval to l windows; with no dark count anywhere the full interval
-    applies.  The result is the corresponding mixture of
-    :func:`heralded_distribution` over interval lengths, summed in closed
-    form at a cost independent of the interval length.
-    """
-    return _distribution(cfg, cfg.n_windows, cfg.p_dark)
 
 
 def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:

@@ -171,10 +171,6 @@ class McHistogram:
         if int(counts.sum()) != self.trials:
             raise ValueError("histogram counts must sum to the trial count")
 
-    @property
-    def n_max(self) -> int:
-        return self.counts.size - 1
-
     def frequencies(self) -> np.ndarray:
         return self.counts / self.trials
 

@@ -282,7 +282,7 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
                 f"({float(snr_at[k])} < {target})"
             )
         opt = float(mu[k])
-        dist = _row_distribution(cfg, probs[k], tail[k], config=cfg.replace(mu=opt))
+        dist = _row_distribution(probs[k], tail[k], config=cfg.replace(mu=opt))
         results.append(OptimizationResult(
             mu_opt=opt, p1_max=dist.p(1), snr_at_opt=float(snr_at[k]),
             mandel_q_at_opt=mandel_q_or_nan(dist.probs),

@@ -20,12 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .config import SourceConfig
-from .losses import (
-    heralded_distribution,
-    output_distribution,
-    p1_snr_curve,
-    with_dark_counts,
-)
+from .losses import _distribution, output_distribution, p1_snr_curve
 from .montecarlo import McConfig, compare, simulate
 from .optimize import search
 from .stats import ideal_distribution, poisson_vector
@@ -149,19 +144,21 @@ def check_reductions() -> Tuple[Check, ...]:
 
 
 def check_dark_count_mixture() -> Check:
-    """Factored dark-count mixture equals the literal sum over the window of
-    the first dark count, at each (m, mu, P_dark) of ``DARK_MIXTURE_POINTS``."""
+    """The chain at transmission 1 (heralding loss and dark counts) equals
+    the literal sum, over the window of the first dark count, of the
+    heralding-loss-only chain on the shortened interval, at each
+    (m, mu, P_dark) of ``DARK_MIXTURE_POINTS``."""
     worst = 0.0
     for m, mu, p_dark in DARK_MIXTURE_POINTS:
         r_dark = -math.log1p(-p_dark) / 2e-9
         cfg = SourceConfig(m=m, mu=mu, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=r_dark)
-        mixed = with_dark_counts(cfg)
+        mixed = output_distribution(cfg.replace(e_s=1.0, e_sw_db=0.0))
         literal = np.zeros(mixed.n_max + 1)
         w = cfg.n_windows
         for length in range(1, w + 1):
             weight = (1 - cfg.p_dark) ** (length - 1) * cfg.p_dark
-            literal += weight * heralded_distribution(cfg, length).probs
-        literal += (1 - cfg.p_dark) ** w * heralded_distribution(cfg, w).probs
+            literal += weight * _distribution(cfg, length, 0.0).probs
+        literal += (1 - cfg.p_dark) ** w * _distribution(cfg, w, 0.0).probs
         worst = max(worst, float(np.abs(mixed.probs - literal).max()))
     return _below("dark-count mixture", worst, 1e-12)
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -18,6 +19,7 @@ from photonmux import (
     McConfig,
     OptimizationResult,
     SourceConfig,
+    SweepTable,
     ideal_distribution,
     montecarlo,
     output_distribution,
@@ -82,6 +84,15 @@ class TestConfigParsing:
     def test_non_numeric_value_reports_key_and_line(self):
         with pytest.raises(ConfigError, match=r"cfg:1.*'mu'"):
             parse_config_text("mu = lots\n", source="cfg")
+
+    def test_line_without_equals_sign_reports_line(self):
+        with pytest.raises(ConfigError, match=r"^cfg:2: expected 'key = value', got 'm 4'$"):
+            parse_config_text("mu = 0.1\nm 4\n", source="cfg")
+
+    def test_missing_file_is_reported(self, tmp_path):
+        path = str(tmp_path / "missing.cfg")
+        with pytest.raises(ConfigError, match=rf"^cannot read config file {re.escape(repr(path))}: "):
+            parse_source_config(path, {"mu": 0.1})
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "source.cfg"
@@ -172,6 +183,27 @@ class TestFigure:
         assert record["error"] == "ConfigError"
         assert "--gnuplot" in record["message"] and "--format structured" in record["message"]
         assert out == "" and not table.exists() and not script.exists()
+
+    @pytest.mark.parametrize("table,script,outdir", [
+        ("out.csv", "out.csv", None),
+        ("out.csv", "./out.csv", None),
+        ("out.csv", "{outdir}/out.csv", "outdir"),
+    ], ids=["same-name", "dot-slash", "outdir"])
+    def test_gnuplot_onto_the_table_is_rejected(self, tmp_path, monkeypatch, capsys,
+                                                table, script, outdir):
+        # The script would replace the table it plots.  Under
+        # PHOTONMUX_OUTDIR the relative table path and the absolute script
+        # path name one file.
+        monkeypatch.chdir(tmp_path)
+        if outdir:
+            monkeypatch.setenv("PHOTONMUX_OUTDIR", str(tmp_path / outdir))
+        script = script.format(outdir=tmp_path / "outdir")
+        assert main(["figure", "--id", "fig2", "-o", table, "--gnuplot", script]) == 1
+        out, err = capsys.readouterr()
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert "--gnuplot" in record["message"] and "-o/--output" in record["message"]
+        assert out == "" and list(tmp_path.rglob("*")) == []
 
 
 class TestMonteCarlo:
@@ -270,6 +302,22 @@ class TestSweep:
         assert json.loads(err) == {"error": "ConfigError", "subcommand": "sweep",
                                    "message": "--log requires --min > 0 and --max > 0"}
         assert out == ""
+
+
+    def test_points_below_one_is_rejected(self, capsys):
+        assert main(["sweep", "--mu", "0.1", "--axis", "mu", "--min", "0.1",
+                     "--max", "0.2", "--points", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(err) == {"error": "ConfigError", "subcommand": "sweep",
+                                   "message": "--points must be >= 1"}
+        assert out == ""
+
+    def test_log_grid_is_geomspace(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--mu", "0.1", "--axis", "mu", "--min", "0.01", "--max", "0.5",
+                     "--points", "7", "--log", "--format", "structured", "-o", str(out)]) == 0
+        table = SweepTable.from_json(out.read_text())
+        assert [record.mu for record in table.records] == np.geomspace(0.01, 0.5, 7).tolist()
 
 
 # The config echo that opens every tabular dist, optimize and montecarlo file

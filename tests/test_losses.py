@@ -13,13 +13,11 @@ from photonmux import (
     PhotonDistribution,
     SourceConfig,
     TruncationError,
-    heralded_distribution,
     ideal_distribution,
     max_p1_with_snr_floor,
     optimize_mu,
     output_distribution,
     snr,
-    with_dark_counts,
 )
 from photonmux import losses, sweeps, validate
 from photonmux.losses import p1_snr_curve
@@ -80,7 +78,7 @@ class TestHeraldedDistribution:
     @pytest.mark.parametrize("m,mu", [(0, 0.3), (2, 0.1), (4, 0.05), (6, 0.8)])
     def test_perfect_heralding_equals_ideal(self, m, mu):
         cfg = SourceConfig(m=m, mu=mu)
-        got = heralded_distribution(cfg)
+        got = output_distribution(cfg)
         want = ideal_distribution(cfg)
         assert np.abs(got.probs - want.probs).max() < 1e-12
 
@@ -89,48 +87,24 @@ class TestHeraldedDistribution:
         # With one window the click and no-click branches recombine exactly.
         for mu in (0.01, 0.1, 1.3):
             cfg = SourceConfig(m=0, mu=mu, e_h=e_h)
-            got = heralded_distribution(cfg)
+            got = output_distribution(cfg)
             assert np.abs(got.probs - poisson_vector(mu, got.n_max)).max() < 1e-12
 
     def test_no_herald_degenerate(self):
         cfg = SourceConfig(m=3, mu=0.2, e_h=0.0)
-        dist = heralded_distribution(cfg)
-        assert dist.meta.get("degenerate_no_herald") is True
+        dist = output_distribution(cfg)
         assert np.abs(dist.probs - poisson_vector(0.2, dist.n_max)).max() < 1e-15
-
-    def test_window_count_bounds(self):
-        cfg = SourceConfig(m=2, mu=0.1, e_h=0.8)
-        with pytest.raises(ValueError):
-            heralded_distribution(cfg, n_windows=0)
-        with pytest.raises(ValueError):
-            heralded_distribution(cfg, n_windows=5)
-        want = heralded_distribution(cfg, n_windows=3).probs
-        for count in (3.0, np.int64(3), np.float64(3.0)):
-            assert np.array_equal(heralded_distribution(cfg, n_windows=count).probs, want)
-
-    @pytest.mark.parametrize("bad", [2.5, True, False, math.nan, math.inf, -math.inf, "2", [2]])
-    def test_window_count_must_be_an_integer(self, bad):
-        cfg = SourceConfig(m=2, mu=0.1, e_h=0.8)
-        with pytest.raises(ValueError, match=rf"n_windows must be an integer in \[1, 4\], "
-                                             rf"got {re.escape(repr(bad))}"):
-            heralded_distribution(cfg, n_windows=bad)
 
     def test_shorter_interval_lowers_herald_weight(self):
         cfg = SourceConfig(m=4, mu=0.1, e_h=0.85)
-        p0 = [heralded_distribution(cfg, n_windows=w).p(0) for w in (1, 4, 16)]
+        p0 = [losses._distribution(cfg, w, 0.0).p(0) for w in (1, 4, 16)]
         assert p0[0] > p0[1] > p0[2]
 
 
 class TestDarkCounts:
-    def test_zero_rate_collapses(self):
-        cfg = SourceConfig(m=4, mu=0.1, e_h=0.85)
-        got = with_dark_counts(cfg)
-        want = heralded_distribution(cfg)
-        assert np.array_equal(got.probs, want.probs)
-
     def test_single_window_stays_poisson(self):
         cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, r_dark=5e6)
-        got = with_dark_counts(cfg)
+        got = output_distribution(cfg)
         assert np.abs(got.probs - poisson_vector(0.1, got.n_max)).max() < 1e-12
 
     @pytest.mark.parametrize("m,mu,p_dark", DARK_MIXTURE_POINTS)
@@ -143,7 +117,7 @@ class TestDarkCounts:
     def test_dark_counts_shift_weight_to_vacuum(self):
         base = SourceConfig(m=4, mu=0.1, e_h=0.85)
         dark = base.replace(r_dark=5e6)
-        assert with_dark_counts(dark).p(0) > with_dark_counts(base).p(0)
+        assert output_distribution(dark).p(0) > output_distribution(base).p(0)
 
 
 def _thin_by_convolution(probs: np.ndarray, p: float) -> np.ndarray:
@@ -299,6 +273,12 @@ class TestVectorizedCurve:
         assert sweeps.record_for(dark).p1 == 0.0
         assert "p1" in sweeps.sweep_axis(dark, "mu", [0.1, 0.2]).to_csv()
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_rejects_grid_point_outside_the_pump_range(self, bad):
+        cfg = SourceConfig(m=2, mu=0.1, e_h=0.85)
+        with pytest.raises(ValueError, match=r"^mu grid must be finite and >= 0$"):
+            p1_snr_curve(cfg, [0.1, bad])
+
     def test_rejects_truncated_grid_point(self):
         # At mu = 10 the tail beyond n_max = 30 is 8e-8, like the scalar path.
         cfg = SourceConfig(m=2, mu=0.1, e_h=0.85)
@@ -310,8 +290,8 @@ class TestVectorizedCurve:
 
 @pytest.mark.parametrize("call", [
     output_distribution,
-    # The heralding-loss-only chain that heralded_distribution runs at
-    # DEFAULT_N_MAX, here at a bound of its own.
+    # The heralding-loss-only chain of check_dark_count_mixture, here at a
+    # bound of its own.
     lambda cfg, n_max: losses._distribution(cfg, cfg.n_windows, 0.0, n_max=n_max),
 ], ids=["output_distribution", "heralded_distribution"])
 def test_negative_n_max_rejected(call):
@@ -360,7 +340,6 @@ def test_n_max_must_be_an_integer(call, bad):
 # that n_max passes.
 _INTEGER_ARGUMENTS = {
     "m": (lambda v: SourceConfig(m=v, mu=0.1), 0, 1023),
-    "n_windows": (lambda v: heralded_distribution(_CFG, n_windows=v), 1, 4),
     "trials": (lambda v: McConfig(trials=v), 1, 2**40),
     "seed": (lambda v: McConfig(trials=1, seed=v), 0, 2**64 - 1),
     "shards": (lambda v: McConfig(trials=1, shards=v), 1, 2**40),
@@ -385,8 +364,6 @@ def test_integral_argument_is_accepted_as_an_int(integral):
     mc = McConfig(trials=integral, seed=integral, shards=integral)
     values = [SourceConfig(m=integral, mu=0.1).m, mc.trials, mc.seed, mc.shards]
     assert all(type(value) is int and value == 2 for value in values)
-    assert heralded_distribution(_CFG, n_windows=integral).probs.tobytes() == \
-        heralded_distribution(_CFG, n_windows=2).probs.tobytes()
 
 
 @pytest.mark.parametrize("integral", [30.0, np.int64(30), np.float64(30.0)])

@@ -69,6 +69,10 @@ class TestConfig:
             with pytest.raises(ValueError, match="shards"):
                 McConfig(trials=10, shards=bad)
 
+    def test_histogram_counts_must_sum_to_the_trials(self):
+        with pytest.raises(ValueError, match="^histogram counts must sum to the trial count$"):
+            montecarlo.McHistogram([3, 1], 5, SourceConfig(m=0, mu=0.1), McConfig(trials=5))
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             McConfig(trials=10, seed=-1)

@@ -526,6 +526,12 @@ def test_shared_rows_are_evaluated_once(monkeypatch):
     _same_results(together, [optimize.search([case], *_RANGE_ARGS)[0] for case in mixed])
 
 
+def test_no_cases_give_no_results_and_no_core_calls(monkeypatch):
+    calls = _counted_rows(monkeypatch, "_p1_snr_rows", "_output_rows")
+    assert optimize.search([]) == []
+    assert calls == []
+
+
 def test_rows_are_shared_only_by_equal_parameters(monkeypatch):
     calls = _counted_rows(monkeypatch, "_p1_snr_rows")
     grid = np.geomspace(1e-3, 1.5, 300)

@@ -92,6 +92,10 @@ class TestPhotonDistribution:
         with pytest.raises(ValueError):
             PhotonDistribution(np.array([1.2, -0.2]), 1)
 
+    def test_rejects_a_two_dimensional_probs(self):
+        with pytest.raises(ValueError, match="^probs must have length n_max"):
+            PhotonDistribution(np.full((2, 2), 0.25), 1)
+
     def test_moments_and_tails(self):
         dist = PhotonDistribution(np.array([0.5, 0.3, 0.2]), 2)
         assert dist.mean() == pytest.approx(0.7)

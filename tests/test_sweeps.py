@@ -442,6 +442,13 @@ class TestSweepTable:
         assert back.figure_id == table.figure_id
         assert back.records == table.records
 
+    def test_from_json_rejects_foreign_documents(self):
+        doc = json.loads(sweep_axis(SourceConfig(m=0, mu=0.1), "mu", [0.1]).to_json())
+        with pytest.raises(ValueError, match="^not a photonmux table document$"):
+            SweepTable.from_json(json.dumps({**doc, "format": "photonmux-dist"}))
+        with pytest.raises(ValueError, match="^column layout mismatch$"):
+            SweepTable.from_json(json.dumps({**doc, "columns": doc["columns"][::-1]}))
+
     def test_serialization_is_byte_stable(self):
         base = SourceConfig(m=1, mu=0.1, e_h=0.85)
         a = sweep_axis(base, "mu", [0.05, 0.15])
