@@ -165,13 +165,6 @@ def _p1_snr_rows(mu, transmission, e_h, windows, p_dark):
     return p1, ratio
 
 
-def _distribution(cfg: SourceConfig, windows: int, p_dark: float, transmission: float = 1.0,
-                  n_max: int = DEFAULT_N_MAX, **meta) -> PhotonDistribution:
-    """One loss-chain evaluation at cfg.mu: a batch of one through the core."""
-    probs, tail = _output_rows(np.array([cfg.mu]), transmission, cfg.e_h, windows, p_dark, n_max)
-    return _row_distribution(probs[0], tail[0], **meta)
-
-
 def _row_distribution(probs: np.ndarray, tail: float, **meta) -> PhotonDistribution:
     """The distribution of one core row, with ``meta``."""
     return PhotonDistribution(probs, probs.size - 1, float(tail), meta)
@@ -183,7 +176,9 @@ def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> Photon
     Every routed photon crosses m+1 switches, so the signal branch transmits
     ``cfg.e_s_total`` regardless of which delays were selected.
     """
-    return _distribution(cfg, cfg.n_windows, cfg.p_dark, cfg.e_s_total, n_max, config=cfg)
+    probs, tail = _output_rows(np.array([cfg.mu]), cfg.e_s_total, cfg.e_h, cfg.n_windows,
+                               cfg.p_dark, n_max)
+    return _row_distribution(probs[0], tail[0], config=cfg)
 
 
 def p1_snr_curve(cfg: SourceConfig,

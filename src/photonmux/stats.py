@@ -110,7 +110,7 @@ class PhotonDistribution:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "n_max", _check_n_max(self.n_max))
         if probs.ndim != 1:
-            raise ValueError(f"probs must have length n_max+1 = {self.n_max + 1}, got {probs.size}")
+            raise ValueError(f"probs must be one-dimensional, got shape {probs.shape}")
         check_rows(probs[None], np.array([self.tail_mass], dtype=float), self.n_max)
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
@@ -140,8 +140,10 @@ def check_rows(probs: np.ndarray, tail: np.ndarray, n_max: int) -> None:
     must sum to 1 within _NORM_TOL.  The first failing row raises what
     ``PhotonDistribution(row, n_max, tail)`` raises for it.
     """
-    if probs.ndim != 2 or probs.shape[1] != n_max + 1:
-        raise ValueError(f"probs must have length n_max+1 = {n_max + 1}, got {probs.shape[-1]}")
+    if probs.ndim != 2:
+        raise ValueError(f"probs must be two-dimensional, got shape {probs.shape}")
+    if probs.shape[1] != n_max + 1:
+        raise ValueError(f"probs must have length n_max+1 = {n_max + 1}, got {probs.shape[1]}")
     total = probs.sum(axis=1) + tail
     outside = ((probs < -1e-12) | (probs > 1.0 + 1e-12)).any(axis=1)
     faults = outside | ~(tail >= -1e-15)

@@ -4,7 +4,7 @@ Each ``check_*`` function is the one definition of a check: its
 configurations, its seed and its threshold.  Acceptance criteria 5-8 in
 ``tests/test_acceptance.py`` call ``check_clock``, ``check_reductions``,
 ``check_agreement`` and ``check_optimizer``; ``tests/test_losses.py`` calls
-the dark-count mixture and loss-trend invariants.  ``run_validation`` runs
+the event-level reference and loss-trend invariants.  ``run_validation`` runs
 all of them, so the CLI applies the same seeds and thresholds as the tests;
 only the Monte Carlo size and seed are the caller's.  A check that samples
 parameters draws them from its own fixed seed, so adding or reordering checks
@@ -20,15 +20,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .config import SourceConfig
-from .losses import _distribution, output_distribution, p1_snr_curve
+from .losses import output_distribution, p1_snr_curve
 from .montecarlo import McConfig, compare, simulate
 from .optimize import search
-from .stats import ideal_distribution, poisson_vector
+from .stats import DEFAULT_N_MAX, ideal_distribution, poisson_vector
 
 __all__ = [
-    "AGREEMENT_CONFIGS", "DARK_MIXTURE_POINTS", "TRANSMISSION_FIELDS", "Check",
-    "ValidationReport",
-    "check_agreement", "check_clock", "check_dark_count_mixture", "check_optimizer",
+    "AGREEMENT_CONFIGS", "TRANSMISSION_FIELDS", "Check", "ValidationReport",
+    "check_agreement", "check_clock", "check_event_reference", "check_optimizer",
     "check_reductions", "check_switch_loss_trend", "check_transmission_trend",
     "run_validation",
 ]
@@ -41,11 +40,6 @@ AGREEMENT_CONFIGS: Tuple[SourceConfig, ...] = tuple(
     for mu in (0.05, 0.1, 0.5)
     for il in (0.5, 1.0)
 ) + (SourceConfig(m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6),)
-
-# (m, mu, dark-count probability per window) of the dark-count mixture check.
-DARK_MIXTURE_POINTS: Tuple[Tuple[int, float, float], ...] = (
-    (2, 0.1, 0.01), (4, 0.3, 0.05), (6, 0.05, 0.002),
-)
 
 # Transmissions the below-optimum trend check raises over 0.2..1.
 TRANSMISSION_FIELDS: Tuple[str, ...] = ("e_s", "e_h")
@@ -86,11 +80,10 @@ def check_clock() -> Check:
 
 
 def check_reductions() -> Tuple[Check, ...]:
-    """Reduction identities of the chain on 100 random draws, and the herald
-    branches' truncated sums against their closed forms on 200 more.
+    """Reduction identities of the chain on 100 random draws.
 
-    Each of the 100 draws yields a lossless config (chain = exact form), a
-    lossy single-window config at the same mu (chain = thinned Poisson) and a
+    Each draw yields a lossless config (chain = exact form), a lossy
+    single-window config at the same mu (chain = thinned Poisson) and a
     wide-range config (normalization); the draw order is part of the check.
     """
     rng = np.random.default_rng(60_601)
@@ -123,44 +116,52 @@ def check_reductions() -> Tuple[Check, ...]:
         dist = output_distribution(wide, n_max=40)
         worst_norm = max(worst_norm, abs(float(dist.probs.sum()) + dist.tail_mass - 1.0))
 
-    worst_closed = 0.0
-    n = np.arange(61)
-    for _ in range(200):
-        mu = float(rng.uniform(1e-4, 2.0))
-        e_h = float(rng.uniform(0.05, 1.0))
-        pois = poisson_vector(mu, 60)
-        miss = (1.0 - e_h) ** n
-        worst_closed = max(
-            worst_closed,
-            abs(float((pois * (1 - miss)).sum()) - (-math.expm1(-mu * e_h))),
-            abs(float((pois * miss).sum()) - math.exp(-mu * e_h)),
-        )
     return (
         _below("lossless chain = exact form", worst_lossless, 1e-12),
         _below("single-window chain = thinned Poisson", worst_single, 1e-12),
         _below("chain normalization", worst_norm, 1e-9, "max |sum - 1|"),
-        _below("herald-branch closed forms", worst_closed, 1e-10),
     )
 
 
-def check_dark_count_mixture() -> Check:
-    """The chain at transmission 1 (heralding loss and dark counts) equals
-    the literal sum, over the window of the first dark count, of the
-    heralding-loss-only chain on the shortened interval, at each
-    (m, mu, P_dark) of ``DARK_MIXTURE_POINTS``."""
-    worst = 0.0
-    for m, mu, p_dark in DARK_MIXTURE_POINTS:
-        r_dark = -math.log1p(-p_dark) / 2e-9
-        cfg = SourceConfig(m=m, mu=mu, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=r_dark)
-        mixed = output_distribution(cfg.replace(e_s=1.0, e_sw_db=0.0))
-        literal = np.zeros(mixed.n_max + 1)
-        w = cfg.n_windows
-        for length in range(1, w + 1):
-            weight = (1 - cfg.p_dark) ** (length - 1) * cfg.p_dark
-            literal += weight * _distribution(cfg, length, 0.0).probs
-        literal += (1 - cfg.p_dark) ** w * _distribution(cfg, w, 0.0).probs
-        worst = max(worst, float(np.abs(mixed.probs - literal).max()))
-    return _below("dark-count mixture", worst, 1e-12)
+def _event_reference(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> List[float]:
+    """P_k for k = 0..n_max, summed event by event as the simulator draws
+    them, in plain floats from the raw fields of ``cfg``.
+
+    Each of the 2**m windows holds Pois(mu) pairs (up to 80) and stays silent
+    with probability (1 - e_h)^n (1 - P_dark).  The first window that
+    triggers is routed, or the last one when none does; each of its photons
+    then survives e_s and m+1 switch passages independently.
+    """
+    pairs = [cfg.mu ** n * math.exp(-cfg.mu - math.lgamma(n + 1)) for n in range(81)]
+    dark = -math.expm1(-cfg.r_dark * cfg.delta_t0_ns * 1e-9)  # per window
+    silent = [(1 - cfg.e_h) ** n * (1 - dark) for n in range(81)]
+    q = sum(p * s for p, s in zip(pairs, silent))
+    windows = 2 ** cfg.m
+    reached = sum(q ** j for j in range(windows))  # window j after j silent ones
+    routed = [p * ((1 - s) * reached + s * q ** (windows - 1)) for p, s in zip(pairs, silent)]
+    t = cfg.e_s * 10 ** (-cfg.e_sw_db * (cfg.m + 1) / 10)
+    lost = [(1 - t) ** j for j in range(81)]  # j of the n photons lost
+    return [t ** k * sum(routed[n] * math.comb(n, k) * lost[n - k] for n in range(k, 81))
+            for k in range(n_max + 1)]
+
+
+def check_event_reference() -> Check:
+    """The chain against :func:`_event_reference` on 50 random configs, and
+    at transmission 1 on three points of heralding loss and dark counts."""
+    rng = np.random.default_rng(31_031)
+    configs = [SourceConfig(
+        m=int(rng.integers(0, 9)),
+        mu=float(rng.uniform(1e-3, 1.5)),
+        e_h=float(rng.uniform(0.0, 1.0)),
+        e_s=float(rng.uniform(0.0, 1.0)),
+        e_sw_db=float(rng.uniform(0.0, 2.0)),
+        r_dark=float(rng.choice([0.0, 1e5, 5e6, 5e7])),
+    ) for _ in range(50)]
+    configs += [SourceConfig(m=m, mu=mu, e_h=0.85, r_dark=-math.log1p(-p_dark) / 2e-9)
+                for m, mu, p_dark in ((2, 0.1, 0.01), (4, 0.3, 0.05), (6, 0.05, 0.002))]
+    worst = max(float(np.abs(output_distribution(cfg).probs - _event_reference(cfg)).max())
+                for cfg in configs)
+    return _below("chain = event-level reference", worst, 1e-12)
 
 
 def check_switch_loss_trend() -> Check:
@@ -254,7 +255,7 @@ def run_validation(mc: McConfig, backend: Optional[str] = None) -> ValidationRep
     return ValidationReport((
         check_clock(),
         *check_reductions(),
-        check_dark_count_mixture(),
+        check_event_reference(),
         check_switch_loss_trend(),
         check_transmission_trend(),
         *check_optimizer(),

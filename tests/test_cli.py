@@ -459,6 +459,19 @@ def test_validate_fast_smoke():
     proc = run_cli(args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "validation: PASS" in proc.stdout
+    assert [line.split("] ", 1)[1].split(": ", 1)[0]
+            for line in proc.stdout.splitlines()[:-1]] == [
+        "clock arithmetic",
+        "lossless chain = exact form",
+        "single-window chain = thinned Poisson",
+        "chain normalization",
+        "chain = event-level reference",
+        "P1 non-increasing in switch loss",
+        "P1 non-decreasing in transmissions",
+        "optimizer = exhaustive scan",
+        "ideal mu_opt strictly decreasing over m=0..8",
+        "Monte Carlo agreement (19 configs x 20000 trials)",
+    ]
     assert proc.stderr.splitlines() == [f"photonmux validate: backend {backend} ({reason})"]
     forced = run_cli([*args, "--backend", "numpy"])
     assert forced.stderr.splitlines() == [

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import math
 import re
@@ -30,9 +32,8 @@ from photonmux.stats import (
     poisson_vector,
 )
 from photonmux.validate import (
-    DARK_MIXTURE_POINTS,
     TRANSMISSION_FIELDS,
-    check_dark_count_mixture,
+    check_event_reference,
     check_switch_loss_trend,
     check_transmission_trend,
 )
@@ -97,7 +98,7 @@ class TestHeraldedDistribution:
 
     def test_shorter_interval_lowers_herald_weight(self):
         cfg = SourceConfig(m=4, mu=0.1, e_h=0.85)
-        p0 = [losses._distribution(cfg, w, 0.0).p(0) for w in (1, 4, 16)]
+        p0 = [output_distribution(cfg.replace(m=m)).p(0) for m in (0, 2, 4)]
         assert p0[0] > p0[1] > p0[2]
 
 
@@ -107,17 +108,44 @@ class TestDarkCounts:
         got = output_distribution(cfg)
         assert np.abs(got.probs - poisson_vector(0.1, got.n_max)).max() < 1e-12
 
-    @pytest.mark.parametrize("m,mu,p_dark", DARK_MIXTURE_POINTS)
-    def test_matches_literal_mixture(self, monkeypatch, m, mu, p_dark):
-        # One case per point: the check reads the points at call time.
-        monkeypatch.setattr(validate, "DARK_MIXTURE_POINTS", ((m, mu, p_dark),))
-        check = check_dark_count_mixture()
-        assert check.passed, check.detail
-
     def test_dark_counts_shift_weight_to_vacuum(self):
         base = SourceConfig(m=4, mu=0.1, e_h=0.85)
         dark = base.replace(r_dark=5e6)
         assert output_distribution(dark).p(0) > output_distribution(base).p(0)
+
+
+# Model errors the event-level reference must expose, each applied to the
+# config before the chain sees it.
+_CHAIN_ERRORS = {
+    "e_h -0.3%": lambda cfg: cfg.replace(e_h=cfg.e_h * 0.997),
+    "mu +0.3%": lambda cfg: cfg.replace(mu=cfg.mu * 1.003),
+    "e_s -0.3%": lambda cfg: cfg.replace(e_s=cfg.e_s * 0.997),
+    "dark counts ignored": lambda cfg: cfg.replace(r_dark=0.0),
+    "one extra switch passage": lambda cfg: cfg.replace(e_s=cfg.e_s * 10 ** (-cfg.e_sw_db / 10)),
+}
+
+
+class TestEventReference:
+    def test_chain_matches_event_reference(self):
+        check = check_event_reference()
+        assert check.passed, check.detail
+
+    @pytest.mark.parametrize("error", _CHAIN_ERRORS.values(), ids=_CHAIN_ERRORS)
+    def test_check_fails_a_chain_error(self, monkeypatch, error):
+        monkeypatch.setattr(validate, "output_distribution",
+                            lambda cfg: output_distribution(error(cfg)))
+        check = check_event_reference()
+        assert not check.passed, check.detail
+
+    def test_reference_reads_none_of_the_chains_names(self):
+        # Read through the chain's helpers or derived fields, the reference
+        # would share any error in them.
+        tree = ast.parse(inspect.getsource(validate._event_reference))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert {"math", "mu", "e_h", "e_s", "e_sw_db", "m", "r_dark", "delta_t0_ns"} <= read
+        assert not read & {"e_s_total", "p_dark", "n_windows", "mu_total", "stats", "losses",
+                           "np", "output_distribution", "poisson_vector", "signal_transmission"}
 
 
 def _thin_by_convolution(probs: np.ndarray, p: float) -> np.ndarray:
@@ -288,16 +316,10 @@ class TestVectorizedCurve:
             output_distribution(cfg.replace(mu=10.0))
 
 
-@pytest.mark.parametrize("call", [
-    output_distribution,
-    # The heralding-loss-only chain of check_dark_count_mixture, here at a
-    # bound of its own.
-    lambda cfg, n_max: losses._distribution(cfg, cfg.n_windows, 0.0, n_max=n_max),
-], ids=["output_distribution", "heralded_distribution"])
-def test_negative_n_max_rejected(call):
+def test_negative_n_max_rejected():
     with pytest.raises(ValueError, match=rf"^n_max must be an integer in \[0, {N_MAX_LIMIT}\], "
                                          r"got -1$"):
-        call(SourceConfig(m=2, mu=0.1, e_h=0.85), n_max=-1)
+        output_distribution(SourceConfig(m=2, mu=0.1, e_h=0.85), n_max=-1)
 
 
 _CFG = SourceConfig(m=2, mu=0.1, e_h=0.85)

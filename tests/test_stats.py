@@ -93,8 +93,12 @@ class TestPhotonDistribution:
             PhotonDistribution(np.array([1.2, -0.2]), 1)
 
     def test_rejects_a_two_dimensional_probs(self):
-        with pytest.raises(ValueError, match="^probs must have length n_max"):
-            PhotonDistribution(np.full((2, 2), 0.25), 1)
+        with pytest.raises(ValueError, match=r"^probs must be one-dimensional, got shape \(2, 1\)$"):
+            PhotonDistribution(np.full((2, 1), 0.5), 1)
+
+    def test_rejects_a_zero_dimensional_probs(self):
+        with pytest.raises(ValueError, match=r"^probs must be one-dimensional, got shape \(\)$"):
+            PhotonDistribution(np.float64(1.0), 0)
 
     def test_moments_and_tails(self):
         dist = PhotonDistribution(np.array([0.5, 0.3, 0.2]), 2)
@@ -247,3 +251,7 @@ class TestCheckRows:
     def test_rejects_wrong_row_length(self):
         with pytest.raises(ValueError, match="n_max\\+1 = 9"):
             check_rows(np.tile(self.GOOD[:-1], (2, 1)), np.zeros(2), self.N_MAX)
+
+    def test_rejects_a_one_dimensional_probs(self):
+        with pytest.raises(ValueError, match=r"^probs must be two-dimensional, got shape \(9,\)$"):
+            check_rows(self.GOOD, np.zeros(1), self.N_MAX)
