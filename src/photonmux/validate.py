@@ -26,7 +26,8 @@ from .optimize import search
 from .stats import DEFAULT_N_MAX, ideal_distribution, poisson_vector
 
 __all__ = [
-    "AGREEMENT_CONFIGS", "TRANSMISSION_FIELDS", "Check", "ValidationReport",
+    "AGREEMENT_CONFIGS", "DARK_MIXTURE_POINTS", "TRANSMISSION_FIELDS", "Check",
+    "ValidationReport",
     "check_agreement", "check_clock", "check_event_reference", "check_optimizer",
     "check_reductions", "check_switch_loss_trend", "check_transmission_trend",
     "run_validation",
@@ -145,6 +146,16 @@ def _event_reference(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> List[floa
             for k in range(n_max + 1)]
 
 
+# (m, mu, P_dark) points at e_h = 0.85 and transmission 1, where dark counts
+# and heralding loss both shape the routed-window mixture.
+DARK_MIXTURE_POINTS = ((2, 0.1, 0.01), (4, 0.3, 0.05), (6, 0.05, 0.002))
+
+
+def _dark_mixture_config(m: int, mu: float, p_dark: float) -> SourceConfig:
+    """The config of one of :data:`DARK_MIXTURE_POINTS`."""
+    return SourceConfig(m=m, mu=mu, e_h=0.85, r_dark=-math.log1p(-p_dark) / 2e-9)
+
+
 def check_event_reference() -> Check:
     """The chain against :func:`_event_reference` on 50 random configs, and
     at transmission 1 on three points of heralding loss and dark counts."""
@@ -157,8 +168,7 @@ def check_event_reference() -> Check:
         e_sw_db=float(rng.uniform(0.0, 2.0)),
         r_dark=float(rng.choice([0.0, 1e5, 5e6, 5e7])),
     ) for _ in range(50)]
-    configs += [SourceConfig(m=m, mu=mu, e_h=0.85, r_dark=-math.log1p(-p_dark) / 2e-9)
-                for m, mu, p_dark in ((2, 0.1, 0.01), (4, 0.3, 0.05), (6, 0.05, 0.002))]
+    configs += [_dark_mixture_config(*point) for point in DARK_MIXTURE_POINTS]
     worst = max(float(np.abs(output_distribution(cfg).probs - _event_reference(cfg)).max())
                 for cfg in configs)
     return _below("chain = event-level reference", worst, 1e-12)

@@ -32,6 +32,7 @@ from photonmux.stats import (
     poisson_vector,
 )
 from photonmux.validate import (
+    DARK_MIXTURE_POINTS,
     TRANSMISSION_FIELDS,
     check_event_reference,
     check_switch_loss_trend,
@@ -107,6 +108,12 @@ class TestDarkCounts:
         cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, r_dark=5e6)
         got = output_distribution(cfg)
         assert np.abs(got.probs - poisson_vector(0.1, got.n_max)).max() < 1e-12
+
+    @pytest.mark.parametrize("m,mu,p_dark", DARK_MIXTURE_POINTS)
+    def test_matches_literal_mixture(self, m, mu, p_dark):
+        cfg = validate._dark_mixture_config(m, mu, p_dark)
+        got = output_distribution(cfg)
+        assert np.abs(got.probs - validate._event_reference(cfg, got.n_max)).max() < 1e-12
 
     def test_dark_counts_shift_weight_to_vacuum(self):
         base = SourceConfig(m=4, mu=0.1, e_h=0.85)
