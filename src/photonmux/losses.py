@@ -12,19 +12,24 @@ The chain has a closed form.  Before signal loss the routed window holds n
 photons with probability alpha Pois(n; mu) + (1 - alpha) Pois(n; mu (1 - e_h)),
 and binomial thinning maps Poisson(lambda) to Poisson(lambda t), so the output
 is the same mixture at means mu t and mu (1 - e_h) t.  One batched core
-evaluates it for arrays of pump rates and transmissions, with the other
+evaluates its rows for arrays of pump rates and transmissions, with the other
 parameters per row or shared, and one driver, :func:`_blocks`, runs any
 number of rows through it in fixed-size blocks and applies the truncation
 guard.  :func:`_output_rows` collects the blocks' rows, and the one scalar
-entry point, :func:`output_distribution`, is a batch of one through it;
-:func:`_p1_snr_rows` and the sweep curves keep only what they need of each
-block.  Each stage on its own is a config of the full chain: transmission 1
-(``e_s=1.0, e_sw_db=0.0``) leaves heralding loss and dark counts, and
-``r_dark=0.0`` as well leaves heralding loss only.
+entry point, :func:`output_distribution`, is a batch of one through it; the
+sweep curves keep only what they need of each block.  The optimizer's rounds
+and :func:`p1_snr_curve` read P_1 and P_>=2 alone: :func:`_p1_snr_rows` and
+its P_1-only sibling :func:`_p1_rows` sum the mixture for them in closed form,
+with P_1 bit for bit as in the row, at every pump rate up to 4, where the
+truncation guard cannot reject a row; higher pump rates, and zero or
+vanishing ones, keep the row path.  Each stage on its own is a config of the
+full chain: transmission 1 (``e_s=1.0, e_sw_db=0.0``) leaves heralding loss
+and dark counts, and ``r_dark=0.0`` as well leaves heralding loss only.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -90,6 +95,13 @@ def _output_rows(
     return np.concatenate(probs), np.concatenate(tail)
 
 
+def _herald_weight(mu, e_h, windows, p_dark):
+    """The weight alpha of :func:`_output_rows`' mixture for each row, under
+    the caller's np.errstate: 0/0 at c = 0 gives way to W."""
+    c = mu * e_h - np.log1p(-p_dark)  # infinite when P_dark = 1
+    return np.where(c > 0, np.expm1(-windows * c) / np.expm1(-c), windows)
+
+
 def _chain_rows(mu, transmission, e_h, windows, p_dark, n_max):
     """The rows of :func:`_output_rows` with their lost mass 1 - sum(probs),
     before the truncation guard."""
@@ -97,8 +109,7 @@ def _chain_rows(mu, transmission, e_h, windows, p_dark, n_max):
     lam = mu * transmission
     width = 2 * n_max + 2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        c = mu * e_h - np.log1p(-p_dark)  # infinite when P_dark = 1
-        alpha = np.where(c > 0, np.expm1(-windows * c) / np.expm1(-c), windows)
+        alpha = _herald_weight(mu, e_h, windows, p_dark)
         shift = np.arange(width) * np.log1p(-e_h)[..., None]  # one row per e_h
         shift[..., 0] = 0.0  # 0 * ln(0) is NaN at e_h = 1
         pois = poisson_rows(lam, width - 1)
@@ -132,6 +143,11 @@ def _check_truncation(mu: np.ndarray, lost: np.ndarray, n_max: int) -> None:
 _BLOCK_ROWS = 256
 
 
+def _rows_of(params, rows):
+    """Each parameter at ``rows``, or as it is where one value serves all rows."""
+    return [p[rows] if getattr(p, "ndim", 0) else p for p in params]
+
+
 def _blocks(mu, transmission, e_h, windows, p_dark, n_max):
     """Yield (rows, probs, tail) for each _BLOCK_ROWS block of the pump rates
     in ``mu`` whose rows all pass the truncation guard: the slice of ``mu``
@@ -148,21 +164,118 @@ def _blocks(mu, transmission, e_h, windows, p_dark, n_max):
     # An empty input still passes the core's argument checks once.
     for start in range(0, max(rows, 1), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        probs, tail, lost[block] = _chain_rows(
-            mu[block], *[p[block] if getattr(p, "ndim", 0) else p for p in params], n_max)
+        probs, tail, lost[block] = _chain_rows(mu[block], *_rows_of(params, block), n_max)
         if (lost[block] < TAIL_LIMIT).all():  # a failing block raises below
             yield block, probs, tail
     _check_truncation(mu, lost, n_max)
 
 
+# The closed form of _p1_rows and _p1_snr_rows takes the rows with
+# _CLOSED_FORM_LAM <= mu t and mu <= _CLOSED_FORM_MU; the others keep the rows
+# of _blocks.  A row's path depends on its own values alone, never on the
+# rows beside it.
+#
+# Up to _CLOSED_FORM_MU the output's mass beyond DEFAULT_N_MAX is below about
+# 1e-16, far under TAIL_LIMIT, so the truncation guard cannot reject a row the
+# closed form takes: it is Q_31(mu t) <= Q_31(4) ~ 1e-17 plus about
+# (alpha - 1) e_h mu t Pois(30; mu t) <= t Pois(30; 4) ~ 8e-17, since
+# alpha - 1 <= 1 / (mu e_h).  The guard, and the mu its TruncationError
+# names, see every row it could reject as before.
+_CLOSED_FORM_MU = 4.0
+# Below _CLOSED_FORM_LAM the row path's P_>=2, whose Poisson terms are
+# exp(k ln(mu t) - ...), carries a relative error of about 2 |ln(mu t)| eps,
+# and near mu t = 1e-154 both forms of P_>=2 reach the subnormal range, where
+# they round to 0 at different points.  Zero pumps and such faint rows keep
+# the row path, so the SNR is +inf exactly where the rows give +inf.
+_CLOSED_FORM_LAM = 1e-100
+
+# Below this x, h(x) = expm1(x) - x is summed from its Taylor series
+# x^2 (1/2! + x/3! + ... + x^16/18!), whose remainder there is below 1e-18
+# of the sum; above it the subtraction loses at most expm1(x) / h(x) = 3.2 ulp.
+_H_SERIES_BELOW = 0.7
+_H_COEFFICIENTS = tuple(1.0 / math.factorial(k) for k in range(18, 1, -1))
+
+
+def _h(x: np.ndarray) -> np.ndarray:
+    """expm1(x) - x for each x >= 0, to a few ulp."""
+    small = x < _H_SERIES_BELOW
+    whole = small.all()
+    s = x if whole else x[small]
+    series = s * _H_COEFFICIENTS[0]
+    for coefficient in _H_COEFFICIENTS[1:]:  # Horner's scheme, from the highest power
+        series += coefficient
+        series *= s
+    series *= s
+    if whole:
+        return series
+    out = np.expm1(x)
+    out -= x
+    out[small] = series
+    return out
+
+
+def _closed_form(mu, transmission, e_h, windows, p_dark, multi):
+    """(P_1, P_>=2) of the output of each pump rate, P_>=2 None unless
+    ``multi``, from the mixture of :func:`_output_rows` summed in closed form.
+
+    P_1 is column 1 of the row of :func:`_chain_rows`, computed by the same
+    operations, so it has the same bits.  With lam = mu t, d = lam e_h and
+    h(x) = expm1(x) - x, summing P_k over k >= 2 gives
+
+        P_>=2 = e^-lam [h(lam) + (alpha - 1) (h(d) + (lam - d) expm1(d))].
+
+    Every term is >= 0, since alpha >= 1, so nothing cancels, and the sum
+    has no truncation; the row path's P_>=2 is a sum of 60 rounded terms.
+    Rows outside the bounds of _CLOSED_FORM_MU and _CLOSED_FORM_LAM may
+    overflow or give NaN here; :func:`_p1_multi` replaces them.
+    """
+    lam = mu * transmission
+    d = lam * e_h
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weight = 1.0 - _herald_weight(mu, e_h, windows, p_dark)
+        p1 = (np.expm1(d + np.log1p(-e_h)) * weight + 1.0) * np.exp(np.log(lam) - lam)
+        if not multi:
+            return p1, None
+        h = _h(np.concatenate((lam, d)))
+        h_lam, h_d = h[:lam.size], h[lam.size:]
+        return p1, np.exp(-lam) * (h_lam - weight * (h_d + (lam - d) * np.expm1(d)))
+
+
+def _p1_multi(mu, transmission, e_h, windows, p_dark, multi):
+    """(P_1, P_>=2) of the output at DEFAULT_N_MAX of each pump rate in
+    ``mu``, P_>=2 None unless ``multi``: from :func:`_closed_form`, except
+    at the rows it does not take, which come from :func:`_blocks`, whose
+    TruncationError names the worst of them."""
+    params = (transmission, e_h, windows, p_dark)
+    p1, p_multi = _closed_form(mu, *params, multi)
+    far = ~((mu <= _CLOSED_FORM_MU) & (mu * transmission >= _CLOSED_FORM_LAM))
+    if far.any():
+        at = np.flatnonzero(far)
+        for rows, probs, tail in _blocks(mu[far], *_rows_of(params, far), DEFAULT_N_MAX):
+            p1[at[rows]] = p1_rows(probs)
+            if multi:
+                p_multi[at[rows]] = snr_rows(probs, tail)[0]
+    return p1, p_multi
+
+
+def _p1_rows(mu, transmission, e_h, windows, p_dark):
+    """P_1 of the output row of each pump rate in ``mu``, as
+    :func:`_p1_snr_rows` gives it, without the SNR."""
+    return _p1_multi(mu, transmission, e_h, windows, p_dark, False)[0]
+
+
 def _p1_snr_rows(mu, transmission, e_h, windows, p_dark):
-    """P_1 and the SNR of the output row of each pump rate in ``mu``, from
-    :func:`_blocks` at DEFAULT_N_MAX."""
-    p1, ratio = np.empty(mu.size), np.empty(mu.size)
-    for rows, probs, tail in _blocks(mu, transmission, e_h, windows, p_dark, DEFAULT_N_MAX):
-        p1[rows] = p1_rows(probs)
-        ratio[rows] = snr_rows(probs, tail)[1]
-    return p1, ratio
+    """P_1 and the SNR P_1 / P_>=2 of the output at DEFAULT_N_MAX of each
+    pump rate in ``mu``, with the parameters of :func:`_output_rows`.
+
+    P_1 has the bits of column 1 of the pump rate's row.  The SNR is +inf
+    where P_>=2 is 0; see :func:`p1_snr_curve` for its bound against the
+    row's :func:`stats.snr_rows`.
+    """
+    p1, p_multi = _p1_multi(mu, transmission, e_h, windows, p_dark, True)
+    # As stats.snr_rows divides, so a row from _blocks keeps its bits.
+    return p1, np.divide(p1, p_multi, out=np.full_like(p_multi, np.inf),
+                         where=~(p_multi <= 0.0))
 
 
 def _row_distribution(probs: np.ndarray, tail: float, **meta) -> PhotonDistribution:
@@ -185,16 +298,23 @@ def p1_snr_curve(cfg: SourceConfig,
                  mu_values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized single-photon probability and SNR over a pump grid.
 
-    Evaluates the full loss chain of :func:`output_distribution` for every
-    mu in ``mu_values``, in blocks of rows as the optimizer's rounds do.
-    Raises :class:`TruncationError` like the scalar path when the tail mass
-    at any grid point reaches the limit, naming the worst one.
+    Evaluates the loss chain of :func:`output_distribution` at every mu in
+    ``mu_values`` as the optimizer's rounds do.  Grid points with
+    mu <= 4 and mu t >= 1e-100 (t the signal transmission) take a closed
+    form for P_1 and P_>=2, the others the output rows.  Raises
+    :class:`TruncationError` like the scalar path when the tail mass at any
+    grid point reaches the limit, naming the worst one.
 
     Returns
     -------
     (p1, snr):
         Arrays of the single-photon probability and of P_1 / P_>=2 over the
-        grid.  The SNR is +inf where the multi-photon weight vanishes.
+        grid.  Each P_1 has the bits of ``output_distribution(...).p(1)`` at
+        its mu.  The SNR is +inf exactly where :func:`stats.snr` of that
+        distribution is; elsewhere the two differ by less than 1e-13
+        relative, since the closed form sums P_>=2 in another order than the
+        row's 60 terms.  A point's values do not depend on the other points
+        of the grid.
     """
     mu = np.asarray(mu_values, dtype=float)
     if not ((mu >= 0) & (mu < np.inf)).all():

@@ -16,7 +16,9 @@ section, then the optima.  A case without a floor has the floor -inf, so its
 one run is the whole coarse grid, whose rows it reuses.  A phase holds the
 brackets of all its jobs in numpy arrays, with the index of the search each
 job serves, and each round takes one step of every live job: a few
-elementwise operations and one blocked call of the loss-chain core.
+elementwise operations and one call of the loss chain's closed form for
+P_1 and the SNR, ``losses._p1_snr_rows``, or ``losses._p1_rows`` in the
+rounds that read P_1 alone: the golden sections and the runs' own grids.
 The last round evaluates each golden section's final midpoint together with
 every other candidate optimum in one call of the core that keeps whole
 output rows, and each result's distribution is its optimum's row.
@@ -41,6 +43,7 @@ from .config import SourceConfig
 # traced pass and its chain-call probe wrap them by name.
 from .losses import (  # noqa: F401
     _output_rows,
+    _p1_rows,
     _p1_snr_rows,
     _row_distribution,
     output_distribution,
@@ -151,7 +154,7 @@ def _golden(params: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarra
     live, a, b, row = np.arange(lo.size), lo, hi, params[:, owner]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = np.split(_p1_snr_rows(np.concatenate((c, d)), *np.tile(row, 2))[0], 2)
+    fc, fd = np.split(_p1_rows(np.concatenate((c, d)), *np.tile(row, 2)), 2)
     step = 0
     while True:
         open_ = b - a > tol
@@ -163,7 +166,7 @@ def _golden(params: np.ndarray, owner: np.ndarray, lo: np.ndarray, hi: np.ndarra
             return mids, steps
         left = fc >= fd
         new = np.where(left, d - _GOLDEN * (d - a), c + _GOLDEN * (b - c))
-        f_new = _p1_snr_rows(new, *row)[0]
+        f_new = _p1_rows(new, *row)
         a, b = np.where(left, a, c), np.where(left, d, b)
         c, d = np.where(left, new, d), np.where(left, c, new)
         fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
@@ -225,8 +228,8 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
     peak_grid, peak_p1 = np.tile(grid, (runs, 1)), coarse_p1[case]
     if own.size:
         peak_grid[own] = np.geomspace(a[own], b[own], COARSE_POINTS, axis=1)
-        own_p1 = _p1_snr_rows(peak_grid[own].ravel(),
-                              *params[:, np.repeat(case[own], COARSE_POINTS)])[0]
+        own_p1 = _p1_rows(peak_grid[own].ravel(),
+                          *params[:, np.repeat(case[own], COARSE_POINTS)])
         peak_p1[own] = own_p1.reshape(own.size, COARSE_POINTS)
     peak_grid, peak_p1 = peak_grid[peak], peak_p1[peak]
 

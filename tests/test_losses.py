@@ -1,4 +1,5 @@
 import ast
+import decimal
 import inspect
 import itertools
 import math
@@ -30,6 +31,7 @@ from photonmux.stats import (
     TAIL_LIMIT,
     poisson_rows,
     poisson_vector,
+    snr_rows,
 )
 from photonmux.validate import (
     DARK_MIXTURE_POINTS,
@@ -323,6 +325,84 @@ class TestVectorizedCurve:
             output_distribution(cfg.replace(mu=10.0))
 
 
+def _h_reference(x: float) -> float:
+    """expm1(x) - x from its Taylor series, summed to 50 digits."""
+    with decimal.localcontext(prec=50):
+        x = decimal.Decimal(x)
+        term, total, k = x, decimal.Decimal(0), 1
+        while True:
+            k += 1
+            term = term * x / k
+            total += term
+            if term < total * decimal.Decimal("1e-50"):
+                return float(total)
+
+
+def _params(cfg):
+    return cfg.e_s_total, cfg.e_h, float(cfg.n_windows), cfg.p_dark
+
+
+class TestClosedForm:
+    """P1 and the SNR of the optimizer's rounds and p1_snr_curve, in closed
+    form, against the output rows."""
+
+    def test_matches_the_output_rows(self):
+        # P1 has the row's bits; the SNR is +inf where the row's is, and
+        # otherwise within the bound that p1_snr_curve states.
+        rng = np.random.default_rng(2032)
+        edge = losses._CLOSED_FORM_MU
+        below = [np.nextafter(edge, 0.0), edge * (1.0 - 1e-9), edge * (1.0 - 1e-3), edge]
+        for _ in range(300):
+            cfg = SourceConfig(m=int(rng.integers(0, 11)), mu=0.1,
+                               e_h=float(rng.choice([0.0, 1.0, rng.random()])),
+                               e_s=float(rng.random()), e_sw_db=float(rng.uniform(0.0, 3.0)),
+                               r_dark=float(rng.uniform(0.0, 5e7)))
+            mu = np.concatenate(([0.0, 1e-8], below,
+                                 np.exp(rng.uniform(math.log(1e-6), math.log(edge), 20))))
+            p1, ratio = losses._p1_snr_rows(mu, *_params(cfg))
+            probs, tail = losses._output_rows(mu, *_params(cfg), 30)
+            want = snr_rows(probs, tail)[1]
+            assert p1.tobytes() == probs[:, 1].tobytes()
+            assert losses._p1_rows(mu, *_params(cfg)).tobytes() == p1.tobytes()
+            assert (np.isinf(ratio) == np.isinf(want)).all()
+            finite = np.isfinite(want)
+            assert (np.abs(ratio[finite] / want[finite] - 1.0) < 1e-13).all()
+
+    def test_h_matches_a_50_digit_series(self):
+        switch = losses._H_SERIES_BELOW
+        x = np.concatenate((np.geomspace(1e-12, 10.0, 500),
+                            np.random.default_rng(7).uniform(switch - 0.1, switch + 0.1, 200),
+                            [np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0)]))
+        got = losses._h(x)
+        for xi, hi in zip(x.tolist(), got.tolist()):
+            want = _h_reference(xi)
+            assert abs(hi - want) <= 4 * np.spacing(want), xi
+        # Each point's value does not depend on the points beside it.
+        for part in (x < switch, x >= switch, x > 1e-3):
+            assert losses._h(x[part]).tobytes() == got[part].tobytes()
+
+    def test_each_point_has_the_bits_of_its_one_point_call(self):
+        # Rows below and above the bound, and zero and faint pumps, in one
+        # grid.  The rows left on the row path give the row's own SNR bits.
+        cfg = SourceConfig(m=4, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
+        edge = losses._CLOSED_FORM_MU
+        rng = np.random.default_rng(11)
+        mu = rng.permutation(np.concatenate((
+            rng.uniform(0.0, edge, 300), rng.uniform(edge, 2 * edge, 300),
+            [0.0, 1e-110, 1e-95, edge, np.nextafter(edge, np.inf)])))
+        p1, ratio = p1_snr_curve(cfg, mu)
+        assert losses._p1_rows(mu, *_params(cfg)).tobytes() == p1.tobytes()
+        on_rows = (mu > edge) | (mu * cfg.e_s_total < losses._CLOSED_FORM_LAM)
+        assert 290 < on_rows.sum() < 310
+        for i, x in enumerate(mu.tolist()):
+            one_p1, one_ratio = p1_snr_curve(cfg, [x])
+            assert (one_p1.tobytes(), one_ratio.tobytes()) == (p1[i].tobytes(),
+                                                               ratio[i].tobytes())
+            if on_rows[i]:
+                dist = output_distribution(cfg.replace(mu=x))
+                assert np.float64(snr(dist)).tobytes() == ratio[i].tobytes()
+
+
 def test_negative_n_max_rejected():
     with pytest.raises(ValueError, match=rf"^n_max must be an integer in \[0, {N_MAX_LIMIT}\], "
                                          r"got -1$"):
@@ -468,6 +548,20 @@ class TestTruncationGuard:
                 blocked()
             assert str(got.value) == str(unblocked.value)
         assert f"at mu={named};" in str(unblocked.value)
+
+    def test_a_truncating_row_among_closed_form_rows_is_named(self):
+        # Rows above the closed form's bound, some truncating, among rows
+        # below it: every path names the mu one unblocked core call names.
+        cfg = SourceConfig(m=3, mu=0.1, e_h=0.5)
+        mu = np.array([0.1, 3.9, 6.0, 12.0, 0.0, 2.0, 25.0, 4.0, 9.0, 25.0, 1.0])
+        with pytest.raises(TruncationError) as unblocked:
+            losses._check_truncation(mu, losses._chain_rows(mu, *_params(cfg), 30)[2], 30)
+        assert "at mu=25.0;" in str(unblocked.value)
+        for call in (lambda: p1_snr_curve(cfg, mu),
+                     lambda: losses._p1_rows(mu, *_params(cfg))):
+            with pytest.raises(TruncationError) as got:
+                call()
+            assert str(got.value) == str(unblocked.value)
 
     def test_figure_searches_raise_on_truncation(self):
         # The searches of figure2 and figure5, over a range they outgrow.

@@ -15,7 +15,14 @@ from photonmux import (
     sweeps,
 )
 from photonmux.losses import p1_snr_curve
-from photonmux.stats import TruncationError, mandel_q_or_nan, snr
+from photonmux.stats import (
+    DEFAULT_N_MAX,
+    TruncationError,
+    mandel_q_or_nan,
+    p1_rows,
+    snr,
+    snr_rows,
+)
 
 
 def test_ideal_single_window_peaks_at_unit_mu():
@@ -283,6 +290,12 @@ def _same_bits(got, want):
     return np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def _close_snr(got, want):
+    """The closed-form SNR against a row's: +inf at the same points, and
+    otherwise within the relative bound p1_snr_curve states."""
+    return got == want or abs(got / want - 1.0) < 1e-13
+
+
 def _counted_rows(monkeypatch, *names):
     """Record (core name, rows) of each call that optimize makes to the named cores."""
     calls = []
@@ -343,7 +356,7 @@ def test_curve_entries_equal_one_point_calls(seed):
             assert one_p1[0].tobytes() == p1[i].tobytes()
             assert one_ratio[0].tobytes() == ratio[i].tobytes()
             dist = output_distribution(cfg.replace(mu=float(mu[i])))
-            assert _same_bits(p1[i], dist.p(1)) and _same_bits(ratio[i], snr(dist))
+            assert _same_bits(p1[i], dist.p(1)) and _close_snr(ratio[i], snr(dist))
 
     # The final round's one _output_rows call: each row with its own config's
     # parameters, over more than two blocks.  Its rows and tails equal those
@@ -468,6 +481,51 @@ def test_interleaved_cases_equal_one_step_searches():
     assert [result.feasible for result in together] == [target != 1e9 for _, target in cases]
 
 
+def _row_path_p1_snr(mu, transmission, e_h, windows, p_dark):
+    """P1 and the SNR of each pump rate read from its output row, as the
+    rounds read them before the closed form: the reference for its results."""
+    p1, ratio = np.empty(mu.size), np.empty(mu.size)
+    for rows, probs, tail in losses._blocks(mu, transmission, e_h, windows, p_dark,
+                                            DEFAULT_N_MAX):
+        p1[rows] = p1_rows(probs)
+        ratio[rows] = snr_rows(probs, tail)[1]
+    return p1, ratio
+
+
+def test_closed_form_rounds_give_the_results_of_the_row_path(monkeypatch):
+    # The closed-form SNR may differ from the row's in the last bits, so a
+    # bisection step could in principle pass a floor that the row fails.  On
+    # figure2, figure5 and this draw of 280 searches no result moves, the
+    # distributions included.
+    rng = np.random.default_rng(32)
+    cfgs = [SourceConfig(m=int(rng.integers(0, 11)), mu=0.1,
+                         e_h=float(rng.choice([0.3, 0.85, 1.0, rng.uniform(0.05, 1.0)])),
+                         e_s=float(rng.uniform(0.2, 1.0)), e_sw_db=float(rng.uniform(0.0, 3.0)),
+                         r_dark=float(rng.choice([0.0, 5e6, 5e7])))
+            for _ in range(40)]
+    cases = [(cfg, target) for cfg in cfgs for target in (None, 0.0, 2.0, 5.0, 20.0, 100.0, 1e9)]
+    closed = optimize.search(cases, *_RANGE_ARGS)
+    figures = (sweeps.figure2, sweeps.figure5)
+    tables = [figure() for figure in figures]
+
+    rows = []
+
+    def row_path(mu, *params):
+        rows.append(mu.size)
+        return _row_path_p1_snr(mu, *params)
+
+    monkeypatch.setattr(optimize, "_p1_snr_rows", row_path)
+    monkeypatch.setattr(optimize, "_p1_rows", lambda mu, *params: row_path(mu, *params)[0])
+    _same_results(closed, optimize.search(cases, *_RANGE_ARGS))
+    assert any(result.constraint_active for result in closed)
+    assert any(not result.feasible for result in closed)
+    for table, figure in zip(tables, figures):
+        rows.clear()
+        row_table = figure()
+        assert rows
+        assert (table.to_csv(), table.to_json()) == (row_table.to_csv(), row_table.to_json())
+
+
 def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
     # The chain's SNR falls with the pump rate, so its feasible sets start at
     # the low end of the range.  Evaluated at mu (1.5 + sin(3 ln mu)), both
@@ -477,7 +535,7 @@ def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
     def warped(core):
         return lambda mu, *args: core(mu * (1.5 + np.sin(3.0 * np.log(mu))), *args)
 
-    for name in ("_p1_snr_rows", "_output_rows"):
+    for name in ("_p1_rows", "_p1_snr_rows", "_output_rows"):
         core = warped(getattr(losses, name))
         for module in (losses, optimize):
             monkeypatch.setattr(module, name, core)
@@ -494,17 +552,21 @@ def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
 
 
 def test_figure_searches_share_core_rounds(monkeypatch):
-    # One blocked core call per round for all of a figure's searches.  The
-    # last round keeps whole output rows, and each result's distribution is
-    # its optimum's row there: no optimum is evaluated a second time.
-    calls = _counted_rows(monkeypatch, "_p1_snr_rows", "_output_rows")
+    # One core call per round for all of a figure's searches: the rounds
+    # that read the SNR, the coarse grid and the bisections, then those that
+    # read P1 alone, the runs' own grids and the golden sections.  The last
+    # round keeps whole output rows, and each result's distribution is its
+    # optimum's row there: no optimum is evaluated a second time.
+    calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_output_rows")
     monkeypatch.setattr(optimize, "output_distribution", None)
     sweeps.figure2()
-    assert [name for name, _ in calls] == ["_p1_snr_rows"] * 28 + ["_output_rows"]
+    assert [name for name, _ in calls] == (["_p1_snr_rows"] + ["_p1_rows"] * 27
+                                           + ["_output_rows"])
     assert calls[0][1] == 11 * 96 and calls[-1][1] == 22  # 11 best points, 11 midpoints
     calls.clear()
     sweeps.figure5()
-    assert [name for name, _ in calls] == ["_p1_snr_rows"] * 58 + ["_output_rows"]
+    assert [name for name, _ in calls] == (["_p1_snr_rows"] * 31 + ["_p1_rows"] * 27
+                                           + ["_output_rows"])
     assert calls[0][1] == 12 * 96  # one coarse grid per template, shared by 6 targets
 
 
@@ -527,7 +589,7 @@ def test_shared_rows_are_evaluated_once(monkeypatch):
 
 
 def test_no_cases_give_no_results_and_no_core_calls(monkeypatch):
-    calls = _counted_rows(monkeypatch, "_p1_snr_rows", "_output_rows")
+    calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_output_rows")
     assert optimize.search([]) == []
     assert calls == []
 
