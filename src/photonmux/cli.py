@@ -219,12 +219,6 @@ def _write_result(format: str, path: Optional[str], kind: str, cfg: SourceConfig
     _emit("\n".join([*lines, *table]) + "\n", path)
 
 
-def _fields_except(result, name: str) -> dict:
-    """The dataclass fields of ``result`` by name, all but ``name``."""
-    return {field.name: getattr(result, field.name) for field in dataclasses.fields(result)
-            if field.name != name}
-
-
 def run(ns: argparse.Namespace) -> int:
     """Dispatch one parsed invocation; returns the process exit status."""
     if ns.subcommand == "validate":
@@ -280,7 +274,7 @@ def run(ns: argparse.Namespace) -> int:
             result = optimize_mu(cfg, (ns.mu_min, ns.mu_max), ns.tol)
         else:
             result = max_p1_with_snr_floor(cfg, ns.snr_target, (ns.mu_min, ns.mu_max), ns.tol)
-        values = _fields_except(result, "distribution")
+        values = dataclasses.asdict(result)
         fields = {"clock_hz": cfg.clock_hz, "result": values}
         _write_result(ns.format, path, "optimize", cfg, fields,
                       ["key,value", *(f"{k},{v!r}" for k, v in sorted(values.items()))])
@@ -313,7 +307,8 @@ def run(ns: argparse.Namespace) -> int:
         if ns.compare:
             report = compare(output_distribution(cfg), hist)
             notes += report.lines()
-            fields["compare"] = _fields_except(report, "z_scores")
+            fields["compare"] = dataclasses.asdict(report)
+            del fields["compare"]["z_scores"]
         _write_result(ns.format, path, "histogram", cfg, fields,
                       ["k,count,frequency", *(f"{k},{c},{f!r}" for k, c, f in hist.rows())], notes)
         return 1 if ns.compare and not report.passed else 0

@@ -17,7 +17,7 @@ parameters per row or shared, and one driver, :func:`_blocks`, runs any
 number of rows through it in fixed-size blocks and applies the truncation
 guard.  :func:`_output_rows` collects the blocks' rows, and the one scalar
 entry point, :func:`output_distribution`, is a batch of one through it; the
-sweep curves keep only what they need of each block.  The optimizer's rounds
+sweep records keep only what they need of each block.  The optimizer's rounds
 and :func:`p1_snr_curve` read P_1 and P_>=2 alone: :func:`_p1_snr_rows` and
 its P_1-only sibling :func:`_p1_rows` sum the mixture for them in closed form,
 with P_1 bit for bit as in the row, at every pump rate up to 4, where the
@@ -136,10 +136,12 @@ def _check_truncation(mu: np.ndarray, lost: np.ndarray, n_max: int) -> None:
         )
 
 
-# Rows per core call, so that a block's (rows, 2 n_max + 2) arrays stay in
-# cache.  Of 128 to 4096 rows, 256 ran figure2() plus figure5() fastest; a
-# 100,001-point p1_snr_curve took 88 ms at 256 rows, 82-94 ms at 512 to 4096
-# and 120 ms at 128 (2-vCPU x86-64 host).
+# Rows per core call, which bound the memory of the sweep records, the
+# optimizer's final round and the rows the closed form leaves to the row path:
+# 127 kB per (rows, 2 n_max + 2) array at DEFAULT_N_MAX.  Of 64 to 4096 rows,
+# 256 took 68 ms for a 20,001-point mu sweep and 78 ms for 100,001 row-path
+# points (mu > 4) of p1_snr_curve, against 65 and 64 ms at best, at 512 to
+# 1024 rows (2-vCPU x86-64 host); the figures send few rows per call.
 _BLOCK_ROWS = 256
 
 
@@ -278,11 +280,6 @@ def _p1_snr_rows(mu, transmission, e_h, windows, p_dark):
                          where=~(p_multi <= 0.0))
 
 
-def _row_distribution(probs: np.ndarray, tail: float, **meta) -> PhotonDistribution:
-    """The distribution of one core row, with ``meta``."""
-    return PhotonDistribution(probs, probs.size - 1, float(tail), meta)
-
-
 def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:
     """End-to-end photon-number distribution with all device imperfections.
 
@@ -291,7 +288,7 @@ def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> Photon
     """
     probs, tail = _output_rows(np.array([cfg.mu]), cfg.e_s_total, cfg.e_h, cfg.n_windows,
                                cfg.p_dark, n_max)
-    return _row_distribution(probs[0], tail[0], config=cfg)
+    return PhotonDistribution(probs[0], probs.shape[1] - 1, tail[0], {"config": cfg})
 
 
 def p1_snr_curve(cfg: SourceConfig,
@@ -317,6 +314,8 @@ def p1_snr_curve(cfg: SourceConfig,
         of the grid.
     """
     mu = np.asarray(mu_values, dtype=float)
+    if mu.ndim != 1:
+        raise ValueError("mu grid must be one-dimensional")
     if not ((mu >= 0) & (mu < np.inf)).all():
         raise ValueError("mu grid must be finite and >= 0")
     return _p1_snr_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark)

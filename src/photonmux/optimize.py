@@ -21,7 +21,7 @@ P_1 and the SNR, ``losses._p1_snr_rows``, or ``losses._p1_rows`` in the
 rounds that read P_1 alone: the golden sections and the runs' own grids.
 The last round evaluates each golden section's final midpoint together with
 every other candidate optimum in one call of the core that keeps whole
-output rows, and each result's distribution is its optimum's row.
+output rows, and each result's numbers are read from its optimum's row.
 ``figure2()`` takes 29 rounds for its 11 searches and ``figure5()`` 59 for
 its 72.  Every result, ``iterations`` included, equals that of the search
 run alone with one loss-chain evaluation per step: numpy's elementwise
@@ -33,7 +33,7 @@ evaluates the chain at the truncation bound ``DEFAULT_N_MAX``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,11 +45,10 @@ from .losses import (  # noqa: F401
     _output_rows,
     _p1_rows,
     _p1_snr_rows,
-    _row_distribution,
     output_distribution,
     p1_snr_curve,
 )
-from .stats import DEFAULT_N_MAX, PhotonDistribution, mandel_q_or_nan, p1_rows, snr_rows
+from .stats import DEFAULT_N_MAX, mandel_q_or_nan, p1_rows, snr_rows
 
 __all__ = [
     "OptimizationResult",
@@ -75,8 +74,8 @@ class OptimizationResult:
     target cannot be met anywhere in the range; the remaining fields are NaN
     in that case.  ``constraint_active`` marks a constrained optimum pinned
     to the SNR boundary rather than the unconstrained peak.
-    ``distribution`` is the loss chain's output at ``mu_opt``, from which the
-    figures of merit were taken; None when infeasible.
+    The figures of merit are read from the loss chain's output row at
+    ``mu_opt``, which ``output_distribution(template.replace(mu=mu_opt))`` gives.
     """
 
     mu_opt: float
@@ -89,7 +88,6 @@ class OptimizationResult:
     feasible: bool = True
     snr_target: Optional[float] = None
     constraint_active: bool = False
-    distribution: Optional[PhotonDistribution] = field(default=None, compare=False, repr=False)
 
 
 def _interior_maxima(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -190,6 +188,10 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
     evaluates, for every run, its best grid point, or its lone point where
     bisection closed it to one, and the golden sections' midpoints.  A
     case's result is its first run of the highest P_1.
+
+    ``tol`` must be at least 4 float spacings at ``mu_range``'s upper end: a
+    golden bracket narrower than a few spacings of the floats it lies among
+    can stop shrinking, and ``b - a <= tol`` would never come true.
     """
     if any(target is not None and math.isnan(target) for _, target in cases):
         raise ValueError("snr_target must not be NaN")
@@ -198,8 +200,9 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
     lo, hi = mu_range
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"mu_range must satisfy 0 < lo < hi < inf, got {mu_range}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    least = 4.0 * float(np.spacing(hi))
+    if not tol >= least:
+        raise ValueError(f"tol must be >= {least!r}, 4 float spacings at mu_range[1], got {tol}")
     grid = np.geomspace(lo, hi, COARSE_POINTS)
     params = _parameters([cfg for cfg, _ in cases])
     coarse_p1, coarse_ratio = _coarse_round(params, grid)
@@ -265,7 +268,7 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
     at_edge = (b > a) & ((first == 0) | (first == COARSE_POINTS - 1)) & (row == np.arange(runs))
 
     results, runs_of = [], np.searchsorted(case, np.arange(len(cases) + 1)).tolist()
-    for (cfg, target), begin, end in zip(cases, runs_of, runs_of[1:]):
+    for (_, target), begin, end in zip(cases, runs_of, runs_of[1:]):
         if begin == end:
             nan = math.nan
             results.append(OptimizationResult(
@@ -284,14 +287,12 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
                 f"internal error: constrained optimum violates SNR floor "
                 f"({float(snr_at[k])} < {target})"
             )
-        opt = float(mu[k])
-        dist = _row_distribution(probs[k], tail[k], config=cfg.replace(mu=opt))
         results.append(OptimizationResult(
-            mu_opt=opt, p1_max=dist.p(1), snr_at_opt=float(snr_at[k]),
-            mandel_q_at_opt=mandel_q_or_nan(dist.probs),
+            mu_opt=float(mu[k]), p1_max=float(p1_at[k]), snr_at_opt=float(snr_at[k]),
+            mandel_q_at_opt=mandel_q_or_nan(probs[k]),
             iterations=COARSE_POINTS + int(evaluations[begin:best + 1].sum()),
             converged=hit or not edge, boundary=None if hit else boundary, snr_target=target,
-            constraint_active=hit, distribution=dist))
+            constraint_active=hit))
     return results
 
 
@@ -315,7 +316,7 @@ def optimize_mu(
     mu_range:
         Search interval (lo, hi], 0 < lo < hi < inf.
     tol:
-        Absolute convergence tolerance in mu (> 0).
+        Absolute convergence tolerance in mu, >= 4 float spacings at mu_range[1].
     """
     return search([(cfg_template, None)], mu_range, tol)[0]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Tuple
@@ -94,9 +95,9 @@ class PhotonDistribution:
     ``probs[n]`` is the probability of n photons, for n = 0..n_max, where
     ``n_max`` is an integer in [0, N_MAX_LIMIT] (an integral real is stored
     as an int).
-    ``tail_mass`` is the residual probability beyond the truncation bound; it
-    must stay below :data:`TAIL_LIMIT` or construction fails loudly instead of
-    renormalizing, which would silently bias multi-photon figures of merit.
+    ``tail_mass``, a real stored as a float, is the mass beyond the truncation
+    bound; it must stay below :data:`TAIL_LIMIT` or construction fails loudly
+    instead of renormalizing, which would silently bias multi-photon merits.
     """
 
     probs: np.ndarray
@@ -111,7 +112,10 @@ class PhotonDistribution:
         object.__setattr__(self, "n_max", _check_n_max(self.n_max))
         if probs.ndim != 1:
             raise ValueError(f"probs must be one-dimensional, got shape {probs.shape}")
-        check_rows(probs[None], np.array([self.tail_mass], dtype=float), self.n_max)
+        if isinstance(self.tail_mass, bool) or not isinstance(self.tail_mass, numbers.Real):
+            raise ValueError(f"tail_mass must be a real number, got {self.tail_mass!r}")
+        object.__setattr__(self, "tail_mass", float(self.tail_mass))
+        check_rows(probs[None], np.array([self.tail_mass]), self.n_max)
         object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     def p(self, n: int) -> float:

@@ -10,14 +10,15 @@ Each of them returns a :class:`SweepTable` whose records are computed by
 direct calls into the loss chain and the optimizer, so table contents are
 bit-identical to what those calls return.  A table holds its records as
 columns, one tuple per :attr:`SweepRecord.FIELDS` entry.  ``figure3``,
-``figure4`` and ``sweep_axis`` build a curve's columns from the loss-chain
-core, run on blocks of rows, without a configuration per point
-(:func:`_curve`); ``figure2`` and ``figure5`` build theirs from the
-optimizer's distributions at the optima.  Tables serialize to CSV (one
-header row, '.' decimal separator) and to a self-describing JSON document
-carrying metadata, formatted column by column; both are byte-stable for
-fixed inputs and tool version, and equal to what formatting one record at a
-time gives.
+``figure4`` and ``sweep_axis`` build a curve's columns (:func:`_curve`), and
+``figure2`` and ``figure5`` theirs at the optimizer's optima
+(:func:`_optimum_columns`), without a configuration per point: one helper,
+:func:`_merit_columns`, which :func:`record_for` also calls, reads every
+record's outputs from the loss-chain core run on blocks of rows.  Tables
+serialize to CSV (one header row, '.' decimal separator) and to a
+self-describing JSON document carrying metadata, formatted column by column;
+both are byte-stable for fixed inputs and tool version, and equal to what
+formatting one record at a time gives.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ import numpy as np
 
 from ._version import __version__
 from .config import SourceConfig, signal_transmission
-from .losses import _blocks, output_distribution
-# optimize_mu and max_p1_with_snr_floor stay module attributes: perfbench's
-# traced pass wraps them by name.
+# output_distribution, optimize_mu and max_p1_with_snr_floor stay module
+# attributes: perfbench's traced pass wraps them by name.
+from .losses import _blocks, output_distribution  # noqa: F401
 from .optimize import (  # noqa: F401
     DEFAULT_MU_RANGE,
+    _parameters,
     max_p1_with_snr_floor,
     optimize_mu,
     search,
@@ -112,36 +114,47 @@ _ECHO = (*SweepRecord.FIELDS[:9], "clock_hz")
 
 def record_for(cfg: SourceConfig) -> SweepRecord:
     """Evaluate the full loss chain at one configuration."""
-    dist = output_distribution(cfg)
-    merits = _merits(dist.probs[None], np.array([dist.tail_mass]))
+    merits = _merit_columns(np.array([cfg.mu]), cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark)
     return SweepRecord(*[getattr(cfg, name) for name in _ECHO], *[column[0] for column in merits])
 
 
-def _merits(probs: np.ndarray, tail: np.ndarray) -> list:
-    """The p0, p1, p_ge2, snr and mandel_q columns of output rows ``probs``
-    with tail masses ``tail``, as lists of floats.
+def _merit_columns(mu: np.ndarray, transmission, e_h, windows, p_dark) -> list:
+    """The p0, p1, p_ge2, snr and mandel_q columns of the loss chain's output
+    rows at the pump rates ``mu``, with the parameters of
+    :func:`losses._output_rows`, as lists of floats.
 
-    P_>=2 and the SNR come from :func:`snr_rows` and Q from
-    :func:`mandel_q_or_nan`, one row at a time, so each value equals what
-    :func:`snr` and :func:`mandel_q` return for the row, and Q is NaN for the
-    vacuum.  A NaN row gives NaN in every column.
+    The rows come from the blocks of :func:`losses._blocks`, and only these
+    columns are kept, so memory beyond them stays bounded.  The rows pass the
+    checks a PhotonDistribution applies; TruncationError, naming the worst mu
+    over all rows, is raised before any other check fails, and then the first
+    failing row raises.  P_>=2 and the SNR come from :func:`snr_rows` and Q
+    from :func:`mandel_q_or_nan`, one row at a time, so each value equals what
+    :func:`snr` and :func:`mandel_q` return for the row's distribution, and Q
+    is NaN for the vacuum.
     """
-    p_multi, ratio = snr_rows(probs, tail)
-    return [probs[:, 0].tolist(), p1_rows(probs).tolist(), p_multi.tolist(), ratio.tolist(),
-            [mandel_q_or_nan(row) for row in probs]]
+    merits = [[] for _ in range(5)]
+    fault = None
+    for _, probs, tail in _blocks(mu, transmission, e_h, windows, p_dark, DEFAULT_N_MAX):
+        if fault is not None:
+            continue  # raised once _blocks has checked every row's truncation
+        try:
+            check_rows(probs, tail, DEFAULT_N_MAX)
+        except ValueError as error:
+            fault = error
+            continue
+        for column, part in zip(merits, (probs[:, 0], p1_rows(probs), *snr_rows(probs, tail))):
+            column += part.tolist()
+        merits[4] += map(mandel_q_or_nan, probs)
+    if fault is not None:
+        raise fault
+    return merits
 
 
 def _curve(template: SourceConfig, axis: str, values: Iterable[float]) -> list:
     """The columns of the records along ``axis`` (``mu`` or ``e_sw_db``),
     each record as :func:`record_for` makes it at ``template.replace(**{axis:
-    value})``, without building those configurations.
-
-    A bad axis value raises what that replace raises for the first one.  The
-    rows come from the blocks of :func:`losses._blocks`, and only the record
-    columns are kept, so memory beyond them stays bounded.  The rows pass the
-    checks a PhotonDistribution applies; TruncationError, naming the worst mu
-    over all rows, is raised before any other check fails, and then the first
-    failing row raises.
+    value})``, without building those configurations.  A bad axis value
+    raises what that replace raises for the first one.
     """
     x = np.fromiter(map(float, values), float)
     bad = ~((x >= 0) & (x < math.inf))
@@ -158,44 +171,25 @@ def _curve(template: SourceConfig, axis: str, values: Iterable[float]) -> list:
     else:
         echo["e_s_total"] = [signal_transmission(template.e_s, il, template.m) for il in xs]
         mu = np.full(rows, template.mu, dtype=float)
-    transmission = np.array(echo["e_s_total"], dtype=float)
-    merits = [[] for _ in range(5)]
-    fault = None
-    for _, probs, tail in _blocks(mu, transmission, template.e_h, template.n_windows,
-                                  template.p_dark, DEFAULT_N_MAX):
-        if fault is not None:
-            continue  # raised once _blocks has checked every row's truncation
-        try:
-            check_rows(probs, tail, DEFAULT_N_MAX)
-        except ValueError as error:
-            fault = error
-            continue
-        for column, part in zip(merits, _merits(probs, tail)):
-            column += part
-    if fault is not None:
-        raise fault
-    return [*(echo[name] for name in _ECHO), *merits, [None] * rows, [None] * rows]
+    merits = _merit_columns(mu, np.array(echo["e_s_total"], dtype=float), template.e_h,
+                            template.n_windows, template.p_dark)
+    return [*echo.values(), *merits, [None] * rows, [None] * rows]
 
 
 def _optimum_columns(templates: Sequence[SourceConfig], results: Sequence) -> list:
-    """The columns of one record per optimizer result: the configuration and
-    output of the loss chain at the optimum, or, where the result is
-    infeasible, the template's echo with NaN pump rate and outputs."""
-    echo, probs, tail = [], [], []
-    for template, result in zip(templates, results):
-        if result.feasible:
-            dist = result.distribution
-            echo.append([getattr(dist.meta["config"], name) for name in _ECHO])
-            probs.append(dist.probs)
-            tail.append(dist.tail_mass)
-        else:
-            row = [getattr(template, name) for name in _ECHO]
-            row[_ECHO.index("mu")] = row[_ECHO.index("mu_total")] = math.nan
-            echo.append(row)
-            probs.append(np.full(DEFAULT_N_MAX + 1, math.nan))
-            tail.append(math.nan)
-    return [*map(list, zip(*echo)), *_merits(np.array(probs), np.array(tail)),
-            [result.mu_opt for result in results], [result.snr_target for result in results]]
+    """The columns of one record per optimizer result: the template's echo
+    with ``mu = mu_opt``, and the loss chain's output there, the feasible
+    optima evaluated together, or, where the result is infeasible, NaN pump
+    rate and outputs."""
+    mu_opt = [result.mu_opt for result in results]
+    echo = {name: [getattr(template, name) for template in templates] for name in _ECHO}
+    echo["mu"] = mu_opt
+    echo["mu_total"] = [template.n_windows * mu for template, mu in zip(templates, mu_opt)]
+    feasible = np.flatnonzero([result.feasible for result in results])
+    merits = np.full((5, len(results)), math.nan)
+    merits[:, feasible] = _merit_columns(np.array(mu_opt)[feasible],
+                                         *_parameters(templates)[:, feasible])
+    return [*echo.values(), *merits.tolist(), mu_opt, [result.snr_target for result in results]]
 
 
 def _joined(curves: Iterable[list]) -> list:

@@ -345,8 +345,7 @@ class TestOutputLayout:
         assert doc["config"] == SourceConfig(m=2, mu=0.1).as_dict()
 
     def test_optimize_result_keys_are_the_result_fields(self, tmp_path):
-        keys = sorted(field.name for field in fields(OptimizationResult)
-                      if field.name != "distribution")
+        keys = sorted(field.name for field in fields(OptimizationResult))
         doc = json.loads(_run_to_text(tmp_path, "optimize", "--format", "structured"))
         assert sorted(doc) == ["clock_hz", "config", "format", "result", "tool"]
         assert sorted(doc["result"]) == keys
@@ -419,6 +418,16 @@ class TestErrors:
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "ConfigError" and record["subcommand"] == "optimize"
         assert message in record["message"]
+        assert out == ""
+
+    def test_tol_below_float_spacing_error_record(self, capsys):
+        # A search to such a tol would never end; it is rejected before any work.
+        assert main(["optimize", "--m", "0", "--mu", "0.1", "--tol", "1e-300"]) == 1
+        out, err = capsys.readouterr()
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError" and record["subcommand"] == "optimize"
+        assert record["message"].startswith("tol must be >= 1.7763568394002505e-15, 4 float spacings at mu_range[1], ")
+        assert record["message"].endswith("got 1e-300")
         assert out == ""
 
     def test_m_beyond_float_range_error_record(self, capsys):

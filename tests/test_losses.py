@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,15 @@ class TestVectorizedCurve:
         cfg = SourceConfig(m=2, mu=0.1, e_h=0.85)
         with pytest.raises(ValueError, match=r"^mu grid must be finite and >= 0$"):
             p1_snr_curve(cfg, [0.1, bad])
+
+    @pytest.mark.parametrize("grid", [0.1, [[0.1, 0.2]], np.zeros((0, 2)), [[-1.0]]],
+                             ids=["scalar", "row", "empty-2d", "bad-2d"])
+    def test_rejects_a_grid_that_is_not_one_dimensional(self, grid):
+        # Before any other check or computation.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^mu grid must be one-dimensional$"):
+                p1_snr_curve(SourceConfig(m=2, mu=0.1, e_h=0.85), grid)
 
     def test_rejects_truncated_grid_point(self):
         # At mu = 10 the tail beyond n_max = 30 is 8e-8, like the scalar path.

@@ -18,6 +18,7 @@ from photonmux.losses import p1_snr_curve
 from photonmux.stats import (
     DEFAULT_N_MAX,
     TruncationError,
+    mandel_q,
     mandel_q_or_nan,
     p1_rows,
     snr,
@@ -106,17 +107,60 @@ def test_rejects_invalid_search_inputs(call, match):
             call()
 
 
-def test_result_keeps_the_distribution_at_its_optimum():
+def test_tol_below_float_spacing_fails_before_any_core_call(monkeypatch):
+    # A golden bracket cannot shrink below the spacing of the floats it lies
+    # among, so a tol under it would never end the search.
+    calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_output_rows")
+    cfg = SourceConfig(m=2, mu=0.1)
+    for mu_range, least in (((1e-4, 2.0), 4 * 2.0**-51), ((0.5, 1e3), 4 * 2.0**-43)):
+        assert least == 4 * np.spacing(mu_range[1])
+        with pytest.raises(ValueError, match=rf"^tol must be >= {least!r}, .* got 1e-16$"):
+            optimize_mu(cfg, mu_range, tol=1e-16)
+        with pytest.raises(ValueError, match="tol must be >="):
+            max_p1_with_snr_floor(cfg, 5.0, mu_range, tol=least * (1 - 2.0**-52))
+    assert calls == []
+
+
+# A dim source whose P1 peaks near mu = 250: its output stays well inside the
+# truncation bound up to mu = 1e3.
+_DIM_CFG = SourceConfig(m=0, mu=0.1, e_s=0.004)
+
+
+@pytest.mark.parametrize("cases,mu_range", [
+    ("figures", optimize.DEFAULT_MU_RANGE),
+    ([(SourceConfig(m=0, mu=0.1), None)], (0.9, 1.1)),
+    ([(SourceConfig(m=0, mu=0.1), None), (SourceConfig(m=3, mu=0.1), 5.0)], (1e-4, 3.0)),
+    ([(_DIM_CFG, None), (_DIM_CFG.replace(m=3, e_h=0.85), 2.0)], (100.0, 300.0)),
+    ([(_DIM_CFG.replace(m=2, r_dark=5e6), None), (_DIM_CFG.replace(m=3, e_h=0.85), 20.0)],
+     (0.5, 1e3)),
+], ids=["fig2-fig5", "unit-peak", "hi-3", "hi-300", "hi-1e3"])
+def test_smallest_accepted_tol_ends_the_search(cases, mu_range):
+    # Each golden bracket closes within 4 float spacings at the top of the
+    # range, on the optimum that a coarser tol finds.
+    if cases == "figures":
+        fig2, fig5 = _fig2_and_fig5_cases()
+        cases = [(cfg, None) for cfg in fig2] + fig5
+    least = 4 * float(np.spacing(mu_range[1]))
+    finest = optimize.search(cases, mu_range, least)
+    coarse = optimize.search(cases, mu_range, 1e-9)
+    assert all(result.feasible and result.converged for result in finest)
+    for fine, rough in zip(finest, coarse):
+        assert fine.mu_opt == pytest.approx(rough.mu_opt, rel=1e-6)
+        assert fine.p1_max >= rough.p1_max - 1e-15
+
+
+def test_result_fields_are_read_from_the_row_at_its_optimum():
+    # The distribution that output_distribution gives at the optimum is the
+    # row the result read its numbers from, bit for bit.
     cfg = SourceConfig(m=3, mu=1e-3, e_h=0.85, e_s=0.9, e_sw_db=0.5, r_dark=5e6)
     results = [optimize_mu(cfg), max_p1_with_snr_floor(cfg, 0.0),
                max_p1_with_snr_floor(cfg, 50.0)]
     assert results[2].constraint_active
     for result in results:
         want = output_distribution(cfg.replace(mu=result.mu_opt))
-        got = result.distribution
-        assert got.probs.tobytes() == want.probs.tobytes()
-        assert got.tail_mass == want.tail_mass and got.meta["config"] == want.meta["config"]
-        assert (result.p1_max, result.snr_at_opt) == (want.p(1), snr(want))
+        got = (result.p1_max, result.snr_at_opt, result.mandel_q_at_opt)
+        assert all(type(value) is float for value in got)
+        assert all(map(_same_bits, got, (want.p(1), snr(want), mandel_q(want))))
 
 
 class TestConstrained:
@@ -147,7 +191,7 @@ class TestConstrained:
         assert not result.feasible
         assert not result.converged
         assert math.isnan(result.mu_opt) and math.isnan(result.p1_max)
-        assert result.distribution is None
+        assert math.isnan(result.snr_at_opt) and math.isnan(result.mandel_q_at_opt)
         # An infinite floor is a legal target that no pump rate meets.
         assert not max_p1_with_snr_floor(self.CFG, math.inf).feasible
 
@@ -209,10 +253,11 @@ def _ref_bisection(cfg, feasible, infeasible, target, tol=1e-10):
 
 
 def _ref_result(cfg, mu, **outcome):
+    """The result at ``mu``, its numbers read from the distribution there."""
     dist = output_distribution(cfg.replace(mu=mu))
     return optimize.OptimizationResult(
         mu_opt=mu, p1_max=dist.p(1), snr_at_opt=snr(dist),
-        mandel_q_at_opt=mandel_q_or_nan(dist.probs), distribution=dist, **outcome)
+        mandel_q_at_opt=mandel_q_or_nan(dist.probs), **outcome)
 
 
 def _ref_optimize_mu(cfg, mu_range=optimize.DEFAULT_MU_RANGE, tol=1e-6):
@@ -443,19 +488,15 @@ _RANGE_ARGS = (optimize.DEFAULT_MU_RANGE, 1e-6)
 
 
 def _same_results(got, want):
-    """Every field by repr, and every distribution's bytes and meta."""
+    """Every field by repr, which tells every float apart and reads NaN as
+    equal to NaN."""
     assert [repr(result) for result in got] == [repr(result) for result in want]
-    for a, b in zip(got, want):
-        if b.distribution is not None:
-            assert a.distribution.probs.tobytes() == b.distribution.probs.tobytes()
-            assert _same_bits(a.distribution.tail_mass, b.distribution.tail_mass)
-            assert a.distribution.meta == b.distribution.meta
 
 
 def test_fig2_and_fig5_results_equal_one_step_searches():
-    # Every field, iterations included, and every distribution as the
-    # one-point-at-a-time searches give them run one at a time; here all 83
-    # searches of both figures run together.
+    # Every field, iterations included, as the one-point-at-a-time searches
+    # give it run one at a time; here all 83 searches of both figures run
+    # together.
     fig2, fig5 = _fig2_and_fig5_cases()
     together = optimize.search([(cfg, None) for cfg in fig2] + fig5, *_RANGE_ARGS)
     alone = ([_ref_optimize_mu(cfg) for cfg in fig2]
@@ -495,8 +536,7 @@ def _row_path_p1_snr(mu, transmission, e_h, windows, p_dark):
 def test_closed_form_rounds_give_the_results_of_the_row_path(monkeypatch):
     # The closed-form SNR may differ from the row's in the last bits, so a
     # bisection step could in principle pass a floor that the row fails.  On
-    # figure2, figure5 and this draw of 280 searches no result moves, the
-    # distributions included.
+    # figure2, figure5 and this draw of 280 searches no result moves.
     rng = np.random.default_rng(32)
     cfgs = [SourceConfig(m=int(rng.integers(0, 11)), mu=0.1,
                          e_h=float(rng.choice([0.3, 0.85, 1.0, rng.uniform(0.05, 1.0)])),
@@ -546,7 +586,7 @@ def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
     alone = [_ref_optimize_mu(cfg) if target is None else _ref_max_p1_with_snr_floor(cfg, target)
              for cfg, target in cases]
     _same_results(together, alone)
-    assert all(result.distribution is not None for result in together)
+    assert all(result.feasible for result in together)
     assert any(result.constraint_active for result in together)
     assert any(result.boundary == "lower" for result in together)
 
@@ -555,8 +595,8 @@ def test_figure_searches_share_core_rounds(monkeypatch):
     # One core call per round for all of a figure's searches: the rounds
     # that read the SNR, the coarse grid and the bisections, then those that
     # read P1 alone, the runs' own grids and the golden sections.  The last
-    # round keeps whole output rows, and each result's distribution is its
-    # optimum's row there: no optimum is evaluated a second time.
+    # round keeps whole output rows, and each result reads its numbers from
+    # its optimum's row there: the search evaluates no optimum a second time.
     calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_output_rows")
     monkeypatch.setattr(optimize, "output_distribution", None)
     sweeps.figure2()

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ class TestPhotonDistribution:
     def test_rejects_a_zero_dimensional_probs(self):
         with pytest.raises(ValueError, match=r"^probs must be one-dimensional, got shape \(\)$"):
             PhotonDistribution(np.float64(1.0), 0)
+
+    @pytest.mark.parametrize("tail", ["0", None, True, 1j, [0.0]],
+                             ids=["str", "none", "bool", "complex", "list"])
+    def test_rejects_a_tail_mass_that_is_not_a_real_number(self, tail):
+        with pytest.raises(ValueError, match=r"^tail_mass must be a real number, got "):
+            PhotonDistribution([0.5, 0.5], 1, tail)
+
+    def test_stores_the_tail_mass_as_a_float(self):
+        for tail in (0, np.float32(0.0), Fraction(0), np.float64(0.0), -1e-15):
+            dist = PhotonDistribution([0.5, 0.5], 1, tail)
+            assert type(dist.tail_mass) is float and dist.tail_mass == tail
+            assert dist.p_ge(2) == dist.tail_mass
+        dist = PhotonDistribution([0.5, 0.5 - 2**-40], 1, np.float64(2**-40))
+        assert type(dist.tail_mass) is float and dist.p_ge(1) == 0.5
 
     def test_moments_and_tails(self):
         dist = PhotonDistribution(np.array([0.5, 0.3, 0.2]), 2)

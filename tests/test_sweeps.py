@@ -125,6 +125,9 @@ class TestFigure5:
             nan, nan, nan, nan, nan, nan, 1e9))
         assert table.to_csv() == _rowwise_csv(table)
         assert table.to_json() == _rowwise_json(table)
+        # With no feasible optimum at all, no row is evaluated.
+        alone = _floor_table([(template, 1e9)])
+        assert repr(alone.records[0].row()) == repr(table.records[1].row())
 
     def test_vanishing_target_recovers_unconstrained_peak(self):
         template = SourceConfig(m=4, mu=1e-4, e_h=0.85, e_s=0.9, e_sw_db=0.5)
@@ -147,26 +150,34 @@ class TestFigure5:
             p1 = [r.p1 for r in rows]
             assert all(a >= b - 1e-9 for a, b in zip(p1, p1[1:]))
 
-    def test_each_optimum_is_evaluated_once(self, monkeypatch):
-        # One batched loss-chain call outputs the candidate optima of every
-        # search, each peak's best grid point and golden midpoints, and each
-        # record is built from its optimum's row; no optimum is evaluated
-        # again.
+    def test_search_and_records_each_evaluate_the_optima_in_one_call(self, monkeypatch):
+        # The search's final round is one batched loss-chain call over the
+        # candidate optima of every search, each peak's best grid point and
+        # golden midpoints.  The records then read every optimum from one
+        # pass over the blocked core, with no configuration or
+        # PhotonDistribution per optimum.
         calls = []
-        core = optimize._output_rows
 
-        def counted(mu, *args):
-            calls.append(mu.size)
-            return core(mu, *args)
+        def counted(module, name):
+            core = getattr(module, name)
 
-        monkeypatch.setattr(optimize, "_output_rows", counted)
+            def call(mu, *args):
+                calls.append((name, mu.size))
+                return core(mu, *args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(optimize, "_output_rows")
+        counted(sweeps, "_blocks")
         for module in (optimize, sweeps):
             monkeypatch.setattr(module, "output_distribution", None)
+        monkeypatch.setattr(SourceConfig, "replace", None)
+        monkeypatch.setattr(PhotonDistribution, "__post_init__", None)
         figure2()
-        assert calls == [22]
+        assert calls == [("_output_rows", 22), ("_blocks", 11)]
         calls.clear()
         figure5()
-        assert calls == [74]
+        assert calls == [("_output_rows", 74), ("_blocks", 72)]
 
 
 def _reference_row(cfg):
@@ -175,6 +186,16 @@ def _reference_row(cfg):
     return (cfg.m, cfg.delta_t0_ns, cfg.mu, cfg.e_h, cfg.e_s, cfg.e_sw_db, cfg.r_dark,
             cfg.mu_total, cfg.e_s_total, cfg.clock_hz, dist.p(0), dist.p(1), dist.p_ge(2),
             snr(dist), mandel_q(dist) if dist.mean() > 0 else math.nan, None, None)
+
+
+def test_optimum_records_equal_the_distribution_at_their_optima(fig2, fig5):
+    # Each record of an optimum, as the distribution at its template with
+    # mu = mu_opt gives it; fig2 and fig5 have no infeasible case.
+    for record in fig2.records + fig5.records:
+        cfg = SourceConfig(m=record.m, delta_t0_ns=record.delta_t0_ns, mu=record.mu_opt,
+                           e_h=record.e_h, e_s=record.e_s, e_sw_db=record.e_sw_db,
+                           r_dark=record.r_dark)
+        assert repr(record.row()[:15]) == repr(_reference_row(cfg)[:15])
 
 
 def _assert_rows_match_record_for(table):
