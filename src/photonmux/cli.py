@@ -67,8 +67,9 @@ def parse_config_text(text: str, source: str = "<config>") -> Dict[str, float]:
         try:
             values[key] = _KEY_TYPES[key](value)
         except ValueError:
+            kind = "an integer" if _KEY_TYPES[key] is int else "a number"
             raise ConfigError(
-                f"{source}:{lineno}: value for {key!r} is not a number: {value!r}") from None
+                f"{source}:{lineno}: value for {key!r} is not {kind}: {value!r}") from None
     return values
 
 

@@ -11,17 +11,19 @@ a binomial loss channel.
 The chain has a closed form.  Before signal loss the routed window holds n
 photons with probability alpha Pois(n; mu) + (1 - alpha) Pois(n; mu (1 - e_h)),
 and binomial thinning maps Poisson(lambda) to Poisson(lambda t), so the output
-is the same mixture at means mu t and mu (1 - e_h) t.  One batched core
-evaluates its rows for arrays of pump rates and transmissions, with the other
-parameters per row or shared, and one driver, :func:`_blocks`, runs any
-number of rows through it in fixed-size blocks and applies the truncation
-guard.  :func:`_output_rows` collects the blocks' rows, and the one scalar
-entry point, :func:`output_distribution`, is a batch of one through it; the
-sweep records keep only what they need of each block.  The optimizer's rounds
-and :func:`p1_snr_curve` read P_1 and P_>=2 alone: :func:`_p1_snr_rows` and
-its P_1-only sibling :func:`_p1_rows` sum the mixture for them in closed form,
-with P_1 bit for bit as in the row, at every pump rate up to 4, where the
-truncation guard cannot reject a row; higher pump rates, and zero or
+is the same mixture at means mu t and mu (1 - e_h) t.  One batched core,
+:func:`_chain_rows`, evaluates its rows for arrays of pump rates and
+transmissions, with the other parameters per row or shared, and one driver,
+:func:`_blocks`, runs any number of rows through it in fixed-size blocks and
+applies the truncation guard.  :func:`_inputs` and :func:`_parameters` are
+the one map from configs to those parameters.  The one scalar entry point,
+:func:`output_distribution`, is a batch of one through :func:`_blocks`, and
+:func:`_merits` reads the figures of merit of any number of rows from its
+blocks, for the sweep records and the optimizer's optima.  The optimizer's
+rounds and :func:`p1_snr_curve` read P_1 and P_>=2 alone: :func:`_p1_snr_rows`
+and its P_1-only sibling :func:`_p1_rows` sum the mixture for them in closed
+form, with P_1 bit for bit as in the row, at every pump rate up to 4, where
+the truncation guard cannot reject a row; higher pump rates, and zero or
 vanishing ones, keep the row path.  Each stage on its own is a config of the
 full chain: transmission 1 (``e_s=1.0, e_sw_db=0.0``) leaves heralding loss
 and dark counts, and ``r_dark=0.0`` as well leaves heralding loss only.
@@ -41,6 +43,8 @@ from .stats import (
     PhotonDistribution,
     TruncationError,
     _check_n_max,
+    check_rows,
+    mandel_q_or_nan,
     p1_rows,
     poisson_rows,
     snr_rows,
@@ -49,15 +53,27 @@ from .stats import (
 __all__ = ["output_distribution", "p1_snr_curve"]
 
 
-def _output_rows(
-    mu: np.ndarray,
-    transmission: np.ndarray | float,
-    e_h: np.ndarray | float,
-    windows: np.ndarray | int,
-    p_dark: np.ndarray | float,
-    n_max: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Output distribution rows and their tail masses over a grid.
+def _inputs(cfg: SourceConfig) -> tuple:
+    """The loss-chain parameters of ``cfg`` after the pump rate: the signal
+    transmission, e_h, the window count and P_dark."""
+    return cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark
+
+
+def _parameters(configs: Sequence[SourceConfig]) -> np.ndarray:
+    """The :func:`_inputs` of each config as a column of floats."""
+    return np.array([_inputs(cfg) for cfg in configs], dtype=float).T
+
+
+def _herald_weight(mu, e_h, windows, p_dark):
+    """The weight alpha of :func:`_chain_rows`' mixture for each row, under
+    the caller's np.errstate: 0/0 at c = 0 gives way to W."""
+    c = mu * e_h - np.log1p(-p_dark)  # infinite when P_dark = 1
+    return np.where(c > 0, np.expm1(-windows * c) / np.expm1(-c), windows)
+
+
+def _chain_rows(mu, transmission, e_h, windows, p_dark, n_max):
+    """Output distribution rows, their tail masses and their lost masses
+    1 - sum(probs) over a grid, before the truncation guard.
 
     ``mu`` (a 1-D array) and the other parameters broadcast together; each
     entry of ``mu`` gives one row, and every other parameter is either one
@@ -85,26 +101,10 @@ def _output_rows(
     about alpha eps, and alpha reaches W.  The factored form needs one
     Poisson row and is exactly Pois(mu t) when alpha = 1, as at W = 1.
 
-    Returns (probs, tail): P_k for k = 0..n_max, and the sum of the terms
-    k = n_max+1 .. 2 n_max+1, which wherever the guard passes leaves out
-    less than 1e-18.  The rows come from :func:`_blocks`, so rows where
-    1 - sum(probs) reaches TAIL_LIMIT raise TruncationError, naming the
-    worst mu.
+    Returns (probs, tail, lost): P_k for k = 0..n_max, the sum of the terms
+    k = n_max+1 .. 2 n_max+1, which wherever the truncation guard passes
+    leaves out less than 1e-18, and 1 - sum(probs), which the guard reads.
     """
-    _, probs, tail = zip(*_blocks(mu, transmission, e_h, windows, p_dark, n_max))
-    return np.concatenate(probs), np.concatenate(tail)
-
-
-def _herald_weight(mu, e_h, windows, p_dark):
-    """The weight alpha of :func:`_output_rows`' mixture for each row, under
-    the caller's np.errstate: 0/0 at c = 0 gives way to W."""
-    c = mu * e_h - np.log1p(-p_dark)  # infinite when P_dark = 1
-    return np.where(c > 0, np.expm1(-windows * c) / np.expm1(-c), windows)
-
-
-def _chain_rows(mu, transmission, e_h, windows, p_dark, n_max):
-    """The rows of :func:`_output_rows` with their lost mass 1 - sum(probs),
-    before the truncation guard."""
     n_max = _check_n_max(n_max)
     lam = mu * transmission
     width = 2 * n_max + 2
@@ -153,9 +153,9 @@ def _rows_of(params, rows):
 def _blocks(mu, transmission, e_h, windows, p_dark, n_max):
     """Yield (rows, probs, tail) for each _BLOCK_ROWS block of the pump rates
     in ``mu`` whose rows all pass the truncation guard: the slice of ``mu``
-    and the block's core rows, as :func:`_output_rows` describes them.
+    and the block's core rows, as :func:`_chain_rows` describes them.
 
-    The parameters broadcast per row as for :func:`_output_rows`.  Memory
+    The parameters broadcast per row as for :func:`_chain_rows`.  Memory
     stays bounded whatever the number of rows.  After the last block,
     TruncationError names the worst mu over the whole input, as one unblocked
     core call would; a caller that stops early skips that check.
@@ -170,6 +170,38 @@ def _blocks(mu, transmission, e_h, windows, p_dark, n_max):
         if (lost[block] < TAIL_LIMIT).all():  # a failing block raises below
             yield block, probs, tail
     _check_truncation(mu, lost, n_max)
+
+
+def _merits(mu: np.ndarray, transmission, e_h, windows, p_dark) -> list:
+    """The p0, p1, p_ge2, snr and mandel_q columns of the output rows at
+    DEFAULT_N_MAX of the pump rates ``mu``, with the parameters of
+    :func:`_chain_rows`, as lists of floats.
+
+    The rows come from the blocks of :func:`_blocks`, and only these columns
+    are kept, so memory beyond them stays bounded.  The rows pass the checks
+    a PhotonDistribution applies; TruncationError, naming the worst mu over
+    all rows, is raised before any other check fails, and then the first
+    failing row raises.  P_>=2 and the SNR come from :func:`snr_rows` and Q
+    from :func:`mandel_q_or_nan`, one row at a time, so each value equals
+    what :func:`stats.snr` and :func:`stats.mandel_q` return for the row's
+    distribution, and Q is NaN for the vacuum.
+    """
+    merits = [[] for _ in range(5)]
+    fault = None
+    for _, probs, tail in _blocks(mu, transmission, e_h, windows, p_dark, DEFAULT_N_MAX):
+        if fault is not None:
+            continue  # raised once _blocks has checked every row's truncation
+        try:
+            check_rows(probs, tail, DEFAULT_N_MAX)
+        except ValueError as error:
+            fault = error
+            continue
+        for column, part in zip(merits, (probs[:, 0], p1_rows(probs), *snr_rows(probs, tail))):
+            column += part.tolist()
+        merits[4] += map(mandel_q_or_nan, probs)
+    if fault is not None:
+        raise fault
+    return merits
 
 
 # The closed form of _p1_rows and _p1_snr_rows takes the rows with
@@ -218,7 +250,7 @@ def _h(x: np.ndarray) -> np.ndarray:
 
 def _closed_form(mu, transmission, e_h, windows, p_dark, multi):
     """(P_1, P_>=2) of the output of each pump rate, P_>=2 None unless
-    ``multi``, from the mixture of :func:`_output_rows` summed in closed form.
+    ``multi``, from the mixture of :func:`_chain_rows` summed in closed form.
 
     P_1 is column 1 of the row of :func:`_chain_rows`, computed by the same
     operations, so it has the same bits.  With lam = mu t, d = lam e_h and
@@ -268,7 +300,7 @@ def _p1_rows(mu, transmission, e_h, windows, p_dark):
 
 def _p1_snr_rows(mu, transmission, e_h, windows, p_dark):
     """P_1 and the SNR P_1 / P_>=2 of the output at DEFAULT_N_MAX of each
-    pump rate in ``mu``, with the parameters of :func:`_output_rows`.
+    pump rate in ``mu``, with the parameters of :func:`_chain_rows`.
 
     P_1 has the bits of column 1 of the pump rate's row.  The SNR is +inf
     where P_>=2 is 0; see :func:`p1_snr_curve` for its bound against the
@@ -286,8 +318,8 @@ def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> Photon
     Every routed photon crosses m+1 switches, so the signal branch transmits
     ``cfg.e_s_total`` regardless of which delays were selected.
     """
-    probs, tail = _output_rows(np.array([cfg.mu]), cfg.e_s_total, cfg.e_h, cfg.n_windows,
-                               cfg.p_dark, n_max)
+    # Unpacking the one block runs _blocks to its end, and so its guard.
+    (_, probs, tail), = _blocks(np.array([cfg.mu]), *_inputs(cfg), n_max)
     return PhotonDistribution(probs[0], probs.shape[1] - 1, tail[0], {"config": cfg})
 
 
@@ -318,4 +350,4 @@ def p1_snr_curve(cfg: SourceConfig,
         raise ValueError("mu grid must be one-dimensional")
     if not ((mu >= 0) & (mu < np.inf)).all():
         raise ValueError("mu grid must be finite and >= 0")
-    return _p1_snr_rows(mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark)
+    return _p1_snr_rows(mu, *_inputs(cfg))

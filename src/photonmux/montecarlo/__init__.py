@@ -156,7 +156,7 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McHistogram:
-    """Outcome counts of one simulation run."""
+    """Outcome counts of one simulation run: ``counts[k]`` trials ended with k photons."""
 
     counts: np.ndarray
     trials: int
@@ -168,6 +168,13 @@ class McHistogram:
         counts = np.array(self.counts, dtype=np.int64)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+        if counts.ndim != 1:
+            raise ValueError(f"histogram counts must be one-dimensional, got shape {counts.shape}")
+        if (counts < 0).any():
+            k = int(np.argmax(counts < 0))
+            raise ValueError(f"histogram counts must be >= 0, got {int(counts[k])} at k={k}")
+        if self.trials != self.mc.trials:
+            raise ValueError(f"histogram trials {self.trials!r} != mc.trials {self.mc.trials}")
         if int(counts.sum()) != self.trials:
             raise ValueError("histogram counts must sum to the trial count")
 

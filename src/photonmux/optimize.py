@@ -20,14 +20,15 @@ elementwise operations and one call of the loss chain's closed form for
 P_1 and the SNR, ``losses._p1_snr_rows``, or ``losses._p1_rows`` in the
 rounds that read P_1 alone: the golden sections and the runs' own grids.
 The last round evaluates each golden section's final midpoint together with
-every other candidate optimum in one call of the core that keeps whole
-output rows, and each result's numbers are read from its optimum's row.
+every other candidate optimum in one call of ``losses._merits``, which reads
+the figures of merit of whole output rows as the sweep records do, and each
+result's numbers are those of its optimum's row.
 ``figure2()`` takes 29 rounds for its 11 searches and ``figure5()`` 59 for
 its 72.  Every result, ``iterations`` included, equals that of the search
 run alone with one loss-chain evaluation per step: numpy's elementwise
 float64 arithmetic rounds as Python's does, one operation at a time, and a
 point's values do not depend on the rows it is evaluated with.  Every search
-evaluates the chain at the truncation bound ``DEFAULT_N_MAX``.
+evaluates the chain at the truncation bound ``stats.DEFAULT_N_MAX``.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ from .config import SourceConfig
 # output_distribution and p1_snr_curve stay module attributes: perfbench's
 # traced pass and its chain-call probe wrap them by name.
 from .losses import (  # noqa: F401
-    _output_rows,
+    _merits,
     _p1_rows,
     _p1_snr_rows,
+    _parameters,
     output_distribution,
     p1_snr_curve,
 )
-from .stats import DEFAULT_N_MAX, mandel_q_or_nan, p1_rows, snr_rows
 
 __all__ = [
     "OptimizationResult",
@@ -97,13 +98,6 @@ def _interior_maxima(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     inner = values[:, 1:-1]
     rows, index = np.nonzero((inner >= values[:, :-2]) & (inner >= values[:, 2:]))
     return rows, index + 1
-
-
-def _parameters(configs: Sequence[SourceConfig]) -> np.ndarray:
-    """The loss-chain parameters of each config as a column: the signal
-    transmission, e_h, the window count and P_dark."""
-    return np.array([(cfg.e_s_total, cfg.e_h, float(cfg.n_windows), cfg.p_dark)
-                     for cfg in configs]).T
 
 
 def _coarse_round(params: np.ndarray, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -249,9 +243,7 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
     first[peak] = peak_p1.argmax(axis=1)
     mu = np.concatenate((a, mids))
     mu[peak] = peak_grid[np.arange(peak.size), first[peak]]
-    probs, tail = _output_rows(mu, *params[:, np.concatenate((case, case[job_run]))],
-                               DEFAULT_N_MAX)
-    p1_at, snr_at = p1_rows(probs), snr_rows(probs, tail)[1]
+    _, p1_at, _, snr_at, q_at = _merits(mu, *params[:, np.concatenate((case, case[job_run]))])
 
     # The optimum of a run starts at its best grid point, so it is never
     # below it, and moves to a golden midpoint only where that is higher.
@@ -285,11 +277,10 @@ def search(cases: Sequence[Tuple[SourceConfig, Optional[float]]],
         if snr_at[k] < (target or 0.0) - 1e-6:
             raise RuntimeError(
                 f"internal error: constrained optimum violates SNR floor "
-                f"({float(snr_at[k])} < {target})"
+                f"({snr_at[k]} < {target})"
             )
         results.append(OptimizationResult(
-            mu_opt=float(mu[k]), p1_max=float(p1_at[k]), snr_at_opt=float(snr_at[k]),
-            mandel_q_at_opt=mandel_q_or_nan(probs[k]),
+            mu_opt=float(mu[k]), p1_max=p1_at[k], snr_at_opt=snr_at[k], mandel_q_at_opt=q_at[k],
             iterations=COARSE_POINTS + int(evaluations[begin:best + 1].sum()),
             converged=hit or not edge, boundary=None if hit else boundary, snr_target=target,
             constraint_active=hit))

@@ -38,9 +38,10 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 30
-# The largest truncation bound accepted.  The loss chain's blocks at this
-# bound hold (256, 20002) arrays of about 41 MB each; a larger bound is
-# rejected before anything of its size is allocated.
+# The largest truncation bound accepted.  Only output_distribution passes its
+# bound on to the loss chain, with one row, so the largest array there is
+# (1, 20002), about 160 kB; a larger bound is rejected before anything of its
+# size is allocated.
 N_MAX_LIMIT = 10_000
 # A distribution is rejected rather than renormalized when the estimated
 # probability mass beyond n_max reaches this bound.
@@ -141,18 +142,20 @@ def check_rows(probs: np.ndarray, tail: np.ndarray, n_max: int) -> None:
     ``probs`` has one distribution over n = 0..n_max per row and ``tail``
     their tail masses.  Every entry must lie in [0, 1] within 1e-12, every
     tail mass in [0, TAIL_LIMIT) within 1e-15, and each row with its tail
-    must sum to 1 within _NORM_TOL.  The first failing row raises what
-    ``PhotonDistribution(row, n_max, tail)`` raises for it.
+    must sum to 1 within _NORM_TOL; a NaN fails each of these.  The first
+    failing row raises what ``PhotonDistribution(row, n_max, tail)`` raises
+    for it.
     """
     if probs.ndim != 2:
         raise ValueError(f"probs must be two-dimensional, got shape {probs.shape}")
     if probs.shape[1] != n_max + 1:
         raise ValueError(f"probs must have length n_max+1 = {n_max + 1}, got {probs.shape[1]}")
     total = probs.sum(axis=1) + tail
-    outside = ((probs < -1e-12) | (probs > 1.0 + 1e-12)).any(axis=1)
+    # Each test in accepting form, so that a NaN, which fails every comparison, fails it.
+    outside = ~((probs >= -1e-12) & (probs <= 1.0 + 1e-12)).all(axis=1)
     faults = outside | ~(tail >= -1e-15)
     faults |= tail >= TAIL_LIMIT
-    faults |= np.abs(total - 1.0) > _NORM_TOL
+    faults |= ~(np.abs(total - 1.0) <= _NORM_TOL)
     if not faults.any():
         return
     row = int(np.argmax(faults))

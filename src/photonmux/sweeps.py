@@ -13,12 +13,13 @@ columns, one tuple per :attr:`SweepRecord.FIELDS` entry.  ``figure3``,
 ``figure4`` and ``sweep_axis`` build a curve's columns (:func:`_curve`), and
 ``figure2`` and ``figure5`` theirs at the optimizer's optima
 (:func:`_optimum_columns`), without a configuration per point: one helper,
-:func:`_merit_columns`, which :func:`record_for` also calls, reads every
-record's outputs from the loss-chain core run on blocks of rows.  Tables
-serialize to CSV (one header row, '.' decimal separator) and to a
-self-describing JSON document carrying metadata, formatted column by column;
-both are byte-stable for fixed inputs and tool version, and equal to what
-formatting one record at a time gives.
+``losses._merits``, which :func:`record_for` and the optimizer's final round
+also call, reads every record's outputs from the loss-chain core run on
+blocks of rows; ``losses._inputs`` and ``losses._parameters`` map the
+configurations to its parameters.  Tables serialize to CSV (one header row,
+'.' decimal separator) and to a self-describing JSON document carrying
+metadata, formatted column by column; both are byte-stable for fixed inputs
+and tool version, and equal to what formatting one record at a time gives.
 """
 
 from __future__ import annotations
@@ -39,15 +40,9 @@ from ._version import __version__
 from .config import SourceConfig, signal_transmission
 # output_distribution, optimize_mu and max_p1_with_snr_floor stay module
 # attributes: perfbench's traced pass wraps them by name.
-from .losses import _blocks, output_distribution  # noqa: F401
-from .optimize import (  # noqa: F401
-    DEFAULT_MU_RANGE,
-    _parameters,
-    max_p1_with_snr_floor,
-    optimize_mu,
-    search,
-)
-from .stats import DEFAULT_N_MAX, check_rows, mandel_q_or_nan, p1_rows, snr_rows
+from .losses import _inputs, _merits, _parameters, output_distribution  # noqa: F401
+from .optimize import DEFAULT_MU_RANGE, max_p1_with_snr_floor, optimize_mu, search  # noqa: F401
+from .stats import DEFAULT_N_MAX
 
 __all__ = [
     "SweepRecord",
@@ -114,40 +109,8 @@ _ECHO = (*SweepRecord.FIELDS[:9], "clock_hz")
 
 def record_for(cfg: SourceConfig) -> SweepRecord:
     """Evaluate the full loss chain at one configuration."""
-    merits = _merit_columns(np.array([cfg.mu]), cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark)
+    merits = _merits(np.array([cfg.mu]), *_inputs(cfg))
     return SweepRecord(*[getattr(cfg, name) for name in _ECHO], *[column[0] for column in merits])
-
-
-def _merit_columns(mu: np.ndarray, transmission, e_h, windows, p_dark) -> list:
-    """The p0, p1, p_ge2, snr and mandel_q columns of the loss chain's output
-    rows at the pump rates ``mu``, with the parameters of
-    :func:`losses._output_rows`, as lists of floats.
-
-    The rows come from the blocks of :func:`losses._blocks`, and only these
-    columns are kept, so memory beyond them stays bounded.  The rows pass the
-    checks a PhotonDistribution applies; TruncationError, naming the worst mu
-    over all rows, is raised before any other check fails, and then the first
-    failing row raises.  P_>=2 and the SNR come from :func:`snr_rows` and Q
-    from :func:`mandel_q_or_nan`, one row at a time, so each value equals what
-    :func:`snr` and :func:`mandel_q` return for the row's distribution, and Q
-    is NaN for the vacuum.
-    """
-    merits = [[] for _ in range(5)]
-    fault = None
-    for _, probs, tail in _blocks(mu, transmission, e_h, windows, p_dark, DEFAULT_N_MAX):
-        if fault is not None:
-            continue  # raised once _blocks has checked every row's truncation
-        try:
-            check_rows(probs, tail, DEFAULT_N_MAX)
-        except ValueError as error:
-            fault = error
-            continue
-        for column, part in zip(merits, (probs[:, 0], p1_rows(probs), *snr_rows(probs, tail))):
-            column += part.tolist()
-        merits[4] += map(mandel_q_or_nan, probs)
-    if fault is not None:
-        raise fault
-    return merits
 
 
 def _curve(template: SourceConfig, axis: str, values: Iterable[float]) -> list:
@@ -171,8 +134,7 @@ def _curve(template: SourceConfig, axis: str, values: Iterable[float]) -> list:
     else:
         echo["e_s_total"] = [signal_transmission(template.e_s, il, template.m) for il in xs]
         mu = np.full(rows, template.mu, dtype=float)
-    merits = _merit_columns(mu, np.array(echo["e_s_total"], dtype=float), template.e_h,
-                            template.n_windows, template.p_dark)
+    merits = _merits(mu, np.array(echo["e_s_total"], dtype=float), *_inputs(template)[1:])
     return [*echo.values(), *merits, [None] * rows, [None] * rows]
 
 
@@ -187,8 +149,7 @@ def _optimum_columns(templates: Sequence[SourceConfig], results: Sequence) -> li
     echo["mu_total"] = [template.n_windows * mu for template, mu in zip(templates, mu_opt)]
     feasible = np.flatnonzero([result.feasible for result in results])
     merits = np.full((5, len(results)), math.nan)
-    merits[:, feasible] = _merit_columns(np.array(mu_opt)[feasible],
-                                         *_parameters(templates)[:, feasible])
+    merits[:, feasible] = _merits(np.array(mu_opt)[feasible], *_parameters(templates)[:, feasible])
     return [*echo.values(), *merits.tolist(), mu_opt, [result.snr_target for result in results]]
 
 
@@ -257,8 +218,11 @@ class SweepTable:
     @classmethod
     def from_json(cls, text: str) -> "SweepTable":
         doc = json.loads(text)
-        if doc.get("format") != "photonmux-table":
+        if not isinstance(doc, dict) or doc.get("format") != "photonmux-table":
             raise ValueError("not a photonmux table document")
+        for key in ("columns", "metadata", "figure_id", "records"):
+            if key not in doc:
+                raise ValueError(f"photonmux table document lacks the key {key!r}")
         if doc["columns"] != list(SweepRecord.FIELDS):
             raise ValueError("column layout mismatch")
         meta = {k: v for k, v in doc["metadata"].items() if k not in ("tool", "version")}

@@ -85,6 +85,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"cfg:1.*'mu'"):
             parse_config_text("mu = lots\n", source="cfg")
 
+    def test_non_integral_value_of_an_int_key_says_integer(self):
+        with pytest.raises(ConfigError, match=r"^cfg:2: value for 'm' is not an integer: '4\.0'$"):
+            parse_config_text("mu = 0.1\nm = 4.0\n", source="cfg")
+        with pytest.raises(ConfigError, match=r"^cfg:1: value for 'mu' is not a number: 'x'$"):
+            parse_config_text("mu = x\n", source="cfg")
+
     def test_line_without_equals_sign_reports_line(self):
         with pytest.raises(ConfigError, match=r"^cfg:2: expected 'key = value', got 'm 4'$"):
             parse_config_text("mu = 0.1\nm 4\n", source="cfg")

@@ -1,14 +1,16 @@
-"""A run imports only the modules it uses.
+"""A run imports only the modules it uses, and a module only the names it uses.
 
-Each test runs a fresh interpreter, since the test process has imported
+Each run test runs a fresh interpreter, since the test process has imported
 every module already.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +97,34 @@ def test_a_cold_numpy_backend_matches_the_c_kernel(config, counter):
     """)
     assert report["cold"] and report["counter"] == counter
     assert report["numpy"] == report["c"]
+
+
+def _unused_imports(path: Path) -> list:
+    """The names that the imports of the module at ``path`` bind and that
+    it neither reads nor lists in ``__all__``, where the import does not
+    carry ``noqa: F401``."""
+    text = path.read_text()
+    lines, tree = text.splitlines(), ast.parse(text)
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                unused.append(f"{path.name}:{node.lineno}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    modules = sorted(Path(photonmux.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 10
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert not unused, f"unused imports: {unused}"

@@ -239,6 +239,46 @@ class TestTotalSignalTransmission:
             )
 
 
+class TestValidateFailureDetails:
+    """Each check, driven to FAIL through a faulty validate.output_distribution,
+    names in its detail what failed."""
+
+    def test_switch_loss_trend_names_the_rising_curve(self, monkeypatch):
+        def rising(cfg):  # the m=2, mu=0.2 curve runs backwards in switch loss
+            if (cfg.m, cfg.mu) == (2, 0.2):
+                cfg = cfg.replace(e_sw_db=2.0 - cfg.e_sw_db)
+            return output_distribution(cfg)
+
+        monkeypatch.setattr(validate, "output_distribution", rising)
+        check = check_switch_loss_trend()
+        assert (check.passed, check.detail) == (False, "rises at mu=0.2, m=2")
+
+    def test_transmission_trend_names_the_falling_field(self, monkeypatch):
+        # e_h runs backwards over 0.2..1; the e_s curve, at e_h 0.35, still rises.
+        monkeypatch.setattr(validate, "output_distribution",
+                            lambda cfg: output_distribution(cfg.replace(e_h=1.2 - cfg.e_h)))
+        check = check_transmission_trend()
+        assert (check.passed, check.detail) == (False, "falls in e_h")
+
+    def test_agreement_names_the_failing_config(self, monkeypatch):
+        # The dark config's model at twice its pump rate, without a config in
+        # its meta, so that compare takes it as a model of another device.
+        dark = validate.AGREEMENT_CONFIGS[-1]
+
+        def wrong(cfg):
+            if cfg != dark:
+                return output_distribution(cfg)
+            dist = output_distribution(cfg.replace(mu=2 * cfg.mu))
+            return PhotonDistribution(dist.probs, dist.n_max, dist.tail_mass)
+
+        monkeypatch.setattr(validate, "output_distribution", wrong)
+        check = validate.check_agreement(McConfig(trials=20_000, seed=42))
+        assert not check.passed
+        _, failing = check.detail.split("; failing: ")
+        assert re.fullmatch(r"m=4 mu=0\.1 e_sw_db=0\.5 r_dark=5e\+06 "
+                            r"\(TV ratio \d+\.\d{3}, \|z\| \d+\.\d{2}\)", failing), failing
+
+
 class TestOutputDistribution:
     def test_meta_carries_config(self):
         cfg = SourceConfig(m=1, mu=0.2, e_h=0.9)
@@ -352,6 +392,12 @@ def _params(cfg):
     return cfg.e_s_total, cfg.e_h, float(cfg.n_windows), cfg.p_dark
 
 
+def _rows(mu, *params):
+    """The output rows and tail masses of ``mu``, collected from losses._blocks."""
+    _, probs, tail = zip(*losses._blocks(mu, *params))
+    return np.concatenate(probs), np.concatenate(tail)
+
+
 class TestClosedForm:
     """P1 and the SNR of the optimizer's rounds and p1_snr_curve, in closed
     form, against the output rows."""
@@ -370,7 +416,7 @@ class TestClosedForm:
             mu = np.concatenate(([0.0, 1e-8], below,
                                  np.exp(rng.uniform(math.log(1e-6), math.log(edge), 20))))
             p1, ratio = losses._p1_snr_rows(mu, *_params(cfg))
-            probs, tail = losses._output_rows(mu, *_params(cfg), 30)
+            probs, tail = _rows(mu, *_params(cfg), 30)
             want = snr_rows(probs, tail)[1]
             assert p1.tobytes() == probs[:, 1].tobytes()
             assert losses._p1_rows(mu, *_params(cfg)).tobytes() == p1.tobytes()
@@ -551,7 +597,7 @@ class TestTruncationGuard:
         assert len({i // losses._BLOCK_ROWS for i in spikes}) >= 3
         with pytest.raises(TruncationError) as unblocked:
             losses._check_truncation(mu, losses._chain_rows(mu, *params)[2], 30)
-        for blocked in (lambda: losses._output_rows(mu, *params),
+        for blocked in (lambda: _rows(mu, *params),
                         lambda: p1_snr_curve(cfg, mu),
                         lambda: sweeps.sweep_axis(cfg, "mu", mu)):
             with pytest.raises(TruncationError) as got:

@@ -26,7 +26,7 @@ from photonmux import (
 from photonmux.montecarlo import MAX_M, MAX_TRIALS, _ckernel, _numpy_backend, available_backends
 from photonmux.montecarlo._philox import philox_doubles
 from photonmux.montecarlo._tables import build_tables, philox_at_trial, slots_per_trial
-from photonmux.losses import _output_rows
+from photonmux.losses import _blocks
 from photonmux.stats import DEFAULT_N_MAX
 from photonmux.validate import AGREEMENT_CONFIGS, check_agreement
 
@@ -72,6 +72,28 @@ class TestConfig:
     def test_histogram_counts_must_sum_to_the_trials(self):
         with pytest.raises(ValueError, match="^histogram counts must sum to the trial count$"):
             montecarlo.McHistogram([3, 1], 5, SourceConfig(m=0, mu=0.1), McConfig(trials=5))
+
+    def test_histogram_rejects_counts_no_run_gives(self):
+        cfg, mc = SourceConfig(mu=0.1), McConfig(trials=1)
+        bad = [
+            # A total-variation distance cannot exceed 1, but these counts
+            # would give compare one of 5.9.
+            (np.array([-5, 6] + [0] * 29), 1, mc,
+             r"^histogram counts must be >= 0, got -5 at k=0$"),
+            (np.ones((2, 31), dtype=int), 62, McConfig(trials=62),
+             r"^histogram counts must be one-dimensional, got shape \(2, 31\)$"),
+            ([1, 1], 2, mc, r"^histogram trials 2 != mc.trials 1$"),
+        ]
+        for counts, trials, run, match in bad:
+            with pytest.raises(ValueError, match=match):
+                montecarlo.McHistogram(counts, trials, cfg, run)
+        # A run's own histogram, and one summed from two halves as a
+        # reduction builds it, stay valid.
+        mc = McConfig(trials=2_000, seed=4)
+        hist = simulate(LOSSY, mc)
+        half = hist.counts // 2
+        again = montecarlo.McHistogram(half + (hist.counts - half), mc.trials, LOSSY, mc)
+        assert again.counts.tobytes() == hist.counts.tobytes()
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
@@ -767,8 +789,8 @@ class TestCompare:
         # every config, and one without dark counts fails the dark config.
         def model(cfg, transmission, p_dark):
             # No config in meta, so compare takes a model of another device.
-            probs, tail = _output_rows(np.array([cfg.mu]), transmission, cfg.e_h,
-                                       cfg.n_windows, p_dark, DEFAULT_N_MAX)
+            (_, probs, tail), = _blocks(np.array([cfg.mu]), transmission, cfg.e_h,
+                                        cfg.n_windows, p_dark, DEFAULT_N_MAX)
             return PhotonDistribution(probs[0], DEFAULT_N_MAX, float(tail[0]))
 
         def reports(build):

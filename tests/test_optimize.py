@@ -110,7 +110,7 @@ def test_rejects_invalid_search_inputs(call, match):
 def test_tol_below_float_spacing_fails_before_any_core_call(monkeypatch):
     # A golden bracket cannot shrink below the spacing of the floats it lies
     # among, so a tol under it would never end the search.
-    calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_output_rows")
+    calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_merits")
     cfg = SourceConfig(m=2, mu=0.1)
     for mu_range, least in (((1e-4, 2.0), 4 * 2.0**-51), ((0.5, 1e3), 4 * 2.0**-43)):
         assert least == 4 * np.spacing(mu_range[1])
@@ -326,7 +326,7 @@ def _one_round(cfgs, grids):
     _p1_snr_rows call over all of them."""
     sizes = [grid.size for grid in grids]
     owner = np.repeat(np.arange(len(cfgs)), sizes)
-    p1, ratio = losses._p1_snr_rows(np.concatenate(grids), *optimize._parameters(cfgs)[:, owner])
+    p1, ratio = losses._p1_snr_rows(np.concatenate(grids), *losses._parameters(cfgs)[:, owner])
     cut = np.cumsum(sizes)[:-1]
     return list(zip(np.split(p1, cut), np.split(ratio, cut)))
 
@@ -339,6 +339,12 @@ def _close_snr(got, want):
     """The closed-form SNR against a row's: +inf at the same points, and
     otherwise within the relative bound p1_snr_curve states."""
     return got == want or abs(got / want - 1.0) < 1e-13
+
+
+def _rows(mu, *params):
+    """The output rows and tail masses of ``mu``, collected from losses._blocks."""
+    _, probs, tail = zip(*losses._blocks(mu, *params, DEFAULT_N_MAX))
+    return np.concatenate(probs), np.concatenate(tail)
 
 
 def _counted_rows(monkeypatch, *names):
@@ -403,18 +409,18 @@ def test_curve_entries_equal_one_point_calls(seed):
             dist = output_distribution(cfg.replace(mu=float(mu[i])))
             assert _same_bits(p1[i], dist.p(1)) and _close_snr(ratio[i], snr(dist))
 
-    # The final round's one _output_rows call: each row with its own config's
-    # parameters, over more than two blocks.  Its rows and tails equal those
-    # of one-row calls and of the scalar path.
+    # The rows of the final round's one _merits call: each row with its own
+    # config's parameters, over more than two blocks.  Its rows and tails
+    # equal those of one-row calls and of the scalar path.
     cfgs = [cfg for cfg, _ in cases]
-    params = optimize._parameters(cfgs)
+    params = losses._parameters(cfgs)
     owner = rng.integers(0, len(cfgs), 3 * block - 7)
     mu = rng.uniform(1e-4, 2.0, owner.size)
     mu[rng.random(mu.size) < 0.1] = 0.0
-    probs, tail = losses._output_rows(mu, *params[:, owner], 30)
+    probs, tail = _rows(mu, *params[:, owner])
     assert probs.shape == (mu.size, 31) and tail.shape == (mu.size,)
     for i in rng.choice(mu.size, 40, replace=False).tolist() + [0, block - 1, block, mu.size - 1]:
-        one_probs, one_tail = losses._output_rows(mu[i:i + 1], *params[:, owner[i:i + 1]], 30)
+        one_probs, one_tail = _rows(mu[i:i + 1], *params[:, owner[i:i + 1]])
         assert one_probs[0].tobytes() == probs[i].tobytes()
         assert one_tail[0].tobytes() == tail[i].tobytes()
         dist = output_distribution(cfgs[owner[i]].replace(mu=float(mu[i])))
@@ -425,7 +431,7 @@ def _bisect(cfgs, ends, tol):
     """optimize._bisect over (feasible, infeasible, target) ends, each with
     the parameters of its config."""
     feasible, infeasible, target = map(np.array, zip(*ends))
-    return optimize._bisect(optimize._parameters(cfgs), np.arange(len(cfgs)), feasible,
+    return optimize._bisect(losses._parameters(cfgs), np.arange(len(cfgs)), feasible,
                             infeasible, target, tol).tolist()
 
 
@@ -458,7 +464,7 @@ def _golden(cfgs, brackets, tol):
     """(x, P1(x), evaluations) of optimize._golden on each (lo, hi) bracket
     with the parameters of its config."""
     lo, hi = map(np.array, zip(*brackets))
-    mids, steps = optimize._golden(optimize._parameters(cfgs), np.arange(len(cfgs)), lo, hi, tol)
+    mids, steps = optimize._golden(losses._parameters(cfgs), np.arange(len(cfgs)), lo, hi, tol)
     return [(x, _at(cfg, x)[0], int(used) + 3) for cfg, x, used in zip(cfgs, mids.tolist(), steps)]
 
 
@@ -575,10 +581,8 @@ def test_searches_equal_one_step_searches_on_a_warped_pump_axis(monkeypatch):
     def warped(core):
         return lambda mu, *args: core(mu * (1.5 + np.sin(3.0 * np.log(mu))), *args)
 
-    for name in ("_p1_rows", "_p1_snr_rows", "_output_rows"):
-        core = warped(getattr(losses, name))
-        for module in (losses, optimize):
-            monkeypatch.setattr(module, name, core)
+    for name in ("_closed_form", "_chain_rows"):  # every path to a row or P1
+        monkeypatch.setattr(losses, name, warped(getattr(losses, name)))
     cfgs = list(_random_configs(8, 3))
     cases = [(cfg, None) for cfg in cfgs] + [(cfg, target) for cfg in cfgs
                                              for target in (0.0, 3.0, 8.0, 30.0)]
@@ -597,16 +601,16 @@ def test_figure_searches_share_core_rounds(monkeypatch):
     # read P1 alone, the runs' own grids and the golden sections.  The last
     # round keeps whole output rows, and each result reads its numbers from
     # its optimum's row there: the search evaluates no optimum a second time.
-    calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_output_rows")
+    calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_merits")
     monkeypatch.setattr(optimize, "output_distribution", None)
     sweeps.figure2()
     assert [name for name, _ in calls] == (["_p1_snr_rows"] + ["_p1_rows"] * 27
-                                           + ["_output_rows"])
+                                           + ["_merits"])
     assert calls[0][1] == 11 * 96 and calls[-1][1] == 22  # 11 best points, 11 midpoints
     calls.clear()
     sweeps.figure5()
     assert [name for name, _ in calls] == (["_p1_snr_rows"] * 31 + ["_p1_rows"] * 27
-                                           + ["_output_rows"])
+                                           + ["_merits"])
     assert calls[0][1] == 12 * 96  # one coarse grid per template, shared by 6 targets
 
 
@@ -629,7 +633,7 @@ def test_shared_rows_are_evaluated_once(monkeypatch):
 
 
 def test_no_cases_give_no_results_and_no_core_calls(monkeypatch):
-    calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_output_rows")
+    calls = _counted_rows(monkeypatch, "_p1_rows", "_p1_snr_rows", "_merits")
     assert optimize.search([]) == []
     assert calls == []
 
@@ -641,7 +645,7 @@ def test_rows_are_shared_only_by_equal_parameters(monkeypatch):
     same = SourceConfig(m=2, mu=0.3, e_h=0.85, e_s=0.9, e_sw_db=0.5)  # mu is ignored
     other = cfg.replace(r_dark=5e6)
     cfgs = [cfg, other, same, other.replace(m=3), cfg]
-    p1, ratio = optimize._coarse_round(optimize._parameters(cfgs), grid)
+    p1, ratio = optimize._coarse_round(losses._parameters(cfgs), grid)
     assert [rows for _, rows in calls] == [3 * 300]  # cfg, other, other with m = 3
     for c, got_p1, got_ratio in zip(cfgs, p1, ratio):
         want_p1, want_ratio = p1_snr_curve(c, grid)
@@ -655,7 +659,7 @@ def test_shared_rows_name_the_unshared_worst_mu():
     _, fig5 = _fig2_and_fig5_cases()
     mu_range = (1e-4, 40.0)
     grid = np.geomspace(*mu_range, optimize.COARSE_POINTS)
-    params = optimize._parameters([cfg for cfg, _ in fig5])
+    params = losses._parameters([cfg for cfg, _ in fig5])
     with pytest.raises(TruncationError) as unshared:
         losses._p1_snr_rows(np.tile(grid, len(fig5)), *np.repeat(params, grid.size, axis=1))
     with pytest.raises(TruncationError) as shared:

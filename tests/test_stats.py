@@ -93,6 +93,15 @@ class TestPhotonDistribution:
         with pytest.raises(ValueError):
             PhotonDistribution(np.array([1.2, -0.2]), 1)
 
+    def test_rejects_nan_probabilities(self):
+        # NaN fails every comparison, so each check is written in accepting
+        # form: a NaN entry or tail mass fails it.
+        for probs in ([math.nan, 1.0], [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+                PhotonDistribution(probs, 1)
+        with pytest.raises(ValueError, match=r"^tail_mass must be >= 0, got nan$"):
+            PhotonDistribution([0.5, 0.5], 1, math.nan)
+
     def test_rejects_a_two_dimensional_probs(self):
         with pytest.raises(ValueError, match=r"^probs must be one-dimensional, got shape \(2, 1\)$"):
             PhotonDistribution(np.full((2, 1), 0.5), 1)
@@ -262,6 +271,12 @@ class TestCheckRows:
         tails = np.array([self.GOOD_TAIL, faults[3][1], faults[0][1]])
         want = _raised(lambda: PhotonDistribution(faults[3][0], self.N_MAX, faults[3][1]))
         assert _raised(lambda: check_rows(probs, tails, self.N_MAX)) == want
+
+    def test_a_nan_entry_fails_its_row(self):
+        probs = np.tile(self.GOOD, (3, 1))
+        probs[1, 4] = np.nan
+        with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+            check_rows(probs, np.full(3, self.GOOD_TAIL), self.N_MAX)
 
     def test_rejects_wrong_row_length(self):
         with pytest.raises(ValueError, match="n_max\\+1 = 9"):

@@ -158,26 +158,26 @@ class TestFigure5:
         # PhotonDistribution per optimum.
         calls = []
 
-        def counted(module, name):
-            core = getattr(module, name)
+        def counted(module):
+            core = module._merits
 
             def call(mu, *args):
-                calls.append((name, mu.size))
+                calls.append((module.__name__, mu.size))
                 return core(mu, *args)
 
-            monkeypatch.setattr(module, name, call)
+            monkeypatch.setattr(module, "_merits", call)
 
-        counted(optimize, "_output_rows")
-        counted(sweeps, "_blocks")
+        counted(optimize)
+        counted(sweeps)
         for module in (optimize, sweeps):
             monkeypatch.setattr(module, "output_distribution", None)
         monkeypatch.setattr(SourceConfig, "replace", None)
         monkeypatch.setattr(PhotonDistribution, "__post_init__", None)
         figure2()
-        assert calls == [("_output_rows", 22), ("_blocks", 11)]
+        assert calls == [("photonmux.optimize", 22), ("photonmux.sweeps", 11)]
         calls.clear()
         figure5()
-        assert calls == [("_output_rows", 74), ("_blocks", 72)]
+        assert calls == [("photonmux.optimize", 74), ("photonmux.sweeps", 72)]
 
 
 def _reference_row(cfg):
@@ -469,6 +469,29 @@ class TestSweepTable:
             SweepTable.from_json(json.dumps({**doc, "format": "photonmux-dist"}))
         with pytest.raises(ValueError, match="^column layout mismatch$"):
             SweepTable.from_json(json.dumps({**doc, "columns": doc["columns"][::-1]}))
+
+    def test_from_json_names_a_missing_key(self):
+        doc = json.loads(sweep_axis(SourceConfig(m=0, mu=0.1), "mu", [0.1]).to_json())
+        with pytest.raises(ValueError, match="^photonmux table document lacks the key 'columns'$"):
+            SweepTable.from_json('{"format":"photonmux-table"}')
+        for key in ("figure_id", "metadata", "records"):
+            with pytest.raises(ValueError, match=f"^photonmux table document lacks the key '{key}'$"):
+                SweepTable.from_json(json.dumps({k: v for k, v in doc.items() if k != key}))
+        with pytest.raises(ValueError, match="^not a photonmux table document$"):
+            SweepTable.from_json("[]")
+
+    def test_source_date_epoch_stamps_the_table(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        table = sweep_axis(SourceConfig(m=1, mu=0.1), "mu", [0.05, 0.1])
+        assert table.metadata["created_epoch"] == 1700000000
+        assert "# created_epoch = 1700000000\n" in table.to_csv()
+        assert json.loads(table.to_json())["metadata"]["created_epoch"] == 1700000000
+        # A stamp the metadata carries already, as a table read back does,
+        # is kept.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "5")
+        assert SweepTable.from_json(table.to_json()).metadata["created_epoch"] == 1700000000
+        monkeypatch.delenv("SOURCE_DATE_EPOCH")
+        assert "created_epoch" not in sweep_axis(SourceConfig(m=1, mu=0.1), "mu", [0.1]).metadata
 
     def test_serialization_is_byte_stable(self):
         base = SourceConfig(m=1, mu=0.1, e_h=0.85)
