@@ -44,7 +44,7 @@ from .stats import (
     TruncationError,
     _check_n_max,
     check_rows,
-    mandel_q_or_nan,
+    mandel_q_rows,
     p1_rows,
     poisson_rows,
     snr_rows,
@@ -182,9 +182,9 @@ def _merits(mu: np.ndarray, transmission, e_h, windows, p_dark) -> list:
     a PhotonDistribution applies; TruncationError, naming the worst mu over
     all rows, is raised before any other check fails, and then the first
     failing row raises.  P_>=2 and the SNR come from :func:`snr_rows` and Q
-    from :func:`mandel_q_or_nan`, one row at a time, so each value equals
-    what :func:`stats.snr` and :func:`stats.mandel_q` return for the row's
-    distribution, and Q is NaN for the vacuum.
+    from :func:`mandel_q_rows`, which give each row what :func:`stats.snr`
+    and :func:`stats.mandel_q` return for its distribution, and Q is NaN for
+    the vacuum.
     """
     merits = [[] for _ in range(5)]
     fault = None
@@ -196,9 +196,9 @@ def _merits(mu: np.ndarray, transmission, e_h, windows, p_dark) -> list:
         except ValueError as error:
             fault = error
             continue
-        for column, part in zip(merits, (probs[:, 0], p1_rows(probs), *snr_rows(probs, tail))):
+        parts = (probs[:, 0], p1_rows(probs), *snr_rows(probs, tail), mandel_q_rows(probs))
+        for column, part in zip(merits, parts):
             column += part.tolist()
-        merits[4] += map(mandel_q_or_nan, probs)
     if fault is not None:
         raise fault
     return merits

@@ -13,8 +13,8 @@ outcome, and skips the others.  The vectorized numpy
 backend is the fallback when the kernel cannot be built, and the reference
 it is checked against (``backend=`` selects either).  Both read the
 identical Philox stream, so their histograms are bit-identical.  The
-numpy backend's module, ``_numpy_backend``, is imported only when it runs
-or a caller reads it, so a run on the C kernel never loads it.
+numpy backend's module is imported only when it runs, so a run on the C
+kernel never loads it.
 
 The numpy backend scans a chunk of stream words pre-drawn in order, unless
 the sampling tables predict that its scan reads only a small share of each
@@ -35,7 +35,6 @@ set by the trials alone: 1/``_CHUNKS_PER_LOOP`` of one loop's share.
 
 from __future__ import annotations
 
-import importlib
 import math
 import os
 import threading
@@ -87,14 +86,6 @@ _TASK_WORD_TARGET = 1 << 19
 _CHUNKS_PER_LOOP = 16
 # Deepest multiplexer whose trial's stream words still fit in the target.
 MAX_M = max(m for m in range(64) if slots_per_trial(1 << m) <= _CHUNK_WORD_TARGET)
-
-
-def __getattr__(name: str):
-    # ``_numpy_backend`` loads on first access: when ``simulate`` runs it,
-    # or when a caller reads it as an attribute of this package.
-    if name == "_numpy_backend":
-        return importlib.import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def available_backends() -> tuple:
@@ -165,17 +156,25 @@ class McHistogram:
     backend: str = ""
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        counts = np.array(self.counts)
         if counts.ndim != 1:
             raise ValueError(f"histogram counts must be one-dimensional, got shape {counts.shape}")
+        if counts.dtype.kind != "i":
+            # A cast to int64 would truncate a fraction, parse a string and
+            # overflow beyond 2**63, so each entry, as given, is checked.
+            entries = np.array(self.counts, dtype=object).tolist()
+            counts = np.array([_check_int(c, f"histogram count at k={k}", 0, MAX_TRIALS)
+                               for k, c in enumerate(entries)], dtype=np.int64)
+        counts = counts.astype(np.int64, copy=False)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
         if (counts < 0).any():
             k = int(np.argmax(counts < 0))
             raise ValueError(f"histogram counts must be >= 0, got {int(counts[k])} at k={k}")
         if self.trials != self.mc.trials:
             raise ValueError(f"histogram trials {self.trials!r} != mc.trials {self.mc.trials}")
-        if int(counts.sum()) != self.trials:
+        # A count above the trials would let the int64 sum wrap round to them.
+        if (counts > self.trials).any() or int(counts.sum()) != self.trials:
             raise ValueError("histogram counts must sum to the trial count")
 
     def frequencies(self) -> np.ndarray:

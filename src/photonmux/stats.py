@@ -8,7 +8,6 @@ single-window Poisson statistics conditioned on at least one pair.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -29,9 +28,9 @@ __all__ = [
     "poisson_rows",
     "ideal_distribution",
     "check_rows",
-    "moments",
+    "moment_rows",
     "mandel_q",
-    "mandel_q_or_nan",
+    "mandel_q_rows",
     "snr",
     "p1_rows",
     "snr_rows",
@@ -130,10 +129,10 @@ class PhotonDistribution:
         return float(self.probs[k:].sum()) + self.tail_mass
 
     def mean(self) -> float:
-        return moments(self.probs)[0]
+        return float(moment_rows(self.probs[None])[0][0])
 
     def variance(self) -> float:
-        return moments(self.probs)[1]
+        return float(moment_rows(self.probs[None])[1][0])
 
 
 def check_rows(probs: np.ndarray, tail: np.ndarray, n_max: int) -> None:
@@ -171,27 +170,18 @@ def check_rows(probs: np.ndarray, tail: np.ndarray, n_max: int) -> None:
     raise ValueError(f"distribution does not normalize: sum={float(total[row])!r}")
 
 
-def moments(probs: np.ndarray) -> Tuple[float, float]:
-    """Mean and variance of the photon number under the pmf ``probs`` (n = 0..len-1).
+def moment_rows(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the photon number under each row of ``probs``,
+    a pmf over n = 0..probs.shape[1]-1.
 
     The one evaluation behind ``PhotonDistribution.mean``, ``variance`` and
-    :func:`mandel_q`: the mean is computed once and reused for the variance.
+    :func:`mandel_q_rows`: the mean is computed once and reused for the
+    variance.  ``np.vecdot`` takes each row's dot product as ``row.dot(n)``
+    does, so a row's moments do not depend on the rows beside it.
     """
-    n, n_squared = _photon_numbers(probs.size)
-    mean = float(probs.dot(n))
-    return mean, float(probs.dot(n_squared)) - mean * mean
-
-
-@functools.lru_cache(maxsize=32)
-def _photon_numbers(size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """n and n*n for n = 0..size-1 as read-only float vectors.  Floats hold
-    these integers exactly, so a pmf's dot products with them equal those
-    with the integer vectors, which numpy casts to float for the product."""
-    n = np.arange(size, dtype=float)
-    n_squared = n * n
-    n.setflags(write=False)
-    n_squared.setflags(write=False)
-    return n, n_squared
+    n = np.arange(probs.shape[1], dtype=float)
+    mean = np.vecdot(probs, n)
+    return mean, np.vecdot(probs, n * n) - mean * mean
 
 
 def _vacuum(n_max: int, **meta) -> PhotonDistribution:
@@ -238,18 +228,18 @@ def mandel_q(dist: PhotonDistribution) -> float:
     Zero for Poissonian light, -1 for a photon-number state; negative values
     indicate sub-poissonian statistics.
     """
-    q = mandel_q_or_nan(dist.probs)
+    q = float(mandel_q_rows(dist.probs[None])[0])
     if math.isnan(q):
         raise ValueError("Mandel Q is undefined for the vacuum state (<n> = 0)")
     return q
 
 
-def mandel_q_or_nan(probs: np.ndarray) -> float:
-    """Mandel Q of the pmf ``probs`` as tables and optimizer results report
-    it, NaN for the vacuum state.  :func:`mandel_q` computes through it and
-    raises where it gives NaN."""
-    mean, variance = moments(probs)
-    return (variance - mean) / mean if mean > 0 else math.nan
+def mandel_q_rows(probs: np.ndarray) -> np.ndarray:
+    """Mandel Q of each row of ``probs`` as tables and optimizer results
+    report it, NaN for the vacuum state.  :func:`mandel_q` reads it for one
+    row and raises where it gives NaN."""
+    mean, variance = moment_rows(probs)
+    return np.divide(variance - mean, mean, out=np.full_like(mean, np.nan), where=mean > 0)
 
 
 def snr(dist: PhotonDistribution) -> float:

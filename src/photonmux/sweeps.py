@@ -225,6 +225,8 @@ class SweepTable:
                 raise ValueError(f"photonmux table document lacks the key {key!r}")
         if doc["columns"] != list(SweepRecord.FIELDS):
             raise ValueError("column layout mismatch")
+        if not isinstance(doc["metadata"], dict):
+            raise ValueError(f"photonmux table metadata must be an object, got {doc['metadata']!r}")
         meta = {k: v for k, v in doc["metadata"].items() if k not in ("tool", "version")}
         return cls(doc["figure_id"], zip(*doc["records"], strict=True), meta)
 

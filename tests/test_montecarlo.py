@@ -75,6 +75,7 @@ class TestConfig:
 
     def test_histogram_rejects_counts_no_run_gives(self):
         cfg, mc = SourceConfig(mu=0.1), McConfig(trials=1)
+        in_range = rf"an integer in \[0, {MAX_TRIALS}\]"
         bad = [
             # A total-variation distance cannot exceed 1, but these counts
             # would give compare one of 5.9.
@@ -83,12 +84,25 @@ class TestConfig:
             (np.ones((2, 31), dtype=int), 62, McConfig(trials=62),
              r"^histogram counts must be one-dimensional, got shape \(2, 31\)$"),
             ([1, 1], 2, mc, r"^histogram trials 2 != mc.trials 1$"),
+            # A cast to int64 would take the next two as counts [1, 0, ...]
+            # and raise a bare OverflowError on the third.
+            ([1.7, 0.3] + [0] * 29, 1, mc, rf"^histogram count at k=0 must be {in_range}, got 1\.7$"),
+            (["1", "0"] + [0] * 29, 1, mc, rf"^histogram count at k=0 must be {in_range}, got '1'$"),
+            ([0, 2**63 + 5] + [0] * 29, 1, mc,
+             rf"^histogram count at k=1 must be {in_range}, got 9223372036854775813$"),
+            # Their int64 sum wraps round to 1.
+            (np.array([2**62] * 4 + [1] + [0] * 26), 1, mc,
+             r"^histogram counts must sum to the trial count$"),
         ]
         for counts, trials, run, match in bad:
             with pytest.raises(ValueError, match=match):
                 montecarlo.McHistogram(counts, trials, cfg, run)
-        # A run's own histogram, and one summed from two halves as a
-        # reduction builds it, stay valid.
+        # Integral entries of any integer or real type stay valid, as do a
+        # run's own histogram and one summed from two halves as a reduction
+        # builds it.
+        for counts in ([1.0] + [0.0] * 30, np.array([1] + [0] * 30, dtype=np.uint8)):
+            hist = montecarlo.McHistogram(counts, 1, cfg, mc)
+            assert hist.counts.dtype == np.int64 and hist.counts.tolist() == [1] + [0] * 30
         mc = McConfig(trials=2_000, seed=4)
         hist = simulate(LOSSY, mc)
         half = hist.counts // 2

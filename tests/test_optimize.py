@@ -19,7 +19,7 @@ from photonmux.stats import (
     DEFAULT_N_MAX,
     TruncationError,
     mandel_q,
-    mandel_q_or_nan,
+    mandel_q_rows,
     p1_rows,
     snr,
     snr_rows,
@@ -257,7 +257,7 @@ def _ref_result(cfg, mu, **outcome):
     dist = output_distribution(cfg.replace(mu=mu))
     return optimize.OptimizationResult(
         mu_opt=mu, p1_max=dist.p(1), snr_at_opt=snr(dist),
-        mandel_q_at_opt=mandel_q_or_nan(dist.probs), **outcome)
+        mandel_q_at_opt=float(mandel_q_rows(dist.probs[None])[0]), **outcome)
 
 
 def _ref_optimize_mu(cfg, mu_range=optimize.DEFAULT_MU_RANGE, tol=1e-6):

@@ -17,7 +17,7 @@ from photonmux import (
 from photonmux.montecarlo import build_tables
 from photonmux.montecarlo._tables import _binomial_matrix as binomial_matrix
 from photonmux.montecarlo._tables import _survival_cdf
-from photonmux.stats import check_rows, moments, poisson_vector
+from photonmux.stats import check_rows, mandel_q_rows, moment_rows, poisson_vector
 
 
 class TestPoissonPmf:
@@ -137,17 +137,22 @@ class TestPhotonDistribution:
         n = np.arange(dist.n_max + 1)
         mean = float(n @ dist.probs)
         variance = float((n * n) @ dist.probs) - mean * mean
-        assert moments(dist.probs) == (dist.mean(), dist.variance()) == (mean, variance)
+        got = tuple(float(part[0]) for part in moment_rows(dist.probs[None]))
+        assert got == (dist.mean(), dist.variance()) == (mean, variance)
         assert mandel_q(dist) == (variance - mean) / mean
         # Bit for bit the products with the integer vectors, at any length
-        # and for rows of a larger array.
+        # and for rows of a larger array, each row as it gives alone.
         rng = np.random.default_rng(8)
         for size in (1, 2, 3, 31, 62, 200):
-            block = rng.dirichlet(np.ones(2 * size), 20)[:, :size]
-            for probs in (*block, rng.random(size) * 1e-7):
-                n = np.arange(size)
-                mean = float(n @ probs)
-                assert moments(probs) == (mean, float((n * n) @ probs) - mean * mean)
+            view = rng.dirichlet(np.ones(2 * size), 20)[:, :size]
+            n = np.arange(size)
+            for block in (view, np.vstack([view, rng.random(size) * 1e-7])):
+                means, variances = moment_rows(block)
+                for probs, mean, variance in zip(block, means, variances):
+                    want = float(n @ probs)
+                    assert (mean, variance) == (want, float((n * n) @ probs) - want * want)
+                    alone = [part.tolist() for part in moment_rows(probs[None])]
+                    assert alone == [[mean], [variance]]
 
     def test_meta_is_read_only(self):
         dist = PhotonDistribution(np.array([1.0, 0.0]), 1, meta={"a": 1})
@@ -202,8 +207,15 @@ class TestMandelQ:
     def test_vacuum_is_undefined(self):
         probs = np.zeros(3)
         probs[0] = 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^Mandel Q is undefined for the vacuum state \(<n> = 0\)$"):
             mandel_q(PhotonDistribution(probs, 2))
+        # In a block, Q is NaN in the vacuum row alone, and each other row's
+        # Q is what mandel_q gives for it.
+        block = np.array([[0.5, 0.3, 0.2], probs, [0.0, 1.0, 0.0]])
+        q = mandel_q_rows(block)
+        assert math.isnan(q[1]) and not np.isnan(q[[0, 2]]).any()
+        for row in (0, 2):
+            assert mandel_q(PhotonDistribution(block[row], 2)) == q[row]
 
     def test_matches_closed_form_over_random_inputs(self):
         rng = np.random.default_rng(77)

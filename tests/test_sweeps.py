@@ -469,6 +469,9 @@ class TestSweepTable:
             SweepTable.from_json(json.dumps({**doc, "format": "photonmux-dist"}))
         with pytest.raises(ValueError, match="^column layout mismatch$"):
             SweepTable.from_json(json.dumps({**doc, "columns": doc["columns"][::-1]}))
+        for meta, shown in (([], r"\[\]"), (None, "None"), ("x", "'x'")):
+            with pytest.raises(ValueError, match=f"^photonmux table metadata must be an object, got {shown}$"):
+                SweepTable.from_json(json.dumps({**doc, "metadata": meta}))
 
     def test_from_json_names_a_missing_key(self):
         doc = json.loads(sweep_axis(SourceConfig(m=0, mu=0.1), "mu", [0.1]).to_json())
