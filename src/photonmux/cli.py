@@ -220,16 +220,23 @@ def _write_result(format: str, path: Optional[str], kind: str, cfg: SourceConfig
     _emit("\n".join([*lines, *table]) + "\n", path)
 
 
+def _report_backend(ns: argparse.Namespace) -> str:
+    """The backend that ``--backend`` picks, named on stderr with the reason."""
+    from .montecarlo import backend_choice
+
+    backend, reason = backend_choice(ns.backend)
+    print(f"photonmux {ns.subcommand}: backend {backend} ({reason})", file=sys.stderr)
+    return backend
+
+
 def run(ns: argparse.Namespace) -> int:
     """Dispatch one parsed invocation; returns the process exit status."""
     if ns.subcommand == "validate":
-        from .montecarlo import McConfig, backend_choice
+        from .montecarlo import McConfig
         from .validate import run_validation
 
         mc = McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards)
-        backend, reason = backend_choice(ns.backend)
-        print(f"photonmux validate: backend {backend} ({reason})", file=sys.stderr)
-        report = run_validation(mc, backend)
+        report = run_validation(mc, _report_backend(ns))
         for line in report.lines():
             print(line)
         return 0 if report.passed else 1
@@ -300,7 +307,7 @@ def run(ns: argparse.Namespace) -> int:
         from .montecarlo import McConfig, compare, simulate
 
         mc = McConfig(trials=ns.trials, seed=ns.seed, shards=ns.shards)
-        hist = simulate(cfg, mc, backend=ns.backend)
+        hist = simulate(cfg, mc, backend=_report_backend(ns))
         fields = {"trials": hist.trials, "seed": mc.seed, "shards": mc.shards,
                   "backend": hist.backend}
         notes = [f"{key} = {value}" for key, value in fields.items()]

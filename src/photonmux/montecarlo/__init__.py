@@ -254,14 +254,22 @@ def simulate(cfg: SourceConfig, mc: McConfig, backend: Optional[str] = None) -> 
 
     Deterministic for a fixed (cfg, trials, seed): worker count, chunking and
     backend choice never alter the histogram.  Raises ``ValueError`` when
-    m > MAX_M, where a single trial would outgrow a chunk.
+    m > MAX_M, where a single trial would outgrow a chunk, and, before any
+    chunk runs, when the expected scanned windows, ``trials (1 - s^W) /
+    (1 - s)`` with ``s`` the chance that a window stays silent, exceed
+    ``MAX_TRIALS``: the work of ``MAX_TRIALS`` trials of one window each.
     """
     if cfg.m > MAX_M:
         raise ValueError(f"m={cfg.m} exceeds the Monte Carlo limit m <= {MAX_M}, "
                          "beyond which one trial's stream words outgrow a chunk")
     chosen = backend_choice(backend)[0]
     tables = build_tables(cfg)
-    slots = slots_per_trial(tables.n_windows)
+    silent, w = tables.silent_probability(), tables.n_windows
+    scanned = mc.trials * (w if silent >= 1.0 else (1.0 - silent ** w) / (1.0 - silent))
+    if scanned > MAX_TRIALS:
+        raise ValueError(f"the run would scan about {scanned:.3g} windows, more than the limit "
+                         f"of {MAX_TRIALS} (2^40, MAX_TRIALS trials of one window each)")
+    slots = slots_per_trial(w)
     # Running chunks of one trial each must still fit in the word target,
     # which leaves m = MAX_M one worker.
     cpus = _available_cpus()

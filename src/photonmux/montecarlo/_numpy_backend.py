@@ -176,8 +176,7 @@ def counter_source_pays(tables: SamplingTables) -> bool:
     and compares them with the S/4 blocks a sequential draw makes.
     """
     w = tables.n_windows
-    pair_pmf = np.diff(tables.pair_cdf, prepend=0.0)
-    silent = float(pair_pmf @ (1.0 - tables.herald_prob)) * (1.0 - tables.p_dark)
+    silent = tables.silent_probability()
     kinds = 3 if tables.p_dark > 0.0 else 2
     blocks = 1.0 + sum(silent ** lo * kinds * (hi - lo) / 4 for lo, hi in _window_blocks(w))
     return _COUNTER_COST_MARGIN * blocks < slots_per_trial(w) / 4

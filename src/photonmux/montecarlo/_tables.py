@@ -105,6 +105,11 @@ class SamplingTables:
     p_dark: float
     n_windows: int
 
+    def silent_probability(self) -> float:
+        """The chance that a window neither heralds nor fires a dark count."""
+        pair_pmf = np.diff(self.pair_cdf, prepend=0.0)
+        return float(pair_pmf @ (1.0 - self.herald_prob)) * (1.0 - self.p_dark)
+
 
 def build_tables(cfg: SourceConfig) -> SamplingTables:
     mu = cfg.mu

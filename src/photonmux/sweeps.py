@@ -18,8 +18,9 @@ also call, reads every record's outputs from the loss-chain core run on
 blocks of rows; ``losses._inputs`` and ``losses._parameters`` map the
 configurations to its parameters.  Tables serialize to CSV (one header row,
 '.' decimal separator) and to a self-describing JSON document carrying
-metadata, formatted column by column; both are byte-stable for fixed inputs
-and tool version, and equal to what formatting one record at a time gives.
+metadata, both from one cell formatter run column by column; both are
+byte-stable for fixed inputs and tool version, and equal to what formatting
+one record at a time gives.
 """
 
 from __future__ import annotations
@@ -95,9 +96,6 @@ class SweepRecord:
 
     FIELDS: ClassVar[Tuple[str, ...]]  # the field names in order, set below
 
-    def row(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
 
 SweepRecord.FIELDS = tuple(field.name for field in fields(SweepRecord))
 
@@ -166,9 +164,13 @@ class SweepTable:
     :attr:`SweepRecord.FIELDS` entry, kept as tuples, and builds the
     :class:`SweepRecord` tuple ``records`` on first use.  ``metadata`` is
     stamped with the tool and version, and with ``SOURCE_DATE_EPOCH`` when
-    that is set.  The table serializes column by column: each column is
+    that is set.  An entry is an int (not a bool), a float (numpy floats
+    included) or None; writing a table with any other entry raises
+    ``ValueError``.  The table serializes column by column: each column is
     formatted a block of rows at a time, a block of one repeated value once,
-    and the rows are joined from the formatted columns.
+    and the rows are joined from the formatted columns.  CSV and JSON share
+    those cells, JSON writing None, NaN and the infinities as ``null``,
+    ``NaN``, ``Infinity`` and ``-Infinity``.
     """
 
     figure_id: str
@@ -210,31 +212,18 @@ class SweepTable:
             "figure_id": self.figure_id,
             "metadata": self.metadata,
             "columns": list(SweepRecord.FIELDS),
-        }, **_JSON)
+        }, sort_keys=True, separators=(",", ":"))
         rows = ",".join(f"[{row}]" for row in _text_rows(self.columns, _json_cells))
         # "records" sorts after every other key of the document.
         return f'{head[:-1]},"records":[{rows}]}}\n'
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepTable":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("format") != "photonmux-table":
-            raise ValueError("not a photonmux table document")
-        for key in ("columns", "metadata", "figure_id", "records"):
-            if key not in doc:
-                raise ValueError(f"photonmux table document lacks the key {key!r}")
-        if doc["columns"] != list(SweepRecord.FIELDS):
-            raise ValueError("column layout mismatch")
-        if not isinstance(doc["metadata"], dict):
-            raise ValueError(f"photonmux table metadata must be an object, got {doc['metadata']!r}")
-        meta = {k: v for k, v in doc["metadata"].items() if k not in ("tool", "version")}
-        return cls(doc["figure_id"], zip(*doc["records"], strict=True), meta)
 
-
-_JSON = {"sort_keys": True, "separators": (",", ":"), "allow_nan": True}
 # Rows formatted at once, so that the formatted cells stay small beside the
 # text they are joined into.
 _FORMAT_ROWS = 4096
+# The cell texts that JSON writes otherwise; every other cell is the same text
+# in both formats.
+_JSON_TEXTS = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _text_rows(columns: Tuple[tuple, ...], cells: Callable[[tuple], list]) -> Iterable[str]:
@@ -246,11 +235,18 @@ def _text_rows(columns: Tuple[tuple, ...], cells: Callable[[tuple], list]) -> It
 
 
 def _format_cell(value) -> str:
+    """The CSV text of one table entry: a float (numpy floats included) as
+    its repr, an int as its digits, None as the empty text.  Any other entry,
+    a bool included, raises ``ValueError``."""
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(float(value))
-    return str(value)
+    # An exact int first: the isinstance tests alone nearly double the time
+    # of an int column.
+    if type(value) is int or isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise ValueError(f"a table entry must be an int, a float or None, got {value!r}")
 
 
 def _repeats_first(column: tuple) -> bool:
@@ -269,14 +265,15 @@ def _csv_cells(column: tuple) -> list:
 
 
 def _json_cells(column: tuple) -> list:
-    """The JSON texts of the entries of one column, as json.dumps writes them
-    inside a document."""
-    if _repeats_first(column):
-        return [json.dumps(column[0], **_JSON)] * len(column)
-    cells = json.dumps(column, **_JSON)[1:-1].split(",")
-    if len(cells) != len(column):  # an entry's text holds a comma
-        cells = [json.dumps(value, **_JSON) for value in column]
-    return cells
+    """The JSON texts of one column: its CSV cells, with the texts of None,
+    NaN and the infinities mapped to JSON's."""
+    cells = _csv_cells(column)
+    try:
+        if math.isfinite(sum(column)):  # no None, NaN or infinity to map
+            return cells
+    except (TypeError, OverflowError):  # a None; an int beyond the floats
+        pass
+    return list(map(_JSON_TEXTS.get, cells, cells))
 
 
 def _table(figure_id: str, columns: list, **inputs) -> SweepTable:

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +20,7 @@ from photonmux import (
     McConfig,
     OptimizationResult,
     SourceConfig,
-    SweepTable,
+    SweepRecord,
     ideal_distribution,
     montecarlo,
     output_distribution,
@@ -242,6 +243,35 @@ class TestMonteCarlo:
         # Otherwise the document is the one written without --compare.
         assert doc == json.loads(plain.read_text())
 
+    def test_names_the_backend_on_stderr(self, tmp_path):
+        # The backend that ran, and why, goes to stderr, as validate writes
+        # it; stdout is the file -o writes.
+        backend, reason = montecarlo.backend_choice()
+        args = ["montecarlo", "--m", "2", "--mu", "0.1", "--trials", "2e4", "--seed", "42"]
+        proc = run_cli(args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [f"photonmux montecarlo: backend {backend} ({reason})"]
+        assert main([*args, "-o", str(tmp_path / "mc.csv")]) == 0
+        assert proc.stdout == (tmp_path / "mc.csv").read_text()
+        forced = run_cli([*args, "--backend", "numpy"])
+        assert forced.stderr.splitlines() == [
+            "photonmux montecarlo: backend numpy (backend 'numpy' requested)"]
+
+    def test_month_long_run_is_refused(self, capsys):
+        start = time.perf_counter()
+        assert main(["montecarlo", "--m", "20", "--mu", "1e-6", "--trials", "1e9",
+                     "--shards", "1"]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        backend, reason = montecarlo.backend_choice()
+        lines = err.splitlines()
+        assert lines[0] == f"photonmux montecarlo: backend {backend} ({reason})"
+        assert json.loads(lines[-1]) == {
+            "error": "ValueError", "subcommand": "montecarlo",
+            "message": "the run would scan about 6.5e+14 windows, more than the limit of "
+                       f"{montecarlo.MAX_TRIALS} (2^40, MAX_TRIALS trials of one window each)"}
+        assert out == ""
+
     def test_seeded_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["montecarlo", "--mu", "0.1", "--trials", "2e4", "--seed", "7"]
@@ -322,8 +352,9 @@ class TestSweep:
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--mu", "0.1", "--axis", "mu", "--min", "0.01", "--max", "0.5",
                      "--points", "7", "--log", "--format", "structured", "-o", str(out)]) == 0
-        table = SweepTable.from_json(out.read_text())
-        assert [record.mu for record in table.records] == np.geomspace(0.01, 0.5, 7).tolist()
+        mu = SweepRecord.FIELDS.index("mu")
+        rows = json.loads(out.read_text())["records"]
+        assert [row[mu] for row in rows] == np.geomspace(0.01, 0.5, 7).tolist()
 
 
 # The config echo that opens every tabular dist, optimize and montecarlo file

@@ -706,6 +706,37 @@ class TestEventRules:
         with pytest.raises(ValueError, match=rf"m={m}.*m <= 20"):
             simulate(SourceConfig(m=m, mu=0.1), McConfig(trials=1))
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_refuses_a_month_long_run_before_any_chunk(self, backend, monkeypatch):
+        # A trial at m = 20 and mu = 1e-6 scans about 6.5e5 windows before its
+        # first herald, so 1e9 trials would run for about a month.
+        def drain(runs, spans):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(montecarlo, "_drain", drain)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^the run would scan about 6\.5e\+14 windows, "
+                                             rf"more than the limit of {MAX_TRIALS} \(2\^40"):
+            simulate(SourceConfig(m=20, mu=1e-6), McConfig(trials=1e9, shards=1), backend)
+        assert time.perf_counter() - start < 1.0
+
+    def test_work_bound_is_max_trials_of_one_window(self, monkeypatch):
+        class Drained(Exception):
+            pass
+
+        def drain(runs, spans):
+            raise Drained
+
+        monkeypatch.setattr(montecarlo, "_drain", drain)
+        with pytest.raises(Drained):
+            simulate(SourceConfig(m=0, mu=0.0), McConfig(trials=MAX_TRIALS))
+        # Two silent windows a trial are twice the work.
+        with pytest.raises(ValueError, match=r"scan about 2\.2e\+12 windows"):
+            simulate(SourceConfig(m=1, mu=0.0), McConfig(trials=MAX_TRIALS))
+        # The expected windows of a trial, not all 2^m of them, count.
+        with pytest.raises(Drained):
+            simulate(SourceConfig(m=10, mu=0.5), McConfig(trials=MAX_TRIALS // 3))
+
     def test_dark_pump_yields_only_vacuum(self):
         hist = simulate(SourceConfig(m=3, mu=0.0), McConfig(trials=10_000, seed=1))
         assert hist.counts[0] == 10_000
