@@ -149,9 +149,11 @@ class TestStreamLayout:
         assert np.array_equal(whole[2:], tail)
 
     # At trial 2**23 of m = 10 the block counters pass 2**32, where a
-    # 64-bit mulhi or a carry between 32-bit halves would go wrong.
+    # 64-bit mulhi or a carry between 32-bit halves would go wrong.  The
+    # last trial pair ends 360 counters below 2**64, short of the carry
+    # into the next counter word that np.random.Philox would make.
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
-    @pytest.mark.parametrize("trial", [0, 1 << 23])
+    @pytest.mark.parametrize("trial", [0, 1 << 23, (2**64 - 1) // (slots_per_trial(1024) // 4) - 2])
     def test_counter_philox_matches_stream(self, seed, trial):
         w = 1024
         blocks = slots_per_trial(w) // 4
@@ -159,6 +161,20 @@ class TestStreamLayout:
         counters = np.arange(2 * blocks, dtype=np.uint64) + np.uint64(trial * blocks + 1)
         got = philox_doubles(seed, counters).reshape(2, 4 * blocks)
         assert np.array_equal(got, want)
+
+    def test_counter_philox_only_reads_its_counters(self):
+        counters = np.arange(1, 2001, dtype=np.uint64)
+        kept = counters.copy()
+        want = philox_doubles(7, counters)
+        assert np.array_equal(counters, kept)
+        # Every other counter of a read-only array, and a column of a 2-d one.
+        wide = np.repeat(counters, 2)
+        wide.setflags(write=False)
+        assert np.array_equal(philox_doubles(7, wide[::2]), want)
+        assert np.array_equal(philox_doubles(7, np.stack([counters, kept], axis=1)[:, 0]), want)
+
+    def test_counter_philox_of_no_counters(self):
+        assert philox_doubles(7, np.array([], dtype=np.uint64)).shape == (0, 4)
 
     def test_block_counters_fit_in_one_word(self):
         # The counter path keeps the three upper counter words at zero.
@@ -464,16 +480,54 @@ class TestNumpyKernel:
         _numpy_backend.run_counter(17, start, stop, tables, got)
         assert np.array_equal(got, want)
 
+    # On two loops the C kernel allocates about 0.02 MB, and the numpy
+    # pre-drawn source about 20.5 MB: two chunks of 2**19 words, and the
+    # scan's arrays of one.
     def test_chunk_memory_stays_small(self):
         cfg = SourceConfig(m=0, mu=0.1, e_h=0.85, e_s=0.9, e_sw_db=0.5)
-        simulate(cfg, McConfig(trials=10, seed=1))
+        for backend in BACKENDS:
+            limit_mb = {"c": 0.25, "numpy": 24}[backend]
+            simulate(cfg, McConfig(trials=10, seed=1), backend)
+            tracemalloc.start()
+            try:
+                simulate(cfg, McConfig(trials=1 << 20, seed=1, shards=2), backend)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit_mb * 2**20, f"{backend}: peak {peak / 2**20:.2f} MB"
+
+    # A counter batch's first round computes one Philox block of each word
+    # kind, in place, so that a loop traces about 1.5 MB.
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_counter_source_memory_stays_small(self, shards):
+        assert _numpy_backend.counter_source_pays(build_tables(DEEP))
+        simulate(DEEP, McConfig(trials=10, seed=1), "numpy")
         tracemalloc.start()
         try:
-            simulate(cfg, McConfig(trials=1 << 20, seed=1))
+            simulate(DEEP, McConfig(trials=16384, seed=42, shards=shards), "numpy")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
+        assert peak < 2.5 * shards * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+    # At m = 0 and 1 the pair, herald, dark and survival words share Philox
+    # blocks, and the scan has a single round.
+    @pytest.mark.parametrize("r_dark", [0.0, 5e6])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_counter_source_computes_each_block_once(self, m, r_dark, monkeypatch):
+        received = []
+
+        def record(key, counters):
+            received.append(np.array(counters).ravel())
+            return philox_doubles(key, counters)
+
+        monkeypatch.setattr(_numpy_backend, "philox_doubles", record)
+        tables = build_tables(SourceConfig(m=m, mu=0.5, e_h=0.85, e_s=0.9, e_sw_db=0.5,
+                                           r_dark=r_dark))
+        blocks, trials = slots_per_trial(2 ** m) // 4, 1000
+        _numpy_backend.bind_counter(3, tables, np.zeros(129, dtype=np.int64))(5, 5 + trials)
+        got = np.sort(np.concatenate(received))
+        assert np.array_equal(got, np.arange(5 * blocks, (5 + trials) * blocks) + 1)
 
     def test_task_queue_stays_short(self, monkeypatch):
         # One trial per chunk: the drain loops take 3000 chunks one at a
