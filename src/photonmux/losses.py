@@ -21,12 +21,14 @@ the one map from configs to those parameters.  The one scalar entry point,
 :func:`_merits` reads the figures of merit of any number of rows from its
 blocks, for the sweep records and the optimizer's optima.  The optimizer's
 rounds and :func:`p1_snr_curve` read P_1 and P_>=2 alone: :func:`_p1_snr_rows`
-and its P_1-only sibling :func:`_p1_rows` sum the mixture for them in closed
-form, with P_1 bit for bit as in the row, at every pump rate up to 4, where
-the truncation guard cannot reject a row; higher pump rates, and zero or
-vanishing ones, keep the row path.  Each stage on its own is a config of the
-full chain: transmission 1 (``e_s=1.0, e_sw_db=0.0``) leaves heralding loss
-and dark counts, and ``r_dark=0.0`` as well leaves heralding loss only.
+and its P_1-only sibling :func:`_p1_rows` take them from :func:`_p1_multi`,
+which sums the mixture in closed form, with P_1 bit for bit as in the row, at
+every pump rate up to 4, where the truncation guard cannot reject a row;
+higher pump rates, and zero or vanishing ones, are read from :func:`_merits`,
+so :func:`output_distribution` and :func:`_merits` are the only readers of
+the rows.  Each stage on its own is a config of the full chain: transmission 1
+(``e_s=1.0, e_sw_db=0.0``) leaves heralding loss and dark counts, and
+``r_dark=0.0`` as well leaves heralding loss only.
 """
 
 from __future__ import annotations
@@ -204,10 +206,9 @@ def _merits(mu: np.ndarray, transmission, e_h, windows, p_dark) -> list:
     return merits
 
 
-# The closed form of _p1_rows and _p1_snr_rows takes the rows with
-# _CLOSED_FORM_LAM <= mu t and mu <= _CLOSED_FORM_MU; the others keep the rows
-# of _blocks.  A row's path depends on its own values alone, never on the
-# rows beside it.
+# The closed form of _p1_multi takes the rows with _CLOSED_FORM_LAM <= mu t
+# and mu <= _CLOSED_FORM_MU; the others are read from _merits.  A row's path
+# depends on its own values alone, never on the rows beside it.
 #
 # Up to _CLOSED_FORM_MU the output's mass beyond DEFAULT_N_MAX is below about
 # 1e-16, far under TAIL_LIMIT, so the truncation guard cannot reject a row the
@@ -248,9 +249,10 @@ def _h(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_form(mu, transmission, e_h, windows, p_dark, multi):
-    """(P_1, P_>=2) of the output of each pump rate, P_>=2 None unless
-    ``multi``, from the mixture of :func:`_chain_rows` summed in closed form.
+def _p1_multi(mu, transmission, e_h, windows, p_dark, multi):
+    """(P_1, P_>=2) of the output at DEFAULT_N_MAX of each pump rate in
+    ``mu``, P_>=2 None unless ``multi``, from the mixture of
+    :func:`_chain_rows` summed in closed form.
 
     P_1 is column 1 of the row of :func:`_chain_rows`, computed by the same
     operations, so it has the same bits.  With lam = mu t, d = lam e_h and
@@ -260,35 +262,26 @@ def _closed_form(mu, transmission, e_h, windows, p_dark, multi):
 
     Every term is >= 0, since alpha >= 1, so nothing cancels, and the sum
     has no truncation; the row path's P_>=2 is a sum of 60 rounded terms.
-    Rows outside the bounds of _CLOSED_FORM_MU and _CLOSED_FORM_LAM may
-    overflow or give NaN here; :func:`_p1_multi` replaces them.
+    Rows outside the bounds of _CLOSED_FORM_MU and _CLOSED_FORM_LAM, which
+    may overflow or give NaN here, take their columns from :func:`_merits`,
+    with its checks and the TruncationError that names the worst of them.
     """
     lam = mu * transmission
     d = lam * e_h
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         weight = 1.0 - _herald_weight(mu, e_h, windows, p_dark)
         p1 = (np.expm1(d + np.log1p(-e_h)) * weight + 1.0) * np.exp(np.log(lam) - lam)
-        if not multi:
-            return p1, None
-        h = _h(np.concatenate((lam, d)))
-        h_lam, h_d = h[:lam.size], h[lam.size:]
-        return p1, np.exp(-lam) * (h_lam - weight * (h_d + (lam - d) * np.expm1(d)))
-
-
-def _p1_multi(mu, transmission, e_h, windows, p_dark, multi):
-    """(P_1, P_>=2) of the output at DEFAULT_N_MAX of each pump rate in
-    ``mu``, P_>=2 None unless ``multi``: from :func:`_closed_form`, except
-    at the rows it does not take, which come from :func:`_blocks`, whose
-    TruncationError names the worst of them."""
-    params = (transmission, e_h, windows, p_dark)
-    p1, p_multi = _closed_form(mu, *params, multi)
-    far = ~((mu <= _CLOSED_FORM_MU) & (mu * transmission >= _CLOSED_FORM_LAM))
+        p_multi = None
+        if multi:
+            h = _h(np.concatenate((lam, d)))
+            h_lam, h_d = h[:lam.size], h[lam.size:]
+            p_multi = np.exp(-lam) * (h_lam - weight * (h_d + (lam - d) * np.expm1(d)))
+    far = ~((mu <= _CLOSED_FORM_MU) & (lam >= _CLOSED_FORM_LAM))
     if far.any():
-        at = np.flatnonzero(far)
-        for rows, probs, tail in _blocks(mu[far], *_rows_of(params, far), DEFAULT_N_MAX):
-            p1[at[rows]] = p1_rows(probs)
-            if multi:
-                p_multi[at[rows]] = snr_rows(probs, tail)[0]
+        _, p1[far], far_multi, _, _ = _merits(
+            mu[far], *_rows_of((transmission, e_h, windows, p_dark), far))
+        if multi:
+            p_multi[far] = far_multi
     return p1, p_multi
 
 
@@ -307,7 +300,7 @@ def _p1_snr_rows(mu, transmission, e_h, windows, p_dark):
     row's :func:`stats.snr_rows`.
     """
     p1, p_multi = _p1_multi(mu, transmission, e_h, windows, p_dark, True)
-    # As stats.snr_rows divides, so a row from _blocks keeps its bits.
+    # As stats.snr_rows divides, so a row from _merits keeps its bits.
     return p1, np.divide(p1, p_multi, out=np.full_like(p_multi, np.inf),
                          where=~(p_multi <= 0.0))
 
@@ -320,7 +313,7 @@ def output_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> Photon
     """
     # Unpacking the one block runs _blocks to its end, and so its guard.
     (_, probs, tail), = _blocks(np.array([cfg.mu]), *_inputs(cfg), n_max)
-    return PhotonDistribution(probs[0], probs.shape[1] - 1, tail[0], {"config": cfg})
+    return PhotonDistribution(probs[0], probs.shape[1] - 1, tail[0], cfg)
 
 
 def p1_snr_curve(cfg: SourceConfig,
@@ -330,9 +323,10 @@ def p1_snr_curve(cfg: SourceConfig,
     Evaluates the loss chain of :func:`output_distribution` at every mu in
     ``mu_values`` as the optimizer's rounds do.  Grid points with
     mu <= 4 and mu t >= 1e-100 (t the signal transmission) take a closed
-    form for P_1 and P_>=2, the others the output rows.  Raises
-    :class:`TruncationError` like the scalar path when the tail mass at any
-    grid point reaches the limit, naming the worst one.
+    form for P_1 and P_>=2, the others the output rows, which pass the
+    checks of a PhotonDistribution.  Raises :class:`TruncationError` like the
+    scalar path when the tail mass at any grid point reaches the limit,
+    naming the worst one, before any other check fails.
 
     Returns
     -------

@@ -339,8 +339,7 @@ def compare(analytic: PhotonDistribution, hist: McHistogram) -> CompareReport:
     ``TV_FACTOR * sqrt(n_max / trials)`` and every merged-bin z-score stays
     within ``Z_LIMIT``.
     """
-    cfg = analytic.meta.get("config")
-    if cfg is not None and cfg != hist.source:
+    if analytic.config is not None and analytic.config != hist.source:
         raise ValueError("analytic distribution and histogram were computed for different configs")
 
     trials = hist.trials

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -98,12 +97,14 @@ class PhotonDistribution:
     ``tail_mass``, a real stored as a float, is the mass beyond the truncation
     bound; it must stay below :data:`TAIL_LIMIT` or construction fails loudly
     instead of renormalizing, which would silently bias multi-photon merits.
+    ``config`` is the source configuration the distribution models, or None;
+    ``montecarlo.compare`` refuses a histogram of another configuration.
     """
 
     probs: np.ndarray
     n_max: int
     tail_mass: float = 0.0
-    meta: Mapping = field(default_factory=dict, compare=False)
+    config: Optional[SourceConfig] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         probs = np.array(self.probs, dtype=float)
@@ -116,7 +117,9 @@ class PhotonDistribution:
             raise ValueError(f"tail_mass must be a real number, got {self.tail_mass!r}")
         object.__setattr__(self, "tail_mass", float(self.tail_mass))
         check_rows(probs[None], np.array([self.tail_mass]), self.n_max)
-        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+        if not (self.config is None or isinstance(self.config, SourceConfig)):
+            raise ValueError("config must be a SourceConfig or None, "
+                             f"got {type(self.config).__name__}")
 
     def p(self, n: int) -> float:
         """Probability of exactly n photons (0 beyond the truncation bound)."""
@@ -184,10 +187,10 @@ def moment_rows(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return mean, np.vecdot(probs, n * n) - mean * mean
 
 
-def _vacuum(n_max: int, **meta) -> PhotonDistribution:
+def _vacuum(n_max: int) -> PhotonDistribution:
     probs = np.zeros(n_max + 1)
     probs[0] = 1.0
-    return PhotonDistribution(probs, n_max, 0.0, meta)
+    return PhotonDistribution(probs, n_max)
 
 
 def ideal_distribution(cfg: SourceConfig, n_max: int = DEFAULT_N_MAX) -> PhotonDistribution:

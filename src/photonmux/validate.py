@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .config import SourceConfig
-from .losses import output_distribution, p1_snr_curve
+from .losses import _inputs, _p1_rows, output_distribution
 from .montecarlo import McConfig, compare, simulate
 from .optimize import search
 from .stats import DEFAULT_N_MAX, ideal_distribution, poisson_vector
@@ -221,7 +221,7 @@ def check_optimizer() -> Tuple[Check, Check]:
     results = search([(cfg, None) for cfg in lossy + lossless])
     worst_mu = worst_p1 = 0.0
     for cfg, result in zip(lossy, results):
-        p1, _ = p1_snr_curve(cfg, grid)
+        p1 = _p1_rows(grid, *_inputs(cfg))
         best = int(np.argmax(p1))
         worst_mu = max(worst_mu, abs(result.mu_opt - float(grid[best])))
         worst_p1 = max(worst_p1, abs(result.p1_max - float(p1[best])))

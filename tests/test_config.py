@@ -103,7 +103,7 @@ def test_other_reals_are_stored_as_floats(field, value, as_float):
     got = output_distribution(cfg)
     want = output_distribution(SourceConfig(**{**_DARK_M4, field: as_float}))
     assert got.probs.tobytes() == want.probs.tobytes()
-    assert got.meta == want.meta
+    assert got.config == want.config
 
 
 def test_a_numpy_float64_is_stored_as_a_float():

@@ -128,3 +128,42 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert len(modules) >= 10
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, f"unused imports: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """The private names, not dunders, that a module binds at its top level
+    by a def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(tree: ast.Module) -> set:
+    """The names a module reads: as a Name, as an Attribute, or as an alias
+    of a ``from`` import."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads |= {alias.name for alias in node.names}
+    return reads
+
+
+def test_every_private_module_level_name_is_read():
+    # A consolidation that leaves a helper behind fails here, not in review.
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(Path(photonmux.__file__).parent.rglob("*.py"))}
+    defined = {(path.name, name) for path, tree in trees.items()
+               for name in _private_definitions(tree)}
+    read = set().union(*map(_reads, trees.values()))
+    assert len(defined) >= 80
+    unread = sorted(f"{module}: {name}" for module, name in defined if name not in read)
+    assert not unread, f"private names that nothing in the package reads: {unread}"

@@ -176,7 +176,7 @@ def _apply_signal_loss(dist: PhotonDistribution, transmission: float) -> PhotonD
     if not (0.0 <= transmission <= 1.0):
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
     probs = dist.probs @ binomial_matrix(dist.n_max, transmission)
-    return PhotonDistribution(probs, dist.n_max, dist.tail_mass, dist.meta)
+    return PhotonDistribution(probs, dist.n_max, dist.tail_mass, dist.config)
 
 
 class TestSignalLoss:
@@ -261,8 +261,8 @@ class TestValidateFailureDetails:
         assert (check.passed, check.detail) == (False, "falls in e_h")
 
     def test_agreement_names_the_failing_config(self, monkeypatch):
-        # The dark config's model at twice its pump rate, without a config in
-        # its meta, so that compare takes it as a model of another device.
+        # The dark config's model at twice its pump rate, without a config,
+        # so that compare takes it as a model of another device.
         dark = validate.AGREEMENT_CONFIGS[-1]
 
         def wrong(cfg):
@@ -280,9 +280,9 @@ class TestValidateFailureDetails:
 
 
 class TestOutputDistribution:
-    def test_meta_carries_config(self):
+    def test_distribution_carries_its_config(self):
         cfg = SourceConfig(m=1, mu=0.2, e_h=0.9)
-        assert output_distribution(cfg).meta["config"] == cfg
+        assert output_distribution(cfg).config is cfg
 
     def test_p1_non_increasing_in_switch_loss(self):
         check = check_switch_loss_trend()

@@ -807,8 +807,8 @@ class TestEventRules:
         cfg = SourceConfig(m=3, mu=0.05)
         hist = simulate(cfg, McConfig(trials=1_000_000, seed=21))
         ideal = ideal_distribution(cfg)
-        report = compare(PhotonDistribution(ideal.probs, ideal.n_max, ideal.tail_mass,
-                                            {"config": cfg}), hist)
+        report = compare(PhotonDistribution(ideal.probs, ideal.n_max, ideal.tail_mass, cfg),
+                         hist)
         assert report.passed, report.lines()
 
     def test_lossy_source_agrees_with_analytic_chain(self):
@@ -840,8 +840,8 @@ class TestCompare:
         # Analytic curve for e_h = 0.5 against samples drawn at e_h = 0.85.
         hist = simulate(LOSSY, McConfig(trials=200_000, seed=31))
         wrong = output_distribution(LOSSY.replace(e_h=0.5))
-        report = compare(PhotonDistribution(wrong.probs, wrong.n_max, wrong.tail_mass,
-                                            {"config": LOSSY}), hist)
+        report = compare(PhotonDistribution(wrong.probs, wrong.n_max, wrong.tail_mass, LOSSY),
+                         hist)
         assert not report.passed
 
     def test_rejects_config_mismatch(self):
@@ -887,7 +887,7 @@ class TestCompare:
         # chain passes, a chain with one switch passage more or fewer fails
         # every config, and one without dark counts fails the dark config.
         def model(cfg, transmission, p_dark):
-            # No config in meta, so compare takes a model of another device.
+            # No config, so compare takes a model of another device.
             (_, probs, tail), = _blocks(np.array([cfg.mu]), transmission, cfg.e_h,
                                         cfg.n_windows, p_dark, DEFAULT_N_MAX)
             return PhotonDistribution(probs[0], DEFAULT_N_MAX, float(tail[0]))

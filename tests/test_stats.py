@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -154,10 +155,15 @@ class TestPhotonDistribution:
                     alone = [part.tolist() for part in moment_rows(probs[None])]
                     assert alone == [[mean], [variance]]
 
-    def test_meta_is_read_only(self):
-        dist = PhotonDistribution(np.array([1.0, 0.0]), 1, meta={"a": 1})
-        with pytest.raises(TypeError):
-            dist.meta["a"] = 2
+    def test_config_must_be_a_source_config_or_none(self):
+        probs, cfg = np.array([1.0, 0.0]), SourceConfig(m=1, mu=0.1)
+        assert PhotonDistribution(probs, 1).config is None
+        assert PhotonDistribution(probs, 1, 0.0, cfg).config is cfg
+        for bad in ({"config": cfg}, cfg.as_dict(), "m=1"):
+            with pytest.raises(ValueError, match="^config must be a SourceConfig or None"):
+                PhotonDistribution(probs, 1, 0.0, bad)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PhotonDistribution(probs, 1).config = cfg
 
 
 class TestIdealDistribution:

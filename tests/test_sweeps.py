@@ -14,6 +14,7 @@ from photonmux import (
     output_distribution,
     sweeps,
 )
+from photonmux.losses import p1_snr_curve
 from photonmux.optimize import optimize_mu, search
 from photonmux.stats import PhotonDistribution, TruncationError, mandel_q, poisson_vector, snr
 from photonmux.sweeps import (
@@ -300,6 +301,34 @@ class TestCurveRowChecks:
             sweep_axis(cfg, "mu", mu)
         assert str(blocked.value) == str(unblocked.value)
         assert "at mu=45.0;" in str(blocked.value)
+
+    @pytest.mark.parametrize("fault", ["outside", "negative_tail", "tail", "normalization"])
+    def test_faulty_far_row_of_the_closed_form_raises_as_photon_distribution(
+            self, monkeypatch, fault):
+        # The optimizer's rounds read rows above mu = 4, which the closed
+        # form does not take, with the checks of every other row.
+        mu = np.array([0.1, 6.0, 1.0, 5.0, 1e-110])
+        faulty_rows = self._inject(monkeypatch, {6.0: (fault, 1.0), 5.0: (fault, 2.0)})
+        params = losses._inputs(self.BASE)
+        for call in (lambda: p1_snr_curve(self.BASE, mu), lambda: losses._p1_rows(mu, *params),
+                     lambda: losses._p1_snr_rows(mu, *params)):
+            with pytest.raises(ValueError) as got:
+                call()
+            self._assert_raises_as_photon_distribution(got, *faulty_rows[6.0])
+
+    def test_truncating_far_row_precedes_an_earlier_faulty_far_row(self, monkeypatch):
+        mu = np.array([0.1, 6.0, 1.0, 30.0, 25.0, 2.0])
+        self._inject(monkeypatch, {6.0: ("outside", 1.0)})
+        cfg = self.BASE
+        with pytest.raises(TruncationError) as unblocked:
+            losses._check_truncation(mu, losses._chain_rows(
+                mu, cfg.e_s_total, cfg.e_h, cfg.n_windows, cfg.p_dark, 30)[2], 30)
+        for call in (lambda: p1_snr_curve(cfg, mu),
+                     lambda: losses._p1_rows(mu, *losses._inputs(cfg))):
+            with pytest.raises(TruncationError) as blocked:
+                call()
+            assert str(blocked.value) == str(unblocked.value)
+        assert "at mu=30.0;" in str(unblocked.value)
 
     @pytest.mark.parametrize("axis,values", [
         ("mu", [0.1, -0.5, math.nan]),
